@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -115,7 +116,8 @@ def cmd_train(args) -> int:
         params = HrsParams(d_v=synth_cfg.d_v, d_t=synth_cfg.d_t, d=train_cfg.d,
                            heads=train_cfg.heads, d_ff=train_cfg.d_ff,
                            d_hidden=train_cfg.d_hidden, seed=train_cfg.seed)
-        log2 = train_stage2(encoded, params, vocab, table, train_cfg)
+        log2 = train_stage2(encoded, params, vocab, table, train_cfg,
+                            synth_cfg.max_tokens)
         if refiner.checksum() != checksum_before:
             raise RuntimeError("stage 2 modified frozen stage-1 parameters")
         params.save(out / "params.json", seed=train_cfg.seed)
@@ -207,7 +209,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe early (`gvgkit eval | head`): point
+        # stdout at devnull so the interpreter's last flush stays quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, FileNotFoundError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -2,8 +2,12 @@
 
 Every primitive stores its parents and a backward closure on the result
 node; ``backward`` walks the recorded graph once in reverse topological
-order. Everything is float64 and CPU-only: the engine exists to make
-desk-scale losses exactly differentiable, not to be fast.
+order. Everything is float64 and CPU-only. Each node costs a fixed
+Python overhead, so models batch their work into few, larger nodes:
+``matmul`` multiplies stacks of matrices with numpy broadcasting,
+``reshape`` and ``permute`` move axes (attention heads, for one), and
+``masked_max_pool`` takes a mask that broadcasts against its input, so
+one node pools a whole padded batch. Each has a hand-written backward.
 
 Subgradient conventions: max-style reductions route the gradient to the
 first maximal element, elementwise maximum/minimum route ties to the
@@ -210,9 +214,14 @@ def sigmoid(a) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Matrix product with numpy semantics. A 1-D operand pairs with a
+    1-D or 2-D one; operands of two or more dims multiply their last two
+    axes and broadcast the leading ones, so one node multiplies a whole
+    stack of matrices."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.value.ndim not in (1, 2) or b.value.ndim not in (1, 2):
-        raise ShapeError("matmul supports 1-D and 2-D operands only")
+    dims = (a.value.ndim, b.value.ndim)
+    if 0 in dims or (1 in dims and max(dims) > 2):
+        raise ShapeError("matmul pairs a 1-D operand with a 1-D or 2-D one only")
     try:
         value = a.value @ b.value
     except ValueError as err:
@@ -222,11 +231,16 @@ def matmul(a, b) -> Tensor:
         av, bv = a.value, b.value
         if av.ndim == 1 and bv.ndim == 1:
             return (g * bv, g * av)
-        if av.ndim == 2 and bv.ndim == 2:
-            return (g @ bv.T, av.T @ g)
-        if av.ndim == 2 and bv.ndim == 1:
+        if av.ndim == 1:
+            return (g @ bv.T, np.outer(av, g))
+        if bv.ndim == 1:
             return (np.outer(g, bv), av.T @ g)
-        return (g @ bv.T, np.outer(av, g))
+        if bv.ndim == 2:
+            # a stack times one matrix: one product over all stacked rows
+            return (g @ bv.T,
+                    av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+        return (_unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape),
+                _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape))
 
     return _node(value, (a, b), backward)
 
@@ -236,6 +250,26 @@ def transpose(a) -> Tensor:
     if a.value.ndim != 2:
         raise ShapeError("transpose expects a 2-D tensor")
     return _node(a.value.T.copy(), (a,), lambda g: (g.T,))
+
+
+def permute(a, axes: Sequence[int]) -> Tensor:
+    """Reorder the axes of ``a``: output axis i is input axis ``axes[i]``."""
+    a = _as_tensor(a)
+    axes = tuple(axes)
+    if sorted(axes) != list(range(a.value.ndim)):
+        raise ShapeError(f"permute axes {axes} do not reorder shape {a.value.shape}")
+    inverse = tuple(np.argsort(axes))
+    return _node(a.value.transpose(axes), (a,), lambda g: (g.transpose(inverse),))
+
+
+def reshape(a, shape: Sequence[int]) -> Tensor:
+    """Same entries in row-major order under a new shape (one -1 allowed)."""
+    a = _as_tensor(a)
+    try:
+        value = a.value.reshape(shape)
+    except ValueError as err:
+        raise ShapeError(str(err)) from None
+    return _node(value, (a,), lambda g: (g.reshape(a.value.shape),))
 
 
 def narrow(a, axis: int, start: int, length: int) -> Tensor:
@@ -308,24 +342,7 @@ def mean(a, axis=None) -> Tensor:
 def max_over_axis(a, axis: int = 0) -> Tensor:
     """Maximum along one axis; gradient goes to the first maximal entry."""
     a = _as_tensor(a)
-    value = a.value.max(axis=axis)
-    arg = a.value.argmax(axis=axis)
-    if a.value.shape[axis] > 1:
-        sorted_vals = np.sort(a.value, axis=axis)
-        tie_gap = float(np.min(np.take(sorted_vals, -1, axis=axis)
-                               - np.take(sorted_vals, -2, axis=axis)))
-    else:
-        tie_gap = np.inf
-
-    def backward(g):
-        full = np.zeros_like(a.value)
-        grid = np.indices(value.shape)
-        idx = list(grid)
-        idx.insert(axis, arg)
-        full[tuple(idx)] = g
-        return (full,)
-
-    return _node(value, (a,), backward, tie_gap=tie_gap)
+    return _max_reduce(a, a.value, axis)
 
 
 def maximum(a, b) -> Tensor:
@@ -370,34 +387,44 @@ def softmax(a, axis: int = -1) -> Tensor:
 def masked_max_pool(a, mask, axis: int = 0) -> Tensor:
     """Maximum along ``axis`` over positions where ``mask`` is true.
 
-    Invalid positions are excluded structurally, so their values never
-    influence the output or the gradient.
+    A 1-D mask flags the positions of ``axis``; a mask with as many dims
+    as ``a`` broadcasts against it, so each output slot can have its own
+    valid positions (a padded batch of texts, say). Every slot needs at
+    least one. Invalid positions are excluded structurally, so their
+    values never influence the output, the gradient or the tie gap.
     """
     a = _as_tensor(a)
     mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 1 or mask.shape[0] != a.value.shape[axis]:
-        raise ShapeError(f"mask of shape {mask.shape} does not index axis {axis} "
+    ndim = a.value.ndim
+    if mask.ndim == 1 and ndim > 1 and mask.shape[0] == a.value.shape[axis]:
+        mask = np.expand_dims(mask, [i for i in range(ndim) if i != axis % ndim])
+    try:
+        keep = np.broadcast_to(mask, a.value.shape) if mask.ndim == ndim else None
+    except ValueError:
+        keep = None
+    if keep is None:
+        raise ShapeError(f"mask of shape {mask.shape} does not mask axis {axis} "
                          f"of shape {a.value.shape}")
-    if not mask.any():
-        raise DomainError("masked_max_pool needs at least one valid position")
-    shape = [1] * a.value.ndim
-    shape[axis] = mask.shape[0]
-    keep = mask.reshape(shape)
-    masked = np.where(keep, a.value, -np.inf)
-    value = masked.max(axis=axis)
-    arg = masked.argmax(axis=axis)
+    if not keep.any(axis=axis).all():
+        raise DomainError("masked_max_pool needs at least one valid position per slot")
+    return _max_reduce(a, np.where(keep, a.value, -np.inf), axis)
+
+
+def _max_reduce(a: Tensor, masked: np.ndarray, axis: int) -> Tensor:
+    """Max of ``masked`` (``a``'s values, -inf where excluded) along
+    ``axis``. The tie gap is the smallest margin between a slot's best
+    and second-best entry."""
+    arg = np.expand_dims(masked.argmax(axis=axis), axis)
+    value = np.take_along_axis(masked, arg, axis=axis).squeeze(axis)
     tie_gap = np.inf
-    if int(mask.sum()) > 1:
-        sorted_vals = np.sort(masked, axis=axis)
-        tie_gap = float(np.min(np.take(sorted_vals, -1, axis=axis)
-                               - np.take(sorted_vals, -2, axis=axis)))
+    if masked.shape[axis] > 1:
+        top_two = np.partition(masked, -2, axis=axis)
+        tie_gap = float(np.min(np.take(top_two, -1, axis=axis)
+                               - np.take(top_two, -2, axis=axis)))
 
     def backward(g):
         full = np.zeros_like(a.value)
-        grid = np.indices(value.shape)
-        idx = list(grid)
-        idx.insert(axis, arg)
-        full[tuple(idx)] = g
+        np.put_along_axis(full, arg, np.expand_dims(g, axis), axis=axis)
         return (full,)
 
     return _node(value, (a,), backward, tie_gap=tie_gap)

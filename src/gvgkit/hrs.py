@@ -6,15 +6,25 @@ sentences (each scored by max-pooling per-proposal scores). Level 1
 ranks candidate regions for a given expression by fusing sentence-level
 and word-level similarities with a learned balance weight.
 
-All forward passes run on gradkit tensors so the training losses get
-exact reverse-mode gradients; prediction code just reads ``.value``.
+Both levels come from one batched pass per scene: ``score_expression``
+pads the vocabulary sentences and the scene's expressions into one
+(K, T) token batch and scores all K texts against the N proposals at
+once. The proposals are projected once; the K texts share one token
+projection, one masked multi-head cross-attention, one feed-forward
+block and one cosine step, which yield a (K, N) referring-score matrix.
+``level0_distribution`` pools the vocabulary rows of that matrix, and
+each expression reads its own row. The pass runs on gradkit tensors so
+the training losses get exact reverse-mode gradients; prediction code
+just reads ``.value``.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -78,12 +88,13 @@ class ProposalFeatures:
 
 @dataclass
 class RelevanceOutput:
-    """Per-proposal relevance pieces for one expression."""
+    """Per-proposal relevance pieces for K texts; row k belongs to text k."""
 
-    sentence_scores: Tensor      # (N,)   cosine-to-sentence / temperature
-    word_scores: Tensor          # (N, T) cosine-to-token / temperature
-    sentence_weight: Tensor      # ()     balance in (0, 1)
-    referring_scores: Tensor     # (N,)   fused ranking scores
+    sentence_scores: Tensor      # (K, N)    cosine-to-sentence / temperature
+    word_scores: Tensor          # (K, N, T) cosine-to-token / temperature; entries
+                                 #           at invalid tokens are not scores
+    sentence_weight: Tensor      # (K, 1)    balance in (0, 1)
+    referring_scores: Tensor     # (K, N)    fused ranking scores
 
 
 @dataclass(frozen=True)
@@ -200,6 +211,16 @@ class HrsParams:
         skip = {"visual_proj", "text_proj"} if ablation.no_projection else set()
         return [t for name, t in self.leaves() if name not in skip]
 
+    def frozen(self) -> "HrsParams":
+        """The same model with constant tensors sharing these values.
+        Passes over it record no graph, so each intermediate is freed as
+        soon as the pass moves on: for inference, where a batched pass
+        would otherwise keep all of them alive."""
+        frozen = copy.copy(self)
+        for name, t in self.leaves():
+            setattr(frozen, name, gk.constant(t.value))
+        return frozen
+
     @property
     def temperature(self) -> float:
         return float(np.exp(self.log_temperature.value))
@@ -211,10 +232,7 @@ class HrsParams:
             "seed": seed,
             "dims": {"d_v": self.d_v, "d_t": self.d_t, "d": self.d,
                      "heads": self.heads, "d_ff": self.d_ff, "d_hidden": self.d_hidden},
-            "tensors": {
-                name: {"shape": list(t.value.shape), "data": t.value.reshape(-1).tolist()}
-                for name, t in self.leaves()
-            },
+            "tensors": gk.dump_leaves(self.leaves()),
         }
         Path(path).write_text(json.dumps(payload))
 
@@ -225,105 +243,133 @@ class HrsParams:
             raise ValueError(f"not a parameter checkpoint: {path}")
         if payload.get("version") != PARAMS_VERSION:
             raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
-        dims = payload["dims"]
-        params = cls(d_v=dims["d_v"], d_t=dims["d_t"], d=dims["d"], heads=dims["heads"],
-                     d_ff=dims["d_ff"], d_hidden=dims["d_hidden"])
-        for name, t in params.leaves():
-            spec = payload["tensors"][name]
-            t.value = np.asarray(spec["data"], dtype=np.float64).reshape(spec["shape"])
+        dims = payload.get("dims")
+        try:
+            params = cls(**{key: dims[key]
+                            for key in ("d_v", "d_t", "d", "heads", "d_ff", "d_hidden")})
+        except (KeyError, TypeError):
+            raise ValueError(f"checkpoint {path} lacks its model dims") from None
+        gk.load_leaves(params.leaves(), payload.get("tensors"), f"checkpoint {path}")
         return params
 
 
-def fuse(proposals: ProposalFeatures, text: TextFeatures, params: HrsParams) -> Tensor:
-    """Project both modalities into the shared space and let proposal
-    queries attend to text tokens; residual plus feed-forward on top.
+def stack_texts(texts: Sequence[TextFeatures]) -> tuple[np.ndarray, np.ndarray]:
+    """Pad K texts into one (K, T, d_t) token block and its (K, T)
+    validity mask; padding positions are zero and invalid."""
+    if not texts:
+        raise ValueError("need at least one text to score")
+    width = max(text.valid_mask.shape[0] for text in texts)
+    embeddings = np.zeros((len(texts), width, texts[0].token_embeddings.shape[1]))
+    valid_mask = np.zeros((len(texts), width), dtype=bool)
+    for k, text in enumerate(texts):
+        embeddings[k, :len(text.valid_mask)] = text.token_embeddings
+        valid_mask[k, :len(text.valid_mask)] = text.valid_mask
+    return embeddings, valid_mask
 
-    Invalid tokens receive a large negative attention bias, so their
-    values cannot reach the fused features.
+
+def fuse(proposals: ProposalFeatures, tokens: Tensor, valid_mask: np.ndarray,
+         params: HrsParams) -> Tensor:
+    """Let the proposals attend to the tokens of each of K texts; residual
+    plus feed-forward on top. Returns (K, N, d).
+
+    ``tokens`` are the projected tokens (K, T, d) and ``valid_mask``
+    (K, T) marks the real ones. The proposals are projected once for all
+    K texts, and each attention product covers every text and head in
+    one node. Invalid tokens (fillers and padding) receive a large
+    negative attention bias, so their values cannot reach the fused
+    features.
     """
-    if not text.valid_mask.any():
+    if not valid_mask.any(axis=1).all():
         raise EmptyTextError("expression has no valid tokens")
-    p = gk.matmul(gk.constant(proposals.features), params.visual_proj)       # (N, d)
-    t = gk.matmul(gk.constant(text.token_embeddings), params.text_proj)     # (T, d)
-
+    n_texts, width = valid_mask.shape
     d, heads = params.d, params.heads
     dh = d // heads
-    scale = 1.0 / np.sqrt(dh)
-    q_all = gk.matmul(p, params.attn_q)
-    k_all = gk.matmul(t, params.attn_k)
-    v_all = gk.matmul(t, params.attn_v)
-    bias = np.where(text.valid_mask, 0.0, -1e9)[None, :]                    # (1, T)
-
-    head_outputs = []
-    for h in range(heads):
-        q = gk.narrow(q_all, 1, h * dh, dh)
-        k = gk.narrow(k_all, 1, h * dh, dh)
-        v = gk.narrow(v_all, 1, h * dh, dh)
-        scores = gk.add(gk.mul(gk.matmul(q, gk.transpose(k)), scale), gk.constant(bias))
-        attn = gk.softmax(scores, axis=-1)
-        head_outputs.append(gk.matmul(attn, v))
-    message = gk.matmul(gk.concat(head_outputs, axis=1), params.attn_out)
+    p = gk.matmul(gk.constant(proposals.features), params.visual_proj)      # (N, d)
+    q = gk.permute(gk.reshape(gk.matmul(p, params.attn_q), (-1, heads, dh)),
+                   (1, 0, 2))                                               # (H, N, dh)
+    k = gk.permute(gk.reshape(gk.matmul(tokens, params.attn_k),
+                              (n_texts, width, heads, dh)), (0, 2, 3, 1))   # (K, H, dh, T)
+    v = gk.permute(gk.reshape(gk.matmul(tokens, params.attn_v),
+                              (n_texts, width, heads, dh)), (0, 2, 1, 3))   # (K, H, T, dh)
+    bias = np.where(valid_mask, 0.0, -1e9)[:, None, None, :]               # (K, 1, 1, T)
+    scores = gk.add(gk.mul(gk.matmul(q, k), 1.0 / np.sqrt(dh)), gk.constant(bias))
+    heads_out = gk.matmul(gk.softmax(scores, axis=-1), v)                  # (K, H, N, dh)
+    message = gk.matmul(gk.reshape(gk.permute(heads_out, (0, 2, 1, 3)), (n_texts, -1, d)),
+                        params.attn_out)                                    # (K, N, d)
 
     fused = gk.add(p, message)
     hidden = gk.relu(gk.add(gk.matmul(fused, params.ffn_w1), params.ffn_b1))
     return gk.add(fused, gk.add(gk.matmul(hidden, params.ffn_w2), params.ffn_b2))
 
 
-def referring_score(fused: Tensor, text: TextFeatures, params: HrsParams,
-                    ablation: AblationFlags = AblationFlags()) -> RelevanceOutput:
-    """Temperature-scaled sentence and word similarities, fused into one
-    ranking score by a learned sentence weight.
+def _unit_rows(x: Tensor, null_ok: np.ndarray | None = None) -> Tensor:
+    """``x`` scaled to unit norm along its last axis. Rows flagged in
+    ``null_ok`` get 1 added to their squared norm, so masked rows that
+    may be null vectors pass; any other null row raises DomainError."""
+    squared = gk.reduce_sum(gk.mul(x, x), axis=-1, keepdims=True)
+    if null_ok is not None:
+        squared = gk.add(squared, gk.constant(null_ok.astype(np.float64)))
+    return gk.div(x, gk.sqrt(squared))
 
-    Word similarities are defined for valid tokens only; the word-score
-    matrix keeps the full token width with zeros at invalid positions,
-    which never enter the rowwise max.
+
+def referring_score(fused: Tensor, tokens: Tensor, valid_mask: np.ndarray,
+                    params: HrsParams,
+                    ablation: AblationFlags = AblationFlags()) -> RelevanceOutput:
+    """Temperature-scaled sentence and word similarities for K texts,
+    fused into one (K, N) ranking score by each text's learned sentence
+    weight.
+
+    A text's sentence feature is the max-pool of its valid projected
+    tokens. Word scores keep the padded token width; entries at invalid
+    positions are not similarities and never enter the rowwise max.
     """
-    t = gk.matmul(gk.constant(text.token_embeddings), params.text_proj)     # (T, d)
-    sentence = gk.masked_max_pool(t, text.valid_mask, axis=0)               # (d,)
+    n_texts, n_props = fused.shape[:2]
+    sentence = gk.masked_max_pool(tokens, valid_mask[:, :, None], axis=1)  # (K, d)
     tau = gk.exp(params.log_temperature)
 
-    sentence_scores = gk.div(gk.cosine_similarity(fused, sentence), tau)    # (N,)
-    valid_idx = np.flatnonzero(text.valid_mask)
-    select = np.zeros((len(valid_idx), len(text.valid_mask)))
-    select[np.arange(len(valid_idx)), valid_idx] = 1.0
-    t_valid = gk.matmul(gk.constant(select), t)                             # (V, d)
-    word_valid = gk.div(gk.cosine_matrix(fused, t_valid), tau)              # (N, V)
-    word_max = gk.max_over_axis(word_valid, axis=1)                         # (N,)
-    word_scores = gk.matmul(word_valid, gk.constant(select))                # (N, T)
+    unit_fused = _unit_rows(fused)                                          # (K, N, d)
+    unit_sentence = gk.reshape(_unit_rows(sentence), (n_texts, -1, 1))      # (K, d, 1)
+    sentence_scores = gk.div(gk.reshape(gk.matmul(unit_fused, unit_sentence),
+                                        (n_texts, n_props)), tau)           # (K, N)
+    unit_tokens = _unit_rows(tokens, null_ok=~valid_mask[:, :, None])       # (K, T, d)
+    word_scores = gk.div(gk.matmul(unit_fused, gk.permute(unit_tokens, (0, 2, 1))),
+                         tau)                                               # (K, N, T)
+    word_max = gk.masked_max_pool(word_scores, valid_mask[:, None, :], axis=2)  # (K, N)
 
     hidden = gk.relu(gk.add(gk.matmul(sentence, params.fusion_w1), params.fusion_b1))
-    logit = gk.add(gk.matmul(hidden, params.fusion_w2), params.fusion_b2)
-    weight = gk.sigmoid(gk.reduce_sum(logit))
-
+    weight = gk.sigmoid(gk.add(gk.matmul(hidden, params.fusion_w2),
+                               params.fusion_b2))                          # (K, 1)
     if ablation.sentence_only:
-        weight = gk.constant(1.0)
+        weight = gk.constant(np.ones((n_texts, 1)))
     elif ablation.word_only:
-        weight = gk.constant(0.0)
+        weight = gk.constant(np.zeros((n_texts, 1)))
     referring = gk.add(gk.mul(weight, sentence_scores),
                        gk.mul(gk.sub(1.0, weight), word_max))
     return RelevanceOutput(sentence_scores=sentence_scores, word_scores=word_scores,
                            sentence_weight=weight, referring_scores=referring)
 
 
-def score_expression(proposals: ProposalFeatures, text: TextFeatures, params: HrsParams,
+def score_expression(proposals: ProposalFeatures, texts: Sequence[TextFeatures],
+                     params: HrsParams,
                      ablation: AblationFlags = AblationFlags()) -> RelevanceOutput:
-    """Fuse then score: the full per-expression forward pass."""
-    return referring_score(fuse(proposals, text, params), text, params, ablation)
+    """The full forward pass of one scene: every text in ``texts``
+    against all its proposals, in one batch. The text projection is
+    computed once and shared by the attention and the scores."""
+    embeddings, valid_mask = stack_texts(texts)
+    tokens = gk.matmul(gk.constant(embeddings), params.text_proj)          # (K, T, d)
+    fused = fuse(proposals, tokens, valid_mask, params)
+    return referring_score(fused, tokens, valid_mask, params, ablation)
 
 
-def level0_distribution(proposals: ProposalFeatures, vocab_texts: list[TextFeatures],
-                        params: HrsParams,
-                        ablation: AblationFlags = AblationFlags()) -> tuple[Tensor, Tensor]:
-    """Image-level class logits: each vocabulary sentence is scored with
-    its own fused pass and max-pooled over proposals; softmax over the
-    vocabulary gives the class distribution."""
-    if len(vocab_texts) < 2:
+def level0_distribution(referring_scores: Tensor,
+                        vocab_size: int) -> tuple[Tensor, Tensor]:
+    """Image-level class logits from a scene's (K, N) referring scores
+    whose first ``vocab_size`` rows score the vocabulary sentences: each
+    row is max-pooled over proposals, and a softmax over the vocabulary
+    gives the class distribution."""
+    if vocab_size < 2:
         raise ValueError("level-0 needs at least two vocabulary sentences")
-    pooled = []
-    for text in vocab_texts:
-        out = score_expression(proposals, text, params, ablation)
-        pooled.append(gk.max_over_axis(out.referring_scores, axis=0))
-    logits = gk.stack(pooled)
+    logits = gk.max_over_axis(gk.narrow(referring_scores, 0, 0, vocab_size), axis=1)
     return logits, gk.softmax(logits)
 
 

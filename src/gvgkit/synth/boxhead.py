@@ -133,9 +133,7 @@ class BoxRefiner:
             "format": REFINER_FORMAT,
             "version": REFINER_VERSION,
             "seed": seed,
-            "tensors": {name: {"shape": list(p.value.shape),
-                               "data": p.value.reshape(-1).tolist()}
-                        for name, p in self.params()},
+            "tensors": gk.dump_leaves(self.params()),
         }
         Path(path).write_text(json.dumps(payload))
 
@@ -146,9 +144,10 @@ class BoxRefiner:
             raise ValueError(f"not a box-refiner checkpoint: {path}")
         if payload.get("version") != REFINER_VERSION:
             raise ValueError(f"unsupported refiner version {payload.get('version')}")
-        hidden = len(payload["tensors"]["box.b1"]["data"])
+        try:
+            hidden = len(payload["tensors"]["box.b1"]["data"])
+        except (KeyError, TypeError):
+            raise ValueError(f"box-refiner checkpoint {path} lacks tensor 'box.b1'") from None
         refiner = cls(hidden=hidden)
-        for name, p in refiner.params():
-            spec = payload["tensors"][name]
-            p.value = np.asarray(spec["data"], dtype=np.float64).reshape(spec["shape"])
+        gk.load_leaves(refiner.params(), payload["tensors"], f"box-refiner checkpoint {path}")
         return refiner

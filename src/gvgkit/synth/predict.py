@@ -10,11 +10,12 @@ from pathlib import Path
 import numpy as np
 
 from gvgkit import hrs
-from gvgkit.hrs import AblationFlags, HrsParams, Level0Vocabulary
+from gvgkit.hrs import HrsParams, Level0Vocabulary
 from gvgkit.synth.boxhead import BoxRefiner
 from gvgkit.synth.config import SynthConfig, TrainConfig
 from gvgkit.synth.encode import EmbeddingTable, encode_proposals, encode_text
 from gvgkit.synth.scenes import SplitData
+from gvgkit.synth.train import vocabulary_texts
 
 PREDICTIONS_FORMAT = "gvgkit-predictions"
 PREDICTIONS_VERSION = 1
@@ -43,8 +44,9 @@ def predict_split(split: SplitData, cfg: SynthConfig, tcfg: TrainConfig,
                   vocab: Level0Vocabulary | None = None,
                   gate_level0: bool = True) -> Predictions:
     """Rank all proposals for every expression; boxes pass through the
-    frozen refinement head. The level-0 argmax is computed once per
-    image over the fixed vocabulary.
+    frozen refinement head. One batched pass per image scores the fixed
+    vocabulary and every expression of the image; the level-0 argmax
+    comes from the vocabulary rows.
 
     With ``gate_level0`` the final score enforces the hierarchy at
     inference: the referent counts as present only when some proposal
@@ -52,20 +54,24 @@ def predict_split(split: SplitData, cfg: SynthConfig, tcfg: TrainConfig,
     zero, i.e. more likely target than not under the trained
     calibration). When none does, the referent is judged absent and
     proposals are re-ranked by the scene's backgroundness scores (their
-    relevance to the no-vegetation sentence), so the prediction points
-    at soil instead of at some other instance. ``gate_level0=False``
-    ranks by the raw referring score.
+    relevance to the no-vegetation sentence, the vocabulary row of empty
+    images), so the prediction points at soil instead of at some other
+    instance. ``gate_level0=False`` ranks by the raw referring score.
     """
     vocab = vocab or Level0Vocabulary()
     table = EmbeddingTable(cfg.seed)
-    vocab_texts = [encode_text(s, table, cfg.max_tokens) for s in vocab.sentences]
-    ablation = tcfg.ablation
+    vocab_texts = vocabulary_texts(vocab, table, cfg.max_tokens)
     background_class = vocab.class_by_image_type["empty"]
+    frozen = params.frozen()
 
     records: list[PredictionRecord] = []
     for scene in split.scenes:
         proposals, _ = encode_proposals(scene, cfg, table)
-        logits, _ = hrs.level0_distribution(proposals, vocab_texts, params, ablation)
+        exprs = split.expressions_for(scene.image_id)
+        texts = vocab_texts + [encode_text(e.text, table, cfg.max_tokens) for e in exprs]
+        scores = hrs.score_expression(proposals, texts, frozen,
+                                      tcfg.ablation).referring_scores
+        logits, _ = hrs.level0_distribution(scores, len(vocab_texts))
         level0_class = int(np.argmax(logits.value))
         raw = np.array([[b.cx, b.cy, b.w, b.h] for b in proposals.boxes])
         refined = refiner.refine_numpy(raw)
@@ -73,26 +79,20 @@ def predict_split(split: SplitData, cfg: SynthConfig, tcfg: TrainConfig,
         corners = np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=1)
         corners_px = corners * np.array([scene.width, scene.height,
                                          scene.width, scene.height])
-        background_scores = None
-        if gate_level0:
-            bg_out = hrs.score_expression(proposals, vocab_texts[background_class],
-                                          params, ablation)
-            background_scores = bg_out.referring_scores.value
-        for expr in split.expressions_for(scene.image_id):
-            text = encode_text(expr.text, table, cfg.max_tokens)
-            out = hrs.score_expression(proposals, text, params, ablation)
-            scores = out.referring_scores.value
+        background_scores = scores.value[background_class]
+        for row, expr in enumerate(exprs, start=len(vocab_texts)):
+            expr_scores = scores.value[row]
             if gate_level0 and expr.level == "instance":
-                referent_present = float(np.max(scores)) >= 0.0
+                referent_present = float(np.max(expr_scores)) >= 0.0
                 if not referent_present:
-                    scores = background_scores
-            order = np.argsort(-scores, kind="stable")
+                    expr_scores = background_scores
+            order = np.argsort(-expr_scores, kind="stable")
             records.append(PredictionRecord(
                 expression_id=expr.expression_id,
                 image_id=scene.image_id,
                 level0_class=level0_class,
                 boxes_px=corners_px[order],
-                scores=scores[order],
+                scores=expr_scores[order],
             ))
     return Predictions(records=records,
                        meta={"split": split.name, "vocab": list(vocab.sentences),

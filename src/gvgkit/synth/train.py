@@ -71,7 +71,7 @@ def encode_split(split: SplitData, cfg: SynthConfig,
 
 
 def vocabulary_texts(vocab: Level0Vocabulary, table: EmbeddingTable,
-                     max_tokens: int = 64) -> list[hrs.TextFeatures]:
+                     max_tokens: int) -> list[hrs.TextFeatures]:
     return [encode_text(sentence, table, max_tokens) for sentence in vocab.sentences]
 
 
@@ -188,25 +188,27 @@ def _pick_expressions(item: EncodedScene, count: int,
 
 def _scene_losses(item: EncodedScene, params: HrsParams, vocab: Level0Vocabulary,
                   vocab_texts, table: EmbeddingTable, tcfg: TrainConfig,
-                  rng: np.random.Generator):
+                  rng: np.random.Generator, max_tokens: int):
     """Per-scene objective: existence cross-entropy plus the constrained
     instance loss averaged over the sampled expressions. The existence
     floor applies per expression, then the type weights combine the two
-    levels."""
-    logits, _ = hrs.level0_distribution(item.proposals, vocab_texts, params,
-                                        tcfg.ablation)
-    l0 = hrs.loss_lvl0(logits, vocab.true_class(item.scene.image_type))
+    levels. One batched pass scores the vocabulary sentences and the
+    sampled expressions together."""
     exprs = _pick_expressions(item, tcfg.expressions_per_scene, rng)
+    texts = vocab_texts + [encode_text(e.text, table, max_tokens) for e in exprs]
+    scores = hrs.score_expression(item.proposals, texts, params,
+                                  tcfg.ablation).referring_scores
+    logits, _ = hrs.level0_distribution(scores, len(vocab_texts))
+    l0 = hrs.loss_lvl0(logits, vocab.true_class(item.scene.image_type))
     if not exprs:
         l1c = gk.constant(0.0)
     else:
         pieces = []
-        for expr in exprs:
-            text = encode_text(expr.text, table)
-            out = hrs.score_expression(item.proposals, text, params, tcfg.ablation)
+        for row, expr in enumerate(exprs, start=len(vocab_texts)):
             targets = np.isin(item.source_ids,
                               np.asarray(expr.target_ids, dtype=np.int64))
-            l1 = hrs.loss_lvl1(out.referring_scores, targets.astype(float))
+            l1 = hrs.loss_lvl1(gk.narrow(scores, 0, row, 1),
+                               targets[None].astype(float))
             pieces.append(l1 if tcfg.ablation.no_constraint
                           else hrs.loss_constrained(l1, l0))
         l1c = gk.mul(pieces[0], 1.0 / len(pieces))
@@ -218,8 +220,10 @@ def _scene_losses(item: EncodedScene, params: HrsParams, vocab: Level0Vocabulary
 
 def train_stage2(encoded: list[EncodedScene], params: HrsParams,
                  vocab: Level0Vocabulary, table: EmbeddingTable,
-                 tcfg: TrainConfig) -> list[LogRow]:
-    vocab_texts = vocabulary_texts(vocab, table)
+                 tcfg: TrainConfig, max_tokens: int) -> list[LogRow]:
+    """Train the scoring head with the refiner frozen. Texts are capped
+    at ``max_tokens`` tokens, the cap prediction applies too."""
+    vocab_texts = vocabulary_texts(vocab, table, max_tokens)
     opt = gk.Adam(params.trainable(tcfg.ablation), lr=tcfg.lr_init)
     log: list[LogRow] = []
     last_good = {name: t.value.copy() for name, t in params.leaves()}
@@ -232,8 +236,8 @@ def train_stage2(encoded: list[EncodedScene], params: HrsParams,
                 pieces = []
                 for item in batch:
                     hmce, l0_val, l1c_val = _scene_losses(
-                        item, params, vocab, vocab_texts, table, tcfg, rng)
-                    pieces.append(hrs.loss_total(hmce, 0.0))
+                        item, params, vocab, vocab_texts, table, tcfg, rng, max_tokens)
+                    pieces.append(hmce)
                     l0s.append(l0_val)
                     l1cs.append(l1c_val)
                 total = gk.mul(pieces[0], 1.0 / len(pieces))
@@ -277,7 +281,7 @@ def train_two_stage(train_split: SplitData, cfg: SynthConfig, tcfg: TrainConfig,
 
     params = HrsParams(d_v=cfg.d_v, d_t=cfg.d_t, d=tcfg.d, heads=tcfg.heads,
                        d_ff=tcfg.d_ff, d_hidden=tcfg.d_hidden, seed=tcfg.seed)
-    log2 = train_stage2(encoded, params, vocab, table, tcfg)
+    log2 = train_stage2(encoded, params, vocab, table, tcfg, cfg.max_tokens)
 
     if refiner.checksum() != checksum_before:
         raise RuntimeError("stage 2 modified frozen stage-1 parameters")

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,3 +146,45 @@ class TestErrors:
         out = tmp_path / "nodata"
         out.mkdir()
         assert main(["train", "--out", str(out)]) == 1
+
+
+class TestCheckpointErrors:
+    @pytest.fixture
+    def copied(self, run_dir, tmp_path):
+        for name in ("test.jsonl", "config.json", "refiner.json", "params.json"):
+            (tmp_path / name).write_bytes((run_dir / name).read_bytes())
+        return tmp_path
+
+    @pytest.mark.parametrize("checkpoint,tensor", [("params.json", "attn_k"),
+                                                   ("refiner.json", "box.w2")])
+    @pytest.mark.parametrize("fault", ["missing", "wrong shape"])
+    def test_bad_tensor_is_a_one_line_error(self, copied, capsys, checkpoint, tensor,
+                                            fault):
+        path = copied / checkpoint
+        payload = json.loads(path.read_text())
+        if fault == "missing":
+            del payload["tensors"][tensor]
+        else:
+            spec = payload["tensors"][tensor]
+            spec["shape"] = spec["shape"][::-1] + [1]
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["predict", "--out", str(copied), "--split", "test"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert repr(tensor) in err
+
+
+def test_closed_pipe_exits_without_traceback(run_dir):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gvgkit.cli", "eval", "--out", str(run_dir),
+         "--split", "test", "--format", "table"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()    # the reader is gone before the table is written
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    proc.wait(timeout=120)
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err

@@ -47,6 +47,38 @@ class TestForwardValues:
     def test_masked_max_pool_needs_valid(self):
         with pytest.raises(gk.DomainError):
             gk.masked_max_pool(gk.tensor(np.ones((2, 3))), np.array([False, False]))
+        with pytest.raises(gk.DomainError):  # every slot needs a valid position
+            gk.masked_max_pool(gk.tensor(np.ones((2, 3))),
+                               np.array([[True], [False]]), axis=1)
+        with pytest.raises(gk.ShapeError):
+            gk.masked_max_pool(gk.tensor(np.ones((2, 3))), np.ones((3, 2), dtype=bool))
+
+    def test_masked_max_pool_broadcast_mask_tie_and_routing(self):
+        x = gk.tensor(np.array([[[1.0, 5.0], [1.0, 9.0], [4.0, 2.0]],
+                                [[3.0, 0.0], [7.0, 8.0], [6.0, 1.0]]]), requires_grad=True)
+        mask = np.array([[[True], [True], [False]],     # per text: valid tokens
+                         [[True], [False], [True]]])    # broadcast over channels
+        out = gk.masked_max_pool(x, mask, axis=1)
+        assert np.array_equal(out.value, [[1.0, 9.0], [6.0, 1.0]])
+        assert gk.Tape(out).min_tie_gap() == 0.0      # 1.0 vs 1.0 in text 0
+        gk.backward(gk.reduce_sum(out))
+        expected = np.zeros((2, 3, 2))
+        expected[0, 0, 0] = 1.0    # a tie routes to the first maximal entry
+        expected[0, 1, 1] = 1.0
+        expected[1, 2, 0] = expected[1, 2, 1] = 1.0   # masked 7.0 and 8.0 lose
+        assert np.array_equal(x.grad, expected)
+
+    def test_batched_matmul_shapes(self):
+        rng = np.random.default_rng(4)
+        a, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5))
+        out = gk.matmul(gk.tensor(a), gk.tensor(b))
+        assert np.allclose(out.value, np.stack([a[0] @ b, a[1] @ b]))
+        with pytest.raises(gk.ShapeError):
+            gk.matmul(gk.tensor(np.ones(4)), gk.tensor(np.ones((2, 4, 3))))
+        with pytest.raises(gk.ShapeError):
+            gk.permute(gk.tensor(a), (0, 0, 1))
+        with pytest.raises(gk.ShapeError):
+            gk.reshape(gk.tensor(a), (5, 5))
 
     def test_domain_errors(self):
         with pytest.raises(gk.DomainError):
@@ -125,6 +157,7 @@ class TestFiniteDifferences:
         "matmul", "add", "mul", "div", "exp", "log", "maxax", "softmax",
         "sigmoid", "tanh", "relu", "masked_pool", "cosine", "sqrt",
         "maximum", "minimum", "narrow", "concat", "transpose", "softplus",
+        "batched_matmul", "permute", "reshape", "masked_pool_broadcast",
     ])
     def test_each_primitive(self, name):
         rng = np.random.default_rng(abs(hash(name)) % 2**32)
@@ -133,6 +166,9 @@ class TestFiniteDifferences:
         mask = np.array([True, False, True])
         weights34 = gk.constant(rng.normal(size=(3, 4)))
         weights43 = gk.constant(rng.normal(size=(4, 3)))
+        weights232 = gk.constant(rng.normal(size=(2, 3, 2)))
+        frozen_a = a.value.copy()    # ties with ``a`` until the check nudges it
+        per_slot = np.array([[[True], [True]], [[True], [False]], [[False], [True]]])
 
         def f():
             if name == "matmul":
@@ -175,9 +211,28 @@ class TestFiniteDifferences:
                 return gk.reduce_sum(gk.mul(gk.transpose(a), weights43))
             if name == "softplus":
                 return gk.reduce_sum(gk.softplus(a))
+            if name == "batched_matmul":
+                # (3, 1, 4) @ (4, 3) and (1, 3, 4) @ (2, 4, 3): leading axes broadcast
+                stacked = gk.reshape(gk.concat([b, gk.mul(b, b)], axis=0), (2, 4, 3))
+                return gk.add(
+                    gk.reduce_sum(gk.sigmoid(gk.matmul(gk.reshape(a, (3, 1, 4)), b))),
+                    gk.reduce_sum(gk.tanh(gk.matmul(gk.reshape(a, (1, 3, 4)), stacked))))
+            if name == "permute":
+                return gk.reduce_sum(gk.mul(gk.permute(gk.reshape(a, (3, 2, 2)), (2, 0, 1)),
+                                            weights232))
+            if name == "reshape":
+                return gk.reduce_sum(gk.mul(gk.reshape(a, (4, 3)), weights43))
+            if name == "masked_pool_broadcast":
+                # slot 0 ties a with its frozen copy, slot 1 masks the copy,
+                # slot 2 masks a
+                pair = gk.reshape(gk.concat([a, gk.constant(frozen_a)], axis=1), (3, 2, 4))
+                return gk.reduce_sum(gk.mul(gk.masked_max_pool(pair, per_slot, axis=1),
+                                            weights34))
             raise AssertionError(name)
 
-        check(f, [("a", a), ("b", b)])
+        report = check(f, [("a", a), ("b", b)])
+        if name == "masked_pool_broadcast":
+            assert report.tie_nudged
 
     def test_bce_and_cross_entropy(self):
         rng = np.random.default_rng(7)

@@ -23,6 +23,7 @@ from gvgkit.hrs import (
     loss_total,
     referring_score,
     score_expression,
+    stack_texts,
 )
 
 D_V = 12
@@ -38,6 +39,11 @@ def make_text(rng, tokens=5, valid=None):
     emb = rng.normal(size=(tokens, D_T))
     mask = np.ones(tokens, dtype=bool) if valid is None else np.asarray(valid, dtype=bool)
     return TextFeatures(token_embeddings=emb, valid_mask=mask)
+
+
+def project_tokens(texts, params):
+    emb, mask = stack_texts(texts)
+    return gk.matmul(gk.constant(emb), params.text_proj), mask
 
 
 def make_proposals(rng, n=4):
@@ -83,9 +89,10 @@ class TestFuse:
         props = ProposalFeatures(features=rng.normal(size=(5, D_V)),
                                  boxes=[BBox(0.5, 0.5, 0.1, 0.1)] * 5)
         text = make_text(rng, tokens=7)
-        out1 = fuse(props, text, params)
-        out2 = fuse(props, text, params)
-        assert out1.value.shape == (5, 64)
+        tokens, mask = project_tokens([text], params)
+        out1 = fuse(props, tokens, mask, params)
+        out2 = fuse(props, tokens, mask, params)
+        assert out1.value.shape == (1, 5, 64)
         assert np.array_equal(out1.value, out2.value)
 
     def test_masked_token_cannot_influence_output(self):
@@ -94,10 +101,10 @@ class TestFuse:
         props = make_proposals(rng)
         emb = rng.normal(size=(5, D_T))
         mask = np.array([1, 1, 1, 1, 0], dtype=bool)
-        base = score_expression(props, TextFeatures(emb, mask), params)
+        base = score_expression(props, [TextFeatures(emb, mask)], params)
         perturbed = emb.copy()
         perturbed[4] += rng.normal(size=D_T) * 10
-        changed = score_expression(props, TextFeatures(perturbed, mask), params)
+        changed = score_expression(props, [TextFeatures(perturbed, mask)], params)
         assert np.array_equal(base.referring_scores.value, changed.referring_scores.value)
 
 
@@ -107,11 +114,11 @@ class TestReferringScore:
         params = make_params(seed=5)
         props = make_proposals(rng, n=6)
         text = make_text(rng, tokens=5, valid=[1, 1, 1, 0, 1])
-        out = score_expression(props, text, params)
-        w = float(out.sentence_weight.value)
-        word_max = np.where(text.valid_mask, out.word_scores.value, -np.inf).max(axis=1)
-        recomputed = w * out.sentence_scores.value + (1 - w) * word_max
-        assert np.max(np.abs(out.referring_scores.value - recomputed)) <= 1e-12
+        out = score_expression(props, [text], params)
+        w = out.sentence_weight.value[0, 0]
+        word_max = np.where(text.valid_mask, out.word_scores.value[0], -np.inf).max(axis=1)
+        recomputed = w * out.sentence_scores.value[0] + (1 - w) * word_max
+        assert np.max(np.abs(out.referring_scores.value[0] - recomputed)) <= 1e-12
         assert 0.0 < w < 1.0
 
     def test_sentence_only_limit(self):
@@ -119,7 +126,7 @@ class TestReferringScore:
         params = make_params(seed=6)
         props = make_proposals(rng)
         text = make_text(rng)
-        out = score_expression(props, text, params, AblationFlags(sentence_only=True))
+        out = score_expression(props, [text], params, AblationFlags(sentence_only=True))
         assert np.array_equal(out.referring_scores.value, out.sentence_scores.value)
 
     def test_word_only_limit(self):
@@ -127,9 +134,9 @@ class TestReferringScore:
         params = make_params(seed=7)
         props = make_proposals(rng)
         text = make_text(rng)
-        out = score_expression(props, text, params, AblationFlags(word_only=True))
-        word_max = out.word_scores.value.max(axis=1)
-        assert np.allclose(out.referring_scores.value, word_max, atol=1e-15)
+        out = score_expression(props, [text], params, AblationFlags(word_only=True))
+        word_max = out.word_scores.value[0].max(axis=1)
+        assert np.allclose(out.referring_scores.value[0], word_max, atol=1e-15)
 
     def test_parallel_feature_hits_inverse_temperature(self):
         rng = np.random.default_rng(7)
@@ -137,18 +144,20 @@ class TestReferringScore:
         text = make_text(rng, tokens=4)
         t_proj = text.token_embeddings @ params.text_proj.value
         f_s = t_proj.max(axis=0)
-        fused = gk.constant(np.stack([f_s, rng.normal(size=params.d)]))
-        out = referring_score(fused, text, params)
-        assert out.sentence_scores.value[0] == pytest.approx(1 / 0.07, rel=1e-9)
-        assert out.sentence_scores.value[0] == pytest.approx(14.2857, abs=1e-3)
+        fused = gk.constant(np.stack([f_s, rng.normal(size=params.d)])[None])
+        tokens, mask = project_tokens([text], params)
+        out = referring_score(fused, tokens, mask, params)
+        assert out.sentence_scores.value[0, 0] == pytest.approx(1 / 0.07, rel=1e-9)
+        assert out.sentence_scores.value[0, 0] == pytest.approx(14.2857, abs=1e-3)
 
     def test_zero_norm_feature_rejected(self):
         rng = np.random.default_rng(8)
         params = make_params(seed=9)
         text = make_text(rng, tokens=3)
-        fused = gk.constant(np.zeros((2, params.d)))
+        fused = gk.constant(np.zeros((1, 2, params.d)))
+        tokens, mask = project_tokens([text], params)
         with pytest.raises(gk.DomainError):
-            referring_score(fused, text, params)
+            referring_score(fused, tokens, mask, params)
 
 
 class TestLevel0:
@@ -167,13 +176,15 @@ class TestLevel0:
         params = make_params(seed=10)
         props = make_proposals(rng, n=3)
         vocab_texts = [make_text(rng, tokens=3) for _ in range(4)]
-        logits, probs = level0_distribution(props, vocab_texts, params)
+        scores = score_expression(props, vocab_texts, params).referring_scores
+        logits, probs = level0_distribution(scores, 4)
         assert logits.value.shape == (4,)
         assert probs.value.sum() == pytest.approx(1.0, abs=1e-10)
         # pooled logits really are maxima of per-proposal referring scores
         for k, text in enumerate(vocab_texts):
-            out = score_expression(props, text, params)
-            assert logits.value[k] == out.referring_scores.value.max()
+            assert logits.value[k] == scores.value[k].max()
+            alone = score_expression(props, [text], params).referring_scores.value[0]
+            assert logits.value[k] == pytest.approx(alone.max(), abs=1e-12)
 
     def test_argmax_invariant_to_positive_scaling(self):
         rng = np.random.default_rng(10)
@@ -186,8 +197,12 @@ class TestLevel0:
     def test_needs_two_sentences(self):
         rng = np.random.default_rng(11)
         params = make_params(seed=12)
+        scores = score_expression(make_proposals(rng), [make_text(rng)] * 2,
+                                  params).referring_scores
         with pytest.raises(ValueError):
-            level0_distribution(make_proposals(rng), [make_text(rng)], params)
+            level0_distribution(scores, 1)
+        with pytest.raises(ValueError):
+            level0_distribution(scores, 3)
 
 
 class TestLosses:
@@ -265,10 +280,10 @@ class TestEndToEndGradients:
         targets = np.array([1, 0, 0], dtype=float)
 
         def f():
-            logits, _ = level0_distribution(props, vocab_texts, params)
+            scores = score_expression(props, vocab_texts + [text], params).referring_scores
+            logits, _ = level0_distribution(scores, 4)
             l0 = loss_lvl0(logits, 1)
-            out = score_expression(props, text, params)
-            l1 = loss_lvl1(out.referring_scores, targets)
+            l1 = loss_lvl1(gk.narrow(scores, 0, 4, 1), targets[None])
             return loss_total(loss_hmce(l0, loss_constrained(l1, l0), "mixed"), 0.0)
 
         report = gk.check_gradients(f, params.leaves(), max_entries_per_param=4)
@@ -305,6 +320,18 @@ class TestEndToEndGradients:
         gk.Adam(params.trainable()).step()
         assert np.array_equal(params.visual_proj.value, start)
         assert not np.array_equal(params.text_proj.value, start + 1.0)
+
+    def test_frozen_scores_alike_and_records_no_graph(self):
+        rng = np.random.default_rng(19)
+        params = make_params(seed=19)
+        props, texts = make_proposals(rng), [make_text(rng), make_text(rng, tokens=3)]
+        frozen = params.frozen()
+        assert all(a.value is b.value for (_, a), (_, b) in zip(params.leaves(),
+                                                                  frozen.leaves()))
+        live = score_expression(props, texts, params).referring_scores
+        still = score_expression(props, texts, frozen).referring_scores
+        assert np.array_equal(live.value, still.value)
+        assert live.requires_grad and not still.requires_grad and still._parents == ()
 
     def test_text_projection_drawn_when_dims_differ(self):
         params = HrsParams(d_v=D_V, d_t=D_T + 2, d=16, heads=2, seed=18)

@@ -228,11 +228,35 @@ class TestTraining:
         empty_items = [e for e in encoded if e.scene.image_type == "empty"]
         assert empty_items, "training split should carry empty scenes"
         rng = np.random.default_rng(0)
-        vt = vocabulary_texts(vocab, table)
+        vt = vocabulary_texts(vocab, table, cfg.max_tokens)
         for item in empty_items[:2]:
             hmce, l0_val, _ = _scene_losses(item, result.params, vocab, vt,
-                                            table, tcfg, rng)
+                                            table, tcfg, rng, cfg.max_tokens)
             assert hmce.item() == l0_val
+
+
+    def test_training_caps_tokens_like_prediction(self):
+        # 4 tokens keep a content word of every text ("the small maize at ...")
+        cfg = SynthConfig(n_scenes=16, seed=5, max_tokens=4)
+        ds = quiet_gen(cfg)
+        tcfg = TrainConfig(seed=5, stage1_epochs=1, stage2_epochs=1)
+
+        def truncations(run):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = run()
+            return result, {str(w.message) for w in caught
+                            if "truncated" in str(w.message)}
+
+        result, in_training = truncations(lambda: train_two_stage(ds.train, cfg, tcfg))
+        _, in_prediction = truncations(lambda: predict_split(
+            ds.train, cfg, tcfg, result.params, result.refiner))
+        vocab = {f"expression truncated to 4 tokens: {s!r}"
+                 for s in Level0Vocabulary().sentences if len(tokenize(s)) > 4}
+        assert vocab and vocab <= in_training       # the vocabulary sentences
+        assert in_training - vocab                  # and the sampled expressions
+        # every text training saw was cut where prediction cuts it
+        assert in_training <= in_prediction
 
 
 class TestPrediction:
