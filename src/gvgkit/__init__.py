@@ -1,13 +1,13 @@
 """gvgkit: a desk-scale toolkit for generalised visual grounding.
 
-Provides box geometry with gradient-friendly regression losses, a small
+Provides a vectorised box core (pairwise IoU and GIoU), a small
 reverse-mode differentiation engine, a hierarchical relevance scoring
 head, a synthetic referring-expression benchmark generator, training
 loops, and a grounding metric suite with negative-expression accuracy.
 """
 
-from gvgkit.geometry import BBox, InterpConfig
+from gvgkit.geometry import BBox
 
 __version__ = "0.1.0"
 
-__all__ = ["BBox", "InterpConfig", "__version__"]
+__all__ = ["BBox", "__version__"]

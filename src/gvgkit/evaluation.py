@@ -8,19 +8,29 @@ generalized IoU of at most zero against every annotated instance in the
 scene, so the model referred to background rather than to some other
 object. Thresholds are inclusive (IoU >= 0.5 is a hit, GIoU <= 0 is a
 correct rejection).
+
+The suite runs in one pass. Predictions are joined to their scenes and
+expressions once. Each instance expression then gets one pairwise box
+matrix from ``gvgkit.geometry``: IoU of its ranked boxes against its
+targets for a positive, GIoU against every scene instance for a
+negative. Each matrix is reduced to a per-expression outcome (rank of
+the first hit, targets covered, best IoU of the top box, correct
+rejection by the top box and by every box). Every metric and every
+stratum row reads a subset of that outcome table, so no row re-joins
+predictions or recomputes a box.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from gvgkit.datagen import Expression, SceneAnnotation
-from gvgkit.geometry import BBox, giou, iou
-from gvgkit.synth.predict import PredictionRecord, Predictions
+from gvgkit.geometry import giou, iou
+from gvgkit.synth.predict import Predictions
 
 DENSITY_LABELS = ("1-10", "11-20", "21-30", ">30")
 SCALE_LABELS = ("tiny", "small", "medium", "large")
@@ -66,80 +76,116 @@ class EvalReport:
         }
 
 
-class _Joined:
-    """Predictions joined to their expressions and scenes, boxes in
-    normalized coordinates."""
+@dataclass
+class _Outcomes:
+    """Per-expression outcomes of the positive and the negative instance
+    expressions, in input order; every metric reads its column.
 
-    def __init__(self, predictions: Predictions, scenes: list[SceneAnnotation],
-                 expressions: list[Expression]):
-        self.scenes = {s.image_id: s for s in scenes}
-        self.records = predictions.by_expression()
-        self.expressions = expressions
+    Positives: ``first_hit`` is the rank of the first box reaching IoU >=
+    0.5 with some target (inf if none), ``covered`` and ``targets`` count
+    the targets some box covers at IoU >= 0.5 and all targets, and
+    ``top_iou`` is the best IoU of the top-ranked box (0 without boxes).
+    Negatives: ``rejects_top1`` and ``rejects_all`` say whether the
+    top-ranked box, or every box, keeps GIoU <= 0 against every scene
+    instance; both hold in an empty scene, neither without boxes.
+    """
 
-    def boxes_for(self, expr: Expression) -> list[BBox]:
-        record = self.records.get(expr.expression_id)
-        if record is None:
-            return []
-        scene = self.scenes[expr.image_id]
-        out = []
-        for x1, y1, x2, y2 in record.boxes_px:
-            out.append(BBox.from_corners(x1 / scene.width, y1 / scene.height,
-                                         x2 / scene.width, y2 / scene.height))
-        return out
+    positives: list[Expression]
+    first_hit: np.ndarray
+    covered: np.ndarray
+    targets: np.ndarray
+    top_iou: np.ndarray
+    negatives: list[Expression]
+    rejects_top1: np.ndarray
+    rejects_all: np.ndarray
 
-    def target_boxes(self, expr: Expression) -> list[BBox]:
-        scene = self.scenes[expr.image_id]
-        wanted = set(expr.target_ids)
-        return [i.normalized_box(scene.width, scene.height)
-                for i in scene.instances if i.instance_id in wanted]
+    def select(self, pos: np.ndarray, neg: np.ndarray) -> "_Outcomes":
+        """The outcomes under boolean masks over positives and negatives."""
+        return _Outcomes(
+            [e for e, keep in zip(self.positives, pos) if keep], self.first_hit[pos],
+            self.covered[pos], self.targets[pos], self.top_iou[pos],
+            [e for e, keep in zip(self.negatives, neg) if keep],
+            self.rejects_top1[neg], self.rejects_all[neg])
 
-    def scene_boxes(self, expr: Expression) -> list[BBox]:
-        scene = self.scenes[expr.image_id]
-        return [i.normalized_box(scene.width, scene.height) for i in scene.instances]
+    def topk(self, k: int) -> float:
+        if not self.positives:
+            return 0.0
+        return 100.0 * int(np.count_nonzero(self.first_hit < k)) / len(self.positives)
+
+    def recall_at_05(self) -> float:
+        total = float(self.targets.sum())
+        return 100.0 * float(self.covered.sum()) / total if total else 0.0
+
+    def mean_iou(self) -> float:
+        return 100.0 * float(np.mean(self.top_iou)) if self.positives else 0.0
+
+    def neg_acc(self, strict: bool) -> float:
+        if not self.negatives:
+            return 0.0
+        correct = self.rejects_all if strict else self.rejects_top1
+        return 100.0 * int(np.count_nonzero(correct)) / len(self.negatives)
 
 
-def _positive_instance(expressions: list[Expression]) -> list[Expression]:
-    return [e for e in expressions
-            if e.level == "instance" and e.polarity == "positive"]
+def _outcomes(predictions: Predictions, scenes: list[SceneAnnotation],
+              expressions: list[Expression]) -> _Outcomes:
+    """Join predictions to scenes and expressions once, then reduce one
+    pairwise box matrix per instance expression to its outcome. Boxes
+    are compared in normalized coordinates."""
+    records = predictions.by_expression()
+    scene_boxes: dict[str, tuple[np.ndarray, np.ndarray, list[int]]] = {}
+    for scene in scenes:
+        scale = np.array([scene.width, scene.height, scene.width, scene.height],
+                         dtype=np.float64)
+        boxes = np.array([(i.x1, i.y1, i.x2, i.y2) for i in scene.instances],
+                         dtype=np.float64).reshape(-1, 4) / scale
+        scene_boxes[scene.image_id] = (scale, boxes, [i.instance_id for i in scene.instances])
 
-
-def _negative_instance(expressions: list[Expression]) -> list[Expression]:
-    return [e for e in expressions
-            if e.level == "instance" and e.polarity == "negative"]
+    positives, negatives, pos, neg = [], [], [], []
+    for expr in expressions:
+        if expr.level != "instance":
+            continue
+        scale, gt, ids = scene_boxes[expr.image_id]
+        record = records.get(expr.expression_id)
+        boxes = record.boxes_px / scale if record is not None else np.zeros((0, 4))
+        if expr.polarity == "positive":
+            positives.append(expr)
+            wanted = set(expr.target_ids)
+            targets = gt[[k for k, instance_id in enumerate(ids) if instance_id in wanted]]
+            if len(boxes) == 0 or len(targets) == 0:
+                pos.append((np.inf, 0, len(targets), 0.0))
+                continue
+            overlap = iou(boxes, targets)
+            hit = overlap >= 0.5
+            hit_rows = np.flatnonzero(hit.any(axis=1))
+            pos.append((hit_rows[0] if len(hit_rows) else np.inf,
+                        np.count_nonzero(hit.any(axis=0)), len(targets),
+                        overlap[0].max()))
+        elif expr.polarity == "negative":
+            negatives.append(expr)
+            if len(gt) == 0:
+                neg.append((True, True))
+            elif len(boxes) == 0:
+                neg.append((False, False))
+            else:
+                clean = np.all(giou(boxes, gt) <= GIOU_BOUNDARY_TOL, axis=1)
+                neg.append((clean[0], clean.all()))
+    pos = np.array(pos, dtype=np.float64).reshape(-1, 4)
+    neg = np.array(neg, dtype=bool).reshape(-1, 2)
+    return _Outcomes(positives, *pos.T, negatives, *neg.T)
 
 
 def topk(predictions: Predictions, expressions: list[Expression],
          scenes: list[SceneAnnotation], k: int) -> float:
     """Share of positive expressions whose top-k boxes reach IoU >= 0.5
     with some target, in percent."""
-    joined = _Joined(predictions, scenes, expressions)
-    positives = _positive_instance(expressions)
-    if not positives:
-        return 0.0
-    hits = 0
-    for expr in positives:
-        boxes = joined.boxes_for(expr)[:k]
-        targets = joined.target_boxes(expr)
-        if any(iou(b, t) >= 0.5 for b in boxes for t in targets):
-            hits += 1
-    return 100.0 * hits / len(positives)
+    return _outcomes(predictions, scenes, expressions).topk(k)
 
 
 def recall_at_05(predictions: Predictions, expressions: list[Expression],
                  scenes: list[SceneAnnotation]) -> float:
     """Share of all ground-truth targets covered at IoU >= 0.5 by any
     proposal of their expression, in percent."""
-    joined = _Joined(predictions, scenes, expressions)
-    covered = total = 0
-    for expr in _positive_instance(expressions):
-        boxes = joined.boxes_for(expr)
-        for target in joined.target_boxes(expr):
-            total += 1
-            if any(iou(b, target) >= 0.5 for b in boxes):
-                covered += 1
-    if total == 0:
-        return 0.0
-    return 100.0 * covered / total
+    return _outcomes(predictions, scenes, expressions).recall_at_05()
 
 
 def mean_iou(predictions: Predictions, expressions: list[Expression],
@@ -147,19 +193,7 @@ def mean_iou(predictions: Predictions, expressions: list[Expression],
     """Mean over positive expressions of the top-ranked box's best IoU
     against the expression's targets, in percent. An expression without
     proposals contributes zero."""
-    joined = _Joined(predictions, scenes, expressions)
-    positives = _positive_instance(expressions)
-    if not positives:
-        return 0.0
-    values = []
-    for expr in positives:
-        boxes = joined.boxes_for(expr)
-        if not boxes:
-            values.append(0.0)
-            continue
-        targets = joined.target_boxes(expr)
-        values.append(max((iou(boxes[0], t) for t in targets), default=0.0))
-    return 100.0 * float(np.mean(values))
+    return _outcomes(predictions, scenes, expressions).mean_iou()
 
 
 def neg_acc(predictions: Predictions, expressions: list[Expression],
@@ -168,88 +202,68 @@ def neg_acc(predictions: Predictions, expressions: list[Expression],
     background: maximum GIoU against every scene instance <= 0, in
     percent. Judged on the top-ranked box by default; ``strict`` demands
     it of every emitted proposal. Empty scenes count as correct."""
-    joined = _Joined(predictions, scenes, expressions)
-    negatives = _negative_instance(expressions)
-    if not negatives:
-        return 0.0
-    correct = 0
-    for expr in negatives:
-        gt_boxes = joined.scene_boxes(expr)
-        if not gt_boxes:
-            correct += 1
-            continue
-        boxes = joined.boxes_for(expr)
-        judged = boxes if strict else boxes[:1]
-        if judged and all(giou(b, g) <= GIOU_BOUNDARY_TOL
-                          for b in judged for g in gt_boxes):
-            correct += 1
-    return 100.0 * correct / len(negatives)
+    return _outcomes(predictions, scenes, expressions).neg_acc(strict)
 
 
-def _metric_row(predictions: Predictions, expressions: list[Expression],
-                scenes: list[SceneAnnotation], strict: bool,
-                with_negatives: bool = True) -> MetricRow:
-    joined = _Joined(predictions, scenes, expressions)
-    positives = _positive_instance(expressions)
-    negatives = _negative_instance(expressions) if with_negatives else []
-    row = MetricRow(support=len(positives), neg_support=len(negatives))
-    row.target_support = sum(len(joined.target_boxes(e)) for e in positives)
-    if positives:
-        row.top1 = topk(predictions, expressions, scenes, 1)
-        row.top5 = topk(predictions, expressions, scenes, 5)
-        row.r_at_05 = recall_at_05(predictions, expressions, scenes)
-        row.miou = mean_iou(predictions, expressions, scenes)
-    if negatives:
-        row.neg_acc = neg_acc(predictions, expressions, scenes, strict)
+def _metric_row(out: _Outcomes, strict: bool) -> MetricRow:
+    row = MetricRow(support=len(out.positives), target_support=int(out.targets.sum()),
+                    neg_support=len(out.negatives))
+    if out.positives:
+        row.top1 = out.topk(1)
+        row.top5 = out.topk(5)
+        row.r_at_05 = out.recall_at_05()
+        row.miou = out.mean_iou()
+    if out.negatives:
+        row.neg_acc = out.neg_acc(strict)
     return row
+
+
+def _density_label(n_instances: int) -> str:
+    if n_instances <= 10:
+        return "1-10"
+    if n_instances <= 20:
+        return "11-20"
+    if n_instances <= 30:
+        return "21-30"
+    return ">30"
 
 
 def stratify(predictions: Predictions, scenes: list[SceneAnnotation],
              expressions: list[Expression], strict_negatives: bool = False) -> EvalReport:
     """Full report: overall row, scale x crop/weed and density strata
     over positive expressions, and negative accuracy per manipulation
-    kind with its support-weighted average."""
-    scene_by_id = {s.image_id: s for s in scenes}
-    overall = _metric_row(predictions, expressions, scenes, strict_negatives)
+    kind with its support-weighted average. One outcome table serves
+    every row."""
+    out = _outcomes(predictions, scenes, expressions)
+    overall = _metric_row(out, strict_negatives)
+    no_pos = [False] * len(out.positives)
+    no_neg = [False] * len(out.negatives)
+
+    def row(pos_mask: list[bool], neg_mask: list[bool]) -> MetricRow:
+        subset = out.select(np.array(pos_mask, dtype=bool), np.array(neg_mask, dtype=bool))
+        return _metric_row(subset, strict_negatives)
 
     by_scale = {}
     for size in SCALE_LABELS:
         for group, is_weed in (("crop", False), ("weed", True)):
-            subset = [e for e in _positive_instance(expressions)
-                      if e.attributes.size_bin == size
-                      and (e.attributes.category == "weed") == is_weed]
-            by_scale[f"{size}/{group}"] = _metric_row(
-                predictions, subset, scenes, strict_negatives, with_negatives=False)
+            by_scale[f"{size}/{group}"] = row(
+                [e.attributes.size_bin == size and (e.attributes.category == "weed") == is_weed
+                 for e in out.positives], no_neg)
 
-    def density_label(expr: Expression) -> str:
-        n = len(scene_by_id[expr.image_id].instances)
-        if n <= 10:
-            return "1-10"
-        if n <= 20:
-            return "11-20"
-        if n <= 30:
-            return "21-30"
-        return ">30"
-
-    by_density = {}
-    for label in DENSITY_LABELS:
-        subset = [e for e in _positive_instance(expressions)
-                  if density_label(e) == label]
-        by_density[label] = _metric_row(predictions, subset, scenes,
-                                        strict_negatives, with_negatives=False)
+    n_instances = {s.image_id: len(s.instances) for s in scenes}
+    density = [_density_label(n_instances[e.image_id]) for e in out.positives]
+    by_density = {label: row([d == label for d in density], no_neg)
+                  for label in DENSITY_LABELS}
 
     neg_by_kind = {}
     weighted_sum = 0.0
     weighted_support = 0
     for kind in KIND_LABELS:
-        subset = [e for e in _negative_instance(expressions)
-                  if e.negative_kind == kind]
-        row = MetricRow(neg_support=len(subset))
-        if subset:
-            row.neg_acc = neg_acc(predictions, subset, scenes, strict_negatives)
-            weighted_sum += row.neg_acc * len(subset)
-            weighted_support += len(subset)
-        neg_by_kind[kind] = row
+        kind_row = row(no_pos, [e.negative_kind == kind for e in out.negatives])
+        if kind_row.neg_support:
+            weighted_sum += kind_row.neg_acc * kind_row.neg_support
+            weighted_support += kind_row.neg_support
+        neg_by_kind[kind] = kind_row
     average = MetricRow(neg_support=weighted_support)
     if weighted_support:
         average.neg_acc = weighted_sum / weighted_support

@@ -1,19 +1,21 @@
-"""Axis-aligned box algebra and the interpolated-IoU regression loss.
+"""Axis-aligned boxes and the pairwise box core.
 
 Boxes are stored in centre form (cx, cy, w, h), normally as fractions of
 the image size; every operation is scale invariant so pixel coordinates
 work as well. Corner form (x1, y1, x2, y2) is available by conversion.
 
-The interpolated-IoU loss augments the plain ``1 - IoU`` objective with a
-second IoU term computed against a box linearly interpolated between the
-prediction and the ground truth. The auxiliary term keeps the gradient
-non-zero even when the prediction does not overlap the target, which the
-plain IoU loss cannot do.
+``BBox`` holds one box. The array functions work on (N, 4) rows:
+``iou`` and ``giou`` compare every corner row of one set with every row
+of another in one vectorised pass and return an (N, M) matrix. Matching
+and evaluation both use them; no scalar IoU exists in the package.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -48,159 +50,56 @@ class BBox:
         return BBox(self.cx * sx, self.cy * sy, self.w * sx, self.h * sy)
 
 
-@dataclass(frozen=True)
-class InterpConfig:
-    """Interpolation factor for the auxiliary IoU term.
-
-    ``alpha`` close to 1 places the intermediate box next to the ground
-    truth, which keeps the auxiliary IoU informative under extreme scale
-    differences.
-    """
-
-    alpha: float = 0.99
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie strictly in (0, 1), got {self.alpha}")
+def centre_rows(boxes: Sequence[BBox]) -> np.ndarray:
+    """(N, 4) centre-form rows (cx, cy, w, h) of a box list."""
+    return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes],
+                    dtype=np.float64).reshape(-1, 4)
 
 
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection over union in [0, 1]; 0 when the union is empty."""
-    ax1, ay1, ax2, ay2 = a.to_corners()
-    bx1, by1, bx2, by2 = b.to_corners()
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    inter = max(iw, 0.0) * max(ih, 0.0)
+def corners(centre: np.ndarray) -> np.ndarray:
+    """Centre-form rows to corner rows, with the arithmetic of
+    ``BBox.to_corners``."""
+    cx, cy, w, h = (centre[..., k] for k in range(4))
+    hw, hh = w / 2.0, h / 2.0
+    return np.stack([cx - hw, cy - hh, cx + hw, cy + hh], axis=-1)
+
+
+def _pairwise(a: np.ndarray, b: np.ndarray):
+    """Intersection and union areas of corner rows a (N, 4) and b (M, 4),
+    plus their corner columns shaped (N, 1) and (M,), so that every
+    operation on one column of each broadcasts to (N, M)."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    ax1, ay1, ax2, ay2 = (a[:, k:k + 1] for k in range(4))
+    bx1, by1, bx2, by2 = (b[:, k] for k in range(4))
+    iw = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+    ih = np.minimum(ay2, by2) - np.maximum(ay1, by1)
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
     # areas from the same corner values so identical boxes give exactly 1
-    area_a = (ax2 - ax1) * (ay2 - ay1)
-    area_b = (bx2 - bx1) * (by2 - by1)
-    union = area_a + area_b - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    return inter, union, (ax1, ay1, ax2, ay2), (bx1, by1, bx2, by2)
 
 
-def giou(a: BBox, b: BBox) -> float:
-    """Generalized IoU in [-1, 1]: IoU minus the normalized excess of the
-    smallest enclosing box over the union. Negative for disjoint boxes."""
-    ax1, ay1, ax2, ay2 = a.to_corners()
-    bx1, by1, bx2, by2 = b.to_corners()
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    inter = max(iw, 0.0) * max(ih, 0.0)
-    area_a = (ax2 - ax1) * (ay2 - ay1)
-    area_b = (bx2 - bx1) * (by2 - by1)
-    union = area_a + area_b - inter
-    ew = max(ax2, bx2) - min(ax1, bx1)
-    eh = max(ay2, by2) - min(ay1, by1)
-    enclosing = ew * eh
-    if union <= 0.0:
-        return 0.0
-    if enclosing <= 0.0:
-        return inter / union
-    return inter / union - (enclosing - union) / enclosing
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den where den > 0, else 0."""
+    return np.divide(num, den, out=np.zeros(np.shape(num)), where=den > 0.0)
 
 
-def interp_box(pred: BBox, gt: BBox, alpha: float) -> BBox:
-    """Box interpolated componentwise as (1 - alpha) * pred + alpha * gt.
-
-    Interpolation is linear, so doing it in centre form or corner form
-    gives the same box.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
-    # pred + alpha * (gt - pred): keeps pred == gt an exact fixed point.
-    return BBox(
-        pred.cx + alpha * (gt.cx - pred.cx),
-        pred.cy + alpha * (gt.cy - pred.cy),
-        pred.w + alpha * (gt.w - pred.w),
-        pred.h + alpha * (gt.h - pred.h),
-    )
+def iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Intersection over union of corner rows a (N, 4) and b (M, 4) as an
+    (N, M) matrix in [0, 1]; 0 where the union is empty."""
+    inter, union, _, _ = _pairwise(a, b)
+    return _ratio(inter, union)
 
 
-def loss_interp_iou(pred: BBox, gt: BBox, cfg: InterpConfig = InterpConfig()) -> float:
-    """(1 - IoU(pred, gt)) + (1 - IoU(interpolated box, gt)), >= 0."""
-    mid = interp_box(pred, gt, cfg.alpha)
-    return (1.0 - iou(pred, gt)) + (1.0 - iou(mid, gt))
-
-
-def _iou_grad_corners(p: tuple[float, float, float, float],
-                      g: tuple[float, float, float, float]) -> tuple[float, list[float]]:
-    """IoU and its derivative with respect to the first box's corners.
-
-    At configurations where an intersection edge coincides with a box
-    edge the derivative is one-sided; ties resolve toward the overlapping
-    side so the subgradient matches descent practice.
-    """
-    px1, py1, px2, py2 = p
-    gx1, gy1, gx2, gy2 = g
-    ix1, iy1 = max(px1, gx1), max(py1, gy1)
-    ix2, iy2 = min(px2, gx2), min(py2, gy2)
-    iw, ih = ix2 - ix1, iy2 - iy1
-    area_p = (px2 - px1) * (py2 - py1)
-    area_g = (gx2 - gx1) * (gy2 - gy1)
-    inter = iw * ih if (iw > 0.0 and ih > 0.0) else 0.0
-    union = area_p + area_g - inter
-    if union <= 0.0:
-        return 0.0, [0.0, 0.0, 0.0, 0.0]
-
-    # d inter / d p-corner, zero unless the corner is the binding one.
-    if iw > 0.0 and ih > 0.0:
-        d_inter = [
-            -ih if px1 >= gx1 else 0.0,
-            -iw if py1 >= gy1 else 0.0,
-            ih if px2 <= gx2 else 0.0,
-            iw if py2 <= gy2 else 0.0,
-        ]
-    else:
-        d_inter = [0.0, 0.0, 0.0, 0.0]
-
-    d_area_p = [-(py2 - py1), -(px2 - px1), (py2 - py1), (px2 - px1)]
-    # IoU = I/U with dU = dA_p - dI.
-    grad = [
-        (d_inter[k] * union - inter * (d_area_p[k] - d_inter[k])) / (union * union)
-        for k in range(4)
-    ]
-    return inter / union, grad
-
-
-def grad_loss_interp_iou(pred: BBox, gt: BBox,
-                         cfg: InterpConfig = InterpConfig()) -> tuple[float, float, float, float]:
-    """Exact gradient of ``loss_interp_iou`` with respect to pred's
-    (cx, cy, w, h).
-
-    The direct IoU term contributes nothing for disjoint boxes; the
-    interpolated term keeps the gradient alive because the intermediate
-    box still overlaps the target. At an exact match the loss sits at its
-    kinked minimum and the zero subgradient is returned.
-    """
-    alpha = cfg.alpha
-    p = pred.to_corners()
-    g = gt.to_corners()
-    if p == g:
-        return (0.0, 0.0, 0.0, 0.0)
-    _, d_direct = _iou_grad_corners(p, g)
-
-    mid = tuple(pc + alpha * (gc - pc) for pc, gc in zip(p, g))
-    _, d_mid = _iou_grad_corners(mid, g)
-
-    # loss = (1 - iou) + (1 - iou_mid); d mid-corner / d p-corner = 1 - alpha.
-    d_corners = [-(d_direct[k] + (1.0 - alpha) * d_mid[k]) for k in range(4)]
-
-    # Corner -> centre-form chain: x1 = cx - w/2, x2 = cx + w/2, etc.
-    d_cx = d_corners[0] + d_corners[2]
-    d_cy = d_corners[1] + d_corners[3]
-    d_w = 0.5 * (d_corners[2] - d_corners[0])
-    d_h = 0.5 * (d_corners[3] - d_corners[1])
-    return (d_cx, d_cy, d_w, d_h)
-
-
-def grad_loss_iou(pred: BBox, gt: BBox) -> tuple[float, float, float, float]:
-    """Gradient of the plain ``1 - IoU`` loss; exactly zero for disjoint
-    boxes, which is the failure mode the interpolated term repairs."""
-    _, d_direct = _iou_grad_corners(pred.to_corners(), gt.to_corners())
-    d_cx = -(d_direct[0] + d_direct[2])
-    d_cy = -(d_direct[1] + d_direct[3])
-    d_w = -0.5 * (d_direct[2] - d_direct[0])
-    d_h = -0.5 * (d_direct[3] - d_direct[1])
-    return (d_cx, d_cy, d_w, d_h)
+def giou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Generalized IoU (Rezatofighi et al. 2019) of corner rows a (N, 4)
+    and b (M, 4) as an (N, M) matrix in [-1, 1]: IoU minus the normalized
+    excess of the smallest enclosing box over the union. Negative for
+    disjoint boxes; 0 where the union is empty, plain IoU where the
+    enclosing box has no area."""
+    inter, union, (ax1, ay1, ax2, ay2), (bx1, by1, bx2, by2) = _pairwise(a, b)
+    enclosing = ((np.maximum(ax2, bx2) - np.minimum(ax1, bx1))
+                 * (np.maximum(ay2, by2) - np.minimum(ay1, by1)))
+    value = _ratio(inter, union) - _ratio(enclosing - union, enclosing)
+    return np.where(union > 0.0, value, 0.0)

@@ -307,17 +307,6 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _node(value, tuple(parts), backward)
 
 
-def stack(scalars: Sequence[Tensor]) -> Tensor:
-    """Stack 0-d tensors into a vector."""
-    scalars = [_as_tensor(s) for s in scalars]
-    for s in scalars:
-        if s.value.ndim != 0:
-            raise ShapeError("stack expects 0-d tensors")
-    value = np.array([s.value for s in scalars], dtype=np.float64)
-    return _node(value, tuple(scalars),
-                 lambda g: tuple(np.asarray(g[i]) for i in range(len(scalars))))
-
-
 def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     value = a.value.sum(axis=axis, keepdims=keepdims)
@@ -428,31 +417,6 @@ def _max_reduce(a: Tensor, masked: np.ndarray, axis: int) -> Tensor:
         return (full,)
 
     return _node(value, (a,), backward, tie_gap=tie_gap)
-
-
-def cosine_similarity(rows, vec) -> Tensor:
-    """Cosine similarity of each row of ``rows`` (N, d) with ``vec`` (d,)."""
-    rows, vec = _as_tensor(rows), _as_tensor(vec)
-    if rows.value.ndim != 2 or vec.value.ndim != 1:
-        raise ShapeError("cosine_similarity expects a matrix and a vector")
-    if np.any(np.linalg.norm(rows.value, axis=1) == 0.0) or np.linalg.norm(vec.value) == 0.0:
-        raise DomainError("cosine similarity of a zero-norm vector")
-    row_norms = sqrt(reduce_sum(mul(rows, rows), axis=1))
-    vec_norm = sqrt(reduce_sum(mul(vec, vec)))
-    dots = matmul(rows, vec)
-    return div(dots, mul(row_norms, vec_norm))
-
-
-def cosine_matrix(a, b) -> Tensor:
-    """Pairwise cosine similarities between rows of a (N, d) and b (M, d)."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.value.ndim != 2 or b.value.ndim != 2:
-        raise ShapeError("cosine_matrix expects two matrices")
-    if np.any(np.linalg.norm(a.value, axis=1) == 0.0) or np.any(np.linalg.norm(b.value, axis=1) == 0.0):
-        raise DomainError("cosine similarity of a zero-norm vector")
-    a_norm = sqrt(reduce_sum(mul(a, a), axis=1, keepdims=True))
-    b_norm = sqrt(reduce_sum(mul(b, b), axis=1, keepdims=True))
-    return matmul(div(a, a_norm), transpose(div(b, b_norm)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,24 +7,20 @@ size discrepancy:
          + lambda_size * (|w_p - w_g| / w_g + |h_p - h_g| / h_g)
 
 Costs are computed in normalized coordinates so the default weights are
-resolution independent. The optimal one-to-one assignment is solved as a
-rectangular linear sum assignment problem; an exhaustive oracle is
-provided for cross-checking on small instances.
+resolution independent. The cost matrix of a scene is one vectorised
+pass over all proposal/ground-truth pairs. The optimal one-to-one
+assignment is solved as a rectangular linear sum assignment problem.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from gvgkit.geometry import BBox, iou
-
-_BRUTEFORCE_MIN_SIDE = 8
-_BRUTEFORCE_MAX_SIDE = 10
+from gvgkit.geometry import BBox, centre_rows, corners, iou
 
 
 @dataclass(frozen=True)
@@ -47,27 +43,27 @@ class Assignment:
     total_cost: float = 0.0
 
 
-def match_cost(p: BBox, g: BBox, cfg: MatchConfig = MatchConfig()) -> float:
-    """Pairwise matching cost; zero iff the boxes coincide."""
-    if g.w <= 0.0 or g.h <= 0.0:
-        raise ValueError("ground-truth box must have positive width and height")
-    centre_sq = (p.cx - g.cx) ** 2 + (p.cy - g.cy) ** 2
-    size_term = abs(p.w - g.w) / g.w + abs(p.h - g.h) / g.h
-    return (1.0 - iou(p, g)) + cfg.lambda_centre * centre_sq + cfg.lambda_size * size_term
-
-
 def build_cost_matrix(proposals: list[BBox], gts: list[BBox],
                       cfg: MatchConfig = MatchConfig()) -> np.ndarray:
-    """Cost matrix C[i, j] = match_cost(proposals[i], gts[j]).
+    """Cost matrix C[i, j] between proposals[i] and gts[j]; zero iff the
+    boxes coincide.
 
     An empty ground-truth list yields an (N, 0) matrix, the signal for
     callers to skip the regression stage for this image.
     """
-    out = np.zeros((len(proposals), len(gts)), dtype=np.float64)
-    for j, g in enumerate(gts):
-        for i, p in enumerate(proposals):
-            out[i, j] = match_cost(p, g, cfg)
-    return out
+    p = centre_rows(proposals)
+    g = centre_rows(gts)
+    if np.any(g[:, 2:] <= 0.0):
+        raise ValueError("ground-truth box must have positive width and height")
+    overlap = iou(corners(p), corners(g))
+    p, g = p[:, None, :], g[None, :, :]
+    # float_power squares through libm pow, as Python's ``**`` does, so
+    # every cost is bit-identical to the scalar formula
+    centre_sq = (np.float_power(p[..., 0] - g[..., 0], 2)
+                 + np.float_power(p[..., 1] - g[..., 1], 2))
+    size_term = (np.abs(p[..., 2] - g[..., 2]) / g[..., 2]
+                 + np.abs(p[..., 3] - g[..., 3]) / g[..., 3])
+    return (1.0 - overlap) + cfg.lambda_centre * centre_sq + cfg.lambda_size * size_term
 
 
 def _assignment_from_pairs(cost: np.ndarray, pairs: list[tuple[int, int]]) -> Assignment:
@@ -172,34 +168,3 @@ def _sub_solution(cost: np.ndarray, rows: list[int], cols: list[int], k: int) ->
     sub = cost[np.ix_(rows, cols)]
     r, c = linear_sum_assignment(sub)
     return {rows[a]: cols[b] for a, b in zip(r, c)}
-
-
-def assign_bruteforce(cost: np.ndarray) -> Assignment:
-    """Exhaustive minimum over all one-to-one pairings; test oracle.
-
-    Enumeration order guarantees the lexicographically smallest optimal
-    pair list. Limited to small instances by design.
-    """
-    cost = np.asarray(cost, dtype=np.float64)
-    if cost.ndim != 2:
-        raise ValueError(f"cost matrix must be 2-D, got shape {cost.shape}")
-    if cost.size and not np.all(np.isfinite(cost)):
-        raise ValueError("cost matrix contains NaN or infinite entries")
-    n, m = cost.shape
-    if n == 0 or m == 0:
-        return Assignment(unmatched_proposals=list(range(n)), unmatched_gts=list(range(m)))
-    if min(n, m) > _BRUTEFORCE_MIN_SIDE or max(n, m) > _BRUTEFORCE_MAX_SIDE:
-        raise ValueError(
-            f"oracle bound exceeded: {n}x{m} "
-            f"(min side <= {_BRUTEFORCE_MIN_SIDE}, max side <= {_BRUTEFORCE_MAX_SIDE})")
-    k = min(n, m)
-    best_pairs = None
-    best_total = math.inf
-    for rows in itertools.combinations(range(n), k):
-        for cols in itertools.permutations(range(m), k):
-            pairs = list(zip(rows, cols))
-            total = math.fsum(cost[r, c] for r, c in pairs)
-            if total < best_total or (total == best_total and pairs < best_pairs):
-                best_total = total
-                best_pairs = pairs
-    return _assignment_from_pairs(cost, best_pairs)

@@ -3,8 +3,8 @@
 The refinement head is the desk-scale stand-in for fine-tuning a
 detector's last decoder layer: a small residual MLP mapping a proposal
 box to a corrected box. Losses are composed from tape primitives so
-training gradients flow through the head; the closed-form gradients in
-``gvgkit.geometry`` cross-check the same math.
+training gradients flow through the head; closed-form gradients in the
+test suite cross-check the same math.
 """
 
 from __future__ import annotations

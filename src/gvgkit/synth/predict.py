@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from gvgkit import hrs
+from gvgkit.geometry import centre_rows, corners
 from gvgkit.hrs import HrsParams, Level0Vocabulary
 from gvgkit.synth.boxhead import BoxRefiner
 from gvgkit.synth.config import SynthConfig, TrainConfig
@@ -73,12 +74,9 @@ def predict_split(split: SplitData, cfg: SynthConfig, tcfg: TrainConfig,
                                       tcfg.ablation).referring_scores
         logits, _ = hrs.level0_distribution(scores, len(vocab_texts))
         level0_class = int(np.argmax(logits.value))
-        raw = np.array([[b.cx, b.cy, b.w, b.h] for b in proposals.boxes])
-        refined = refiner.refine_numpy(raw)
-        cx, cy, w, h = refined[:, 0], refined[:, 1], refined[:, 2], refined[:, 3]
-        corners = np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=1)
-        corners_px = corners * np.array([scene.width, scene.height,
-                                         scene.width, scene.height])
+        refined = refiner.refine_numpy(centre_rows(proposals.boxes))
+        corners_px = corners(refined) * np.array([scene.width, scene.height,
+                                                  scene.width, scene.height])
         background_scores = scores.value[background_class]
         for row, expr in enumerate(exprs, start=len(vocab_texts)):
             expr_scores = scores.value[row]
@@ -119,6 +117,8 @@ def write_predictions(preds: Predictions, path: str | Path, seed: int) -> None:
 
 
 def read_predictions(path: str | Path) -> Predictions:
+    """Read a predictions file. A malformed line raises a one-line
+    ``ValueError`` naming the file and the line number."""
     records = []
     meta = {}
     with open(path) as fh:
@@ -126,22 +126,37 @@ def read_predictions(path: str | Path) -> Predictions:
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            if lineno == 1:
-                if record.get("format") != PREDICTIONS_FORMAT:
-                    raise ValueError(f"not a predictions file: {path}")
-                if record.get("version") != PREDICTIONS_VERSION:
-                    raise ValueError(
-                        f"unsupported predictions version {record.get('version')}")
-                meta = {k: v for k, v in record.items() if k != "record"}
-                continue
-            boxes = np.array([p["bbox_xyxy_px"] for p in record["proposals"]],
-                             dtype=np.float64).reshape(-1, 4)
-            scores = np.array([p["score"] for p in record["proposals"]],
-                              dtype=np.float64)
-            records.append(PredictionRecord(
-                expression_id=record["expression_id"],
-                image_id=record["image_id"],
-                level0_class=record["level0_class"],
-                boxes_px=boxes, scores=scores))
+            try:
+                record = json.loads(line)
+                if lineno == 1:
+                    meta = _header_meta(record)
+                else:
+                    records.append(_prediction_record(record))
+            except json.JSONDecodeError as err:
+                raise ValueError(f"{path}, line {lineno}: not JSON ({err.msg})") from None
+            except KeyError as err:
+                raise ValueError(f"{path}, line {lineno}: missing key {err}") from None
+            except (TypeError, ValueError) as err:
+                raise ValueError(f"{path}, line {lineno}: {err}") from None
     return Predictions(records=records, meta=meta)
+
+
+def _header_meta(header: dict) -> dict:
+    if not isinstance(header, dict) or header.get("format") != PREDICTIONS_FORMAT:
+        raise ValueError("not a predictions file")
+    if header.get("version") != PREDICTIONS_VERSION:
+        raise ValueError(f"unsupported predictions version {header.get('version')}")
+    return {k: v for k, v in header.items() if k != "record"}
+
+
+def _prediction_record(record: dict) -> PredictionRecord:
+    proposals = record["proposals"]
+    coords = [p["bbox_xyxy_px"] for p in proposals]
+    if set(map(len, coords)) - {4}:
+        raise ValueError("every bbox_xyxy_px needs 4 coordinates")
+    return PredictionRecord(
+        expression_id=record["expression_id"],
+        image_id=record["image_id"],
+        level0_class=record["level0_class"],
+        boxes_px=np.array(coords, dtype=np.float64).reshape(-1, 4),
+        scores=np.array([p["score"] for p in proposals], dtype=np.float64))

@@ -48,8 +48,17 @@ class SplitData:
     scenes: list[SceneAnnotation]
     expressions: list[Expression] = field(default_factory=list)
 
+    _by_image: dict[str, list[Expression]] | None = field(
+        default=None, init=False, repr=False, compare=False)
+
     def expressions_for(self, image_id: str) -> list[Expression]:
-        return [e for e in self.expressions if e.image_id == image_id]
+        """The expressions of one image, in split order. The index behind
+        it is built on the first call, so fill ``expressions`` before."""
+        if self._by_image is None:
+            self._by_image = {}
+            for expr in self.expressions:
+                self._by_image.setdefault(expr.image_id, []).append(expr)
+        return list(self._by_image.get(image_id, ()))
 
 
 @dataclass
@@ -203,16 +212,16 @@ def gen_scenes(cfg: SynthConfig) -> SyntheticDataset:
     train, val, test = stratified_split(scenes, cfg.split_ratios, seed=cfg.seed)
     clones = _copy_paste(train, cfg, np.random.default_rng([cfg.seed, 0xC0]))
 
-    splits = {}
+    expressions = {}
     for name, group in (("train", train), ("val", val), ("test", test)):
-        data = SplitData(name=name, scenes=group)
+        expressions[name] = []
         for scene in group:
-            data.expressions.extend(gen_positive_expressions(scene))
-            data.expressions.extend(gen_image_negatives(scene))
-        splits[name] = data
-
+            expressions[name].extend(gen_positive_expressions(scene))
+            expressions[name].extend(gen_image_negatives(scene))
     negatives, neg_meta = gen_test_negatives(test, seed=cfg.seed)
-    splits["test"].expressions.extend(negatives)
+    expressions["test"].extend(negatives)
+    splits = {name: SplitData(name=name, scenes=group, expressions=expressions[name])
+              for name, group in (("train", train), ("val", val), ("test", test))}
 
     meta = {
         "seed": cfg.seed,

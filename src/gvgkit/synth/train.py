@@ -18,6 +18,7 @@ import numpy as np
 from gvgkit import gradkit as gk
 from gvgkit import hrs
 from gvgkit.datagen import Expression, SceneAnnotation
+from gvgkit.geometry import centre_rows
 from gvgkit.hrs import AblationFlags, HrsParams, Level0Vocabulary
 from gvgkit.matching import MatchConfig, assign_optimal, build_cost_matrix
 from gvgkit.synth.boxhead import BoxRefiner, giou_loss_diff, interp_iou_loss_diff
@@ -112,9 +113,8 @@ def _stage1_scene_loss(item: EncodedScene, refiner: BoxRefiner,
         return None
     rows = [i for i, _ in assignment.pairs]
     cols = [j for _, j in assignment.pairs]
-    prop = np.array([[b.cx, b.cy, b.w, b.h]
-                     for b in (item.proposals.boxes[i] for i in rows)])
-    gt = np.array([[g.cx, g.cy, g.w, g.h] for g in (gts[j] for j in cols)])
+    prop = centre_rows([item.proposals.boxes[i] for i in rows])
+    gt = centre_rows([gts[j] for j in cols])
     refined = refiner.refine(prop)
     if tcfg.ablation.no_interp_iou:
         return giou_loss_diff(refined, gt)

@@ -4,7 +4,8 @@ One full projection + cross-attention + scoring pass per text, built
 from the 2-D gradkit primitives: the straightforward form of the model
 that the batched scene pass in ``gvgkit.hrs`` must reproduce. Also
 holds the per-text stage-2 scene loss and prediction ranking built on
-it. Used only to cross-check the package.
+it, and the vector ops only this per-text form needs. Used only to
+cross-check the package.
 """
 
 import numpy as np
@@ -14,6 +15,37 @@ from gvgkit import hrs
 from gvgkit.hrs import AblationFlags, RelevanceOutput
 from gvgkit.synth.encode import encode_text
 from gvgkit.synth.train import _pick_expressions
+
+
+def cosine_similarity(rows, vec):
+    """Cosine similarity of each row of ``rows`` (N, d) with ``vec`` (d,)."""
+    if rows.value.ndim != 2 or vec.value.ndim != 1:
+        raise gk.ShapeError("cosine_similarity expects a matrix and a vector")
+    if np.any(np.linalg.norm(rows.value, axis=1) == 0.0) or np.linalg.norm(vec.value) == 0.0:
+        raise gk.DomainError("cosine similarity of a zero-norm vector")
+    row_norms = gk.sqrt(gk.reduce_sum(gk.mul(rows, rows), axis=1))
+    vec_norm = gk.sqrt(gk.reduce_sum(gk.mul(vec, vec)))
+    dots = gk.matmul(rows, vec)
+    return gk.div(dots, gk.mul(row_norms, vec_norm))
+
+
+def cosine_matrix(a, b):
+    """Pairwise cosine similarities between rows of a (N, d) and b (M, d)."""
+    if a.value.ndim != 2 or b.value.ndim != 2:
+        raise gk.ShapeError("cosine_matrix expects two matrices")
+    if (np.any(np.linalg.norm(a.value, axis=1) == 0.0)
+            or np.any(np.linalg.norm(b.value, axis=1) == 0.0)):
+        raise gk.DomainError("cosine similarity of a zero-norm vector")
+    a_norm = gk.sqrt(gk.reduce_sum(gk.mul(a, a), axis=1, keepdims=True))
+    b_norm = gk.sqrt(gk.reduce_sum(gk.mul(b, b), axis=1, keepdims=True))
+    return gk.matmul(gk.div(a, a_norm), gk.transpose(gk.div(b, b_norm)))
+
+
+def stack(scalars):
+    """Stack 0-d tensors into a vector."""
+    if any(s.value.ndim != 0 for s in scalars):
+        raise gk.ShapeError("stack expects 0-d tensors")
+    return gk.concat([gk.reshape(s, (1,)) for s in scalars], axis=0)
 
 
 def fuse(proposals, text, params):
@@ -52,12 +84,12 @@ def referring_score(fused, text, params, ablation=AblationFlags()):
     sentence = gk.masked_max_pool(t, text.valid_mask, axis=0)               # (d,)
     tau = gk.exp(params.log_temperature)
 
-    sentence_scores = gk.div(gk.cosine_similarity(fused, sentence), tau)    # (N,)
+    sentence_scores = gk.div(cosine_similarity(fused, sentence), tau)       # (N,)
     valid_idx = np.flatnonzero(text.valid_mask)
     select = np.zeros((len(valid_idx), len(text.valid_mask)))
     select[np.arange(len(valid_idx)), valid_idx] = 1.0
     t_valid = gk.matmul(gk.constant(select), t)                             # (V, d)
-    word_valid = gk.div(gk.cosine_matrix(fused, t_valid), tau)              # (N, V)
+    word_valid = gk.div(cosine_matrix(fused, t_valid), tau)                 # (N, V)
     word_max = gk.max_over_axis(word_valid, axis=1)                         # (N,)
     word_scores = gk.matmul(word_valid, gk.constant(select))                # (N, T)
 
@@ -85,7 +117,7 @@ def level0_distribution(proposals, vocab_texts, params, ablation=AblationFlags()
     for text in vocab_texts:
         out = score_expression(proposals, text, params, ablation)
         pooled.append(gk.max_over_axis(out.referring_scores, axis=0))
-    logits = gk.stack(pooled)
+    logits = stack(pooled)
     return logits, gk.softmax(logits)
 
 

@@ -147,6 +147,34 @@ class TestErrors:
         out.mkdir()
         assert main(["train", "--out", str(out)]) == 1
 
+    @pytest.mark.parametrize("fault", ["not json", "no proposals", "no expression_id",
+                                       "3-coordinate box"])
+    def test_malformed_prediction_is_a_one_line_error(self, run_dir, tmp_path, capsys,
+                                                      fault):
+        for name in ("test.jsonl", "config.json"):
+            (tmp_path / name).write_bytes((run_dir / name).read_bytes())
+        lines = (run_dir / "predictions-test.jsonl").read_text().splitlines()
+        record = json.loads(lines[2])
+        if fault == "not json":
+            lines[2] = lines[2][:-1]
+        elif fault == "no proposals":
+            del record["proposals"]
+        elif fault == "no expression_id":
+            del record["expression_id"]
+        else:
+            # four 3-coordinate boxes hold 12 numbers: 3 boxes if reshaped
+            record["proposals"] = [{"bbox_xyxy_px": [1.0, 2.0, 3.0], "score": s}
+                                   for s in (4.0, 3.0, 2.0, 1.0)]
+        if fault != "not json":
+            lines[2] = json.dumps(record)
+        path = tmp_path / "predictions-test.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["eval", "--out", str(tmp_path), "--split", "test"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert f"{path}, line 3:" in err, err
+
 
 class TestCheckpointErrors:
     @pytest.fixture

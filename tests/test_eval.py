@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gvgkit import datagen
 from gvgkit.datagen import (
     Attributes,
     Expression,
@@ -9,6 +10,7 @@ from gvgkit.datagen import (
     filter_instances,
 )
 from gvgkit.evaluation import (
+    KIND_LABELS,
     EvalReport,
     format_table,
     mean_iou,
@@ -315,3 +317,145 @@ class TestStratify:
                         ">30 Instances", "Replace Category", "Swap Size",
                         "Swap Position", "Weighted Average"):
             assert heading in table, heading
+
+
+class TestStratifyAgainstReference:
+    """Every row of ``stratify`` against the brute-force oracle, on random
+    datasets that hold empty and >30-instance scenes, expressions without
+    a prediction record, records without proposals, boxes at IoU exactly
+    0.5 and boxes that only touch an instance (GIoU exactly 0). The image
+    side is a power of two, so those boundary values are exact."""
+
+    SIDE = 1024
+
+    def _scene(self, rng, image_id, n):
+        instances = []
+        for k in range(n):
+            w, h = np.exp(rng.uniform(np.log(16), np.log(420), 2)).astype(int)
+            x1 = int(rng.integers(0, self.SIDE - w))
+            y1 = int(rng.integers(0, self.SIDE - h))
+            instances.append(InstanceAnnotation(
+                instance_id=k, category=str(rng.choice(["maize", "weed", "pea"])),
+                x1=x1, y1=y1, x2=x1 + int(w), y2=y1 + int(h)))
+        return filter_instances(SceneAnnotation(
+            image_id=image_id, width=self.SIDE, height=self.SIDE, instances=instances))
+
+    def _boxes(self, rng, scene, targets):
+        """Random boxes mixed with exact, half-size and edge-touching
+        copies of the scene's instances, so boundary cases rank anywhere."""
+        boxes = []
+        for _ in range(int(rng.integers(1, 9))):
+            pick = rng.random()
+            if scene.instances and pick < 0.5:
+                pool = targets if targets and rng.random() < 0.7 else scene.instances
+                inst = pool[int(rng.integers(len(pool)))]
+                x1, y1, x2, y2 = inst.x1, inst.y1, inst.x2, inst.y2
+                if pick < 0.15:
+                    boxes.append((x1, y1, x2, y2))
+                elif pick < 0.35 and (x2 - x1) % 2 == 0:
+                    boxes.append((x1, y1, x1 + (x2 - x1) // 2, y2))   # IoU 0.5
+                else:
+                    boxes.append((x2, y1, x2 + 40, y2))                # touches
+            else:
+                x1, y1 = rng.integers(0, self.SIDE - 100, 2)
+                w, h = rng.integers(16, 300, 2)
+                boxes.append((int(x1), int(y1), int(x1 + w), int(y1 + h)))
+        return boxes
+
+    def _dataset(self, rng):
+        scenes, expressions, records = [], [], []
+        sizes = [0, int(rng.integers(1, 11)), int(rng.integers(11, 31)),
+                 int(rng.integers(31, 40))]
+        for s, n in enumerate(sizes):
+            scene = self._scene(rng, f"s{s}", n)
+            scenes.append(scene)
+            exprs = datagen.gen_positive_expressions(scene) + datagen.gen_image_negatives(scene)
+            exprs += [negative_expr(f"s{s}-neg{k}", scene.image_id, kind=kind)
+                      for k, kind in enumerate(KIND_LABELS)]
+            for expr in exprs:
+                fate = rng.random()
+                if fate < 0.1:
+                    continue                                  # no record at all
+                targets = [i for i in scene.instances if i.instance_id in expr.target_ids]
+                boxes = [] if fate < 0.2 else self._boxes(rng, scene, targets)
+                records.append(record(expr.expression_id, scene.image_id, boxes,
+                                      rng.normal(size=len(boxes))))
+            expressions += exprs
+        return scenes, expressions, Predictions(records=records)
+
+    @staticmethod
+    def _cases(scenes, expressions, preds):
+        """Oracle inputs: unsorted normalized corner boxes per expression."""
+        by_id = {s.image_id: s for s in scenes}
+        recs = preds.by_expression()
+        pos, neg = [], []
+        for expr in expressions:
+            if expr.level != "instance":
+                continue
+            scene = by_id[expr.image_id]
+            norm = lambda b: tuple(v / scene.width for v in b)   # square images
+            rec = recs.get(expr.expression_id)
+            case = {"expr": expr, "density": len(scene.instances),
+                    "proposals": [norm(b) for b in rec.boxes_px] if rec else [],
+                    "scores": list(rec.scores) if rec else []}
+            boxes = [(i.x1, i.y1, i.x2, i.y2) for i in scene.instances]
+            if expr.polarity == "positive":
+                case["targets"] = [norm(b) for b, i in zip(boxes, scene.instances)
+                                   if i.instance_id in expr.target_ids]
+                pos.append(case)
+            else:
+                case["scene_boxes"] = [norm(b) for b in boxes]
+                neg.append(case)
+        return pos, neg
+
+    @staticmethod
+    def _assert_row(row, pos, neg, strict):
+        assert row.support == len(pos) and row.neg_support == len(neg)
+        assert row.target_support == sum(len(c["targets"]) for c in pos)
+        if pos:
+            assert row.top1 == ref.ref_topk(pos, 1)
+            assert row.top5 == ref.ref_topk(pos, 5)
+            assert row.r_at_05 == ref.ref_recall_at_05(pos)
+            assert row.miou == pytest.approx(ref.ref_mean_iou(pos), abs=1e-9)
+        else:
+            assert row.top1 is row.top5 is row.r_at_05 is row.miou is None
+        if neg:
+            assert row.neg_acc == ref.ref_neg_acc(neg, strict)
+        else:
+            assert row.neg_acc is None
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["top-1", "strict"])
+    def test_every_row_matches_the_oracle(self, strict):
+        rng = np.random.default_rng(7 + strict)
+        seen = dict.fromkeys(("missing", "no boxes", "iou 0.5", "touching"), 0)
+        for _ in range(12):
+            scenes, expressions, preds = self._dataset(rng)
+            pos, neg = self._cases(scenes, expressions, preds)
+            report = stratify(preds, scenes, expressions, strict_negatives=strict)
+
+            self._assert_row(report.overall, pos, neg, strict)
+            for size in ("tiny", "small", "medium", "large"):
+                for group, is_weed in (("crop", False), ("weed", True)):
+                    cases = [c for c in pos if c["expr"].attributes.size_bin == size
+                             and (c["expr"].attributes.category == "weed") == is_weed]
+                    self._assert_row(report.by_scale[f"{size}/{group}"], cases, [], strict)
+            for label, lo, hi in (("1-10", 0, 10), ("11-20", 11, 20),
+                                  ("21-30", 21, 30), (">30", 31, 10**6)):
+                cases = [c for c in pos if lo <= c["density"] <= hi]
+                self._assert_row(report.by_density[label], cases, [], strict)
+            for kind in KIND_LABELS:
+                cases = [c for c in neg if c["expr"].negative_kind == kind]
+                self._assert_row(report.neg_acc_by_kind[kind], [], cases, strict)
+            average = report.neg_acc_by_kind["weighted_average"]
+            assert average.neg_support == len(neg)
+            assert average.neg_acc == pytest.approx(ref.ref_neg_acc(neg, strict), abs=1e-9)
+
+            for case in pos + neg:
+                seen["missing"] += case["expr"].expression_id not in preds.by_expression()
+                seen["no boxes"] += (case["expr"].expression_id in preds.by_expression()
+                                     and not case["proposals"])
+            seen["iou 0.5"] += sum(ref.ref_iou(b, t) == 0.5 for c in pos
+                                   for b in c["proposals"] for t in c["targets"])
+            seen["touching"] += sum(ref.ref_giou(b, g) == 0.0 for c in neg
+                                    for b in c["proposals"] for g in c["scene_boxes"])
+        assert all(seen.values()), seen

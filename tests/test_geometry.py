@@ -5,16 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gvgkit.geometry import (
-    BBox,
+from gvgkit.geometry import BBox, centre_rows, corners, giou, iou
+
+from box_oracle import (
     InterpConfig,
-    giou,
     grad_loss_interp_iou,
     grad_loss_iou,
     interp_box,
-    iou,
     loss_interp_iou,
 )
+from reference_metrics import ref_giou, ref_iou
+
+
+def iou1(a: BBox, b: BBox) -> float:
+    """The pairwise core on one pair."""
+    return float(iou(np.array([a.to_corners()]), np.array([b.to_corners()]))[0, 0])
+
+
+def giou1(a: BBox, b: BBox) -> float:
+    return float(giou(np.array([a.to_corners()]), np.array([b.to_corners()]))[0, 0])
 
 
 def rasterized_iou(a: BBox, b: BBox, step: float = 1e-3) -> float:
@@ -78,23 +87,23 @@ class TestConversions:
 class TestIoU:
     def test_identical(self):
         b = BBox(0.4, 0.4, 0.2, 0.3)
-        assert iou(b, b) == 1.0
+        assert iou1(b, b) == 1.0
 
     def test_disjoint(self):
         a = BBox.from_corners(0, 0, 1, 1)
         b = BBox.from_corners(2, 2, 3, 3)
-        assert iou(a, b) == 0.0
+        assert iou1(a, b) == 0.0
 
     def test_partial_overlap(self):
         # inter = 1, union = 4 + 4 - 1 = 7
         a = BBox.from_corners(0, 0, 2, 2)
         b = BBox.from_corners(1, 1, 3, 3)
-        assert iou(a, b) == pytest.approx(1 / 7, abs=1e-12)
+        assert iou1(a, b) == pytest.approx(1 / 7, abs=1e-12)
 
     def test_degenerate_pair_zero_union(self):
         a = BBox(0.5, 0.5, 0.0, 0.0)
         b = BBox(0.7, 0.7, 0.0, 0.0)
-        assert iou(a, b) == 0.0
+        assert iou1(a, b) == 0.0
 
     def test_matches_rasterization_oracle(self):
         # corners snapped to the oracle grid so cell counting is exact
@@ -109,41 +118,69 @@ class TestIoU:
             x2 = x1 + rng.integers(50, 300)
             y2 = y1 + rng.integers(50, 300)
             b = BBox.from_corners(x1 * step, y1 * step, x2 * step, y2 * step)
-            assert iou(a, b) == pytest.approx(rasterized_iou(a, b, step), abs=2e-3)
+            assert iou1(a, b) == pytest.approx(rasterized_iou(a, b, step), abs=2e-3)
 
     @given(st.integers(0, 10_000), st.floats(0.1, 50.0))
     @settings(max_examples=60, deadline=None)
     def test_symmetry_and_scale_invariance(self, seed, scale):
         rng = np.random.default_rng(seed)
         a, b = random_box(rng), random_box(rng)
-        assert iou(a, b) == pytest.approx(iou(b, a), abs=1e-12)
-        assert giou(a, b) == pytest.approx(giou(b, a), abs=1e-12)
+        assert iou1(a, b) == pytest.approx(iou1(b, a), abs=1e-12)
+        assert giou1(a, b) == pytest.approx(giou1(b, a), abs=1e-12)
         a2, b2 = a.scaled(scale, scale), b.scaled(scale, scale)
-        assert iou(a2, b2) == pytest.approx(iou(a, b), abs=1e-10)
-        assert giou(a2, b2) == pytest.approx(giou(a, b), abs=1e-10)
+        assert iou1(a2, b2) == pytest.approx(iou1(a, b), abs=1e-10)
+        assert giou1(a2, b2) == pytest.approx(giou1(a, b), abs=1e-10)
 
     def test_iou_dominates_giou(self):
         rng = np.random.default_rng(2)
         for _ in range(500):
             a, b = random_box(rng), random_box(rng)
-            assert iou(a, b) >= giou(a, b) - 1e-12
+            assert iou1(a, b) >= giou1(a, b) - 1e-12
 
 
 class TestGIoU:
     def test_identical(self):
         b = BBox(0.3, 0.6, 0.2, 0.2)
-        assert giou(b, b) == 1.0
+        assert giou1(b, b) == 1.0
 
     def test_disjoint_unit_squares(self):
         a = BBox.from_corners(0, 0, 1, 1)
         b = BBox.from_corners(2, 2, 3, 3)
         # enclosing 9, union 2 -> 0 - 7/9
-        assert giou(a, b) == pytest.approx(-7 / 9, abs=1e-12)
+        assert giou1(a, b) == pytest.approx(-7 / 9, abs=1e-12)
 
     def test_touching_boxes(self):
         a = BBox.from_corners(0, 0, 1, 1)
         b = BBox.from_corners(1, 0, 2, 1)
-        assert giou(a, b) == pytest.approx(0.0, abs=1e-12)
+        assert giou1(a, b) == pytest.approx(0.0, abs=1e-12)
+
+
+class TestPairwise:
+    def test_matrices_match_the_scalar_oracle(self):
+        rng = np.random.default_rng(5)
+        # random boxes plus an identical, a touching and zero-area pairs:
+        # the empty-union rule must give 0 for IoU and for GIoU
+        a = [random_box(rng) for _ in range(12)] + [
+            BBox.from_corners(0, 0, 0.2, 0.2), BBox(0.5, 0.5, 0.0, 0.0),
+            BBox(0.9, 0.9, 0.0, 0.0)]
+        b = [random_box(rng) for _ in range(9)] + [
+            BBox.from_corners(0.2, 0, 0.4, 0.2), BBox(0.5, 0.5, 0.0, 0.0), a[0]]
+        ca, cb = corners(centre_rows(a)), corners(centre_rows(b))
+        assert np.array_equal(ca, np.array([x.to_corners() for x in a]))
+        m_iou, m_giou = iou(ca, cb), giou(ca, cb)
+        assert m_iou.shape == m_giou.shape == (15, 12)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                assert m_iou[i, j] == ref_iou(x.to_corners(), y.to_corners())
+                assert m_giou[i, j] == ref_giou(x.to_corners(), y.to_corners())
+        assert m_giou[14, 10] == 0.0 and m_giou[13, 10] == 0.0
+
+    def test_empty_sets(self):
+        boxes = np.array([[0.1, 0.1, 0.3, 0.4], [0.2, 0.0, 0.5, 0.5]])
+        none = np.zeros((0, 4))
+        assert iou(none, boxes).shape == (0, 2)
+        assert giou(boxes, none).shape == (2, 0)
+        assert centre_rows([]).shape == (0, 4)
 
 
 class TestInterpBox:
@@ -229,7 +266,7 @@ class TestGradients:
             # push the prediction clear of the target along x
             shift = gx2 + p.w / 2 + rng.uniform(0.01, 0.3) - p.cx
             p = BBox(p.cx + shift, p.cy, p.w, p.h)
-            assert iou(p, g) == 0.0
+            assert iou1(p, g) == 0.0
             assert grad_loss_iou(p, g) == (0.0, 0.0, 0.0, 0.0)
             norm = math.sqrt(sum(v * v for v in grad_loss_interp_iou(p, g, cfg)))
             assert norm > 0.0

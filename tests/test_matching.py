@@ -6,14 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gvgkit.geometry import BBox
-from gvgkit.matching import (
-    Assignment,
-    MatchConfig,
-    assign_bruteforce,
-    assign_optimal,
-    build_cost_matrix,
-    match_cost,
-)
+from gvgkit.matching import Assignment, MatchConfig, assign_optimal, build_cost_matrix
+
+from matching_oracle import assign_bruteforce, match_cost
+from reference_metrics import ref_iou
 
 
 def random_box(rng, min_side=0.05, max_side=0.4) -> BBox:
@@ -44,15 +40,17 @@ class TestMatchCost:
     def test_weight_zeroing_reduces_to_iou(self):
         cfg = MatchConfig(lambda_centre=0.0, lambda_size=0.0)
         rng = np.random.default_rng(1)
-        from gvgkit.geometry import iou
         for _ in range(100):
             p, g = random_box(rng), random_box(rng)
-            assert match_cost(p, g, cfg) == pytest.approx(1 - iou(p, g), abs=1e-12)
+            overlap = ref_iou(p.to_corners(), g.to_corners())
+            assert match_cost(p, g, cfg) == pytest.approx(1 - overlap, abs=1e-12)
 
     def test_degenerate_gt_rejected(self):
         p = BBox(0.5, 0.5, 0.2, 0.2)
         with pytest.raises(ValueError):
             match_cost(p, BBox(0.5, 0.5, 0.0, 0.2))
+        with pytest.raises(ValueError):
+            build_cost_matrix([p], [BBox(0.5, 0.5, 0.0, 0.2)])
 
 
 class TestCostMatrix:
@@ -64,13 +62,18 @@ class TestCostMatrix:
         assert mat[0, 0] == match_cost(p, g)
 
     def test_entrywise_against_match_cost(self):
+        # the vectorised matrix keeps the scalar arithmetic bit for bit
+        # (the cost feeds the stage-1 assignment); x * x in place of the
+        # scalar ``** 2`` moves about one entry in 10^4 by an ulp
         rng = np.random.default_rng(3)
-        props = [random_box(rng) for _ in range(3)]
-        gts = [random_box(rng) for _ in range(3)]
-        mat = build_cost_matrix(props, gts)
-        for i in range(3):
-            for j in range(3):
-                assert mat[i, j] == match_cost(props[i], gts[j])
+        for n, m in ((3, 3), (1, 5), (44, 36), (0, 4), (160, 120)):
+            props = [random_box(rng) for _ in range(n)]
+            gts = [random_box(rng) for _ in range(m)]
+            mat = build_cost_matrix(props, gts)
+            assert mat.shape == (n, m)
+            for i in range(n):
+                for j in range(m):
+                    assert mat[i, j] == match_cost(props[i], gts[j])
 
     def test_permuting_gts_permutes_columns(self):
         rng = np.random.default_rng(4)

@@ -115,11 +115,10 @@ class TestProposalEncoding:
         scene = next(s for s in ds.train.scenes if 0 < len(s.instances) <= 8)
         proposals, source_ids = encode_proposals(scene, cfg, table)
         assert (source_ids == -1).sum() >= cfg.distractor_min
-        from gvgkit.geometry import iou
+        from gvgkit.geometry import centre_rows, corners, iou
         gt = [i.normalized_box(scene.width, scene.height) for i in scene.instances]
-        for box, sid in zip(proposals.boxes, source_ids):
-            if sid == -1:
-                assert all(iou(box, g) == 0.0 for g in gt)
+        background = [box for box, sid in zip(proposals.boxes, source_ids) if sid == -1]
+        assert np.all(iou(corners(centre_rows(background)), corners(centre_rows(gt))) == 0.0)
 
     def test_encoding_deterministic(self):
         cfg = SynthConfig(**SMALL)
@@ -166,6 +165,15 @@ class TestSceneGeneration:
             for scene in split.scenes:
                 for inst in scene.instances:
                     assert inst.pixel_area >= 256
+
+    def test_expressions_for_matches_a_scan(self):
+        ds = quiet_gen(SynthConfig(**SMALL))
+        for split in ds.splits.values():
+            image_ids = [s.image_id for s in split.scenes] + ["no-such-image"]
+            for image_id in image_ids:
+                scan = [e for e in split.expressions if e.image_id == image_id]
+                assert split.expressions_for(image_id) == scan
+            assert split.expressions_for("no-such-image") == []
 
     def test_roundtrip_through_files(self, tmp_path):
         cfg = SynthConfig(**SMALL)
