@@ -217,7 +217,7 @@ def main(argv=None) -> int:
         # stdout at devnull so the interpreter's last flush stays quiet too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ValueError, FileNotFoundError, RuntimeError) as err:
+    except (ValueError, FileNotFoundError, RuntimeError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

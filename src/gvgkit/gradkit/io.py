@@ -17,8 +17,8 @@ def dump_leaves(leaves: Sequence[tuple[str, Tensor]]) -> dict:
 
 def load_leaves(leaves: Sequence[tuple[str, Tensor]], stored, source) -> None:
     """Set every named leaf from a ``dump_leaves`` table. Each leaf must
-    be stored under its name with its current shape; anything else
-    raises ValueError naming the tensor."""
+    be stored under its name with its current shape and finite values;
+    anything else raises ValueError naming the tensor."""
     if not isinstance(stored, dict):
         raise ValueError(f"{source} holds no tensor table")
     for name, t in leaves:
@@ -33,4 +33,6 @@ def load_leaves(leaves: Sequence[tuple[str, Tensor]], stored, source) -> None:
         if shape != t.value.shape or data.shape != (t.value.size,):
             raise ValueError(f"tensor {name!r} in {source} has shape {list(shape)} "
                              f"and {data.size} values, expected {list(t.value.shape)}")
+        if not np.all(np.isfinite(data)):
+            raise ValueError(f"tensor {name!r} in {source} holds a non-finite value")
         t.value = data.reshape(shape)

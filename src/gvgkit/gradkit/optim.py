@@ -24,6 +24,10 @@ class Adam:
         self._v = [np.zeros_like(p.value) for p in self.params]
 
     def step(self, lr: float | None = None) -> None:
+        """One update. A non-finite gradient raises OverflowError before
+        any parameter or moment changes."""
+        if not all(p.grad is None or np.all(np.isfinite(p.grad)) for p in self.params):
+            raise OverflowError("non-finite gradient")
         if lr is not None:
             self.lr = lr
         self.t += 1

@@ -12,6 +12,10 @@ one node pools a whole padded batch. Each has a hand-written backward.
 Subgradient conventions: max-style reductions route the gradient to the
 first maximal element, elementwise maximum/minimum route ties to the
 first argument, and relu'(0) = 0.
+
+Finiteness is checked at the boundaries, not at every node: ``exp``
+raises OverflowError when it overflows, ``backward`` rejects a
+non-finite loss, and ``Adam.step`` a non-finite gradient.
 """
 
 from __future__ import annotations
@@ -100,8 +104,6 @@ def _as_tensor(x) -> Tensor:
 
 def _node(value: np.ndarray, parents: tuple[Tensor, ...],
           backward_fn, tie_gap: float = np.inf) -> Tensor:
-    if not np.all(np.isfinite(value)):
-        raise OverflowError("non-finite values produced by a primitive")
     out = Tensor(value, requires_grad=any(p.requires_grad for p in parents))
     if out.requires_grad:
         out._parents = parents
@@ -169,8 +171,10 @@ def neg(a) -> Tensor:
 
 def exp(a) -> Tensor:
     a = _as_tensor(a)
-    with np.errstate(over="ignore"):  # surfaced as OverflowError in _node
+    with np.errstate(over="ignore"):  # surfaced as OverflowError below
         value = np.exp(a.value)
+    if not np.all(np.isfinite(value)):
+        raise OverflowError("exp produced a non-finite value")
     return _node(value, (a,), lambda g: (g * value,))
 
 
@@ -191,8 +195,9 @@ def sqrt(a) -> Tensor:
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
-    gate = (a.value > 0.0).astype(np.float64)
-    return _node(a.value * gate, (a,), lambda g: (g * gate,))
+    positive = a.value > 0.0
+    return _node(np.where(positive, a.value, 0.0), (a,),
+                 lambda g: (np.where(positive, g, 0.0),))
 
 
 def tanh(a) -> Tensor:

@@ -1,5 +1,13 @@
 """Inference: score every expression of a split and emit ranked,
-refined proposals plus the per-image existence class."""
+refined proposals plus the per-image existence class.
+
+A predictions file (version 2) is JSON lines. The header holds each
+image's refined boxes once, ``"boxes_xyxy_px": {image_id: [[x1, y1, x2,
+y2], ...]}``; each prediction line names its image and carries
+``ranking`` (indices into that image's table, best first) and ``scores``
+in the same order. Every expression of an image ranks the same boxes,
+so none is written more than once.
+"""
 
 from __future__ import annotations
 
@@ -19,7 +27,7 @@ from gvgkit.synth.scenes import SplitData
 from gvgkit.synth.train import vocabulary_texts
 
 PREDICTIONS_FORMAT = "gvgkit-predictions"
-PREDICTIONS_VERSION = 1
+PREDICTIONS_VERSION = 2
 
 
 @dataclass
@@ -66,12 +74,18 @@ def predict_split(split: SplitData, cfg: SynthConfig, tcfg: TrainConfig,
     frozen = params.frozen()
 
     records: list[PredictionRecord] = []
+    encoded: dict[str, hrs.TextFeatures] = {}   # expressions are templated
     for scene in split.scenes:
         proposals, _ = encode_proposals(scene, cfg, table)
         exprs = split.expressions_for(scene.image_id)
-        texts = vocab_texts + [encode_text(e.text, table, cfg.max_tokens) for e in exprs]
+        for e in exprs:
+            if e.text not in encoded:
+                encoded[e.text] = encode_text(e.text, table, cfg.max_tokens)
+        texts = vocab_texts + [encoded[e.text] for e in exprs]
         scores = hrs.score_expression(proposals, texts, frozen,
                                       tcfg.ablation).referring_scores
+        if not np.all(np.isfinite(scores.value)):
+            raise OverflowError(f"non-finite referring scores for image {scene.image_id}")
         logits, _ = hrs.level0_distribution(scores, len(vocab_texts))
         level0_class = int(np.argmax(logits.value))
         refined = refiner.refine_numpy(centre_rows(proposals.boxes))
@@ -98,22 +112,41 @@ def predict_split(split: SplitData, cfg: SynthConfig, tcfg: TrainConfig,
 
 
 def write_predictions(preds: Predictions, path: str | Path, seed: int) -> None:
+    """Write version 2: each image's box table is derived from its
+    records, so records of one image with different boxes still round
+    trip exactly."""
+    tables, rankings = _box_tables(preds.records)
     header = {"record": "header", "format": PREDICTIONS_FORMAT,
               "version": PREDICTIONS_VERSION, "seed": seed}
     header.update(preds.meta)
+    header["boxes_xyxy_px"] = tables
     lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
-    for rec in preds.records:
+    for rec, ranking in zip(preds.records, rankings):
         lines.append(json.dumps({
             "record": "prediction",
             "expression_id": rec.expression_id,
             "image_id": rec.image_id,
             "level0_class": rec.level0_class,
-            "proposals": [
-                {"bbox_xyxy_px": [float(v) for v in box], "score": float(score)}
-                for box, score in zip(rec.boxes_px, rec.scores)
-            ],
+            "ranking": ranking,
+            "scores": rec.scores.tolist(),
         }, sort_keys=True, separators=(",", ":")))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _box_tables(records: list[PredictionRecord]) -> tuple[dict[str, list], list[list[int]]]:
+    """Each image's distinct boxes in order of first appearance, compared
+    bit for bit (so 0.0 and -0.0 stay apart); and each record's boxes as
+    indices into its image's table."""
+    index_of: dict[str, dict[bytes, int]] = {}
+    rankings = []
+    for rec in records:
+        index = index_of.setdefault(rec.image_id, {})
+        raw = np.asarray(rec.boxes_px, dtype=np.float64).tobytes()   # C order
+        rankings.append([index.setdefault(raw[k:k + 32], len(index))   # 4 float64s a box
+                         for k in range(0, len(raw), 32)])
+    tables = {image_id: np.frombuffer(b"".join(index)).reshape(-1, 4).tolist()
+              for image_id, index in index_of.items()}
+    return tables, rankings
 
 
 def read_predictions(path: str | Path) -> Predictions:
@@ -121,6 +154,7 @@ def read_predictions(path: str | Path) -> Predictions:
     ``ValueError`` naming the file and the line number."""
     records = []
     meta = {}
+    tables: dict[str, np.ndarray] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -129,9 +163,9 @@ def read_predictions(path: str | Path) -> Predictions:
             try:
                 record = json.loads(line)
                 if lineno == 1:
-                    meta = _header_meta(record)
+                    meta, tables = _header(record)
                 else:
-                    records.append(_prediction_record(record))
+                    records.append(_prediction_record(record, tables))
             except json.JSONDecodeError as err:
                 raise ValueError(f"{path}, line {lineno}: not JSON ({err.msg})") from None
             except KeyError as err:
@@ -141,22 +175,40 @@ def read_predictions(path: str | Path) -> Predictions:
     return Predictions(records=records, meta=meta)
 
 
-def _header_meta(header: dict) -> dict:
+def _header(header: dict) -> tuple[dict, dict[str, np.ndarray]]:
     if not isinstance(header, dict) or header.get("format") != PREDICTIONS_FORMAT:
         raise ValueError("not a predictions file")
     if header.get("version") != PREDICTIONS_VERSION:
-        raise ValueError(f"unsupported predictions version {header.get('version')}")
-    return {k: v for k, v in header.items() if k != "record"}
+        raise ValueError(f"unsupported predictions version {header.get('version')}; "
+                         "re-run `gvgkit predict`")
+    stored = header["boxes_xyxy_px"]
+    if not isinstance(stored, dict):
+        raise ValueError("boxes_xyxy_px must map image ids to box lists")
+    tables = {}
+    for image_id, boxes in stored.items():
+        if set(map(len, boxes)) - {4}:
+            raise ValueError(f"every box of image {image_id!r} needs 4 coordinates")
+        tables[image_id] = np.array(boxes, dtype=np.float64).reshape(-1, 4)
+    meta = {k: v for k, v in header.items() if k not in ("record", "boxes_xyxy_px")}
+    return meta, tables
 
 
-def _prediction_record(record: dict) -> PredictionRecord:
-    proposals = record["proposals"]
-    coords = [p["bbox_xyxy_px"] for p in proposals]
-    if set(map(len, coords)) - {4}:
-        raise ValueError("every bbox_xyxy_px needs 4 coordinates")
+def _prediction_record(record: dict, tables: dict[str, np.ndarray]) -> PredictionRecord:
+    image_id = record["image_id"]
+    if image_id not in tables:
+        raise ValueError(f"image {image_id!r} has no box table in the header")
+    table = tables[image_id]
+    ranking = np.array(record["ranking"])
+    scores = np.array(record["scores"], dtype=np.float64)
+    if ranking.ndim != 1 or ranking.shape != scores.shape:
+        raise ValueError("ranking and scores need one entry per box")
+    if ranking.size and (ranking.dtype.kind != "i" or ranking.min() < 0
+                         or ranking.max() >= len(table)):
+        raise ValueError(f"ranking index out of range or not an integer "
+                         f"(image {image_id!r} has {len(table)} boxes)")
     return PredictionRecord(
         expression_id=record["expression_id"],
-        image_id=record["image_id"],
+        image_id=image_id,
         level0_class=record["level0_class"],
-        boxes_px=np.array(coords, dtype=np.float64).reshape(-1, 4),
-        scores=np.array([p["score"] for p in proposals], dtype=np.float64))
+        boxes_px=table[ranking.astype(np.intp)],
+        scores=scores)

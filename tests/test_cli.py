@@ -147,33 +147,77 @@ class TestErrors:
         out.mkdir()
         assert main(["train", "--out", str(out)]) == 1
 
-    @pytest.mark.parametrize("fault", ["not json", "no proposals", "no expression_id",
-                                       "3-coordinate box"])
+    # fault -> (line of the error, part of its message)
+    MALFORMED = {
+        "not json": (3, "not JSON"),
+        "no ranking": (3, "missing key 'ranking'"),
+        "no expression_id": (3, "missing key 'expression_id'"),
+        "ranking out of range": (3, "ranking index out of range"),
+        "ranking longer than scores": (3, "one entry per box"),
+        "negative ranking index": (3, "ranking index out of range"),
+        "fractional ranking index": (3, "not an integer"),
+        "image without box table": (3, "no box table"),
+        "3-coordinate box": (1, "needs 4 coordinates"),
+        "version 1": (1, "unsupported predictions version 1; re-run `gvgkit predict`"),
+    }
+
+    @pytest.mark.parametrize("fault", list(MALFORMED))
     def test_malformed_prediction_is_a_one_line_error(self, run_dir, tmp_path, capsys,
                                                       fault):
         for name in ("test.jsonl", "config.json"):
             (tmp_path / name).write_bytes((run_dir / name).read_bytes())
         lines = (run_dir / "predictions-test.jsonl").read_text().splitlines()
-        record = json.loads(lines[2])
+        header, record = json.loads(lines[0]), json.loads(lines[2])
+        tables = header["boxes_xyxy_px"]
         if fault == "not json":
             lines[2] = lines[2][:-1]
-        elif fault == "no proposals":
-            del record["proposals"]
+        elif fault == "no ranking":
+            del record["ranking"]
         elif fault == "no expression_id":
             del record["expression_id"]
+        elif fault == "ranking out of range":
+            record["ranking"][-1] = len(tables[record["image_id"]])
+        elif fault == "ranking longer than scores":
+            record["ranking"].append(0)
+        elif fault == "negative ranking index":
+            record["ranking"][0] = -1
+        elif fault == "fractional ranking index":
+            record["ranking"][0] = 0.5
+        elif fault == "image without box table":
+            del tables[record["image_id"]]
+        elif fault == "3-coordinate box":
+            tables[record["image_id"]][0] = [1.0, 2.0, 3.0]
         else:
-            # four 3-coordinate boxes hold 12 numbers: 3 boxes if reshaped
-            record["proposals"] = [{"bbox_xyxy_px": [1.0, 2.0, 3.0], "score": s}
-                                   for s in (4.0, 3.0, 2.0, 1.0)]
+            # a version-1 file: every line lists its boxes, the header none
+            del header["boxes_xyxy_px"], record["ranking"], record["scores"]
+            header["version"] = 1
+            record["proposals"] = [{"bbox_xyxy_px": [1.0, 2.0, 3.0, 4.0], "score": 0.5}]
         if fault != "not json":
             lines[2] = json.dumps(record)
+        lines[0] = json.dumps(header)
         path = tmp_path / "predictions-test.jsonl"
         path.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert main(["eval", "--out", str(tmp_path), "--split", "test"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
-        assert f"{path}, line 3:" in err, err
+        line, message = self.MALFORMED[fault]
+        assert f"{path}, line {line}: " in err and message in err, err
+
+    def test_diverging_stage2_is_a_one_line_error(self, run_dir, tmp_path, capsys):
+        for name in ("train.jsonl", "refiner.json"):
+            (tmp_path / name).write_bytes((run_dir / name).read_bytes())
+        config = json.loads((run_dir / "config.json").read_text())
+        config["train"]["lr_init"] = 1e150
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["train", "--out", str(tmp_path), "--stage", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 2 diverged in epoch 0:"), err
+        assert err.count("\n") == 1, err
+        assert not (tmp_path / "params.json").exists()
 
 
 class TestCheckpointErrors:
@@ -185,22 +229,45 @@ class TestCheckpointErrors:
 
     @pytest.mark.parametrize("checkpoint,tensor", [("params.json", "attn_k"),
                                                    ("refiner.json", "box.w2")])
-    @pytest.mark.parametrize("fault", ["missing", "wrong shape"])
+    @pytest.mark.parametrize("fault", ["missing", "wrong shape", "NaN", "-Infinity"])
     def test_bad_tensor_is_a_one_line_error(self, copied, capsys, checkpoint, tensor,
                                             fault):
         path = copied / checkpoint
         payload = json.loads(path.read_text())
+        spec = payload["tensors"][tensor]
         if fault == "missing":
             del payload["tensors"][tensor]
-        else:
-            spec = payload["tensors"][tensor]
+        elif fault == "wrong shape":
             spec["shape"] = spec["shape"][::-1] + [1]
+        else:
+            spec["data"][1] = float(fault.lower().replace("infinity", "inf"))
         path.write_text(json.dumps(payload))
         capsys.readouterr()
         assert main(["predict", "--out", str(copied), "--split", "test"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert repr(tensor) in err
+
+
+    @pytest.mark.parametrize("log_temperature,message", [
+        pytest.param(1000.0, "exp produced a non-finite value", id="exp overflows"),
+        pytest.param(-745.0, "non-finite referring scores",     # temperature 5e-324
+                     id="scores overflow")])
+    def test_overflowing_checkpoint_is_a_one_line_error(self, copied, capsys,
+                                                        log_temperature, message):
+        # a finite checkpoint whose forward pass overflows
+        path = copied / "params.json"
+        payload = json.loads(path.read_text())
+        payload["tensors"]["log_temperature"]["data"] = [log_temperature]
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["predict", "--out", str(copied), "--split", "test"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert message in err, err
+        assert not (copied / "predictions-test.jsonl").exists()
 
 
 def test_closed_pipe_exits_without_traceback(run_dir):

@@ -281,6 +281,17 @@ class TestAdam:
             opt.step()
         assert np.all(np.abs(x.value) < 1e-2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gradient_raises_before_any_update(self, bad):
+        x = gk.tensor([1.0, 2.0], requires_grad=True)
+        y = gk.tensor([3.0], requires_grad=True)
+        opt = gk.Adam([x, y], lr=0.1)
+        x.grad, y.grad = np.array([0.5, -0.5]), np.array([bad])
+        with pytest.raises(OverflowError):
+            opt.step()
+        assert x.value.tolist() == [1.0, 2.0] and y.value.tolist() == [3.0]
+        assert opt.t == 0 and not np.any(opt._m[0]) and not np.any(opt._v[0])
+
     def test_cosine_schedule_endpoints(self):
         assert gk.cosine_lr(2e-4, 0, 10) == pytest.approx(2e-4)
         assert gk.cosine_lr(2e-4, 9, 10) == pytest.approx(0.0, abs=1e-12)

@@ -1,14 +1,16 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 from gvgkit.datagen import read_dataset
-from gvgkit.hrs import AblationFlags, Level0Vocabulary
+from gvgkit.hrs import AblationFlags, HrsParams, Level0Vocabulary
 from gvgkit.synth import (
     EmbeddingTable,
     SynthConfig,
     TrainConfig,
+    TrainingDiverged,
     encode_proposals,
     encode_text,
     gen_scenes,
@@ -20,7 +22,7 @@ from gvgkit.synth import (
     write_split,
 )
 from gvgkit.synth.config import WORD_SPACE_DIMS
-from gvgkit.synth.train import params_checksum
+from gvgkit.synth.train import encode_split, params_checksum, train_stage2
 
 
 def quiet_gen(cfg):
@@ -243,6 +245,37 @@ class TestTraining:
             assert hmce.item() == l0_val
 
 
+    @pytest.mark.parametrize("scenes,epoch", [(4, 1), (8, 0)])
+    def test_divergence_rolls_back_to_last_good_epoch(self, scenes, epoch):
+        # lr 1e150: one Adam step lifts every parameter to ~1e150 and the
+        # next forward pass overflows. With 4 scenes (one batch) epoch 0
+        # completes and epoch 1 fails; with 8 the second batch of epoch 0
+        # fails after the first one has stepped.
+        cfg = SynthConfig(n_scenes=32, seed=5, feature_noise=0.15)
+        ds = quiet_gen(cfg)
+        table = EmbeddingTable(cfg.seed)
+        encoded = encode_split(ds.train, cfg, table)[:scenes]
+        tcfg = TrainConfig(seed=5, stage2_epochs=3, lr_init=1e150)
+        vocab = Level0Vocabulary()
+
+        def fresh():
+            return HrsParams(d_v=cfg.d_v, d_t=cfg.d_t, d=tcfg.d, heads=tcfg.heads,
+                             d_ff=tcfg.d_ff, d_hidden=tcfg.d_hidden, seed=tcfg.seed)
+
+        last_good = fresh()
+        if epoch:
+            train_stage2(encoded, last_good, vocab, table,
+                         dataclasses.replace(tcfg, stage2_epochs=epoch), cfg.max_tokens)
+        params = fresh()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(TrainingDiverged,
+                               match=f"stage 2 diverged in epoch {epoch}:") as info:
+                train_stage2(encoded, params, vocab, table, tcfg, cfg.max_tokens)
+        for (name, t), (_, good) in zip(params.leaves(), last_good.leaves()):
+            assert np.array_equal(t.value, good.value), name
+            assert np.array_equal(info.value.checkpoint[name], good.value), name
+
     def test_training_caps_tokens_like_prediction(self):
         # 4 tokens keep a content word of every text ("the small maize at ...")
         cfg = SynthConfig(n_scenes=16, seed=5, max_tokens=4)
@@ -294,7 +327,9 @@ class TestPrediction:
         assert p1.read_bytes() == p2.read_bytes()
         loaded = read_predictions(p1)
         assert len(loaded.records) == len(preds.records)
-        assert np.allclose(loaded.records[0].boxes_px, preds.records[0].boxes_px)
+        for got, want in zip(loaded.records, preds.records):
+            assert got.boxes_px.tobytes() == want.boxes_px.tobytes()
+            assert got.scores.tobytes() == want.scores.tobytes()
 
     def test_every_expression_predicted(self, predicted):
         _, _, ds, _, preds = predicted
