@@ -28,6 +28,7 @@ from gvgkit.synth import (
     SynthConfig,
     TrainConfig,
     ablation_from_name,
+    ablation_name,
     dataset_stats,
     encode_split,
     gen_scenes,
@@ -115,7 +116,8 @@ def cmd_train(args) -> int:
         checksum_before = refiner.checksum()
         params = HrsParams(d_v=synth_cfg.d_v, d_t=synth_cfg.d_t, d=train_cfg.d,
                            heads=train_cfg.heads, d_ff=train_cfg.d_ff,
-                           d_hidden=train_cfg.d_hidden, seed=train_cfg.seed)
+                           d_hidden=train_cfg.d_hidden, seed=train_cfg.seed,
+                           ablation=train_cfg.ablation)
         log2 = train_stage2(encoded, params, vocab, table, train_cfg,
                             synth_cfg.max_tokens)
         if refiner.checksum() != checksum_before:
@@ -135,6 +137,11 @@ def cmd_predict(args) -> int:
     params = HrsParams.load(out / "params.json")
     if params.d_v != synth_cfg.d_v or params.d_t != synth_cfg.d_t:
         raise ValueError("checkpoint feature dims do not match the dataset config")
+    # the checkpoint's ablation shapes its forward pass; --ablate may only repeat it
+    if args.ablate and train_cfg.ablation != params.ablation:
+        raise ValueError(f"--ablate {args.ablate} does not match the checkpoint, "
+                         f"trained with ablation {ablation_name(params.ablation)}")
+    train_cfg = dataclasses.replace(train_cfg, ablation=params.ablation)
     refiner = BoxRefiner.load(out / "refiner.json")
     preds = predict_split(split, synth_cfg, train_cfg, params, refiner,
                           gate_level0=not args.no_gate_level0)
@@ -190,7 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred = sub.add_parser("predict", help="score a split with a checkpoint")
     common(p_pred)
     p_pred.add_argument("--split", choices=SPLITS, default="test")
-    p_pred.add_argument("--ablate", default=None)
+    p_pred.add_argument("--ablate", default=None,
+                        help="optional: must name the ablation the checkpoint "
+                             "was trained with, which predict reads from it")
     p_pred.add_argument("--no-gate-level0", action="store_true",
                         help="rank by raw referring scores without the "
                              "existence-aware re-ranking of absent referents")

@@ -45,8 +45,9 @@ class Tensor:
         self.grad: Optional[np.ndarray] = None
         self._parents: tuple["Tensor", ...] = ()
         self._backward_fn: Optional[Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]] = None
-        # smallest margin by which a max-style choice was decided here
-        self._tie_gap = np.inf
+        # on max-style nodes that require grad: returns the smallest
+        # margin by which a choice was decided here
+        self._tie_gap: Optional[Callable[[], float]] = None
 
     @property
     def shape(self):
@@ -103,13 +104,27 @@ def _as_tensor(x) -> Tensor:
 
 
 def _node(value: np.ndarray, parents: tuple[Tensor, ...],
-          backward_fn, tie_gap: float = np.inf) -> Tensor:
+          backward_fn, tie_gap=None) -> Tensor:
     out = Tensor(value, requires_grad=any(p.requires_grad for p in parents))
     if out.requires_grad:
         out._parents = parents
         out._backward_fn = backward_fn
-    out._tie_gap = tie_gap
+        # a tie among constants cannot move when a parameter is nudged
+        out._tie_gap = tie_gap
     return out
+
+
+def _as_of_now(t: Tensor) -> np.ndarray:
+    """``t``'s values as they are now, for a tie gap computed later. Only
+    a parameter leaf's array is edited in place (``check_gradients``
+    does it), so only that one is copied."""
+    return t.value.copy() if t.requires_grad and not t._parents else t.value
+
+
+def _elementwise_gap(a: Tensor, b: Tensor):
+    """Tie gap of an elementwise max/min, computed when asked."""
+    av, bv = _as_of_now(a), _as_of_now(b)
+    return lambda: float(np.min(np.abs(av - bv)))
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -344,12 +359,11 @@ def maximum(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     take_a = a.value >= b.value
     value = np.where(take_a, a.value, b.value)
-    tie_gap = float(np.min(np.abs(a.value - b.value)))
     gate = take_a.astype(np.float64)
     return _node(value, (a, b),
                  lambda g: (_unbroadcast(g * gate, a.value.shape),
                             _unbroadcast(g * (1.0 - gate), b.value.shape)),
-                 tie_gap=tie_gap)
+                 tie_gap=_elementwise_gap(a, b))
 
 
 def minimum(a, b) -> Tensor:
@@ -357,12 +371,11 @@ def minimum(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     take_a = a.value <= b.value
     value = np.where(take_a, a.value, b.value)
-    tie_gap = float(np.min(np.abs(a.value - b.value)))
     gate = take_a.astype(np.float64)
     return _node(value, (a, b),
                  lambda g: (_unbroadcast(g * gate, a.value.shape),
                             _unbroadcast(g * (1.0 - gate), b.value.shape)),
-                 tie_gap=tie_gap)
+                 tie_gap=_elementwise_gap(a, b))
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -406,15 +419,18 @@ def masked_max_pool(a, mask, axis: int = 0) -> Tensor:
 
 def _max_reduce(a: Tensor, masked: np.ndarray, axis: int) -> Tensor:
     """Max of ``masked`` (``a``'s values, -inf where excluded) along
-    ``axis``. The tie gap is the smallest margin between a slot's best
-    and second-best entry."""
+    ``axis``. The tie gap, computed when asked, is the smallest margin
+    between a slot's best and second-best entry."""
     arg = np.expand_dims(masked.argmax(axis=axis), axis)
     value = np.take_along_axis(masked, arg, axis=axis).squeeze(axis)
-    tie_gap = np.inf
+    tie_gap = None
     if masked.shape[axis] > 1:
-        top_two = np.partition(masked, -2, axis=axis)
-        tie_gap = float(np.min(np.take(top_two, -1, axis=axis)
-                               - np.take(top_two, -2, axis=axis)))
+        entries = _as_of_now(a) if masked is a.value else masked
+
+        def tie_gap():
+            top_two = np.partition(entries, -2, axis=axis)
+            return float(np.min(np.take(top_two, -1, axis=axis)
+                                - np.take(top_two, -2, axis=axis)))
 
     def backward(g):
         full = np.zeros_like(a.value)
@@ -491,7 +507,8 @@ class Tape:
 
     def min_tie_gap(self) -> float:
         """Smallest decision margin across all max-style nodes."""
-        return min((n._tie_gap for n in self.nodes), default=np.inf)
+        return min((n._tie_gap() for n in self.nodes if n._tie_gap is not None),
+                   default=np.inf)
 
     def had_ties(self) -> bool:
         return self.min_tie_gap() < _TIE_EPS

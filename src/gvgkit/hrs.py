@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -33,7 +33,7 @@ from gvgkit.geometry import BBox
 from gvgkit.gradkit import Tensor
 
 PARAMS_FORMAT = "gvgkit-params"
-PARAMS_VERSION = 1
+PARAMS_VERSION = 2
 
 # (lambda_level0, lambda_level1) per coarse image type
 HMCE_WEIGHTS = {
@@ -158,15 +158,20 @@ class HrsParams:
     projection: the projected cosine then starts out ranking the way the
     raw cosine does, instead of through two unrelated random maps. The
     two stay separate arrays and are trained separately.
+
+    ``ablation`` names the variant the head is trained as. It shapes the
+    forward pass, so the checkpoint records it.
     """
 
     def __init__(self, d_v: int, d_t: int, d: int = 64, heads: int = 4,
                  d_ff: int = 128, d_hidden: int = 32, seed: int = 0,
-                 temperature_init: float = 0.07):
+                 temperature_init: float = 0.07,
+                 ablation: AblationFlags = AblationFlags()):
         if d % heads != 0:
             raise ValueError(f"model dim {d} not divisible by {heads} heads")
         if temperature_init <= 0:
             raise ValueError("temperature must be positive")
+        self.ablation = ablation
         self.d_v, self.d_t, self.d = d_v, d_t, d
         self.heads, self.d_ff, self.d_hidden = heads, d_ff, d_hidden
         rng = np.random.default_rng(seed)
@@ -232,6 +237,7 @@ class HrsParams:
             "seed": seed,
             "dims": {"d_v": self.d_v, "d_t": self.d_t, "d": self.d,
                      "heads": self.heads, "d_ff": self.d_ff, "d_hidden": self.d_hidden},
+            "ablation": asdict(self.ablation),
             "tensors": gk.dump_leaves(self.leaves()),
         }
         Path(path).write_text(json.dumps(payload))
@@ -249,6 +255,10 @@ class HrsParams:
                             for key in ("d_v", "d_t", "d", "heads", "d_ff", "d_hidden")})
         except (KeyError, TypeError):
             raise ValueError(f"checkpoint {path} lacks its model dims") from None
+        try:
+            params.ablation = AblationFlags(**payload["ablation"])
+        except (KeyError, TypeError):
+            raise ValueError(f"checkpoint {path} lacks its ablation flags") from None
         gk.load_leaves(params.leaves(), payload.get("tensors"), f"checkpoint {path}")
         return params
 

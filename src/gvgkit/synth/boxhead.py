@@ -4,7 +4,8 @@ The refinement head is the desk-scale stand-in for fine-tuning a
 detector's last decoder layer: a small residual MLP mapping a proposal
 box to a corrected box. Losses are composed from tape primitives so
 training gradients flow through the head; closed-form gradients in the
-test suite cross-check the same math.
+test suite cross-check the same math. Each loss takes optional row
+weights, so that one graph can carry the rows of several scenes.
 """
 
 from __future__ import annotations
@@ -53,28 +54,39 @@ def _pairwise_iou_terms(pred: Tensor, gt: np.ndarray):
     return inter, union, enclosing
 
 
-def iou_loss_diff(pred: Tensor, gt: np.ndarray) -> Tensor:
-    """Mean (1 - IoU) over row-aligned (M, 4) centre-form boxes."""
+def _weighted_sum(per_row: Tensor, weights: np.ndarray | None) -> Tensor:
+    """Sum of (M, 1) per-row losses times (M,) row weights; no weights
+    means 1/M each, the mean."""
+    if weights is None:
+        weights = np.full(per_row.value.shape[0], 1.0 / per_row.value.shape[0])
+    column = np.asarray(weights, dtype=np.float64).reshape(-1, 1)
+    return gk.reduce_sum(gk.mul(per_row, gk.constant(column)))
+
+
+def iou_loss_diff(pred: Tensor, gt: np.ndarray, weights: np.ndarray | None = None) -> Tensor:
+    """Weighted (1 - IoU) over row-aligned (M, 4) centre-form boxes; the
+    mean without ``weights``."""
     inter, union, _ = _pairwise_iou_terms(pred, gt)
-    return gk.mean(gk.sub(1.0, gk.div(inter, union)))
+    return _weighted_sum(gk.sub(1.0, gk.div(inter, union)), weights)
 
 
-def giou_loss_diff(pred: Tensor, gt: np.ndarray) -> Tensor:
-    """Mean (1 - GIoU); the original detector regression objective."""
+def giou_loss_diff(pred: Tensor, gt: np.ndarray, weights: np.ndarray | None = None) -> Tensor:
+    """Weighted (1 - GIoU); the original detector regression objective."""
     inter, union, enclosing = _pairwise_iou_terms(pred, gt)
     giou = gk.sub(gk.div(inter, union),
                   gk.div(gk.sub(enclosing, union), enclosing))
-    return gk.mean(gk.sub(1.0, giou))
+    return _weighted_sum(gk.sub(1.0, giou), weights)
 
 
-def interp_iou_loss_diff(pred: Tensor, gt: np.ndarray, alpha: float = 0.99) -> Tensor:
-    """Mean interpolated-IoU loss: (1 - IoU(pred, gt)) plus the IoU
+def interp_iou_loss_diff(pred: Tensor, gt: np.ndarray, alpha: float = 0.99,
+                         weights: np.ndarray | None = None) -> Tensor:
+    """Weighted interpolated-IoU loss: (1 - IoU(pred, gt)) plus the IoU
     deficit of the box interpolated toward the ground truth."""
     gt = np.asarray(gt, dtype=np.float64)
-    direct = iou_loss_diff(pred, gt)
+    direct = iou_loss_diff(pred, gt, weights)
     # pred + alpha * (gt - pred), in centre form
     mid = gk.add(pred, gk.mul(gk.sub(gk.constant(gt), pred), alpha))
-    auxiliary = iou_loss_diff(mid, gt)
+    auxiliary = iou_loss_diff(mid, gt, weights)
     return gk.add(direct, auxiliary)
 
 

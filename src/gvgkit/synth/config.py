@@ -123,6 +123,12 @@ def ablation_from_name(name: str) -> AblationFlags:
     return AblationFlags(**{key: True})
 
 
+def ablation_name(flags: AblationFlags) -> str:
+    """The names ``ablation_from_name`` reads, joined; "none" for the full model."""
+    return ", ".join(name for name, key in _ABLATION_NAMES.items()
+                     if getattr(flags, key)) or "none"
+
+
 def _from_dict(cls, payload: dict):
     known = {f.name for f in dataclasses.fields(cls)}
     unknown = set(payload) - known

@@ -82,8 +82,10 @@ def predict_split(split: SplitData, cfg: SynthConfig, tcfg: TrainConfig,
             if e.text not in encoded:
                 encoded[e.text] = encode_text(e.text, table, cfg.max_tokens)
         texts = vocab_texts + [encoded[e.text] for e in exprs]
-        scores = hrs.score_expression(proposals, texts, frozen,
-                                      tcfg.ablation).referring_scores
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # a non-finite score is reported by the check below
+            scores = hrs.score_expression(proposals, texts, frozen,
+                                          tcfg.ablation).referring_scores
         if not np.all(np.isfinite(scores.value)):
             raise OverflowError(f"non-finite referring scores for image {scene.image_id}")
         logits, _ = hrs.level0_distribution(scores, len(vocab_texts))

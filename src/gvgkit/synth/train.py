@@ -6,6 +6,11 @@ scoring head under the hierarchical objective. Batches of four cover
 the four image types whenever the split provides them. Every random
 choice derives from the run seed, so a rerun reproduces the training
 bit for bit.
+
+Both stages run with numpy's overflow, invalid-value and divide-by-zero
+conditions raised: a diverging run rolls back to its last good epoch
+and raises ``TrainingDiverged`` instead of printing warnings or saving
+a collapsed model.
 """
 
 from __future__ import annotations
@@ -25,6 +30,11 @@ from gvgkit.synth.boxhead import BoxRefiner, giou_loss_diff, interp_iou_loss_dif
 from gvgkit.synth.config import SynthConfig, TrainConfig
 from gvgkit.synth.encode import EmbeddingTable, encode_proposals, encode_text
 from gvgkit.synth.scenes import SplitData
+
+
+# numpy floating-point conditions that stop training as divergence
+_RAISE = {"over": "raise", "invalid": "raise", "divide": "raise"}
+_DIVERGENCE = (OverflowError, FloatingPointError, ValueError)
 
 
 class TrainingDiverged(RuntimeError):
@@ -101,8 +111,14 @@ def _batches(encoded: list[EncodedScene], batch_size: int,
             for i in range(0, len(interleaved), batch_size)]
 
 
-def _stage1_scene_loss(item: EncodedScene, refiner: BoxRefiner,
-                       tcfg: TrainConfig, match_cfg: MatchConfig):
+Pairs = tuple[np.ndarray, np.ndarray]
+
+
+def match_scene(item: EncodedScene, match_cfg: MatchConfig) -> Pairs | None:
+    """The proposal rows and ground-truth rows, both (M, 4) in centre
+    form, that the matcher pairs in one scene; None without pairs. The
+    cost matrix reads only the proposals and the ground truth, so one
+    match serves every epoch."""
     gts = [inst.normalized_box(item.scene.width, item.scene.height)
            for inst in item.scene.instances]
     if not gts:
@@ -111,14 +127,22 @@ def _stage1_scene_loss(item: EncodedScene, refiner: BoxRefiner,
     assignment = assign_optimal(cost, canonical=False)
     if not assignment.pairs:
         return None
-    rows = [i for i, _ in assignment.pairs]
-    cols = [j for _, j in assignment.pairs]
-    prop = centre_rows([item.proposals.boxes[i] for i in rows])
-    gt = centre_rows([gts[j] for j in cols])
-    refined = refiner.refine(prop)
+    return (centre_rows([item.proposals.boxes[i] for i, _ in assignment.pairs]),
+            centre_rows([gts[j] for _, j in assignment.pairs]))
+
+
+def stage1_loss(pairs: list[Pairs], refiner: BoxRefiner, tcfg: TrainConfig):
+    """The mean over scenes of each scene's mean box loss, as one graph:
+    the matched rows of every scene go through one refine and one loss,
+    a row of scene s weighted (1/S) * (1/M_s)."""
+    share = 1.0 / len(pairs)
+    weights = np.concatenate([np.full(len(prop), share * (1.0 / len(prop)))
+                              for prop, _ in pairs])
+    refined = refiner.refine(np.concatenate([prop for prop, _ in pairs]))
+    gt = np.concatenate([gt for _, gt in pairs])
     if tcfg.ablation.no_interp_iou:
-        return giou_loss_diff(refined, gt)
-    return interp_iou_loss_diff(refined, gt, alpha=tcfg.interp_alpha)
+        return giou_loss_diff(refined, gt, weights)
+    return interp_iou_loss_diff(refined, gt, alpha=tcfg.interp_alpha, weights=weights)
 
 
 def train_stage1(encoded: list[EncodedScene], tcfg: TrainConfig) -> tuple[BoxRefiner, list[LogRow]]:
@@ -126,6 +150,7 @@ def train_stage1(encoded: list[EncodedScene], tcfg: TrainConfig) -> tuple[BoxRef
     opt = gk.Adam([t for _, t in refiner.params()], lr=tcfg.lr_init)
     match_cfg = MatchConfig(lambda_centre=tcfg.lambda_centre,
                             lambda_size=tcfg.lambda_size)
+    matched = {id(item): match_scene(item, match_cfg) for item in encoded}
     log: list[LogRow] = []
     last_good = refiner.state_dict()
     for epoch in range(tcfg.stage1_epochs):
@@ -133,22 +158,18 @@ def train_stage1(encoded: list[EncodedScene], tcfg: TrainConfig) -> tuple[BoxRef
         rng = _epoch_rng(tcfg.seed, 1, epoch)
         epoch_losses = []
         try:
-            for batch in _batches(encoded, tcfg.batch_size, rng):
-                losses = []
-                for item in batch:
-                    loss = _stage1_scene_loss(item, refiner, tcfg, match_cfg)
-                    if loss is not None:
-                        losses.append(loss)
-                if not losses:
-                    continue
-                total = gk.mul(losses[0], 1.0 / len(losses))
-                for extra in losses[1:]:
-                    total = gk.add(total, gk.mul(extra, 1.0 / len(losses)))
-                opt.zero_grad()
-                gk.backward(total)
-                opt.step(lr=lr)
-                epoch_losses.append(float(total.value))
-        except (OverflowError, ValueError) as err:
+            with np.errstate(**_RAISE):
+                for batch in _batches(encoded, tcfg.batch_size, rng):
+                    pairs = [matched[id(item)] for item in batch
+                             if matched[id(item)] is not None]
+                    if not pairs:
+                        continue
+                    total = stage1_loss(pairs, refiner, tcfg)
+                    opt.zero_grad()
+                    gk.backward(total)
+                    opt.step(lr=lr)
+                    epoch_losses.append(float(total.value))
+        except _DIVERGENCE as err:
             refiner.load_state_dict(last_good)
             raise TrainingDiverged(f"stage 1 diverged in epoch {epoch}: {err}",
                                    checkpoint=last_good) from err
@@ -232,22 +253,23 @@ def train_stage2(encoded: list[EncodedScene], params: HrsParams,
         rng = _epoch_rng(tcfg.seed, 2, epoch)
         totals, l0s, l1cs = [], [], []
         try:
-            for batch in _batches(encoded, tcfg.batch_size, rng):
-                pieces = []
-                for item in batch:
-                    hmce, l0_val, l1c_val = _scene_losses(
-                        item, params, vocab, vocab_texts, table, tcfg, rng, max_tokens)
-                    pieces.append(hmce)
-                    l0s.append(l0_val)
-                    l1cs.append(l1c_val)
-                total = gk.mul(pieces[0], 1.0 / len(pieces))
-                for extra in pieces[1:]:
-                    total = gk.add(total, gk.mul(extra, 1.0 / len(pieces)))
-                opt.zero_grad()
-                gk.backward(total)
-                opt.step(lr=lr)
-                totals.append(float(total.value))
-        except (OverflowError, ValueError) as err:
+            with np.errstate(**_RAISE):
+                for batch in _batches(encoded, tcfg.batch_size, rng):
+                    pieces = []
+                    for item in batch:
+                        hmce, l0_val, l1c_val = _scene_losses(
+                            item, params, vocab, vocab_texts, table, tcfg, rng, max_tokens)
+                        pieces.append(hmce)
+                        l0s.append(l0_val)
+                        l1cs.append(l1c_val)
+                    total = gk.mul(pieces[0], 1.0 / len(pieces))
+                    for extra in pieces[1:]:
+                        total = gk.add(total, gk.mul(extra, 1.0 / len(pieces)))
+                    opt.zero_grad()
+                    gk.backward(total)
+                    opt.step(lr=lr)
+                    totals.append(float(total.value))
+        except _DIVERGENCE as err:
             for name, t in params.leaves():
                 t.value = last_good[name]
             raise TrainingDiverged(f"stage 2 diverged in epoch {epoch}: {err}",
@@ -280,7 +302,8 @@ def train_two_stage(train_split: SplitData, cfg: SynthConfig, tcfg: TrainConfig,
     checksum_before = refiner.checksum()
 
     params = HrsParams(d_v=cfg.d_v, d_t=cfg.d_t, d=tcfg.d, heads=tcfg.heads,
-                       d_ff=tcfg.d_ff, d_hidden=tcfg.d_hidden, seed=tcfg.seed)
+                       d_ff=tcfg.d_ff, d_hidden=tcfg.d_hidden, seed=tcfg.seed,
+                       ablation=tcfg.ablation)
     log2 = train_stage2(encoded, params, vocab, table, tcfg, cfg.max_tokens)
 
     if refiner.checksum() != checksum_before:

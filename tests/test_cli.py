@@ -220,6 +220,75 @@ class TestErrors:
         assert not (tmp_path / "params.json").exists()
 
 
+def run_subprocess(argv):
+    """``gvgkit`` in a fresh interpreter, where numpy warnings reach stderr
+    as a user sees them (pytest captures them in-process)."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "gvgkit.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+# case -> (command, config or checkpoint edit, start of the error)
+FAILING_RUNS = {
+    "stage 1 diverges": (["train", "--stage", "1"], ("config.json", "lr_init", 1e307),
+                         "error: stage 1 diverged in epoch 0:"),
+    "stage 2 diverges": (["train", "--stage", "2"], ("config.json", "lr_init", 1e150),
+                         "error: stage 2 diverged in epoch 0:"),
+    "scores overflow": (["predict", "--split", "test"],   # temperature 5e-324
+                        ("params.json", "log_temperature", -745.0),
+                        "error: non-finite referring scores"),
+}
+
+
+@pytest.mark.parametrize("case", list(FAILING_RUNS))
+def test_failing_run_prints_only_its_error(run_dir, tmp_path, case):
+    copied = ("train.jsonl", "test.jsonl", "config.json", "refiner.json", "params.json")
+    for name in copied:
+        (tmp_path / name).write_bytes((run_dir / name).read_bytes())
+    argv, (edited, key, value), message = FAILING_RUNS[case]
+    payload = json.loads((tmp_path / edited).read_text())
+    if edited == "config.json":
+        payload["train"][key] = value
+    else:
+        payload["tensors"][key]["data"] = [value]
+    (tmp_path / edited).write_text(json.dumps(payload))
+    proc = run_subprocess(argv + ["--out", str(tmp_path)])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1, proc.stderr
+    # nothing is written: no checkpoint, log or predictions
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(copied)
+    for name in set(copied) - {edited}:
+        assert (tmp_path / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
+def test_predict_reads_the_ablation_from_the_checkpoint(run_dir, tmp_path, capsys):
+    for name in ("train.jsonl", "test.jsonl", "config.json"):
+        (tmp_path / name).write_bytes((run_dir / name).read_bytes())
+    config = json.loads((tmp_path / "config.json").read_text())
+    config["train"].update(stage1_epochs=1, stage2_epochs=1)
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    predictions = tmp_path / "predictions-test.jsonl"
+    outputs = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["train", "--out", str(tmp_path), "--ablate", "sentence-only"]) == 0
+        for flag in ([], ["--ablate", "sentence-only"]):
+            assert main(["predict", "--out", str(tmp_path), "--split", "test", *flag]) == 0
+            outputs.append(predictions.read_bytes())
+        predictions.unlink()
+        capsys.readouterr()
+        assert main(["predict", "--out", str(tmp_path), "--split", "test",
+                     "--ablate", "word-only"]) == 1
+    assert outputs[0] == outputs[1]
+    err = capsys.readouterr().err
+    assert err.startswith("error: --ablate word-only does not match the checkpoint, "
+                          "trained with ablation sentence-only"), err
+    assert err.count("\n") == 1, err
+    assert not predictions.exists()
+
+
 class TestCheckpointErrors:
     @pytest.fixture
     def copied(self, run_dir, tmp_path):
@@ -248,6 +317,22 @@ class TestCheckpointErrors:
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert repr(tensor) in err
 
+
+    @pytest.mark.parametrize("fault,message", [
+        ("version 1", "unsupported checkpoint version 1"),
+        ("no ablation", "lacks its ablation flags")])
+    def test_outdated_checkpoint_is_a_one_line_error(self, copied, capsys, fault, message):
+        path = copied / "params.json"
+        payload = json.loads(path.read_text())
+        del payload["ablation"]           # version 1 did not record it
+        if fault == "version 1":
+            payload["version"] = 1
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["predict", "--out", str(copied), "--split", "test"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert message in err, err
 
     @pytest.mark.parametrize("log_temperature,message", [
         pytest.param(1000.0, "exp produced a non-finite value", id="exp overflows"),

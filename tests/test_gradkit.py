@@ -251,6 +251,21 @@ class TestFiniteDifferences:
         assert report.tie_nudged
         assert report.passed
 
+    def test_tie_gap_describes_the_values_at_creation(self):
+        # check_gradients restores a probed entry in place, then asks for
+        # the gap of the pass it ran before
+        x = gk.tensor([1.0, 2.0, 4.0], requires_grad=True)
+        y = gk.constant([1.5, 3.0, 3.0])
+        nodes = [gk.maximum(x, y), gk.minimum(y, x), gk.max_over_axis(x, axis=0)]
+        x.value[0], x.value[2] = 1.5, 2.0     # ties everywhere, were they read now
+        assert [gk.Tape(n).min_tie_gap() for n in nodes] == [0.5, 0.5, 2.0]
+
+    def test_constants_have_no_tie_gap(self):
+        # a tie among constants cannot move when a parameter is nudged
+        a, b = gk.constant([1.0, 2.0]), gk.constant([1.0, 3.0])
+        for node in (gk.maximum(a, b), gk.minimum(a, b), gk.max_over_axis(a)):
+            assert gk.Tape(node).min_tie_gap() == np.inf
+
     def test_cross_module_interp_iou_oracle(self):
         # the tape gradient of the box loss must agree with the closed form
         rng = np.random.default_rng(8)

@@ -1,0 +1,142 @@
+"""Stage 1 trains each batch in one pass over assignments matched once:
+the batched loss against the per-scene oracle, matching counted, and
+rollback on divergence."""
+
+import dataclasses
+import warnings
+
+import numpy as np
+import pytest
+
+from gvgkit import gradkit as gk
+from gvgkit.geometry import centre_rows
+from gvgkit.hrs import AblationFlags
+from gvgkit.matching import MatchConfig, assign_optimal, build_cost_matrix
+from gvgkit.synth import SynthConfig, TrainConfig, TrainingDiverged, gen_scenes
+from gvgkit.synth import train as train_module
+from gvgkit.synth.boxhead import BoxRefiner, giou_loss_diff, interp_iou_loss_diff
+from gvgkit.synth.encode import EmbeddingTable
+from gvgkit.synth.train import encode_split, match_scene, stage1_loss, train_stage1
+
+
+def stage1_scene_loss(item, refiner, tcfg, match_cfg):
+    """Oracle: one scene's mean box loss, matched and refined on its own."""
+    gts = [inst.normalized_box(item.scene.width, item.scene.height)
+           for inst in item.scene.instances]
+    if not gts:
+        return None
+    cost = build_cost_matrix(item.proposals.boxes, gts, match_cfg)
+    assignment = assign_optimal(cost, canonical=False)
+    if not assignment.pairs:
+        return None
+    prop = centre_rows([item.proposals.boxes[i] for i, _ in assignment.pairs])
+    gt = centre_rows([gts[j] for _, j in assignment.pairs])
+    refined = refiner.refine(prop)
+    if tcfg.ablation.no_interp_iou:
+        return giou_loss_diff(refined, gt)
+    return interp_iou_loss_diff(refined, gt, alpha=tcfg.interp_alpha)
+
+
+def oracle_batch_loss(batch, refiner, tcfg, match_cfg):
+    """Oracle: the mean over scenes with pairs of each scene's loss."""
+    losses = [loss for loss in (stage1_scene_loss(item, refiner, tcfg, match_cfg)
+                                for item in batch) if loss is not None]
+    total = gk.mul(losses[0], 1.0 / len(losses))
+    for extra in losses[1:]:
+        total = gk.add(total, gk.mul(extra, 1.0 / len(losses)))
+    return total
+
+
+@pytest.fixture(scope="module")
+def encoded():
+    cfg = SynthConfig(n_scenes=40, seed=11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        dataset = gen_scenes(cfg)
+    return encode_split(dataset.train, cfg, EmbeddingTable(cfg.seed))
+
+
+def mixed_batch(encoded):
+    """An empty scene, a one-pair scene and the densest scene."""
+    empty = next(e for e in encoded if not e.scene.instances)
+    some = next(e for e in encoded if e.scene.instances)
+    single = dataclasses.replace(some, scene=dataclasses.replace(
+        some.scene, instances=some.scene.instances[:1]))
+    assert len(match_scene(single, MatchConfig())[0]) == 1
+    dense = max(encoded, key=lambda e: len(e.scene.instances))
+    assert len(dense.scene.instances) > 20
+    return [empty, single, dense]
+
+
+def loss_and_grads(loss_fn, refiner):
+    gk.zero_grad([t for _, t in refiner.params()])
+    loss = loss_fn()
+    gk.backward(loss)
+    return float(loss.value), {name: t.grad.copy() for name, t in refiner.params()}
+
+
+@pytest.mark.parametrize("ablation", [AblationFlags(), AblationFlags(no_interp_iou=True)],
+                         ids=["interp-iou", "no-interp-iou"])
+def test_batch_loss_and_gradients_match_the_oracle(encoded, ablation):
+    tcfg = TrainConfig(seed=11, ablation=ablation)
+    match_cfg = MatchConfig(lambda_centre=tcfg.lambda_centre, lambda_size=tcfg.lambda_size)
+    refiner = BoxRefiner(seed=3)
+    rng = np.random.default_rng(3)
+    for _, t in refiner.params():    # away from the identity map
+        t.value = t.value + rng.normal(scale=0.3, size=t.value.shape)
+    batch = mixed_batch(encoded)
+    for scenes in (batch, batch[1:2], batch[::-1], encoded[:4]):
+        pairs = [p for p in (match_scene(item, match_cfg) for item in scenes)
+                 if p is not None]
+        got, got_grads = loss_and_grads(lambda: stage1_loss(pairs, refiner, tcfg), refiner)
+        want, want_grads = loss_and_grads(
+            lambda: oracle_batch_loss(scenes, refiner, tcfg, match_cfg), refiner)
+        assert got == pytest.approx(want, abs=1e-12)
+        for name, grad in want_grads.items():
+            assert np.any(grad), name
+            np.testing.assert_allclose(got_grads[name], grad, rtol=0, atol=1e-12,
+                                       err_msg=name)
+
+
+def test_each_scene_is_matched_once(encoded, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build_cost_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(train_module, "build_cost_matrix", counted)
+    scenes = encoded[:12]
+    with_instances = sum(1 for item in scenes if item.scene.instances)
+    for epochs in (1, 3):
+        calls.clear()
+        train_stage1(scenes, TrainConfig(seed=11, stage1_epochs=epochs))
+        assert len(calls) == with_instances
+
+
+@pytest.mark.parametrize("scenes,epoch", [(4, 1), (8, 0)])
+def test_divergence_rolls_back_to_last_good_epoch(encoded, monkeypatch, scenes, epoch):
+    # lr 1e307: one Adam step lifts every weight to ~1e307 and the next
+    # refine overflows. With 4 scenes (one batch) epoch 0 completes and
+    # epoch 1 fails; with 8 the second batch of epoch 0 fails after the
+    # first one has stepped.
+    items = [item for item in encoded if item.scene.instances][:scenes]
+    tcfg = TrainConfig(seed=5, stage1_epochs=3, lr_init=1e307)
+    if epoch:
+        last_good, _ = train_stage1(items, dataclasses.replace(tcfg, stage1_epochs=epoch))
+    else:
+        last_good = BoxRefiner(seed=tcfg.seed)
+    made = []
+
+    class Recorded(BoxRefiner):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(train_module, "BoxRefiner", Recorded)
+    with pytest.raises(TrainingDiverged, match=f"stage 1 diverged in epoch {epoch}:") as info:
+        train_stage1(items, tcfg)
+    (refiner,) = made
+    for (name, t), (_, good) in zip(refiner.params(), last_good.params()):
+        assert np.array_equal(t.value, good.value), name
+        assert np.array_equal(info.value.checkpoint[name], good.value), name
