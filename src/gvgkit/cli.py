@@ -21,7 +21,7 @@ from pathlib import Path
 
 from gvgkit import datagen
 from gvgkit.evaluation import format_table, stratify, write_report
-from gvgkit.hrs import HrsParams, Level0Vocabulary
+from gvgkit.hrs import HrsParams
 from gvgkit.synth import (
     BoxRefiner,
     SplitData,
@@ -30,17 +30,15 @@ from gvgkit.synth import (
     ablation_from_name,
     ablation_name,
     dataset_stats,
-    encode_split,
     gen_scenes,
     load_config,
     predict_split,
     read_predictions,
+    train_two_stage,
     write_log,
     write_predictions,
     write_split,
 )
-from gvgkit.synth.encode import EmbeddingTable
-from gvgkit.synth.train import train_stage1, train_stage2
 
 SPLITS = ("train", "val", "test")
 
@@ -99,33 +97,15 @@ def cmd_build(args) -> int:
 def cmd_train(args) -> int:
     synth_cfg, train_cfg = _resolve_configs(args)
     out = Path(args.out)
-    train_split = _load_split(out, "train")
-    table = EmbeddingTable(synth_cfg.seed)
-    encoded = encode_split(train_split, synth_cfg, table)
-    vocab = Level0Vocabulary()
-    log = []
-
-    if args.stage in ("1", "both"):
-        refiner, log1 = train_stage1(encoded, train_cfg)
-        refiner.save(out / "refiner.json", seed=train_cfg.seed)
-        log.extend(log1)
-    else:
-        refiner = BoxRefiner.load(out / "refiner.json")
-
-    if args.stage in ("2", "both"):
-        checksum_before = refiner.checksum()
-        params = HrsParams(d_v=synth_cfg.d_v, d_t=synth_cfg.d_t, d=train_cfg.d,
-                           heads=train_cfg.heads, d_ff=train_cfg.d_ff,
-                           d_hidden=train_cfg.d_hidden, seed=train_cfg.seed,
-                           ablation=train_cfg.ablation)
-        log2 = train_stage2(encoded, params, vocab, table, train_cfg,
-                            synth_cfg.max_tokens)
-        if refiner.checksum() != checksum_before:
-            raise RuntimeError("stage 2 modified frozen stage-1 parameters")
-        params.save(out / "params.json", seed=train_cfg.seed)
-        log.extend(log2)
-
-    write_log(log, out / "log.csv", seed=train_cfg.seed)
+    stages = (1, 2) if args.stage == "both" else (int(args.stage),)
+    result = train_two_stage(_load_split(out, "train"), synth_cfg, train_cfg, stages)
+    if result.refiner is not None:
+        result.refiner.save(out / "refiner.json", seed=train_cfg.seed)
+    if result.params is not None:
+        result.params.save(out / "params.json", seed=train_cfg.seed)
+    write_log(result.log, out / "log.csv", seed=train_cfg.seed)
+    # a later `train --stage 2` or `predict` picks up the same variant
+    _store_config(out, synth_cfg, train_cfg)
     print(f"trained stage {args.stage}; checkpoints and log.csv in {out}")
     return 0
 

@@ -78,15 +78,10 @@ def _assignment_from_pairs(cost: np.ndarray, pairs: list[tuple[int, int]]) -> As
     )
 
 
-def assign_optimal(cost: np.ndarray, canonical: bool = True) -> Assignment:
-    """Minimum-total-cost assignment of min(rows, cols) pairs.
-
-    With ``canonical=True`` ties between equally cheap assignments are
-    broken toward the lexicographically smallest pair list, which keeps
-    crafted test cases deterministic. ``canonical=False`` skips that
-    refinement and returns the plain solver result; with continuous
-    random costs ties have measure zero, so training uses the fast path.
-    """
+def assign_optimal(cost: np.ndarray) -> Assignment:
+    """Minimum-total-cost assignment of min(rows, cols) pairs, as the
+    solver returns it. Among equally cheap assignments any one may come
+    back; with continuous random costs ties have measure zero."""
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
         raise ValueError(f"cost matrix must be 2-D, got shape {cost.shape}")
@@ -98,73 +93,4 @@ def assign_optimal(cost: np.ndarray, canonical: bool = True) -> Assignment:
             unmatched_gts=list(range(cost.shape[1])),
         )
     row_ind, col_ind = linear_sum_assignment(cost)
-    base = _assignment_from_pairs(cost, list(zip(row_ind.tolist(), col_ind.tolist())))
-    if not canonical:
-        return base
-    return _lexicographic_refine(cost, base)
-
-
-def _lexicographic_refine(cost: np.ndarray, base: Assignment) -> Assignment:
-    """Rebuild the optimal assignment choosing, row by row, the smallest
-    column (and the earliest rows) that still reaches the optimal total."""
-    n, m = cost.shape
-    target = base.total_cost
-    tol = 1e-9 * max(1.0, abs(target))
-
-    incumbent = dict(base.pairs)
-    fixed: list[tuple[int, int]] = []
-    fixed_total = 0.0
-    free_cols = list(range(m))
-    rows_left = min(n, m)
-
-    for i in range(n):
-        if rows_left == 0:
-            break
-        later_rows = list(range(i + 1, n))
-        chosen = None
-        for j in free_cols:
-            if incumbent.get(i) == j:
-                # the incumbent solution already certifies this pair
-                chosen = j
-                break
-            sub_cols = [c for c in free_cols if c != j]
-            rest = _best_total(cost, later_rows, sub_cols, rows_left - 1)
-            if rest is None:
-                continue
-            if fixed_total + cost[i, j] + rest <= target + tol:
-                chosen = j
-                incumbent = dict(fixed + [(i, j)])
-                incumbent.update(_sub_solution(cost, later_rows, sub_cols, rows_left - 1))
-                break
-        if chosen is None:
-            # row i stays unmatched; re-anchor to a solution without it
-            rest = _best_total(cost, later_rows, free_cols, rows_left)
-            if rest is None or fixed_total + rest > target + tol:
-                return base  # defensive: keep the solver's answer
-            incumbent = dict(fixed)
-            incumbent.update(_sub_solution(cost, later_rows, free_cols, rows_left))
-            continue
-        fixed.append((i, chosen))
-        fixed_total += cost[i, chosen]
-        free_cols.remove(chosen)
-        rows_left -= 1
-    return _assignment_from_pairs(cost, fixed)
-
-
-def _best_total(cost: np.ndarray, rows: list[int], cols: list[int], k: int):
-    """Minimum cost of assigning k pairs within the given submatrix."""
-    if k == 0:
-        return 0.0
-    if len(rows) < k or len(cols) < k:
-        return None
-    sub = cost[np.ix_(rows, cols)]
-    r, c = linear_sum_assignment(sub)
-    return math.fsum(sub[a, b] for a, b in zip(r, c))
-
-
-def _sub_solution(cost: np.ndarray, rows: list[int], cols: list[int], k: int) -> dict[int, int]:
-    if k == 0 or len(rows) < 1 or len(cols) < 1:
-        return {}
-    sub = cost[np.ix_(rows, cols)]
-    r, c = linear_sum_assignment(sub)
-    return {rows[a]: cols[b] for a, b in zip(r, c)}
+    return _assignment_from_pairs(cost, list(zip(row_ind.tolist(), col_ind.tolist())))

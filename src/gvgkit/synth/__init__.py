@@ -2,7 +2,6 @@ from gvgkit.synth.boxhead import (
     BoxRefiner,
     giou_loss_diff,
     interp_iou_loss_diff,
-    iou_loss_diff,
 )
 from gvgkit.synth.config import (
     SynthConfig,
@@ -43,7 +42,7 @@ __all__ = [
     "SynthConfig", "TrainConfig", "TrainResult", "TrainingDiverged",
     "ablation_from_name", "ablation_name", "dataset_stats", "encode_proposals",
     "encode_split", "encode_text", "gen_scenes", "giou_loss_diff",
-    "interp_iou_loss_diff", "iou_loss_diff", "load_config", "predict_split",
+    "interp_iou_loss_diff", "load_config", "predict_split",
     "read_predictions", "tokenize", "train_two_stage", "vocabulary_texts",
     "write_log", "write_predictions", "write_split",
 ]

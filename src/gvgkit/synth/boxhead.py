@@ -10,7 +10,6 @@ weights, so that one graph can carry the rows of several scenes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -103,7 +102,7 @@ class BoxRefiner:
         self.w2 = gk.tensor(np.zeros((hidden, 4)), requires_grad=True)
         self.b2 = gk.tensor(np.zeros(4), requires_grad=True)
 
-    def params(self) -> list[tuple[str, Tensor]]:
+    def leaves(self) -> list[tuple[str, Tensor]]:
         return [("box.w1", self.w1), ("box.b1", self.b1),
                 ("box.w2", self.w2), ("box.b2", self.b2)]
 
@@ -126,26 +125,12 @@ class BoxRefiner:
         """Gradient-free refinement for prediction time."""
         return self.refine(boxes).value
 
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: p.value.copy() for name, p in self.params()}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        for name, p in self.params():
-            p.value = np.asarray(state[name], dtype=np.float64).reshape(p.value.shape)
-
-    def checksum(self) -> str:
-        digest = hashlib.sha256()
-        for name, p in self.params():
-            digest.update(name.encode())
-            digest.update(p.value.tobytes())
-        return digest.hexdigest()
-
     def save(self, path: str | Path, seed: int | None = None) -> None:
         payload = {
             "format": REFINER_FORMAT,
             "version": REFINER_VERSION,
             "seed": seed,
-            "tensors": gk.dump_leaves(self.params()),
+            "tensors": gk.dump_leaves(self.leaves()),
         }
         Path(path).write_text(json.dumps(payload))
 
@@ -161,5 +146,5 @@ class BoxRefiner:
         except (KeyError, TypeError):
             raise ValueError(f"box-refiner checkpoint {path} lacks tensor 'box.b1'") from None
         refiner = cls(hidden=hidden)
-        gk.load_leaves(refiner.params(), payload["tensors"], f"box-refiner checkpoint {path}")
+        gk.load_leaves(refiner.leaves(), payload["tensors"], f"box-refiner checkpoint {path}")
         return refiner

@@ -7,16 +7,19 @@ the four image types whenever the split provides them. Every random
 choice derives from the run seed, so a rerun reproduces the training
 bit for bit.
 
-Both stages run with numpy's overflow, invalid-value and divide-by-zero
-conditions raised: a diverging run rolls back to its last good epoch
-and raises ``TrainingDiverged`` instead of printing warnings or saving
-a collapsed model.
+Both stages run on one epoch loop, each supplying only its batch loss.
+The loop raises numpy's overflow, invalid-value and divide-by-zero
+conditions: a diverging run rolls back to its last good epoch and
+raises ``TrainingDiverged`` instead of printing warnings or saving a
+collapsed model.
 """
 
 from __future__ import annotations
 
-import hashlib
+import warnings
+from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -24,7 +27,7 @@ from gvgkit import gradkit as gk
 from gvgkit import hrs
 from gvgkit.datagen import Expression, SceneAnnotation
 from gvgkit.geometry import centre_rows
-from gvgkit.hrs import AblationFlags, HrsParams, Level0Vocabulary
+from gvgkit.hrs import HrsParams, Level0Vocabulary
 from gvgkit.matching import MatchConfig, assign_optimal, build_cost_matrix
 from gvgkit.synth.boxhead import BoxRefiner, giou_loss_diff, interp_iou_loss_diff
 from gvgkit.synth.config import SynthConfig, TrainConfig
@@ -56,18 +59,20 @@ class LogRow:
     epoch: int
     stage: int
     loss_total: float
-    loss_lvl0: float
-    loss_lvl1c: float
-    loss_interp_iou: float
     lr: float
+    loss_lvl0: float = 0.0
+    loss_lvl1c: float = 0.0
+    loss_interp_iou: float = 0.0
 
 
 @dataclass
 class TrainResult:
-    params: HrsParams
-    refiner: BoxRefiner
+    """The models of the stages that ran; a stage that did not run
+    leaves its model None."""
+
+    params: HrsParams | None
+    refiner: BoxRefiner | None
     log: list[LogRow] = field(default_factory=list)
-    refiner_checksum: str = ""
 
 
 def encode_split(split: SplitData, cfg: SynthConfig,
@@ -111,6 +116,48 @@ def _batches(encoded: list[EncodedScene], batch_size: int,
             for i in range(0, len(interleaved), batch_size)]
 
 
+def _run_stage(stage: int, model, trainable: list[gk.Tensor],
+               encoded: list[EncodedScene], tcfg: TrainConfig, epochs: int,
+               batch_loss: Callable[..., gk.Tensor | None]) -> list[LogRow]:
+    """The epoch loop both stages share: cosine learning rate, one Adam
+    step per batch, one log row per epoch. A divergence rolls every
+    tensor of ``model.leaves()`` back to the last completed epoch.
+
+    ``batch_loss(batch, rng, terms)`` returns the batch's loss, or None
+    to skip the batch. It draws from the epoch's rng after ``_batches``
+    and may append floats to ``terms`` under ``LogRow`` field names;
+    the epoch's row holds their means next to the mean batch loss."""
+    opt = gk.Adam(trainable, lr=tcfg.lr_init)
+    log: list[LogRow] = []
+    last_good = {name: t.value.copy() for name, t in model.leaves()}
+    for epoch in range(epochs):
+        lr = gk.cosine_lr(tcfg.lr_init, epoch, epochs)
+        rng = _epoch_rng(tcfg.seed, stage, epoch)
+        totals: list[float] = []
+        terms: dict[str, list[float]] = defaultdict(list)
+        try:
+            with np.errstate(**_RAISE):
+                for batch in _batches(encoded, tcfg.batch_size, rng):
+                    total = batch_loss(batch, rng, terms)
+                    if total is None:
+                        continue
+                    opt.zero_grad()
+                    gk.backward(total)
+                    opt.step(lr=lr)
+                    totals.append(float(total.value))
+        except _DIVERGENCE as err:
+            for name, t in model.leaves():
+                t.value = last_good[name]
+            raise TrainingDiverged(f"stage {stage} diverged in epoch {epoch}: {err}",
+                                   checkpoint=last_good) from err
+        means = {name: float(np.mean(values)) for name, values in terms.items()}
+        log.append(LogRow(epoch=epoch, stage=stage, lr=lr,
+                          loss_total=float(np.mean(totals)) if totals else 0.0,
+                          **means))
+        last_good = {name: t.value.copy() for name, t in model.leaves()}
+    return log
+
+
 Pairs = tuple[np.ndarray, np.ndarray]
 
 
@@ -124,7 +171,7 @@ def match_scene(item: EncodedScene, match_cfg: MatchConfig) -> Pairs | None:
     if not gts:
         return None
     cost = build_cost_matrix(item.proposals.boxes, gts, match_cfg)
-    assignment = assign_optimal(cost, canonical=False)
+    assignment = assign_optimal(cost)
     if not assignment.pairs:
         return None
     return (centre_rows([item.proposals.boxes[i] for i, _ in assignment.pairs]),
@@ -147,37 +194,20 @@ def stage1_loss(pairs: list[Pairs], refiner: BoxRefiner, tcfg: TrainConfig):
 
 def train_stage1(encoded: list[EncodedScene], tcfg: TrainConfig) -> tuple[BoxRefiner, list[LogRow]]:
     refiner = BoxRefiner(seed=tcfg.seed)
-    opt = gk.Adam([t for _, t in refiner.params()], lr=tcfg.lr_init)
     match_cfg = MatchConfig(lambda_centre=tcfg.lambda_centre,
                             lambda_size=tcfg.lambda_size)
     matched = {id(item): match_scene(item, match_cfg) for item in encoded}
-    log: list[LogRow] = []
-    last_good = refiner.state_dict()
-    for epoch in range(tcfg.stage1_epochs):
-        lr = gk.cosine_lr(tcfg.lr_init, epoch, tcfg.stage1_epochs)
-        rng = _epoch_rng(tcfg.seed, 1, epoch)
-        epoch_losses = []
-        try:
-            with np.errstate(**_RAISE):
-                for batch in _batches(encoded, tcfg.batch_size, rng):
-                    pairs = [matched[id(item)] for item in batch
-                             if matched[id(item)] is not None]
-                    if not pairs:
-                        continue
-                    total = stage1_loss(pairs, refiner, tcfg)
-                    opt.zero_grad()
-                    gk.backward(total)
-                    opt.step(lr=lr)
-                    epoch_losses.append(float(total.value))
-        except _DIVERGENCE as err:
-            refiner.load_state_dict(last_good)
-            raise TrainingDiverged(f"stage 1 diverged in epoch {epoch}: {err}",
-                                   checkpoint=last_good) from err
-        mean_loss = float(np.mean(epoch_losses)) if epoch_losses else 0.0
-        log.append(LogRow(epoch=epoch, stage=1, loss_total=mean_loss,
-                          loss_lvl0=0.0, loss_lvl1c=0.0,
-                          loss_interp_iou=mean_loss, lr=lr))
-        last_good = refiner.state_dict()
+
+    def batch_loss(batch, rng, terms):
+        pairs = [matched[id(item)] for item in batch if matched[id(item)] is not None]
+        if not pairs:
+            return None
+        total = stage1_loss(pairs, refiner, tcfg)
+        terms["loss_interp_iou"].append(float(total.value))
+        return total
+
+    log = _run_stage(1, refiner, [t for _, t in refiner.leaves()], encoded, tcfg,
+                     tcfg.stage1_epochs, batch_loss)
     return refiner, log
 
 
@@ -245,52 +275,31 @@ def train_stage2(encoded: list[EncodedScene], params: HrsParams,
     """Train the scoring head with the refiner frozen. Texts are capped
     at ``max_tokens`` tokens, the cap prediction applies too."""
     vocab_texts = vocabulary_texts(vocab, table, max_tokens)
-    opt = gk.Adam(params.trainable(tcfg.ablation), lr=tcfg.lr_init)
-    log: list[LogRow] = []
-    last_good = {name: t.value.copy() for name, t in params.leaves()}
-    for epoch in range(tcfg.stage2_epochs):
-        lr = gk.cosine_lr(tcfg.lr_init, epoch, tcfg.stage2_epochs)
-        rng = _epoch_rng(tcfg.seed, 2, epoch)
-        totals, l0s, l1cs = [], [], []
-        try:
-            with np.errstate(**_RAISE):
-                for batch in _batches(encoded, tcfg.batch_size, rng):
-                    pieces = []
-                    for item in batch:
-                        hmce, l0_val, l1c_val = _scene_losses(
-                            item, params, vocab, vocab_texts, table, tcfg, rng, max_tokens)
-                        pieces.append(hmce)
-                        l0s.append(l0_val)
-                        l1cs.append(l1c_val)
-                    total = gk.mul(pieces[0], 1.0 / len(pieces))
-                    for extra in pieces[1:]:
-                        total = gk.add(total, gk.mul(extra, 1.0 / len(pieces)))
-                    opt.zero_grad()
-                    gk.backward(total)
-                    opt.step(lr=lr)
-                    totals.append(float(total.value))
-        except _DIVERGENCE as err:
-            for name, t in params.leaves():
-                t.value = last_good[name]
-            raise TrainingDiverged(f"stage 2 diverged in epoch {epoch}: {err}",
-                                   checkpoint=last_good) from err
-        log.append(LogRow(epoch=epoch, stage=2,
-                          loss_total=float(np.mean(totals)) if totals else 0.0,
-                          loss_lvl0=float(np.mean(l0s)) if l0s else 0.0,
-                          loss_lvl1c=float(np.mean(l1cs)) if l1cs else 0.0,
-                          loss_interp_iou=0.0, lr=lr))
-        last_good = {name: t.value.copy() for name, t in params.leaves()}
-    return log
+
+    def batch_loss(batch, rng, terms):
+        pieces = []
+        for item in batch:
+            hmce, l0_val, l1c_val = _scene_losses(
+                item, params, vocab, vocab_texts, table, tcfg, rng, max_tokens)
+            pieces.append(hmce)
+            terms["loss_lvl0"].append(l0_val)
+            terms["loss_lvl1c"].append(l1c_val)
+        total = gk.mul(pieces[0], 1.0 / len(pieces))
+        for extra in pieces[1:]:
+            total = gk.add(total, gk.mul(extra, 1.0 / len(pieces)))
+        return total
+
+    return _run_stage(2, params, params.trainable(tcfg.ablation), encoded, tcfg,
+                      tcfg.stage2_epochs, batch_loss)
 
 
 def train_two_stage(train_split: SplitData, cfg: SynthConfig, tcfg: TrainConfig,
-                    vocab: Level0Vocabulary | None = None) -> TrainResult:
-    """Full schedule. Missing image types in the training split are
-    tolerated with a warning from the batching side (batches simply
+                    stages: tuple[int, ...] = (1, 2)) -> TrainResult:
+    """Train the given stages. Stage 2 never reads the refiner, so it
+    runs on its own as well as after stage 1. Image types missing from
+    the training split are tolerated with a warning (batches simply
     cover fewer types)."""
-    import warnings
-
-    vocab = vocab or Level0Vocabulary()
+    vocab = Level0Vocabulary()
     table = EmbeddingTable(cfg.seed)
     encoded = encode_split(train_split, cfg, table)
     present = {item.scene.image_type for item in encoded}
@@ -298,18 +307,17 @@ def train_two_stage(train_split: SplitData, cfg: SynthConfig, tcfg: TrainConfig,
     if missing:
         warnings.warn(f"training split lacks image types: {sorted(missing)}")
 
-    refiner, log1 = train_stage1(encoded, tcfg)
-    checksum_before = refiner.checksum()
-
-    params = HrsParams(d_v=cfg.d_v, d_t=cfg.d_t, d=tcfg.d, heads=tcfg.heads,
-                       d_ff=tcfg.d_ff, d_hidden=tcfg.d_hidden, seed=tcfg.seed,
-                       ablation=tcfg.ablation)
-    log2 = train_stage2(encoded, params, vocab, table, tcfg, cfg.max_tokens)
-
-    if refiner.checksum() != checksum_before:
-        raise RuntimeError("stage 2 modified frozen stage-1 parameters")
-    return TrainResult(params=params, refiner=refiner, log=log1 + log2,
-                       refiner_checksum=checksum_before)
+    result = TrainResult(params=None, refiner=None)
+    if 1 in stages:
+        result.refiner, log1 = train_stage1(encoded, tcfg)
+        result.log.extend(log1)
+    if 2 in stages:
+        result.params = HrsParams(d_v=cfg.d_v, d_t=cfg.d_t, d=tcfg.d, heads=tcfg.heads,
+                                  d_ff=tcfg.d_ff, d_hidden=tcfg.d_hidden,
+                                  seed=tcfg.seed, ablation=tcfg.ablation)
+        result.log.extend(train_stage2(encoded, result.params, vocab, table, tcfg,
+                                       cfg.max_tokens))
+    return result
 
 
 def write_log(log: list[LogRow], path, seed: int) -> None:
@@ -321,11 +329,3 @@ def write_log(log: list[LogRow], path, seed: int) -> None:
                      f"{row.loss_interp_iou:.8f},{row.lr:.8e}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def params_checksum(params: HrsParams) -> str:
-    digest = hashlib.sha256()
-    for name, t in params.leaves():
-        digest.update(name.encode())
-        digest.update(t.value.tobytes())
-    return digest.hexdigest()

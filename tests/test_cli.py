@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gvgkit import datagen
 from gvgkit.cli import main
+from gvgkit.synth import SplitData, load_config, train_two_stage
 from gvgkit.synth.predict import read_predictions
 
 
@@ -102,6 +104,15 @@ class TestPipeline:
                  if l.startswith(tuple("0123456789")) and ",2," in l]
         assert resumed == joint
         assert (out2 / "params.json").read_bytes() == (run_dir / "params.json").read_bytes()
+
+    def test_stage2_needs_no_refiner(self, run_dir, tmp_path):
+        for name in ("train.jsonl", "config.json"):
+            (tmp_path / name).write_bytes((run_dir / name).read_bytes())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["train", "--out", str(tmp_path), "--stage", "2"]) == 0
+        assert not (tmp_path / "refiner.json").exists()
+        assert (tmp_path / "params.json").read_bytes() == (run_dir / "params.json").read_bytes()
 
     def test_ablation_flag(self, run_dir, tmp_path):
         out2 = tmp_path / "ablate"
@@ -254,6 +265,7 @@ def test_failing_run_prints_only_its_error(run_dir, tmp_path, case):
     else:
         payload["tensors"][key]["data"] = [value]
     (tmp_path / edited).write_text(json.dumps(payload))
+    edited_bytes = (tmp_path / edited).read_bytes()
     proc = run_subprocess(argv + ["--out", str(tmp_path)])
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1, proc.stderr
@@ -261,6 +273,62 @@ def test_failing_run_prints_only_its_error(run_dir, tmp_path, case):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(copied)
     for name in set(copied) - {edited}:
         assert (tmp_path / name).read_bytes() == (run_dir / name).read_bytes(), name
+    assert (tmp_path / edited).read_bytes() == edited_bytes
+
+
+def short_run(run_dir, out: Path) -> None:
+    """``out`` with the training split of ``run_dir`` and its config cut
+    to one epoch per stage."""
+    (out / "train.jsonl").write_bytes((run_dir / "train.jsonl").read_bytes())
+    config = json.loads((run_dir / "config.json").read_text())
+    config["train"].update(stage1_epochs=1, stage2_epochs=1)
+    (out / "config.json").write_text(json.dumps(config))
+
+
+def test_train_warns_about_missing_image_types(run_dir, tmp_path):
+    short_run(run_dir, tmp_path)
+    scenes, expressions, meta = datagen.read_dataset(tmp_path / "train.jsonl")
+    kept = [s for s in scenes if s.image_type != "empty"]
+    ids = {s.image_id for s in kept}
+    expressions = [e for e in expressions if e.image_id in ids]
+    datagen.write_dataset(kept, expressions, tmp_path / "train.jsonl", meta)
+
+    def lacking(run):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run()
+        return [str(w.message) for w in caught if "lacks image types" in str(w.message)]
+
+    split = SplitData(name="train", scenes=kept, expressions=expressions)
+    library = lacking(lambda: train_two_stage(split, *load_config(tmp_path / "config.json")))
+    assert library == ["training split lacks image types: ['empty']"]
+    assert lacking(lambda: main(["train", "--out", str(tmp_path)])) == library
+
+
+def test_train_stores_its_config(tmp_path):
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"synth": {"seed": 3, "n_scenes": 12},
+         "train": {"stage1_epochs": 1, "stage2_epochs": 1}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["build", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path)]) == 0
+        built = (tmp_path / "config.json").read_bytes()
+        assert main(["train", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "config.json").read_bytes() == built
+
+
+def test_stage2_trains_the_ablation_stage1_recorded(run_dir, tmp_path):
+    short_run(run_dir, tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["train", "--out", str(tmp_path), "--stage", "1",
+                     "--ablate", "no-interp-iou"]) == 0
+        assert main(["train", "--out", str(tmp_path), "--stage", "2"]) == 0
+    config = json.loads((tmp_path / "config.json").read_text())
+    assert config["train"]["ablation"]["no_interp_iou"] is True
+    params = json.loads((tmp_path / "params.json").read_text())
+    assert params["ablation"] == config["train"]["ablation"]
 
 
 def test_predict_reads_the_ablation_from_the_checkpoint(run_dir, tmp_path, capsys):

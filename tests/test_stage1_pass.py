@@ -26,7 +26,7 @@ def stage1_scene_loss(item, refiner, tcfg, match_cfg):
     if not gts:
         return None
     cost = build_cost_matrix(item.proposals.boxes, gts, match_cfg)
-    assignment = assign_optimal(cost, canonical=False)
+    assignment = assign_optimal(cost)
     if not assignment.pairs:
         return None
     prop = centre_rows([item.proposals.boxes[i] for i, _ in assignment.pairs])
@@ -69,10 +69,10 @@ def mixed_batch(encoded):
 
 
 def loss_and_grads(loss_fn, refiner):
-    gk.zero_grad([t for _, t in refiner.params()])
+    gk.zero_grad([t for _, t in refiner.leaves()])
     loss = loss_fn()
     gk.backward(loss)
-    return float(loss.value), {name: t.grad.copy() for name, t in refiner.params()}
+    return float(loss.value), {name: t.grad.copy() for name, t in refiner.leaves()}
 
 
 @pytest.mark.parametrize("ablation", [AblationFlags(), AblationFlags(no_interp_iou=True)],
@@ -82,7 +82,7 @@ def test_batch_loss_and_gradients_match_the_oracle(encoded, ablation):
     match_cfg = MatchConfig(lambda_centre=tcfg.lambda_centre, lambda_size=tcfg.lambda_size)
     refiner = BoxRefiner(seed=3)
     rng = np.random.default_rng(3)
-    for _, t in refiner.params():    # away from the identity map
+    for _, t in refiner.leaves():    # away from the identity map
         t.value = t.value + rng.normal(scale=0.3, size=t.value.shape)
     batch = mixed_batch(encoded)
     for scenes in (batch, batch[1:2], batch[::-1], encoded[:4]):
@@ -114,6 +114,16 @@ def test_each_scene_is_matched_once(encoded, monkeypatch):
         assert len(calls) == with_instances
 
 
+def test_batches_without_pairs_are_skipped(encoded):
+    # scenes without instances give no pairs: no batch steps, and every
+    # epoch logs a zero loss
+    empty = [item for item in encoded if not item.scene.instances]
+    refiner, log = train_stage1(empty, TrainConfig(seed=11, stage1_epochs=2))
+    for (name, t), (_, fresh) in zip(refiner.leaves(), BoxRefiner(seed=11).leaves()):
+        assert np.array_equal(t.value, fresh.value), name
+    assert [(row.loss_total, row.loss_interp_iou) for row in log] == [(0.0, 0.0)] * 2
+
+
 @pytest.mark.parametrize("scenes,epoch", [(4, 1), (8, 0)])
 def test_divergence_rolls_back_to_last_good_epoch(encoded, monkeypatch, scenes, epoch):
     # lr 1e307: one Adam step lifts every weight to ~1e307 and the next
@@ -137,6 +147,6 @@ def test_divergence_rolls_back_to_last_good_epoch(encoded, monkeypatch, scenes, 
     with pytest.raises(TrainingDiverged, match=f"stage 1 diverged in epoch {epoch}:") as info:
         train_stage1(items, tcfg)
     (refiner,) = made
-    for (name, t), (_, good) in zip(refiner.params(), last_good.params()):
+    for (name, t), (_, good) in zip(refiner.leaves(), last_good.leaves()):
         assert np.array_equal(t.value, good.value), name
         assert np.array_equal(info.value.checkpoint[name], good.value), name
