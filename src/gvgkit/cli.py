@@ -66,11 +66,17 @@ def _store_config(out: Path, synth_cfg: SynthConfig, train_cfg: TrainConfig) -> 
     (out / "config.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _load_split(out: Path, name: str) -> SplitData:
+def _load_split(out: Path, name: str, synth_cfg: SynthConfig) -> SplitData:
+    """A split built from ``synth_cfg``: one built from another config
+    (another seed too) is an error."""
     path = out / f"{name}.jsonl"
     if not path.exists():
         raise FileNotFoundError(f"missing dataset split {path}; run `gvgkit build` first")
-    scenes, expressions, _meta = datagen.read_dataset(path)
+    scenes, expressions, meta = datagen.read_dataset(path)
+    if meta.get("config_hash") != synth_cfg.config_hash():
+        raise ValueError(f"{path} was built from config {meta.get('config_hash')}, but "
+                         f"this run's config hashes {synth_cfg.config_hash()}; run "
+                         "`gvgkit build` with this config or use the one it was built from")
     return SplitData(name=name, scenes=scenes, expressions=expressions)
 
 
@@ -98,7 +104,8 @@ def cmd_train(args) -> int:
     synth_cfg, train_cfg = _resolve_configs(args)
     out = Path(args.out)
     stages = (1, 2) if args.stage == "both" else (int(args.stage),)
-    result = train_two_stage(_load_split(out, "train"), synth_cfg, train_cfg, stages)
+    split = _load_split(out, "train", synth_cfg)
+    result = train_two_stage(split, synth_cfg, train_cfg, stages)
     if result.refiner is not None:
         result.refiner.save(out / "refiner.json", seed=train_cfg.seed)
     if result.params is not None:
@@ -113,7 +120,7 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     synth_cfg, train_cfg = _resolve_configs(args)
     out = Path(args.out)
-    split = _load_split(out, args.split)
+    split = _load_split(out, args.split, synth_cfg)
     params = HrsParams.load(out / "params.json")
     if params.d_v != synth_cfg.d_v or params.d_t != synth_cfg.d_t:
         raise ValueError("checkpoint feature dims do not match the dataset config")
@@ -123,6 +130,12 @@ def cmd_predict(args) -> int:
                          f"trained with ablation {ablation_name(params.ablation)}")
     train_cfg = dataclasses.replace(train_cfg, ablation=params.ablation)
     refiner = BoxRefiner.load(out / "refiner.json")
+    # no_interp_iou is the one flag stage 1 trains under
+    if refiner.ablation.no_interp_iou != params.ablation.no_interp_iou:
+        raise ValueError(f"refiner.json was trained with ablation "
+                         f"{ablation_name(refiner.ablation)} and params.json with "
+                         f"{ablation_name(params.ablation)}, which differ in "
+                         "no-interp-iou; re-run `gvgkit train`")
     preds = predict_split(split, synth_cfg, train_cfg, params, refiner,
                           gate_level0=not args.no_gate_level0)
     path = out / f"predictions-{args.split}.jsonl"
@@ -134,7 +147,7 @@ def cmd_predict(args) -> int:
 def cmd_eval(args) -> int:
     synth_cfg, train_cfg = _resolve_configs(args)
     out = Path(args.out)
-    split = _load_split(out, args.split)
+    split = _load_split(out, args.split, synth_cfg)
     preds = read_predictions(out / f"predictions-{args.split}.jsonl")
     report = stratify(preds, split.scenes, split.expressions,
                       strict_negatives=args.strict_negatives)

@@ -33,7 +33,7 @@ from gvgkit.geometry import BBox
 from gvgkit.gradkit import Tensor
 
 PARAMS_FORMAT = "gvgkit-params"
-PARAMS_VERSION = 2
+PARAMS_VERSION = 3
 
 # (lambda_level0, lambda_level1) per coarse image type
 HMCE_WEIGHTS = {
@@ -244,11 +244,7 @@ class HrsParams:
 
     @classmethod
     def load(cls, path: str | Path) -> "HrsParams":
-        payload = json.loads(Path(path).read_text())
-        if payload.get("format") != PARAMS_FORMAT:
-            raise ValueError(f"not a parameter checkpoint: {path}")
-        if payload.get("version") != PARAMS_VERSION:
-            raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
+        payload = gk.read_checkpoint(path, PARAMS_FORMAT, PARAMS_VERSION, "checkpoint")
         dims = payload.get("dims")
         try:
             params = cls(**{key: dims[key]

@@ -11,15 +11,17 @@ weights, so that one graph can carry the rows of several scenes.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from gvgkit import gradkit as gk
 from gvgkit.gradkit import Tensor
+from gvgkit.hrs import AblationFlags
 
 REFINER_FORMAT = "gvgkit-box-refiner"
-REFINER_VERSION = 1
+REFINER_VERSION = 2
 
 
 def _corners(boxes: Tensor | np.ndarray):
@@ -91,9 +93,13 @@ def interp_iou_loss_diff(pred: Tensor, gt: np.ndarray, alpha: float = 0.99,
 
 class BoxRefiner:
     """Residual MLP refining proposal boxes: centre shifts plus
-    log-scale width/height corrections. Starts as the identity map."""
+    log-scale width/height corrections. Starts as the identity map.
+    ``ablation`` names the variant it is trained as; of its flags only
+    ``no_interp_iou`` changes the refiner, and the checkpoint records it."""
 
-    def __init__(self, hidden: int = 16, seed: int = 0):
+    def __init__(self, hidden: int = 16, seed: int = 0,
+                 ablation: AblationFlags = AblationFlags()):
+        self.ablation = ablation
         rng = np.random.default_rng(seed)
         bound = 1.0 / np.sqrt(4)
         self.w1 = gk.tensor(rng.uniform(-bound, bound, size=(4, hidden)), requires_grad=True)
@@ -130,21 +136,27 @@ class BoxRefiner:
             "format": REFINER_FORMAT,
             "version": REFINER_VERSION,
             "seed": seed,
+            "ablation": asdict(self.ablation),
             "tensors": gk.dump_leaves(self.leaves()),
         }
         Path(path).write_text(json.dumps(payload))
 
     @classmethod
     def load(cls, path: str | Path) -> "BoxRefiner":
-        payload = json.loads(Path(path).read_text())
-        if payload.get("format") != REFINER_FORMAT:
-            raise ValueError(f"not a box-refiner checkpoint: {path}")
-        if payload.get("version") != REFINER_VERSION:
-            raise ValueError(f"unsupported refiner version {payload.get('version')}")
+        payload = gk.read_checkpoint(path, REFINER_FORMAT, REFINER_VERSION, "refiner")
+        source = f"box-refiner checkpoint {path}"
         try:
-            hidden = len(payload["tensors"]["box.b1"]["data"])
+            spec = payload["tensors"]["box.b1"]
+            (hidden,) = spec["shape"]
+            # the width sizes the arrays built before load_leaves checks
+            # the bytes, so it may not exceed what the payload could hold
+            if not isinstance(hidden, int) or not 0 < hidden <= len(spec["float64_le"]):
+                raise ValueError
+        except (KeyError, TypeError, ValueError):
+            raise ValueError(f"tensor 'box.b1' in {source} is malformed") from None
+        try:
+            refiner = cls(hidden=hidden, ablation=AblationFlags(**payload["ablation"]))
         except (KeyError, TypeError):
-            raise ValueError(f"box-refiner checkpoint {path} lacks tensor 'box.b1'") from None
-        refiner = cls(hidden=hidden)
-        gk.load_leaves(refiner.leaves(), payload["tensors"], f"box-refiner checkpoint {path}")
+            raise ValueError(f"{source} lacks its ablation flags") from None
+        gk.load_leaves(refiner.leaves(), payload["tensors"], source)
         return refiner

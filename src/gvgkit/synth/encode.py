@@ -165,6 +165,7 @@ def _jitter_box(box: BBox, cfg: SynthConfig, rng: np.random.Generator) -> BBox:
 
 def _background_box(gt_boxes: list[BBox], rng: np.random.Generator) -> BBox:
     """A box over soil: disjoint from every instance when possible."""
+    gt_corners = [box.to_corners() for box in gt_boxes]
     for _ in range(60):
         w = rng.uniform(0.04, 0.14)
         h = rng.uniform(0.04, 0.14)
@@ -172,13 +173,10 @@ def _background_box(gt_boxes: list[BBox], rng: np.random.Generator) -> BBox:
         cy = rng.uniform(h / 2, 1 - h / 2)
         candidate = BBox(cx, cy, w, h)
         x1, y1, x2, y2 = candidate.to_corners()
-        clear = True
-        for other in gt_boxes:
-            ox1, oy1, ox2, oy2 = other.to_corners()
+        for ox1, oy1, ox2, oy2 in gt_corners:
             if not (x2 <= ox1 or ox2 <= x1 or y2 <= oy1 or oy2 <= y1):
-                clear = False
                 break
-        if clear:
+        else:   # clear of every instance
             return candidate
     return candidate  # crowded scene: accept the last sample
 

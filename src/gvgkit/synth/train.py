@@ -193,7 +193,7 @@ def stage1_loss(pairs: list[Pairs], refiner: BoxRefiner, tcfg: TrainConfig):
 
 
 def train_stage1(encoded: list[EncodedScene], tcfg: TrainConfig) -> tuple[BoxRefiner, list[LogRow]]:
-    refiner = BoxRefiner(seed=tcfg.seed)
+    refiner = BoxRefiner(seed=tcfg.seed, ablation=tcfg.ablation)
     match_cfg = MatchConfig(lambda_centre=tcfg.lambda_centre,
                             lambda_size=tcfg.lambda_size)
     matched = {id(item): match_scene(item, match_cfg) for item in encoded}

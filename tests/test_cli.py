@@ -1,3 +1,5 @@
+import base64
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,6 +14,20 @@ from gvgkit import datagen
 from gvgkit.cli import main
 from gvgkit.synth import SplitData, load_config, train_two_stage
 from gvgkit.synth.predict import read_predictions
+
+
+def decode_tensor(spec: dict) -> np.ndarray:
+    """The flat float64 values of one checkpoint tensor entry."""
+    return np.frombuffer(base64.b64decode(spec["float64_le"], validate=True), dtype="<f8")
+
+
+def set_tensor_value(payload: dict, name: str, index: int, value: float) -> None:
+    """Decode tensor ``name`` of a checkpoint payload, set its flat entry
+    ``index`` to ``value`` and store it back encoded."""
+    spec = payload["tensors"][name]
+    values = decode_tensor(spec).copy()
+    values[index] = value
+    spec["float64_le"] = base64.b64encode(values.astype("<f8").tobytes()).decode()
 
 
 @pytest.fixture(scope="module")
@@ -263,7 +279,7 @@ def test_failing_run_prints_only_its_error(run_dir, tmp_path, case):
     if edited == "config.json":
         payload["train"][key] = value
     else:
-        payload["tensors"][key]["data"] = [value]
+        set_tensor_value(payload, key, 0, value)
     (tmp_path / edited).write_text(json.dumps(payload))
     edited_bytes = (tmp_path / edited).read_bytes()
     proc = run_subprocess(argv + ["--out", str(tmp_path)])
@@ -331,6 +347,56 @@ def test_stage2_trains_the_ablation_stage1_recorded(run_dir, tmp_path):
     assert params["ablation"] == config["train"]["ablation"]
 
 
+def test_predict_rejects_a_refiner_of_another_box_loss(run_dir, tmp_path, capsys):
+    short_run(run_dir, tmp_path)
+    (tmp_path / "test.jsonl").write_bytes((run_dir / "test.jsonl").read_bytes())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["train", "--out", str(tmp_path), "--stage", "1",
+                     "--ablate", "no-interp-iou"]) == 0
+        assert main(["train", "--out", str(tmp_path), "--stage", "2",
+                     "--ablate", "sentence-only"]) == 0
+    refiner = json.loads((tmp_path / "refiner.json").read_text())
+    assert refiner["ablation"]["no_interp_iou"] is True
+    capsys.readouterr()
+    assert main(["predict", "--out", str(tmp_path), "--split", "test"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: refiner.json was trained with ablation no-interp-iou "
+                          "and params.json with sentence-only"), err
+    assert err.count("\n") == 1, err
+    assert not (tmp_path / "predictions-test.jsonl").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["train", "--config", "b.json"], id="train with another config"),
+    pytest.param(["predict", "--seed", "4"], id="predict with another seed"),
+    pytest.param(["eval", "--seed", "4"], id="eval with another seed")])
+def test_split_of_another_config_is_a_one_line_error(tmp_path, capsys, argv):
+    config = {"synth": {"seed": 3, "n_scenes": 12},
+              "train": {"stage1_epochs": 1, "stage2_epochs": 1}}
+    (tmp_path / "a.json").write_text(json.dumps(config))
+    config["synth"]["feature_noise"] = 0.5
+    (tmp_path / "b.json").write_text(json.dumps(config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["build", "--config", str(tmp_path / "a.json"),
+                     "--out", str(tmp_path)]) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    built = json.loads((tmp_path / "train.jsonl").read_text().splitlines()[0])["config_hash"]
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    synth_cfg, _ = load_config(tmp_path / ("b.json" if "train" in argv else "a.json"))
+    if "--seed" in argv:
+        synth_cfg = dataclasses.replace(synth_cfg, seed=4)
+    assert (f"built from config {built}, but this run's config hashes "
+            f"{synth_cfg.config_hash()};") in err, err
+    assert "run `gvgkit build`" in err, err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_predict_reads_the_ablation_from_the_checkpoint(run_dir, tmp_path, capsys):
     for name in ("train.jsonl", "test.jsonl", "config.json"):
         (tmp_path / name).write_bytes((run_dir / name).read_bytes())
@@ -366,7 +432,8 @@ class TestCheckpointErrors:
 
     @pytest.mark.parametrize("checkpoint,tensor", [("params.json", "attn_k"),
                                                    ("refiner.json", "box.w2")])
-    @pytest.mark.parametrize("fault", ["missing", "wrong shape", "NaN", "-Infinity"])
+    @pytest.mark.parametrize("fault", ["missing", "wrong shape", "NaN", "-Infinity",
+                                       "bad base64", "wrong byte count"])
     def test_bad_tensor_is_a_one_line_error(self, copied, capsys, checkpoint, tensor,
                                             fault):
         path = copied / checkpoint
@@ -376,8 +443,14 @@ class TestCheckpointErrors:
             del payload["tensors"][tensor]
         elif fault == "wrong shape":
             spec["shape"] = spec["shape"][::-1] + [1]
+        elif fault == "bad base64":
+            # a lenient decoder would skip the stray character and load the values
+            spec["float64_le"] = spec["float64_le"][:4] + "*" + spec["float64_le"][4:]
+        elif fault == "wrong byte count":   # one value short
+            spec["float64_le"] = base64.b64encode(decode_tensor(spec)[:-1].tobytes()).decode()
         else:
-            spec["data"][1] = float(fault.lower().replace("infinity", "inf"))
+            value = float(fault.lower().replace("infinity", "inf"))
+            set_tensor_value(payload, tensor, 1, value)
         path.write_text(json.dumps(payload))
         capsys.readouterr()
         assert main(["predict", "--out", str(copied), "--split", "test"]) == 1
@@ -385,6 +458,48 @@ class TestCheckpointErrors:
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert repr(tensor) in err
 
+
+    @pytest.mark.parametrize("shape", [[10**12], [16, 1], ["16"]])
+    def test_bad_refiner_width_is_a_one_line_error(self, copied, capsys, shape):
+        # the refiner's width comes from the stored shape of box.b1
+        path = copied / "refiner.json"
+        payload = json.loads(path.read_text())
+        payload["tensors"]["box.b1"]["shape"] = shape
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["predict", "--out", str(copied), "--split", "test"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: tensor 'box.b1' in box-refiner checkpoint {path} is malformed\n"
+
+    @pytest.mark.parametrize("checkpoint", ["params.json", "refiner.json"])
+    def test_truncated_checkpoint_is_a_one_line_error(self, copied, capsys, checkpoint):
+        path = copied / checkpoint
+        path.write_bytes(path.read_bytes()[:len(path.read_bytes()) // 2])
+        capsys.readouterr()
+        assert main(["predict", "--out", str(copied), "--split", "test"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} is not valid JSON"), err
+        assert err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("checkpoint,version,message", [
+        ("params.json", 2, "unsupported checkpoint version 2; re-run `gvgkit train`"),
+        ("refiner.json", 1, "unsupported refiner version 1; re-run `gvgkit train`")])
+    def test_float_list_checkpoint_is_a_one_line_error(self, copied, capsys, checkpoint,
+                                                       version, message):
+        # the previous format: the same tensors as lists of floats
+        path = copied / checkpoint
+        payload = json.loads(path.read_text())
+        payload["version"] = version
+        payload["tensors"] = {name: {"shape": spec["shape"],
+                                     "data": decode_tensor(spec).tolist()}
+                              for name, spec in payload["tensors"].items()}
+        if checkpoint == "refiner.json":
+            del payload["ablation"]     # refiner version 1 did not record it
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["predict", "--out", str(copied), "--split", "test"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n", err
 
     @pytest.mark.parametrize("fault,message", [
         ("version 1", "unsupported checkpoint version 1"),
@@ -411,7 +526,7 @@ class TestCheckpointErrors:
         # a finite checkpoint whose forward pass overflows
         path = copied / "params.json"
         payload = json.loads(path.read_text())
-        payload["tensors"]["log_temperature"]["data"] = [log_temperature]
+        set_tensor_value(payload, "log_temperature", 0, log_temperature)
         path.write_text(json.dumps(payload))
         capsys.readouterr()
         with warnings.catch_warnings():

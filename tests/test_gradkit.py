@@ -312,3 +312,43 @@ class TestAdam:
         assert gk.cosine_lr(2e-4, 9, 10) == pytest.approx(0.0, abs=1e-12)
         mid = gk.cosine_lr(2e-4, 5, 11)
         assert mid == pytest.approx(1e-4)
+
+
+class TestCheckpointTensors:
+    EDGES = np.array([[-0.0, 0.0, 5e-324], [np.finfo(float).max, -np.finfo(float).max,
+                                             np.finfo(float).tiny / 3]])
+
+    def roundtrip(self, values):
+        stored = gk.dump_leaves([("x", gk.tensor(values))])
+        target = gk.tensor(np.zeros_like(values))
+        gk.load_leaves([("x", target)], stored, "test")
+        return target.value
+
+    @pytest.mark.parametrize("values", [
+        pytest.param(EDGES, id="signed zeros, subnormals and max floats"),
+        pytest.param(np.random.default_rng(0).normal(size=(7, 5)), id="random"),
+        pytest.param(np.random.default_rng(1).normal(size=(3, 4)).T, id="transposed"),
+        pytest.param(np.array(-1.25), id="scalar")])
+    def test_exact_roundtrip(self, values):
+        loaded = self.roundtrip(values)
+        assert loaded.shape == values.shape and loaded.dtype == np.float64
+        assert loaded.tobytes() == np.ascontiguousarray(values).tobytes()
+        loaded += 1.0   # training updates the loaded arrays in place
+
+    def test_payload_is_little_endian_float64(self):
+        stored = gk.dump_leaves([("x", gk.tensor(np.array([1.0, -2.0])))])
+        assert stored == {"x": {"shape": [2], "float64_le": "AAAAAAAA8D8AAAAAAAAAwA=="}}
+
+    @pytest.mark.parametrize("spec,message", [
+        ({"shape": [2], "float64_le": "AAAAAAAA8D8AAAAAAAAAwA"}, "is malformed"),
+        ({"shape": [2], "float64_le": "AAAA*AAAA8D8AAAAAAAAAwA=="}, "is malformed"),
+        ({"shape": [2], "data": [1.0, -2.0]}, "is malformed"),
+        ({"shape": [2], "float64_le": "AAAAAAAA8D8="}, "and 8 bytes, expected [2] and 16"),
+        ({"shape": [1, 2], "float64_le": "AAAAAAAA8D8AAAAAAAAAwA=="}, "has shape [1, 2]"),
+        ({"shape": [2], "float64_le": "AAAAAAAA8H8AAAAAAAAAwA=="}, "non-finite")])
+    def test_bad_payload_names_the_tensor(self, spec, message):
+        target = gk.tensor(np.zeros(2))
+        with pytest.raises(ValueError) as err:
+            gk.load_leaves([("x", target)], {"x": spec}, "test")
+        assert "'x'" in str(err.value) and message in str(err.value), str(err.value)
+        assert np.array_equal(target.value, np.zeros(2))
