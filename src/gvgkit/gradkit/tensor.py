@@ -11,7 +11,9 @@ one node pools a whole padded batch. Each has a hand-written backward.
 
 Subgradient conventions: max-style reductions route the gradient to the
 first maximal element, elementwise maximum/minimum route ties to the
-first argument, and relu'(0) = 0.
+first argument, and relu'(0) = 0. ``relu`` keeps no mask: its value is
+``np.maximum(a, 0)`` (so relu(-0.0) is +0.0 and NaN passes through to
+the boundary checks), and backward reads the mask off that value.
 
 Finiteness is checked at the boundaries, not at every node: ``exp``
 raises OverflowError when it overflows, ``backward`` rejects a
@@ -210,9 +212,8 @@ def sqrt(a) -> Tensor:
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
-    positive = a.value > 0.0
-    return _node(np.where(positive, a.value, 0.0), (a,),
-                 lambda g: (np.where(positive, g, 0.0),))
+    value = np.maximum(a.value, 0.0)
+    return _node(value, (a,), lambda g: (np.where(value > 0.0, g, 0.0),))
 
 
 def tanh(a) -> Tensor:
@@ -455,15 +456,16 @@ def abs_(a) -> Tensor:
     return add(relu(a), relu(neg(a)))
 
 
-def bce_with_logits(logits, targets) -> Tensor:
-    """Mean binary cross-entropy on raw scores, numerically stable."""
+def bce_with_logits(logits, targets, axis=None) -> Tensor:
+    """Mean binary cross-entropy on raw scores, numerically stable: over
+    every entry, or along ``axis`` (one loss per remaining slot)."""
     logits = _as_tensor(logits)
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != logits.value.shape:
         raise ShapeError("targets must match the logits shape")
     per = add(sub(relu(logits), mul(logits, constant(targets))),
               log(add(1.0, exp(neg(abs_(logits))))))
-    return mean(per)
+    return mean(per, axis=axis)
 
 
 def cross_entropy(logits, true_index: int) -> Tensor:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -242,15 +243,36 @@ class HrsParams:
         }
         Path(path).write_text(json.dumps(payload))
 
+    # the stored tensor each pair of dims shapes: with each tensor's
+    # values bounded by its payload, these bound every array __init__ makes
+    _DIM_SHAPES = {"visual_proj": ("d_v", "d"), "text_proj": ("d_t", "d"),
+                   "attn_q": ("d", "d"), "ffn_w1": ("d", "d_ff"),
+                   "fusion_w1": ("d", "d_hidden")}
+
     @classmethod
     def load(cls, path: str | Path) -> "HrsParams":
         payload = gk.read_checkpoint(path, PARAMS_FORMAT, PARAMS_VERSION, "checkpoint")
-        dims = payload.get("dims")
+        dims, tensors = payload.get("dims"), payload.get("tensors")
         try:
-            params = cls(**{key: dims[key]
-                            for key in ("d_v", "d_t", "d", "heads", "d_ff", "d_hidden")})
+            dims = {key: dims[key] for key in ("d_v", "d_t", "d", "heads", "d_ff", "d_hidden")}
         except (KeyError, TypeError):
             raise ValueError(f"checkpoint {path} lacks its model dims") from None
+        # the dims size arrays before load_leaves checks any tensor
+        for key, value in dims.items():
+            if type(value) is not int or value < 1:
+                raise ValueError(f"model dim {key} = {value!r} in checkpoint {path} "
+                                 "is not a positive int")
+        for name, keys in cls._DIM_SHAPES.items():
+            shape = [dims[key] for key in keys]
+            try:
+                spec = tensors[name]
+                fits = spec["shape"] == shape and math.prod(shape) <= len(spec["float64_le"])
+            except (KeyError, TypeError):
+                fits = False
+            if not fits:
+                raise ValueError(f"tensor {name!r} in checkpoint {path} does not hold "
+                                 f"the ({', '.join(keys)}) = {shape} its model dims give")
+        params = cls(**dims)
         try:
             params.ablation = AblationFlags(**payload["ablation"])
         except (KeyError, TypeError):
@@ -385,16 +407,18 @@ def loss_lvl0(level0_logits: Tensor, true_class: int) -> Tensor:
 
 
 def loss_lvl1(referring_scores: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean binary cross-entropy over proposals; an all-negative target
-    vector is the normal case for absence expressions."""
+    """Mean binary cross-entropy over proposals, the last axis: (N,)
+    scores give one loss, a (k, N) block one per expression. An
+    all-negative target row is the normal case for absence expressions."""
     targets = np.asarray(targets, dtype=np.float64)
-    return gk.bce_with_logits(referring_scores, targets)
+    return gk.bce_with_logits(referring_scores, targets, axis=-1)
 
 
 def loss_constrained(l1: Tensor, l0: Tensor) -> Tensor:
     """Instance loss floored by the image-level loss: learning to rank
     instances cannot outpace learning whether they exist at all. The
-    gradient flows only into the active branch."""
+    gradient flows only into the active branch. ``l1`` may hold one loss
+    per expression; each is floored by the scalar ``l0``."""
     return gk.maximum(l1, l0)
 
 

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from gvgkit import gradkit as gk
+from gvgkit.geometry import corners
 from gvgkit.gradkit import Tensor
 from gvgkit.hrs import AblationFlags
 
@@ -24,35 +25,24 @@ REFINER_FORMAT = "gvgkit-box-refiner"
 REFINER_VERSION = 2
 
 
-def _corners(boxes: Tensor | np.ndarray):
-    """Split (M, 4) centre-form boxes into corner columns."""
-    if isinstance(boxes, Tensor):
-        cx = gk.narrow(boxes, 1, 0, 1)
-        cy = gk.narrow(boxes, 1, 1, 1)
-        w = gk.narrow(boxes, 1, 2, 1)
-        h = gk.narrow(boxes, 1, 3, 1)
-        half_w = gk.mul(w, 0.5)
-        half_h = gk.mul(h, 0.5)
-        return (gk.sub(cx, half_w), gk.sub(cy, half_h),
-                gk.add(cx, half_w), gk.add(cy, half_h))
-    cx, cy, w, h = boxes[:, 0:1], boxes[:, 1:2], boxes[:, 2:3], boxes[:, 3:4]
-    return (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+def _area(sides: Tensor) -> Tensor:
+    """(M, 1) products of (M, 2) side lengths."""
+    return gk.mul(gk.narrow(sides, 1, 0, 1), gk.narrow(sides, 1, 1, 1))
 
 
-def _pairwise_iou_terms(pred: Tensor, gt: np.ndarray):
-    """Row-aligned intersection, union and enclosing area as tensors."""
-    px1, py1, px2, py2 = _corners(pred)
-    gx1, gy1, gx2, gy2 = _corners(np.asarray(gt, dtype=np.float64))
-    iw = gk.relu(gk.sub(gk.minimum(px2, gk.constant(gx2)), gk.maximum(px1, gk.constant(gx1))))
-    ih = gk.relu(gk.sub(gk.minimum(py2, gk.constant(gy2)), gk.maximum(py1, gk.constant(gy1))))
-    inter = gk.mul(iw, ih)
-    area_p = gk.mul(gk.sub(px2, px1), gk.sub(py2, py1))
-    area_g = (gx2 - gx1) * (gy2 - gy1)
-    union = gk.sub(gk.add(area_p, gk.constant(area_g)), inter)
-    ew = gk.sub(gk.maximum(px2, gk.constant(gx2)), gk.minimum(px1, gk.constant(gx1)))
-    eh = gk.sub(gk.maximum(py2, gk.constant(gy2)), gk.minimum(py1, gk.constant(gy1)))
-    enclosing = gk.mul(ew, eh)
-    return inter, union, enclosing
+def _iou_terms(pred: Tensor, gt: np.ndarray):
+    """Row-aligned intersection and union as (M, 1) tensors, with the
+    (M, 2) low and high corners, (x1, y1) and (x2, y2), of both boxes
+    for callers that need more."""
+    centre = gk.narrow(pred, 1, 0, 2)
+    half = gk.mul(gk.narrow(pred, 1, 2, 2), 0.5)
+    lo, hi = gk.sub(centre, half), gk.add(centre, half)
+    g = corners(np.asarray(gt, dtype=np.float64))
+    area_g = np.prod(g[:, 2:] - g[:, :2], axis=1, keepdims=True)
+    g_lo, g_hi = gk.constant(g[:, :2]), gk.constant(g[:, 2:])
+    inter = _area(gk.relu(gk.sub(gk.minimum(hi, g_hi), gk.maximum(lo, g_lo))))
+    union = gk.sub(gk.add(_area(gk.sub(hi, lo)), gk.constant(area_g)), inter)
+    return inter, union, (lo, hi, g_lo, g_hi)
 
 
 def _weighted_sum(per_row: Tensor, weights: np.ndarray | None) -> Tensor:
@@ -67,13 +57,15 @@ def _weighted_sum(per_row: Tensor, weights: np.ndarray | None) -> Tensor:
 def iou_loss_diff(pred: Tensor, gt: np.ndarray, weights: np.ndarray | None = None) -> Tensor:
     """Weighted (1 - IoU) over row-aligned (M, 4) centre-form boxes; the
     mean without ``weights``."""
-    inter, union, _ = _pairwise_iou_terms(pred, gt)
+    inter, union, _ = _iou_terms(pred, gt)
     return _weighted_sum(gk.sub(1.0, gk.div(inter, union)), weights)
 
 
 def giou_loss_diff(pred: Tensor, gt: np.ndarray, weights: np.ndarray | None = None) -> Tensor:
-    """Weighted (1 - GIoU); the original detector regression objective."""
-    inter, union, enclosing = _pairwise_iou_terms(pred, gt)
+    """Weighted (1 - GIoU); the original detector regression objective.
+    Only this loss builds the enclosing box."""
+    inter, union, (lo, hi, g_lo, g_hi) = _iou_terms(pred, gt)
+    enclosing = _area(gk.sub(gk.maximum(hi, g_hi), gk.minimum(lo, g_lo)))
     giou = gk.sub(gk.div(inter, union),
                   gk.div(gk.sub(enclosing, union), enclosing))
     return _weighted_sum(gk.sub(1.0, giou), weights)
@@ -82,13 +74,16 @@ def giou_loss_diff(pred: Tensor, gt: np.ndarray, weights: np.ndarray | None = No
 def interp_iou_loss_diff(pred: Tensor, gt: np.ndarray, alpha: float = 0.99,
                          weights: np.ndarray | None = None) -> Tensor:
     """Weighted interpolated-IoU loss: (1 - IoU(pred, gt)) plus the IoU
-    deficit of the box interpolated toward the ground truth."""
+    deficit of the box interpolated toward the ground truth. Both boxes
+    of a row go through one IoU pass: ``[pred, mid]`` against
+    ``[gt, gt]`` with the row weights repeated."""
     gt = np.asarray(gt, dtype=np.float64)
-    direct = iou_loss_diff(pred, gt, weights)
+    if weights is None:
+        weights = np.full(len(gt), 1.0 / len(gt))
     # pred + alpha * (gt - pred), in centre form
     mid = gk.add(pred, gk.mul(gk.sub(gk.constant(gt), pred), alpha))
-    auxiliary = iou_loss_diff(mid, gt, weights)
-    return gk.add(direct, auxiliary)
+    return iou_loss_diff(gk.concat([pred, mid], axis=0), np.concatenate([gt, gt]),
+                         np.concatenate([weights, weights]))
 
 
 class BoxRefiner:
@@ -113,19 +108,19 @@ class BoxRefiner:
                 ("box.w2", self.w2), ("box.b2", self.b2)]
 
     def refine(self, boxes: np.ndarray) -> Tensor:
-        """Map (M, 4) centre-form boxes to corrected boxes."""
-        x = gk.constant(np.asarray(boxes, dtype=np.float64))
-        hidden = gk.relu(gk.add(gk.matmul(x, self.w1), self.b1))
+        """Map (M, 4) centre-form boxes to corrected boxes: the centre
+        moves by delta times the size, and the size scales by exp(delta).
+        A refined width or height that is not positive (a collapsed
+        refiner) raises OverflowError."""
+        boxes = np.asarray(boxes, dtype=np.float64)
+        hidden = gk.relu(gk.add(gk.matmul(gk.constant(boxes), self.w1), self.b1))
         delta = gk.add(gk.matmul(hidden, self.w2), self.b2)
-        w = np.asarray(boxes, dtype=np.float64)[:, 2:3]
-        h = np.asarray(boxes, dtype=np.float64)[:, 3:4]
-        dcx = gk.mul(gk.narrow(delta, 1, 0, 1), gk.constant(w))
-        dcy = gk.mul(gk.narrow(delta, 1, 1, 1), gk.constant(h))
-        new_cx = gk.add(gk.narrow(gk.constant(boxes), 1, 0, 1), dcx)
-        new_cy = gk.add(gk.narrow(gk.constant(boxes), 1, 1, 1), dcy)
-        new_w = gk.mul(gk.constant(w), gk.exp(gk.narrow(delta, 1, 2, 1)))
-        new_h = gk.mul(gk.constant(h), gk.exp(gk.narrow(delta, 1, 3, 1)))
-        return gk.concat([new_cx, new_cy, new_w, new_h], axis=1)
+        size = gk.constant(boxes[:, 2:4])
+        centre = gk.add(gk.constant(boxes[:, 0:2]), gk.mul(gk.narrow(delta, 1, 0, 2), size))
+        scaled = gk.mul(size, gk.exp(gk.narrow(delta, 1, 2, 2)))
+        if not np.all(scaled.value > 0.0):
+            raise OverflowError("the refiner collapsed a box to a non-positive size")
+        return gk.concat([centre, scaled], axis=1)
 
     def refine_numpy(self, boxes: np.ndarray) -> np.ndarray:
         """Gradient-free refinement for prediction time."""

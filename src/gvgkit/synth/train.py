@@ -244,7 +244,8 @@ def _scene_losses(item: EncodedScene, params: HrsParams, vocab: Level0Vocabulary
     instance loss averaged over the sampled expressions. The existence
     floor applies per expression, then the type weights combine the two
     levels. One batched pass scores the vocabulary sentences and the
-    sampled expressions together."""
+    sampled expressions together, and the k expression rows of its
+    scores give k instance losses in one (k, N) pass."""
     exprs = _pick_expressions(item, tcfg.expressions_per_scene, rng)
     texts = vocab_texts + [encode_text(e.text, table, max_tokens) for e in exprs]
     scores = hrs.score_expression(item.proposals, texts, params,
@@ -254,17 +255,14 @@ def _scene_losses(item: EncodedScene, params: HrsParams, vocab: Level0Vocabulary
     if not exprs:
         l1c = gk.constant(0.0)
     else:
-        pieces = []
-        for row, expr in enumerate(exprs, start=len(vocab_texts)):
-            targets = np.isin(item.source_ids,
-                              np.asarray(expr.target_ids, dtype=np.int64))
-            l1 = hrs.loss_lvl1(gk.narrow(scores, 0, row, 1),
-                               targets[None].astype(float))
-            pieces.append(l1 if tcfg.ablation.no_constraint
-                          else hrs.loss_constrained(l1, l0))
-        l1c = gk.mul(pieces[0], 1.0 / len(pieces))
-        for extra in pieces[1:]:
-            l1c = gk.add(l1c, gk.mul(extra, 1.0 / len(pieces)))
+        targets = np.stack([np.isin(item.source_ids,
+                                    np.asarray(expr.target_ids, dtype=np.int64))
+                            for expr in exprs])
+        l1 = hrs.loss_lvl1(gk.narrow(scores, 0, len(vocab_texts), len(exprs)),
+                           targets.astype(float))                           # (k,)
+        if not tcfg.ablation.no_constraint:
+            l1 = hrs.loss_constrained(l1, l0)
+        l1c = gk.mean(l1)
     hmce = hrs.loss_hmce(l0, l1c, hrs.coarse_image_type(item.scene.image_type))
     return hmce, float(l0.value), float(l1c.value)
 

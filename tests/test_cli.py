@@ -471,6 +471,40 @@ class TestCheckpointErrors:
         err = capsys.readouterr().err
         assert err == f"error: tensor 'box.b1' in box-refiner checkpoint {path} is malformed\n"
 
+    @pytest.mark.parametrize("dims,ffn_w1_shape,message", [
+        pytest.param({"d": 2**40, "heads": 1}, None, "tensor 'visual_proj'", id="huge"),
+        # a stored shape alone cannot vouch for a dim: its payload must hold it
+        pytest.param({"d_ff": 2**40}, [64, 2**40], "tensor 'ffn_w1'", id="huge, shape to match"),
+        pytest.param({"d_ff": -128}, None, "model dim d_ff = -128", id="negative"),
+        pytest.param({"d_hidden": "32"}, None, "model dim d_hidden = '32'", id="string")])
+    def test_bad_model_dims_are_a_one_line_error(self, copied, capsys, dims, ffn_w1_shape,
+                                                 message):
+        # the dims size the model's arrays before any tensor is read
+        path = copied / "params.json"
+        payload = json.loads(path.read_text())
+        assert payload["dims"]["d"] == 64
+        payload["dims"].update(dims)
+        if ffn_w1_shape:
+            payload["tensors"]["ffn_w1"]["shape"] = ffn_w1_shape
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["predict", "--out", str(copied), "--split", "test"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert message in err, err
+
+    def test_collapsed_refiner_is_a_one_line_error(self, copied, capsys):
+        # a finite refiner whose boxes shrink to nothing
+        path = copied / "refiner.json"
+        payload = json.loads(path.read_text())
+        set_tensor_value(payload, "box.b2", 3, -800.0)     # every height exp(-800) = 0
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["predict", "--out", str(copied), "--split", "test"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: the refiner collapsed a box to a non-positive size\n", err
+        assert not (copied / "predictions-test.jsonl").exists()
+
     @pytest.mark.parametrize("checkpoint", ["params.json", "refiner.json"])
     def test_truncated_checkpoint_is_a_one_line_error(self, copied, capsys, checkpoint):
         path = copied / checkpoint

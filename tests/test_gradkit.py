@@ -32,6 +32,30 @@ class TestForwardValues:
         assert np.all(s >= 0.0) and np.all(s <= 1.0)
         assert s[2] == 0.5
 
+    def test_relu_conventions(self):
+        x = gk.tensor([-2.0, -0.0, 0.0, 3.0, np.nan], requires_grad=True)
+        out = gk.relu(x)
+        assert out.value[:4].tolist() == [0.0, 0.0, 0.0, 3.0]
+        assert not np.signbit(out.value[1])     # relu(-0.0) is +0.0
+        assert np.isnan(out.value[4])           # left for the boundary checks
+        gk.backward(gk.reduce_sum(gk.narrow(out, 0, 0, 4)))
+        assert x.grad.tolist() == [0.0, 0.0, 0.0, 1.0, 0.0]   # relu'(0) = 0
+
+    def test_bce_along_an_axis(self):
+        rng = np.random.default_rng(5)
+        logits = gk.tensor(rng.normal(size=(3, 6)) * 3, requires_grad=True)
+        targets = (rng.random((3, 6)) > 0.5).astype(float)
+        per_row = gk.bce_with_logits(logits, targets, axis=-1)
+        assert per_row.shape == (3,)
+        for k in range(3):
+            assert per_row.value[k] == gk.bce_with_logits(logits.value[k], targets[k]).value
+        assert gk.mean(per_row).value == pytest.approx(
+            gk.bce_with_logits(logits, targets).value, abs=1e-15)
+        weights = gk.constant(rng.normal(size=6))
+        check(lambda: gk.reduce_sum(gk.mul(gk.bce_with_logits(logits, targets, axis=0),
+                                           weights)),
+              [("logits", logits)])
+
     def test_cosine_self_similarity(self):
         rng = np.random.default_rng(1)
         v = rng.normal(size=8)

@@ -222,6 +222,33 @@ class TestLosses:
         mixed = gk.tensor([1.0, -1.0])
         assert loss_lvl1(mixed, np.array([1, 0])).item() == pytest.approx(0.3133, abs=5e-5)
 
+    def test_lvl1_block_gives_each_rows_loss(self):
+        # a (k, N) block: one loss per row, each equal, with its gradient,
+        # to the loss of that row alone
+        rng = np.random.default_rng(21)
+        values = rng.normal(size=(5, 7)) * 4
+        targets = (rng.random((5, 7)) > 0.6).astype(float)
+        block = gk.tensor(values, requires_grad=True)
+        losses = loss_lvl1(block, targets)
+        assert losses.shape == (5,)
+        gk.backward(gk.reduce_sum(losses))
+        for k in range(5):
+            row = gk.tensor(values[k], requires_grad=True)
+            alone = loss_lvl1(row, targets[k])
+            assert alone.shape == ()
+            assert losses.value[k] == alone.value
+            gk.backward(alone)
+            assert np.array_equal(block.grad[k], row.grad)
+
+    def test_constrained_floors_each_row(self):
+        l1 = gk.tensor([0.2, 0.7, 0.4], requires_grad=True)
+        l0 = gk.tensor(0.5, requires_grad=True)
+        floored = loss_constrained(l1, l0)
+        assert floored.value.tolist() == [0.5, 0.7, 0.5]
+        gk.backward(gk.reduce_sum(floored))
+        assert l1.grad.tolist() == [0.0, 1.0, 0.0]
+        assert l0.grad == 2.0
+
     def test_constrained_is_max(self):
         assert loss_constrained(gk.tensor(0.2), gk.tensor(0.5)).item() == 0.5
         assert loss_constrained(gk.tensor(0.5), gk.tensor(0.2)).item() == 0.5
@@ -283,7 +310,7 @@ class TestEndToEndGradients:
             scores = score_expression(props, vocab_texts + [text], params).referring_scores
             logits, _ = level0_distribution(scores, 4)
             l0 = loss_lvl0(logits, 1)
-            l1 = loss_lvl1(gk.narrow(scores, 0, 4, 1), targets[None])
+            l1 = loss_lvl1(gk.reshape(gk.narrow(scores, 0, 4, 1), (-1,)), targets)
             return loss_total(loss_hmce(l0, loss_constrained(l1, l0), "mixed"), 0.0)
 
         report = gk.check_gradients(f, params.leaves(), max_entries_per_param=4)

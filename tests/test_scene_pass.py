@@ -81,7 +81,7 @@ def test_scene_loss_and_gradients_match_the_oracle(setup, ablation):
             assert np.any(reference_grads["attn_q"] != 0.0)
 
 
-def test_one_scene_records_at_most_200_tape_nodes(setup):
+def test_one_scene_records_at_most_125_tape_nodes(setup):
     cfg, _, table, encoded = setup
     tcfg = TrainConfig(seed=11)
     vocab = Level0Vocabulary()
@@ -89,7 +89,7 @@ def test_one_scene_records_at_most_200_tape_nodes(setup):
     item = next(e for e in encoded if e.scene.image_type == "mixed")
     hmce, _, _ = _scene_losses(item, fresh_params(seed=22), vocab, vocab_texts, table,
                                tcfg, np.random.default_rng(0), cfg.max_tokens)
-    assert len(gk.Tape(hmce).nodes) <= 200
+    assert len(gk.Tape(hmce).nodes) <= 125
 
 
 TCFG_SHORT = TrainConfig(seed=11, stage1_epochs=2, stage2_epochs=2)

@@ -98,6 +98,16 @@ def test_batch_loss_and_gradients_match_the_oracle(encoded, ablation):
                                        err_msg=name)
 
 
+def test_one_batch_records_at_most_60_tape_nodes(encoded):
+    # corner pairs and one IoU pass over [pred, mid]: the node count does
+    # not grow with the scenes or rows of a batch
+    tcfg = TrainConfig(seed=11)
+    for scenes in (mixed_batch(encoded), encoded[:4]):
+        pairs = [p for p in (match_scene(item, MatchConfig()) for item in scenes)
+                 if p is not None]
+        assert len(gk.Tape(stage1_loss(pairs, BoxRefiner(seed=3), tcfg)).nodes) <= 60
+
+
 def test_each_scene_is_matched_once(encoded, monkeypatch):
     calls = []
 
