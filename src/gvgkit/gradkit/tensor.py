@@ -1,9 +1,14 @@
 """Reverse-mode automatic differentiation over small dense tensors.
 
 Every primitive stores its parents and a backward closure on the result
-node; ``backward`` walks the recorded graph once in reverse topological
-order. Everything is float64 and CPU-only. Each node costs a fixed
-Python overhead, so models batch their work into few, larger nodes:
+node, and every tensor gets a creation number. A node is always created
+after its parents, so ``backward`` visits the graph in one pass, highest
+creation number first, off a heap: by the time a node is popped, every
+consumer has added its share, and its gradient is complete. Only tensors
+that require grad receive ``.grad``; the primitives with two operands
+compute no gradient for a constant one. Everything is float64 and
+CPU-only. Each node costs a fixed Python overhead, so models batch
+their work into few, larger nodes:
 ``matmul`` multiplies stacks of matrices with numpy broadcasting,
 ``reshape`` and ``permute`` move axes (attention heads, for one), and
 ``masked_max_pool`` takes a mask that broadcasts against its input, so
@@ -22,6 +27,8 @@ non-finite loss, and ``Adam.step`` a non-finite gradient.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -36,15 +43,20 @@ class DomainError(ValueError):
 
 
 _TIE_EPS = 1e-9
+# creation numbers, parents before children; only their order is read,
+# so one counter serves every graph in the process
+_created = itertools.count()
 
 
 class Tensor:
-    __slots__ = ("value", "requires_grad", "grad", "_parents", "_backward_fn", "_tie_gap")
+    __slots__ = ("value", "requires_grad", "grad", "_parents", "_backward_fn",
+                 "_tie_gap", "_order")
 
     def __init__(self, value, requires_grad: bool = False):
         self.value = np.asarray(value, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
+        self._order = next(_created)
         self._parents: tuple["Tensor", ...] = ()
         self._backward_fn: Optional[Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]] = None
         # on max-style nodes that require grad: returns the smallest
@@ -107,12 +119,23 @@ def _as_tensor(x) -> Tensor:
 
 def _node(value: np.ndarray, parents: tuple[Tensor, ...],
           backward_fn, tie_gap=None) -> Tensor:
-    out = Tensor(value, requires_grad=any(p.requires_grad for p in parents))
-    if out.requires_grad:
-        out._parents = parents
-        out._backward_fn = backward_fn
-        # a tie among constants cannot move when a parameter is nudged
-        out._tie_gap = tie_gap
+    """The result of a primitive. ``value`` is float64 already; only a
+    numpy scalar (a full reduction, 0-d arithmetic) is wrapped."""
+    out = Tensor.__new__(Tensor)
+    out.value = value if type(value) is np.ndarray else np.asarray(value, dtype=np.float64)
+    out.grad = None
+    out._order = next(_created)
+    for parent in parents:
+        if parent.requires_grad:
+            out.requires_grad = True
+            out._parents = parents
+            out._backward_fn = backward_fn
+            # a tie among constants cannot move when a parameter is nudged
+            out._tie_gap = tie_gap
+            return out
+    out.requires_grad = False
+    out._parents = ()
+    out._backward_fn = out._tie_gap = None
     return out
 
 
@@ -146,25 +169,33 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # elementwise arithmetic
 
 
+# Binary primitives return None for an operand that needs no gradient.
+
+
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     value = a.value + b.value
-    return _node(value, (a, b), lambda g: (_unbroadcast(g, a.value.shape),
-                                           _unbroadcast(g, b.value.shape)))
+    return _node(value, (a, b),
+                 lambda g: (_unbroadcast(g, a.value.shape) if a.requires_grad else None,
+                            _unbroadcast(g, b.value.shape) if b.requires_grad else None))
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     value = a.value - b.value
-    return _node(value, (a, b), lambda g: (_unbroadcast(g, a.value.shape),
-                                           _unbroadcast(-g, b.value.shape)))
+    return _node(value, (a, b),
+                 lambda g: (_unbroadcast(g, a.value.shape) if a.requires_grad else None,
+                            _unbroadcast(-g, b.value.shape) if b.requires_grad else None))
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     value = a.value * b.value
-    return _node(value, (a, b), lambda g: (_unbroadcast(g * b.value, a.value.shape),
-                                           _unbroadcast(g * a.value, b.value.shape)))
+    return _node(value, (a, b),
+                 lambda g: (_unbroadcast(g * b.value, a.value.shape) if a.requires_grad
+                            else None,
+                            _unbroadcast(g * a.value, b.value.shape) if b.requires_grad
+                            else None))
 
 
 def div(a, b) -> Tensor:
@@ -173,8 +204,10 @@ def div(a, b) -> Tensor:
         raise DomainError("division by zero")
     value = a.value / b.value
     return _node(value, (a, b),
-                 lambda g: (_unbroadcast(g / b.value, a.value.shape),
-                            _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape)))
+                 lambda g: (_unbroadcast(g / b.value, a.value.shape) if a.requires_grad
+                            else None,
+                            _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape)
+                            if b.requires_grad else None))
 
 
 def neg(a) -> Tensor:
@@ -250,20 +283,29 @@ def matmul(a, b) -> Tensor:
 
     def backward(g):
         av, bv = a.value, b.value
-        if av.ndim == 1 and bv.ndim == 1:
-            return (g * bv, g * av)
-        if av.ndim == 1:
-            return (g @ bv.T, np.outer(av, g))
-        if bv.ndim == 1:
-            return (np.outer(g, bv), av.T @ g)
-        if bv.ndim == 2:
-            # a stack times one matrix: one product over all stacked rows
-            return (g @ bv.T,
-                    av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
-        return (_unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape),
-                _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape))
+        return (_matmul_grad_a(g, av, bv) if a.requires_grad else None,
+                _matmul_grad_b(g, av, bv) if b.requires_grad else None)
 
     return _node(value, (a, b), backward)
+
+
+def _matmul_grad_a(g: np.ndarray, av: np.ndarray, bv: np.ndarray) -> np.ndarray:
+    if bv.ndim == 1:
+        return g * bv if av.ndim == 1 else np.outer(g, bv)
+    if bv.ndim == 2:
+        return g @ bv.T
+    return _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape)
+
+
+def _matmul_grad_b(g: np.ndarray, av: np.ndarray, bv: np.ndarray) -> np.ndarray:
+    if av.ndim == 1:
+        return g * av if bv.ndim == 1 else np.outer(av, g)
+    if bv.ndim == 1:
+        return av.T @ g
+    if bv.ndim == 2:
+        # a stack times one matrix: one product over all stacked rows
+        return av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+    return _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape)
 
 
 def transpose(a) -> Tensor:
@@ -358,24 +400,24 @@ def max_over_axis(a, axis: int = 0) -> Tensor:
 def maximum(a, b) -> Tensor:
     """Elementwise max; ties route the gradient to the first argument."""
     a, b = _as_tensor(a), _as_tensor(b)
-    take_a = a.value >= b.value
-    value = np.where(take_a, a.value, b.value)
-    gate = take_a.astype(np.float64)
-    return _node(value, (a, b),
-                 lambda g: (_unbroadcast(g * gate, a.value.shape),
-                            _unbroadcast(g * (1.0 - gate), b.value.shape)),
-                 tie_gap=_elementwise_gap(a, b))
+    return _pick(a, b, a.value >= b.value)
 
 
 def minimum(a, b) -> Tensor:
     """Elementwise min; ties route the gradient to the first argument."""
     a, b = _as_tensor(a), _as_tensor(b)
-    take_a = a.value <= b.value
+    return _pick(a, b, a.value <= b.value)
+
+
+def _pick(a: Tensor, b: Tensor, take_a: np.ndarray) -> Tensor:
+    """``a`` where ``take_a``, else ``b``; the gradient follows the pick."""
     value = np.where(take_a, a.value, b.value)
     gate = take_a.astype(np.float64)
     return _node(value, (a, b),
-                 lambda g: (_unbroadcast(g * gate, a.value.shape),
-                            _unbroadcast(g * (1.0 - gate), b.value.shape)),
+                 lambda g: (_unbroadcast(g * gate, a.value.shape) if a.requires_grad
+                            else None,
+                            _unbroadcast(g * (1.0 - gate), b.value.shape)
+                            if b.requires_grad else None),
                  tie_gap=_elementwise_gap(a, b))
 
 
@@ -517,27 +559,32 @@ class Tape:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``.grad`` on every tensor the scalar loss depends on."""
+    """Populate ``.grad`` on every tensor that requires grad and that the
+    scalar loss depends on. Nodes leave a heap highest creation number
+    first, so each one's consumers have all been visited before it."""
     if loss.value.ndim != 0:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.value.shape}")
     if not np.isfinite(loss.value):
         raise ValueError("backward on a non-finite loss")
-    tape = Tape(loss)
+    if not loss.requires_grad:
+        return
     grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
-    for node in reversed(tape.nodes):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node.requires_grad:
-            node.grad = g if node.grad is None else node.grad + g
+    heap: list[tuple[int, Tensor]] = [(-loss._order, loss)]
+    while heap:
+        node = heapq.heappop(heap)[1]
+        g = grads.pop(id(node))
+        node.grad = g if node.grad is None else node.grad + g
         if node._backward_fn is None:
             continue
-        parent_grads = node._backward_fn(g)
-        for parent, pg in zip(node._parents, parent_grads):
+        for parent, pg in zip(node._parents, node._backward_fn(g)):
             if pg is None or not parent.requires_grad:
                 continue
             acc = grads.get(id(parent))
-            grads[id(parent)] = pg if acc is None else acc + pg
+            if acc is None:
+                grads[id(parent)] = pg
+                heapq.heappush(heap, (-parent._order, parent))
+            else:
+                grads[id(parent)] = acc + pg
 
 
 def zero_grad(params: Sequence[Tensor]) -> None:

@@ -7,11 +7,14 @@ ranks candidate regions for a given expression by fusing sentence-level
 and word-level similarities with a learned balance weight.
 
 Both levels come from one batched pass per scene: ``score_expression``
-pads the vocabulary sentences and the scene's expressions into one
+packs the vocabulary sentences and the scene's expressions into one
 (K, T) token batch and scores all K texts against the N proposals at
-once. The proposals are projected once; the K texts share one token
-projection, one masked multi-head cross-attention, one feed-forward
-block and one cosine step, which yield a (K, N) referring-score matrix.
+once. The block holds content tokens only: each text's valid tokens
+sit to the left, and T is the largest content count, so filler words
+never reach the pass. The proposals are projected once; the K texts
+share one token projection, one masked multi-head cross-attention, one
+feed-forward block and one cosine step, which yield a (K, N)
+referring-score matrix.
 ``level0_distribution`` pools the vocabulary rows of that matrix, and
 each expression reads its own row. The pass runs on gradkit tensors so
 the training losses get exact reverse-mode gradients; prediction code
@@ -92,8 +95,10 @@ class RelevanceOutput:
     """Per-proposal relevance pieces for K texts; row k belongs to text k."""
 
     sentence_scores: Tensor      # (K, N)    cosine-to-sentence / temperature
-    word_scores: Tensor          # (K, N, T) cosine-to-token / temperature; entries
-                                 #           at invalid tokens are not scores
+    word_scores: Tensor          # (K, N, T) cosine-to-token / temperature, over
+                                 #           the content-token slots of
+                                 #           ``stack_texts``; entries at its
+                                 #           padding are not scores
     sentence_weight: Tensor      # (K, 1)    balance in (0, 1)
     referring_scores: Tensor     # (K, N)    fused ranking scores
 
@@ -282,17 +287,19 @@ class HrsParams:
 
 
 def stack_texts(texts: Sequence[TextFeatures]) -> tuple[np.ndarray, np.ndarray]:
-    """Pad K texts into one (K, T, d_t) token block and its (K, T)
-    validity mask; padding positions are zero and invalid."""
+    """Pack the valid tokens of K texts, in order and to the left, into
+    one (K, T, d_t) token block and its (K, T) validity mask, T being
+    the largest content count. Padding positions are zero and invalid.
+    Invalid tokens add exact zeros to every score, so leaving them out
+    changes only the order of the sums."""
     if not texts:
         raise ValueError("need at least one text to score")
-    width = max(text.valid_mask.shape[0] for text in texts)
-    embeddings = np.zeros((len(texts), width, texts[0].token_embeddings.shape[1]))
-    valid_mask = np.zeros((len(texts), width), dtype=bool)
-    for k, text in enumerate(texts):
-        embeddings[k, :len(text.valid_mask)] = text.token_embeddings
-        valid_mask[k, :len(text.valid_mask)] = text.valid_mask
-    return embeddings, valid_mask
+    content = [text.token_embeddings[text.valid_mask] for text in texts]
+    counts = np.array([len(tokens) for tokens in content])
+    embeddings = np.zeros((len(texts), counts.max(), texts[0].token_embeddings.shape[1]))
+    for k, tokens in enumerate(content):
+        embeddings[k, :len(tokens)] = tokens
+    return embeddings, np.arange(counts.max()) < counts[:, None]
 
 
 def fuse(proposals: ProposalFeatures, tokens: Tensor, valid_mask: np.ndarray,
@@ -348,7 +355,7 @@ def referring_score(fused: Tensor, tokens: Tensor, valid_mask: np.ndarray,
     weight.
 
     A text's sentence feature is the max-pool of its valid projected
-    tokens. Word scores keep the padded token width; entries at invalid
+    tokens. Word scores keep the block's token width; entries at padding
     positions are not similarities and never enter the rowwise max.
     """
     n_texts, n_props = fused.shape[:2]

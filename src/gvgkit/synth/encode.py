@@ -143,20 +143,29 @@ def _context_block(scene: SceneAnnotation, cfg: SynthConfig) -> np.ndarray:
     return ctx * cfg.context_strength
 
 
+def _uniform(low: float, high: float, u: float) -> float:
+    """A draw ``u`` of ``rng.random()`` scaled to [low, high) with the
+    arithmetic of ``rng.uniform``, so the result equals what
+    ``rng.uniform(low, high)`` would have drawn, bit for bit."""
+    return low + (high - low) * u
+
+
 def _jitter_box(box: BBox, cfg: SynthConfig, rng: np.random.Generator) -> BBox:
     """Detector-style box corruption: a systematic bias (boxes inflated
     and shifted toward the lower right, as an untuned detector would
     produce consistently) plus random noise. The systematic part is what
     the refinement stage can and should learn away; totals stay within
-    the configured centre/scale envelopes."""
+    the configured centre/scale envelopes. The four draws come from one
+    ``rng.random(4)``."""
     bias_c = 0.6 * cfg.jitter_centre
     noise_c = 0.4 * cfg.jitter_centre
     bias_s = 0.75 * cfg.jitter_scale
     noise_s = 0.25 * cfg.jitter_scale
-    cx = box.cx + (bias_c + rng.uniform(-noise_c, noise_c)) * box.w
-    cy = box.cy + (bias_c + rng.uniform(-noise_c, noise_c)) * box.h
-    w = box.w * (1.0 + bias_s + rng.uniform(-noise_s, noise_s))
-    h = box.h * (1.0 + bias_s + rng.uniform(-noise_s, noise_s))
+    u_cx, u_cy, u_w, u_h = rng.random(4).tolist()
+    cx = box.cx + (bias_c + _uniform(-noise_c, noise_c, u_cx)) * box.w
+    cy = box.cy + (bias_c + _uniform(-noise_c, noise_c, u_cy)) * box.h
+    w = box.w * (1.0 + bias_s + _uniform(-noise_s, noise_s, u_w))
+    h = box.h * (1.0 + bias_s + _uniform(-noise_s, noise_s, u_h))
     w, h = max(w, 1e-4), max(h, 1e-4)
     cx = min(max(cx, w / 2), 1 - w / 2)
     cy = min(max(cy, h / 2), 1 - h / 2)
@@ -164,13 +173,15 @@ def _jitter_box(box: BBox, cfg: SynthConfig, rng: np.random.Generator) -> BBox:
 
 
 def _background_box(gt_boxes: list[BBox], rng: np.random.Generator) -> BBox:
-    """A box over soil: disjoint from every instance when possible."""
+    """A box over soil: disjoint from every instance when possible. Each
+    try draws one ``rng.random(4)``."""
     gt_corners = [box.to_corners() for box in gt_boxes]
     for _ in range(60):
-        w = rng.uniform(0.04, 0.14)
-        h = rng.uniform(0.04, 0.14)
-        cx = rng.uniform(w / 2, 1 - w / 2)
-        cy = rng.uniform(h / 2, 1 - h / 2)
+        u_w, u_h, u_cx, u_cy = rng.random(4).tolist()
+        w = _uniform(0.04, 0.14, u_w)
+        h = _uniform(0.04, 0.14, u_h)
+        cx = _uniform(w / 2, 1 - w / 2, u_cx)
+        cy = _uniform(h / 2, 1 - h / 2, u_cy)
         candidate = BBox(cx, cy, w, h)
         x1, y1, x2, y2 = candidate.to_corners()
         for ox1, oy1, ox2, oy2 in gt_corners:

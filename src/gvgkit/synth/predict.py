@@ -22,9 +22,9 @@ from gvgkit.geometry import centre_rows, corners
 from gvgkit.hrs import HrsParams, Level0Vocabulary
 from gvgkit.synth.boxhead import BoxRefiner
 from gvgkit.synth.config import SynthConfig, TrainConfig
-from gvgkit.synth.encode import EmbeddingTable, encode_proposals, encode_text
+from gvgkit.synth.encode import EmbeddingTable, encode_proposals
 from gvgkit.synth.scenes import SplitData
-from gvgkit.synth.train import vocabulary_texts
+from gvgkit.synth.train import encode_texts, vocabulary_texts
 
 PREDICTIONS_FORMAT = "gvgkit-predictions"
 PREDICTIONS_VERSION = 2
@@ -78,19 +78,19 @@ def predict_split(split: SplitData, cfg: SynthConfig, tcfg: TrainConfig,
     for scene in split.scenes:
         proposals, _ = encode_proposals(scene, cfg, table)
         exprs = split.expressions_for(scene.image_id)
-        for e in exprs:
-            if e.text not in encoded:
-                encoded[e.text] = encode_text(e.text, table, cfg.max_tokens)
-        texts = vocab_texts + [encoded[e.text] for e in exprs]
+        texts = vocab_texts + encode_texts([e.text for e in exprs], table,
+                                           cfg.max_tokens, encoded)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # a non-finite score is reported by the check below
+            # a non-finite score or box is reported by the checks below
             scores = hrs.score_expression(proposals, texts, frozen,
                                           tcfg.ablation).referring_scores
+            refined = refiner.refine_numpy(centre_rows(proposals.boxes))
         if not np.all(np.isfinite(scores.value)):
             raise OverflowError(f"non-finite referring scores for image {scene.image_id}")
+        if not np.all(np.isfinite(refined)):
+            raise OverflowError(f"non-finite refined boxes for image {scene.image_id}")
         logits, _ = hrs.level0_distribution(scores, len(vocab_texts))
         level0_class = int(np.argmax(logits.value))
-        refined = refiner.refine_numpy(centre_rows(proposals.boxes))
         corners_px = corners(refined) * np.array([scene.width, scene.height,
                                                   scene.width, scene.height])
         background_scores = scores.value[background_class]

@@ -91,6 +91,15 @@ def vocabulary_texts(vocab: Level0Vocabulary, table: EmbeddingTable,
     return [encode_text(sentence, table, max_tokens) for sentence in vocab.sentences]
 
 
+def encode_texts(texts: list[str], table: EmbeddingTable, max_tokens: int,
+                 cache: dict[str, hrs.TextFeatures]) -> list[hrs.TextFeatures]:
+    """Each text's encoding; a text is encoded once per ``cache``."""
+    for text in texts:
+        if text not in cache:
+            cache[text] = encode_text(text, table, max_tokens)
+    return [cache[text] for text in texts]
+
+
 def _epoch_rng(seed: int, stage: int, epoch: int) -> np.random.Generator:
     return np.random.default_rng([seed, stage, epoch])
 
@@ -239,15 +248,18 @@ def _pick_expressions(item: EncodedScene, count: int,
 
 def _scene_losses(item: EncodedScene, params: HrsParams, vocab: Level0Vocabulary,
                   vocab_texts, table: EmbeddingTable, tcfg: TrainConfig,
-                  rng: np.random.Generator, max_tokens: int):
+                  rng: np.random.Generator, max_tokens: int,
+                  encoded_texts: dict[str, hrs.TextFeatures]):
     """Per-scene objective: existence cross-entropy plus the constrained
     instance loss averaged over the sampled expressions. The existence
     floor applies per expression, then the type weights combine the two
     levels. One batched pass scores the vocabulary sentences and the
     sampled expressions together, and the k expression rows of its
-    scores give k instance losses in one (k, N) pass."""
+    scores give k instance losses in one (k, N) pass. ``encoded_texts``
+    caches each text's encoding across calls."""
     exprs = _pick_expressions(item, tcfg.expressions_per_scene, rng)
-    texts = vocab_texts + [encode_text(e.text, table, max_tokens) for e in exprs]
+    texts = vocab_texts + encode_texts([e.text for e in exprs], table, max_tokens,
+                                       encoded_texts)
     scores = hrs.score_expression(item.proposals, texts, params,
                                   tcfg.ablation).referring_scores
     logits, _ = hrs.level0_distribution(scores, len(vocab_texts))
@@ -271,14 +283,17 @@ def train_stage2(encoded: list[EncodedScene], params: HrsParams,
                  vocab: Level0Vocabulary, table: EmbeddingTable,
                  tcfg: TrainConfig, max_tokens: int) -> list[LogRow]:
     """Train the scoring head with the refiner frozen. Texts are capped
-    at ``max_tokens`` tokens, the cap prediction applies too."""
+    at ``max_tokens`` tokens, the cap prediction applies too. Each
+    sampled text is encoded once per run."""
     vocab_texts = vocabulary_texts(vocab, table, max_tokens)
+    encoded_texts: dict[str, hrs.TextFeatures] = {}
 
     def batch_loss(batch, rng, terms):
         pieces = []
         for item in batch:
             hmce, l0_val, l1c_val = _scene_losses(
-                item, params, vocab, vocab_texts, table, tcfg, rng, max_tokens)
+                item, params, vocab, vocab_texts, table, tcfg, rng, max_tokens,
+                encoded_texts)
             pieces.append(hmce)
             terms["loss_lvl0"].append(l0_val)
             terms["loss_lvl1c"].append(l1c_val)

@@ -21,9 +21,10 @@ def decode_tensor(spec: dict) -> np.ndarray:
     return np.frombuffer(base64.b64decode(spec["float64_le"], validate=True), dtype="<f8")
 
 
-def set_tensor_value(payload: dict, name: str, index: int, value: float) -> None:
+def set_tensor_value(payload: dict, name: str, index, value: float) -> None:
     """Decode tensor ``name`` of a checkpoint payload, set its flat entry
-    ``index`` to ``value`` and store it back encoded."""
+    or entries ``index`` (an int or a slice) to ``value`` and store it
+    back encoded."""
     spec = payload["tensors"][name]
     values = decode_tensor(spec).copy()
     values[index] = value
@@ -257,15 +258,28 @@ def run_subprocess(argv):
                           capture_output=True, text=True, timeout=300)
 
 
-# case -> (command, config or checkpoint edit, start of the error)
+# case -> (command, (edited file, edits), start of the error); an edit
+# (key, index, value) sets train[key] in config.json, or the flat entries
+# ``index`` of tensor ``key`` in a checkpoint
 FAILING_RUNS = {
-    "stage 1 diverges": (["train", "--stage", "1"], ("config.json", "lr_init", 1e307),
+    "stage 1 diverges": (["train", "--stage", "1"],
+                         ("config.json", [("lr_init", None, 1e307)]),
                          "error: stage 1 diverged in epoch 0:"),
-    "stage 2 diverges": (["train", "--stage", "2"], ("config.json", "lr_init", 1e150),
+    "stage 2 diverges": (["train", "--stage", "2"],
+                         ("config.json", [("lr_init", None, 1e150)]),
                          "error: stage 2 diverged in epoch 0:"),
     "scores overflow": (["predict", "--split", "test"],   # temperature 5e-324
-                        ("params.json", "log_temperature", -745.0),
+                        ("params.json", [("log_temperature", 0, -745.0)]),
                         "error: non-finite referring scores"),
+    # box.w2 is (hidden, 4), so [c::4] is column c: every refined centre
+    # overflows to -inf, and every size stays finite
+    "refined boxes overflow": (["predict", "--split", "test"],
+                               ("refiner.json", [("box.w1", slice(None), 1e300),
+                                                 ("box.w2", slice(0, None, 4), -1e300),
+                                                 ("box.w2", slice(1, None, 4), -1e300),
+                                                 ("box.w2", slice(2, None, 4), 0.0),
+                                                 ("box.w2", slice(3, None, 4), 0.0)]),
+                               "error: non-finite refined boxes"),
 }
 
 
@@ -274,12 +288,13 @@ def test_failing_run_prints_only_its_error(run_dir, tmp_path, case):
     copied = ("train.jsonl", "test.jsonl", "config.json", "refiner.json", "params.json")
     for name in copied:
         (tmp_path / name).write_bytes((run_dir / name).read_bytes())
-    argv, (edited, key, value), message = FAILING_RUNS[case]
+    argv, (edited, edits), message = FAILING_RUNS[case]
     payload = json.loads((tmp_path / edited).read_text())
-    if edited == "config.json":
-        payload["train"][key] = value
-    else:
-        set_tensor_value(payload, key, 0, value)
+    for key, index, value in edits:
+        if edited == "config.json":
+            payload["train"][key] = value
+        else:
+            set_tensor_value(payload, key, index, value)
     (tmp_path / edited).write_text(json.dumps(payload))
     edited_bytes = (tmp_path / edited).read_bytes()
     proc = run_subprocess(argv + ["--out", str(tmp_path)])

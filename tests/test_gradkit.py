@@ -6,6 +6,7 @@ from gvgkit.geometry import BBox
 
 import per_text_oracle as oracle
 from box_oracle import InterpConfig, grad_loss_interp_iou, loss_interp_iou
+from tape_walk_oracle import tape_walk_gradients
 
 
 def check(f, params, **kw):
@@ -172,6 +173,102 @@ class TestBackward:
         z = gk.reduce_sum(gk.add(gk.mul(x, x), x))
         gk.backward(z)
         assert np.allclose(x.grad, [7.0])
+
+
+def count_backward_calls(loss):
+    """Wrap the backward closure of every node behind ``loss`` with a
+    counter; returns {id(node): calls}."""
+    calls = {}
+    for node in gk.Tape(loss).nodes:
+        if node._backward_fn is not None:
+            calls[id(node)] = 0
+
+            def counted(g, fn=node._backward_fn, key=id(node)):
+                calls[key] += 1
+                return fn(g)
+            node._backward_fn = counted
+    return calls
+
+
+def assert_matches_tape_walk(loss, tol=1e-12):
+    reference = tape_walk_gradients(loss)
+    calls = count_backward_calls(loss)
+    gk.backward(loss)
+    nodes = [n for n in gk.Tape(loss).nodes if n.requires_grad]
+    assert {id(n) for n in nodes} == set(reference)
+    for node in nodes:
+        assert node.grad.shape == node.value.shape
+        assert np.max(np.abs(node.grad - reference[id(node)]), initial=0.0) <= tol
+    # each node's gradient was complete when it was popped: one visit each
+    assert set(calls.values()) == {1}
+
+
+class TestHeapWalk:
+    def test_consumers_created_out_of_order(self):
+        rng = np.random.default_rng(8)
+        x = gk.tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        w = gk.tensor(rng.normal(size=(4, 4)), requires_grad=True)
+        shared = gk.matmul(x, w)
+        first = gk.tanh(shared)                              # consumer 1
+        square = gk.mul(shared, shared)                      # consumers 2 and 3
+        late = gk.add(gk.exp(gk.mul(first, 0.1)), shared)    # consumer 4
+        # the loss lists its operands newest first, and reaches ``shared``
+        # again through a node made last (consumer 5)
+        loss = gk.reduce_sum(gk.add(gk.add(late, square), gk.mul(first, shared)))
+        creation = [n._order for n in (shared, first, square, late, loss)]
+        assert creation == sorted(creation)
+        assert_matches_tape_walk(loss)
+        t = np.tanh(x.value @ w.value)
+        d_shared = (1 - t * t) * (0.1 * np.exp(0.1 * t) + x.value @ w.value) + 1 \
+            + 2 * (x.value @ w.value) + t
+        assert np.allclose(x.grad, d_shared @ w.value.T, atol=1e-12)
+        assert np.allclose(w.grad, x.value.T @ d_shared, atol=1e-12)
+
+    def test_leaf_used_by_many_nodes(self):
+        x = gk.tensor([0.5, -1.5, 2.0], requires_grad=True)
+        parts = [gk.mul(x, float(k)) for k in range(5)]
+        loss = gk.reduce_sum(gk.add(gk.add(parts[3], parts[0]),
+                                    gk.add(parts[4], gk.add(parts[1], parts[2]))))
+        assert_matches_tape_walk(loss)
+        assert np.array_equal(x.grad, np.full(3, 10.0))
+
+    def test_constant_loss_is_a_no_op(self):
+        loss = gk.reduce_sum(gk.constant([1.0, 2.0]))
+        gk.backward(loss)
+        assert loss.grad is None
+
+
+BINARY = {
+    "add": gk.add, "sub": gk.sub, "mul": gk.mul, "div": gk.div,
+    "matmul": gk.matmul, "maximum": gk.maximum, "minimum": gk.minimum,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BINARY))
+@pytest.mark.parametrize("constant_side", [0, 1])
+def test_constant_operand_gets_no_gradient(name, constant_side):
+    rng = np.random.default_rng(9)
+    operands = [rng.uniform(0.5, 2.0, size=(3, 3)) for _ in range(2)]
+    const = gk.constant(operands[constant_side])
+    param = gk.tensor(operands[1 - constant_side], requires_grad=True)
+    pair = [param, param]
+    pair[constant_side] = const
+    out = BINARY[name](*pair)
+    # the primitive computes nothing for the constant operand ...
+    grads = out._backward_fn(np.ones_like(out.value))
+    assert grads[constant_side] is None
+    assert grads[1 - constant_side].shape == param.value.shape
+    # ... and the walk gives it no .grad, while the parameter gets its own
+    gk.backward(gk.reduce_sum(out))
+    assert const.grad is None and param.grad is not None
+
+
+def test_constant_part_of_concat_gets_no_gradient():
+    const = gk.constant(np.ones(2))
+    param = gk.tensor(np.ones(3), requires_grad=True)
+    gk.backward(gk.reduce_sum(gk.mul(gk.concat([const, param]), 2.0)))
+    assert const.grad is None
+    assert np.array_equal(param.grad, np.full(3, 2.0))
 
 
 class TestFiniteDifferences:

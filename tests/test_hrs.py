@@ -116,7 +116,8 @@ class TestReferringScore:
         text = make_text(rng, tokens=5, valid=[1, 1, 1, 0, 1])
         out = score_expression(props, [text], params)
         w = out.sentence_weight.value[0, 0]
-        word_max = np.where(text.valid_mask, out.word_scores.value[0], -np.inf).max(axis=1)
+        packed_mask = stack_texts([text])[1][0]
+        word_max = np.where(packed_mask, out.word_scores.value[0], -np.inf).max(axis=1)
         recomputed = w * out.sentence_scores.value[0] + (1 - w) * word_max
         assert np.max(np.abs(out.referring_scores.value[0] - recomputed)) <= 1e-12
         assert 0.0 < w < 1.0

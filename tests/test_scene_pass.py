@@ -8,6 +8,7 @@ import pytest
 
 import per_text_oracle as oracle
 import copy
+from tape_walk_oracle import tape_walk_gradients
 
 from gvgkit import gradkit as gk
 from gvgkit import hrs
@@ -69,7 +70,7 @@ def test_scene_loss_and_gradients_match_the_oracle(setup, ablation):
     for k, item in enumerate(items):
         batched, batched_grads = loss_and_grads(
             lambda: _scene_losses(item, params, vocab, vocab_texts, table, tcfg,
-                                  np.random.default_rng(k), cfg.max_tokens)[0], params)
+                                  np.random.default_rng(k), cfg.max_tokens, {})[0], params)
         reference, reference_grads = loss_and_grads(
             lambda: oracle.scene_loss(item, params, vocab, vocab_texts, table, tcfg,
                                       np.random.default_rng(k), cfg.max_tokens), params)
@@ -88,8 +89,42 @@ def test_one_scene_records_at_most_125_tape_nodes(setup):
     vocab_texts = vocabulary_texts(vocab, table, cfg.max_tokens)
     item = next(e for e in encoded if e.scene.image_type == "mixed")
     hmce, _, _ = _scene_losses(item, fresh_params(seed=22), vocab, vocab_texts, table,
-                               tcfg, np.random.default_rng(0), cfg.max_tokens)
+                               tcfg, np.random.default_rng(0), cfg.max_tokens, {})
     assert len(gk.Tape(hmce).nodes) <= 125
+
+
+@pytest.mark.parametrize("kind, nodes", [("mixed", 119), ("empty", 94)])
+def test_content_token_blocks_keep_the_graph(setup, kind, nodes):
+    # the node counts of the same scenes when every text was padded to
+    # its full token count, fillers included
+    cfg, _, table, encoded = setup
+    tcfg = TrainConfig(seed=11)
+    vocab = Level0Vocabulary()
+    vocab_texts = vocabulary_texts(vocab, table, cfg.max_tokens)
+    item = next(e for e in encoded if e.scene.image_type == kind)
+    hmce, _, _ = _scene_losses(item, fresh_params(seed=22), vocab, vocab_texts, table,
+                               tcfg, np.random.default_rng(0), cfg.max_tokens, {})
+    assert len(gk.Tape(hmce).nodes) == nodes
+
+
+def test_stage2_batch_backward_matches_the_tape_walk(setup):
+    cfg, _, table, encoded = setup
+    tcfg = TrainConfig(seed=11)
+    vocab = Level0Vocabulary()
+    vocab_texts = vocabulary_texts(vocab, table, cfg.max_tokens)
+    params = fresh_params(seed=24)
+    rng = np.random.default_rng(3)
+    batch = pick_scenes(encoded) + [encoded[-1]]
+    pieces = [_scene_losses(item, params, vocab, vocab_texts, table, tcfg, rng,
+                            cfg.max_tokens, {})[0] for item in batch]
+    total = gk.mul(pieces[0], 1.0 / len(pieces))
+    for extra in pieces[1:]:
+        total = gk.add(total, gk.mul(extra, 1.0 / len(pieces)))
+    reference = tape_walk_gradients(total)
+    gk.backward(total)
+    for name, leaf in params.leaves():
+        assert np.max(np.abs(leaf.grad - reference[id(leaf)])) <= 1e-12, name
+    assert any(np.any(leaf.grad != 0.0) for _, leaf in params.leaves())
 
 
 TCFG_SHORT = TrainConfig(seed=11, stage1_epochs=2, stage2_epochs=2)
@@ -138,6 +173,34 @@ def test_predictions_match_the_oracle(setup, trained, checkpoint, gate):
     if gate and checkpoint == "offset":
         instances = sum(e.level == "instance" for e in split.expressions)
         assert 0 < fell_back < instances
+
+
+def test_fillers_leave_the_scores_unchanged(setup):
+    # fillers with non-zero embeddings, so a filler that reached the pass
+    # would show; scored alone and next to texts of other lengths
+    cfg, _, table, encoded = setup
+    params = fresh_params(seed=25)
+    item = next(e for e in encoded if e.scene.image_type == "mixed")
+    rng = np.random.default_rng(5)
+    embeddings = rng.normal(size=(7, cfg.d_t))
+    mask = np.array([0, 1, 1, 0, 0, 1, 0], dtype=bool)
+    with_fillers = hrs.TextFeatures(token_embeddings=embeddings, valid_mask=mask)
+    content_only = hrs.TextFeatures(token_embeddings=embeddings[mask],
+                                    valid_mask=np.ones(3, dtype=bool))
+    others = vocabulary_texts(Level0Vocabulary(), table, cfg.max_tokens)[:2]
+    for texts, row in (([with_fillers], 0), ([with_fillers] + others, 0),
+                       (others + [with_fillers], 2)):
+        got = hrs.score_expression(item.proposals, texts, params)
+        want = hrs.score_expression(item.proposals, [content_only], params)
+        for field in ("sentence_scores", "referring_scores"):
+            diff = getattr(got, field).value[row] - getattr(want, field).value[0]
+            assert np.max(np.abs(diff)) <= 1e-12, field
+        # word scores index content-token slots, in the text's order
+        word_diff = got.word_scores.value[row][:, :3] - want.word_scores.value[0]
+        assert np.max(np.abs(word_diff)) <= 1e-12
+    _, packed = hrs.stack_texts([with_fillers] + others)
+    assert packed.shape[1] == max(int(t.valid_mask.sum()) for t in [with_fillers] + others)
+    assert packed[0].tolist() == [True] * 3 + [False] * (packed.shape[1] - 3)
 
 
 def test_scoring_a_text_alone_or_in_a_padded_batch_agrees(setup):

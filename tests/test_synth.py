@@ -143,6 +143,29 @@ class TestProposalEncoding:
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(ids_a, ids_b)
 
+    @pytest.mark.parametrize("crowded", [False, True])
+    def test_box_draws_match_rng_uniform(self, crowded):
+        from gvgkit.geometry import BBox
+        from gvgkit.synth.encode import _background_box, _jitter_box
+        import uniform_oracle
+        cfg = SynthConfig(jitter_centre=0.6, jitter_scale=1.2)
+        setup = np.random.default_rng(0)
+        retried = 0
+        for seed in range(300):
+            box = BBox(*setup.uniform(0.1, 0.9, 2), *setup.uniform(0.01, 0.6, 2))
+            # large boxes all over the image use up _background_box's retries
+            gts = [BBox(*setup.uniform(0.2, 0.8, 2), *setup.uniform(0.3, 0.6, 2))
+                   for _ in range(12)] if crowded else [BBox(0.5, 0.5, 0.2, 0.2)]
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert _jitter_box(box, cfg, rng) == uniform_oracle.jitter_box(box, cfg, ref)
+            assert _background_box(gts, rng) == uniform_oracle.background_box(gts, ref)
+            # both took the same number of draws
+            assert rng.bit_generator.state == ref.bit_generator.state
+            one_try = np.random.default_rng(seed)
+            one_try.random(8)
+            retried += one_try.bit_generator.state != ref.bit_generator.state
+        assert retried > (250 if crowded else 0)
+
 
 class TestSceneGeneration:
     def test_deterministic_bytes(self, tmp_path):
@@ -269,7 +292,7 @@ class TestTraining:
         vt = vocabulary_texts(vocab, table, cfg.max_tokens)
         for item in empty_items[:2]:
             hmce, l0_val, _ = _scene_losses(item, result.params, vocab, vt,
-                                            table, tcfg, rng, cfg.max_tokens)
+                                            table, tcfg, rng, cfg.max_tokens, {})
             assert hmce.item() == l0_val
 
 
