@@ -148,9 +148,13 @@ def cmd_eval(args) -> int:
     synth_cfg, train_cfg = _resolve_configs(args)
     out = Path(args.out)
     split = _load_split(out, args.split, synth_cfg)
-    preds = read_predictions(out / f"predictions-{args.split}.jsonl")
-    report = stratify(preds, split.scenes, split.expressions,
-                      strict_negatives=args.strict_negatives)
+    path = out / f"predictions-{args.split}.jsonl"
+    preds = read_predictions(path)
+    try:
+        report = stratify(preds, split.scenes, split.expressions,
+                          strict_negatives=args.strict_negatives)
+    except ValueError as err:   # a record that does not fit the split
+        raise ValueError(f"{path}: {err}") from None
     write_report(report, out / f"report-{args.split}.json", seed=train_cfg.seed,
                  fmt="json")
     table = format_table(report)

@@ -10,14 +10,14 @@ object. Thresholds are inclusive (IoU >= 0.5 is a hit, GIoU <= 0 is a
 correct rejection).
 
 The suite runs in one pass. Predictions are joined to their scenes and
-expressions once. Each instance expression then gets one pairwise box
-matrix from ``gvgkit.geometry``: IoU of its ranked boxes against its
-targets for a positive, GIoU against every scene instance for a
-negative. Each matrix is reduced to a per-expression outcome (rank of
-the first hit, targets covered, best IoU of the top box, correct
-rejection by the top box and by every box). Every metric and every
-stratum row reads a subset of that outcome table, so no row re-joins
-predictions or recomputes a box.
+expressions once. Each image gets at most one pairwise box matrix of each
+kind from ``gvgkit.geometry``, of its box table against its instances:
+IoU for positives, and GIoU for negatives, kept as a per-row flag (GIoU
+<= 0 with every instance). An instance expression's outcome (rank of the
+first hit, targets covered, best IoU of the top box, correct rejection by
+the top box and by every box) indexes them by its ranking. Every metric
+and every stratum row reads a subset of that outcome table, so no row
+re-joins predictions or recomputes a box.
 """
 
 from __future__ import annotations
@@ -128,9 +128,10 @@ class _Outcomes:
 
 def _outcomes(predictions: Predictions, scenes: list[SceneAnnotation],
               expressions: list[Expression]) -> _Outcomes:
-    """Join predictions to scenes and expressions once, then reduce one
-    pairwise box matrix per instance expression to its outcome. Boxes
-    are compared in normalized coordinates."""
+    """Join predictions to scenes and expressions once, then read each
+    instance expression's outcome off its image's IoU matrix or GIoU
+    flags, each computed at most once per image. Boxes are compared in
+    normalized coordinates."""
     records = predictions.by_expression()
     scene_boxes: dict[str, tuple[np.ndarray, np.ndarray, list[int]]] = {}
     for scene in scenes:
@@ -139,36 +140,47 @@ def _outcomes(predictions: Predictions, scenes: list[SceneAnnotation],
         boxes = np.array([(i.x1, i.y1, i.x2, i.y2) for i in scene.instances],
                          dtype=np.float64).reshape(-1, 4) / scale
         scene_boxes[scene.image_id] = (scale, boxes, [i.instance_id for i in scene.instances])
+    overlaps: dict[str, np.ndarray] = {}   # image id -> (M, G) IoU of its table
+    clean: dict[str, np.ndarray] = {}      # image id -> (M,) GIoU <= 0 with all G
 
     positives, negatives, pos, neg = [], [], [], []
     for expr in expressions:
+        record = records.get(expr.expression_id)
+        if record is not None and record.image_id != expr.image_id:
+            raise ValueError(f"the prediction for expression {expr.expression_id!r} is for "
+                             f"image {record.image_id!r}, not its image {expr.image_id!r}")
         if expr.level != "instance":
             continue
-        scale, gt, ids = scene_boxes[expr.image_id]
-        record = records.get(expr.expression_id)
-        boxes = record.boxes_px / scale if record is not None else np.zeros((0, 4))
+        image_id = expr.image_id
+        scale, gt, ids = scene_boxes[image_id]
+        ranking = record.ranking if record is not None else ()
         if expr.polarity == "positive":
             positives.append(expr)
             wanted = set(expr.target_ids)
-            targets = gt[[k for k, instance_id in enumerate(ids) if instance_id in wanted]]
-            if len(boxes) == 0 or len(targets) == 0:
-                pos.append((np.inf, 0, len(targets), 0.0))
+            columns = [k for k, instance_id in enumerate(ids) if instance_id in wanted]
+            if len(ranking) == 0 or not columns:
+                pos.append((np.inf, 0, len(columns), 0.0))
                 continue
-            overlap = iou(boxes, targets)
+            if image_id not in overlaps:
+                overlaps[image_id] = iou(predictions.tables[image_id] / scale, gt)
+            overlap = overlaps[image_id][ranking][:, columns]
             hit = overlap >= 0.5
             hit_rows = np.flatnonzero(hit.any(axis=1))
             pos.append((hit_rows[0] if len(hit_rows) else np.inf,
-                        np.count_nonzero(hit.any(axis=0)), len(targets),
+                        np.count_nonzero(hit.any(axis=0)), len(columns),
                         overlap[0].max()))
         elif expr.polarity == "negative":
             negatives.append(expr)
             if len(gt) == 0:
                 neg.append((True, True))
-            elif len(boxes) == 0:
+            elif len(ranking) == 0:
                 neg.append((False, False))
             else:
-                clean = np.all(giou(boxes, gt) <= GIOU_BOUNDARY_TOL, axis=1)
-                neg.append((clean[0], clean.all()))
+                if image_id not in clean:
+                    clean[image_id] = np.all(giou(predictions.tables[image_id] / scale, gt)
+                                             <= GIOU_BOUNDARY_TOL, axis=1)
+                rows = clean[image_id][ranking]
+                neg.append((rows[0], rows.all()))
     pos = np.array(pos, dtype=np.float64).reshape(-1, 4)
     neg = np.array(neg, dtype=bool).reshape(-1, 2)
     return _Outcomes(positives, *pos.T, negatives, *neg.T)

@@ -1,12 +1,16 @@
 """Inference: score every expression of a split and emit ranked,
 refined proposals plus the per-image existence class.
 
-A predictions file (version 2) is JSON lines. The header holds each
-image's refined boxes once, ``"boxes_xyxy_px": {image_id: [[x1, y1, x2,
-y2], ...]}``; each prediction line names its image and carries
-``ranking`` (indices into that image's table, best first) and ``scores``
-in the same order. Every expression of an image ranks the same boxes,
-so none is written more than once.
+Every expression of an image ranks the same boxes, so ``Predictions``
+holds one box table per image: its refined proposals as pixel corners,
+in proposal order. Each record carries ``ranking``, indices into its
+image's table, best first, and ``scores`` in the same order; no record
+holds boxes of its own.
+
+A predictions file (version 2) is JSON lines. The header holds the
+tables, ``"boxes_xyxy_px": {image_id: [[x1, y1, x2, y2], ...]}``; each
+prediction line names its image and carries its ``ranking`` and
+``scores``. Both are written and read back as they are.
 """
 
 from __future__ import annotations
@@ -35,13 +39,14 @@ class PredictionRecord:
     expression_id: str
     image_id: str
     level0_class: int
-    boxes_px: np.ndarray        # (N, 4) corners, score-descending
-    scores: np.ndarray          # (N,)
+    ranking: np.ndarray         # (N,) rows of the image's box table, best first
+    scores: np.ndarray          # (N,) score-descending
 
 
 @dataclass
 class Predictions:
     records: list[PredictionRecord] = field(default_factory=list)
+    tables: dict[str, np.ndarray] = field(default_factory=dict)   # (M, 4) px corners by image
     meta: dict = field(default_factory=dict)
 
     def by_expression(self) -> dict[str, PredictionRecord]:
@@ -53,7 +58,8 @@ def predict_split(split: SplitData, cfg: SynthConfig, tcfg: TrainConfig,
                   vocab: Level0Vocabulary | None = None,
                   gate_level0: bool = True) -> Predictions:
     """Rank all proposals for every expression; boxes pass through the
-    frozen refinement head. One batched pass per image scores the fixed
+    frozen refinement head into the image's box table, and each record
+    ranks that table's rows. One batched pass per image scores the fixed
     vocabulary and every expression of the image; the level-0 argmax
     comes from the vocabulary rows.
 
@@ -74,6 +80,7 @@ def predict_split(split: SplitData, cfg: SynthConfig, tcfg: TrainConfig,
     frozen = params.frozen()
 
     records: list[PredictionRecord] = []
+    tables: dict[str, np.ndarray] = {}
     encoded: dict[str, hrs.TextFeatures] = {}   # expressions are templated
     for scene in split.scenes:
         proposals, _ = encode_proposals(scene, cfg, table)
@@ -91,8 +98,8 @@ def predict_split(split: SplitData, cfg: SynthConfig, tcfg: TrainConfig,
             raise OverflowError(f"non-finite refined boxes for image {scene.image_id}")
         logits, _ = hrs.level0_distribution(scores, len(vocab_texts))
         level0_class = int(np.argmax(logits.value))
-        corners_px = corners(refined) * np.array([scene.width, scene.height,
-                                                  scene.width, scene.height])
+        tables[scene.image_id] = corners(refined) * np.array([scene.width, scene.height,
+                                                              scene.width, scene.height])
         background_scores = scores.value[background_class]
         for row, expr in enumerate(exprs, start=len(vocab_texts)):
             expr_scores = scores.value[row]
@@ -105,50 +112,33 @@ def predict_split(split: SplitData, cfg: SynthConfig, tcfg: TrainConfig,
                 expression_id=expr.expression_id,
                 image_id=scene.image_id,
                 level0_class=level0_class,
-                boxes_px=corners_px[order],
+                ranking=order,
                 scores=expr_scores[order],
             ))
-    return Predictions(records=records,
+    return Predictions(records=records, tables=tables,
                        meta={"split": split.name, "vocab": list(vocab.sentences),
                              "gate_level0": gate_level0})
 
 
 def write_predictions(preds: Predictions, path: str | Path, seed: int) -> None:
-    """Write version 2: each image's box table is derived from its
-    records, so records of one image with different boxes still round
-    trip exactly."""
-    tables, rankings = _box_tables(preds.records)
+    """Write version 2: the box tables in the header, then one line per
+    record."""
     header = {"record": "header", "format": PREDICTIONS_FORMAT,
               "version": PREDICTIONS_VERSION, "seed": seed}
     header.update(preds.meta)
-    header["boxes_xyxy_px"] = tables
+    header["boxes_xyxy_px"] = {image_id: table.tolist()
+                               for image_id, table in preds.tables.items()}
     lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
-    for rec, ranking in zip(preds.records, rankings):
+    for rec in preds.records:
         lines.append(json.dumps({
             "record": "prediction",
             "expression_id": rec.expression_id,
             "image_id": rec.image_id,
             "level0_class": rec.level0_class,
-            "ranking": ranking,
+            "ranking": rec.ranking.tolist(),
             "scores": rec.scores.tolist(),
         }, sort_keys=True, separators=(",", ":")))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _box_tables(records: list[PredictionRecord]) -> tuple[dict[str, list], list[list[int]]]:
-    """Each image's distinct boxes in order of first appearance, compared
-    bit for bit (so 0.0 and -0.0 stay apart); and each record's boxes as
-    indices into its image's table."""
-    index_of: dict[str, dict[bytes, int]] = {}
-    rankings = []
-    for rec in records:
-        index = index_of.setdefault(rec.image_id, {})
-        raw = np.asarray(rec.boxes_px, dtype=np.float64).tobytes()   # C order
-        rankings.append([index.setdefault(raw[k:k + 32], len(index))   # 4 float64s a box
-                         for k in range(0, len(raw), 32)])
-    tables = {image_id: np.frombuffer(b"".join(index)).reshape(-1, 4).tolist()
-              for image_id, index in index_of.items()}
-    return tables, rankings
 
 
 def read_predictions(path: str | Path) -> Predictions:
@@ -174,7 +164,7 @@ def read_predictions(path: str | Path) -> Predictions:
                 raise ValueError(f"{path}, line {lineno}: missing key {err}") from None
             except (TypeError, ValueError) as err:
                 raise ValueError(f"{path}, line {lineno}: {err}") from None
-    return Predictions(records=records, meta=meta)
+    return Predictions(records=records, tables=tables, meta=meta)
 
 
 def _header(header: dict) -> tuple[dict, dict[str, np.ndarray]]:
@@ -212,5 +202,5 @@ def _prediction_record(record: dict, tables: dict[str, np.ndarray]) -> Predictio
         expression_id=record["expression_id"],
         image_id=image_id,
         level0_class=record["level0_class"],
-        boxes_px=table[ranking.astype(np.intp)],
+        ranking=ranking.astype(np.intp),
         scores=scores)

@@ -311,7 +311,9 @@ def train_two_stage(train_split: SplitData, cfg: SynthConfig, tcfg: TrainConfig,
     """Train the given stages. Stage 2 never reads the refiner, so it
     runs on its own as well as after stage 1. Image types missing from
     the training split are tolerated with a warning (batches simply
-    cover fewer types)."""
+    cover fewer types); a split without scenes is an error."""
+    if not train_split.scenes:
+        raise ValueError("training split has no scenes")
     vocab = Level0Vocabulary()
     table = EmbeddingTable(cfg.seed)
     encoded = encode_split(train_split, cfg, table)

@@ -232,6 +232,33 @@ class TestErrors:
         line, message = self.MALFORMED[fault]
         assert f"{path}, line {line}: " in err and message in err, err
 
+    def test_record_of_another_image_is_a_one_line_error(self, run_dir, tmp_path, capsys):
+        """A record moved to another image of the file, with a ranking
+        valid there, is not scored against its expression's scene."""
+        for name in ("test.jsonl", "config.json"):
+            (tmp_path / name).write_bytes((run_dir / name).read_bytes())
+        lines = (run_dir / "predictions-test.jsonl").read_text().splitlines()
+        header = json.loads(lines[0])
+        tables = header["boxes_xyxy_px"]
+        _, expressions, _ = datagen.read_dataset(run_dir / "test.jsonl")
+        instance = {e.expression_id for e in expressions if e.level == "instance"}
+        index = next(k for k, line in enumerate(lines[1:], start=1)
+                     if json.loads(line)["expression_id"] in instance)
+        record = json.loads(lines[index])
+        other = max((i for i in tables if i != record["image_id"]),
+                    key=lambda i: len(tables[i]))
+        record["image_id"] = other
+        record["ranking"] = [k % len(tables[other]) for k in record["ranking"]]
+        lines[index] = json.dumps(record)
+        path = tmp_path / "predictions-test.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["eval", "--out", str(tmp_path), "--split", "test"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+        assert f"expression {record['expression_id']!r} is for image {other!r}" in err, err
+        assert not (tmp_path / "report-test.json").exists()
+
     def test_diverging_stage2_is_a_one_line_error(self, run_dir, tmp_path, capsys):
         for name in ("train.jsonl", "refiner.json"):
             (tmp_path / name).write_bytes((run_dir / name).read_bytes())
@@ -260,8 +287,11 @@ def run_subprocess(argv):
 
 # case -> (command, (edited file, edits), start of the error); an edit
 # (key, index, value) sets train[key] in config.json, or the flat entries
-# ``index`` of tensor ``key`` in a checkpoint
+# ``index`` of tensor ``key`` in a checkpoint; a dataset split keeps only
+# its header line, so it holds no scenes
 FAILING_RUNS = {
+    "empty training split": (["train"], ("train.jsonl", []),
+                             "error: training split has no scenes"),
     "stage 1 diverges": (["train", "--stage", "1"],
                          ("config.json", [("lr_init", None, 1e307)]),
                          "error: stage 1 diverged in epoch 0:"),
@@ -289,13 +319,17 @@ def test_failing_run_prints_only_its_error(run_dir, tmp_path, case):
     for name in copied:
         (tmp_path / name).write_bytes((run_dir / name).read_bytes())
     argv, (edited, edits), message = FAILING_RUNS[case]
-    payload = json.loads((tmp_path / edited).read_text())
-    for key, index, value in edits:
-        if edited == "config.json":
-            payload["train"][key] = value
-        else:
-            set_tensor_value(payload, key, index, value)
-    (tmp_path / edited).write_text(json.dumps(payload))
+    if edited.endswith(".jsonl"):
+        header = (tmp_path / edited).read_text().splitlines()[0]
+        (tmp_path / edited).write_text(header + "\n")
+    else:
+        payload = json.loads((tmp_path / edited).read_text())
+        for key, index, value in edits:
+            if edited == "config.json":
+                payload["train"][key] = value
+            else:
+                set_tensor_value(payload, key, index, value)
+        (tmp_path / edited).write_text(json.dumps(payload))
     edited_bytes = (tmp_path / edited).read_bytes()
     proc = run_subprocess(argv + ["--out", str(tmp_path)])
     assert proc.returncode == 1, proc.stderr

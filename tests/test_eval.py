@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gvgkit import datagen
+from gvgkit import datagen, evaluation
 from gvgkit.datagen import (
     Attributes,
     Expression,
@@ -53,18 +53,30 @@ def negative_expr(expr_id, image_id, kind="replace_category"):
 
 
 def record(expr_id, image_id, boxes, scores):
-    order = np.argsort(-np.asarray(scores), kind="stable")
-    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
-    return PredictionRecord(expression_id=expr_id, image_id=image_id,
-                            level0_class=0, boxes_px=boxes[order],
-                            scores=np.asarray(scores, dtype=np.float64)[order])
+    """One expression's boxes and their scores, unsorted."""
+    return expr_id, image_id, boxes, scores
+
+
+def predictions(specs):
+    """Predictions of ``record`` specs: each spec's boxes are appended to
+    its image's table, and its ranking orders them by descending score."""
+    tables, records = {}, []
+    for expr_id, image_id, boxes, scores in specs:
+        boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+        table = tables.get(image_id, np.empty((0, 4)))
+        order = np.argsort(-np.asarray(scores), kind="stable")
+        records.append(PredictionRecord(expression_id=expr_id, image_id=image_id,
+                                        level0_class=0, ranking=len(table) + order,
+                                        scores=np.asarray(scores, dtype=np.float64)[order]))
+        tables[image_id] = np.concatenate([table, boxes])
+    return Predictions(records=records, tables=tables)
 
 
 class TestBasicMetrics:
     def test_exact_top1_hit(self):
         scene = scene_with("a", [(10, 10, 40, 40)])
         expr = positive_expr("e0", "a", [0])
-        preds = Predictions(records=[record("e0", "a", [(10, 10, 40, 40)], [5.0])])
+        preds = predictions([record("e0", "a", [(10, 10, 40, 40)], [5.0])])
         assert topk(preds, [expr], [scene], 1) == 100.0
         assert mean_iou(preds, [expr], [scene]) == pytest.approx(100.0)
 
@@ -72,7 +84,7 @@ class TestBasicMetrics:
         scene = scene_with("a", [(10, 10, 40, 40)])
         expr = positive_expr("e0", "a", [0])
         boxes = [(60, 60, 90, 90), (60, 10, 90, 40), (10, 10, 40, 40)]
-        preds = Predictions(records=[record("e0", "a", boxes, [3.0, 2.0, 1.0])])
+        preds = predictions([record("e0", "a", boxes, [3.0, 2.0, 1.0])])
         assert topk(preds, [expr], [scene], 1) == 0.0
         assert topk(preds, [expr], [scene], 5) == 100.0
 
@@ -80,32 +92,32 @@ class TestBasicMetrics:
         scene = scene_with("a", [(0, 0, 40, 40)])
         expr = positive_expr("e0", "a", [0])
         # half-width box: inter 800, union 1600, IoU exactly 0.5
-        preds = Predictions(records=[record("e0", "a", [(0, 0, 20, 40)], [1.0])])
+        preds = predictions([record("e0", "a", [(0, 0, 20, 40)], [1.0])])
         assert topk(preds, [expr], [scene], 1) == 100.0
 
     def test_recall_counts_targets(self):
         scene = scene_with("a", [(10, 10, 40, 40), (60, 60, 90, 90)])
         expr = positive_expr("e0", "a", [0, 1])
         both = [(10, 10, 40, 40), (60, 60, 90, 90)]
-        preds = Predictions(records=[record("e0", "a", both, [1.0, 0.5])])
+        preds = predictions([record("e0", "a", both, [1.0, 0.5])])
         assert recall_at_05(preds, [expr], [scene]) == 100.0
-        preds = Predictions(records=[record("e0", "a", both[:1], [1.0])])
+        preds = predictions([record("e0", "a", both[:1], [1.0])])
         assert recall_at_05(preds, [expr], [scene]) == 50.0
         far = [(0, 60, 5, 65)]
-        preds = Predictions(records=[record("e0", "a", far, [1.0])])
+        preds = predictions([record("e0", "a", far, [1.0])])
         assert recall_at_05(preds, [expr], [scene]) == 0.0
 
     def test_mean_iou_partial(self):
         # geometry example: IoU 1/7
         scene = scene_with("a", [(0, 0, 20, 20)])
         expr = positive_expr("e0", "a", [0])
-        preds = Predictions(records=[record("e0", "a", [(10, 10, 30, 30)], [1.0])])
+        preds = predictions([record("e0", "a", [(10, 10, 30, 30)], [1.0])])
         assert mean_iou(preds, [expr], [scene]) == pytest.approx(100 / 7, abs=1e-9)
 
     def test_missing_prediction_counts_as_miss(self):
         scene = scene_with("a", [(10, 10, 40, 40)])
         expr = positive_expr("e0", "a", [0])
-        preds = Predictions(records=[])
+        preds = predictions([])
         assert topk(preds, [expr], [scene], 1) == 0.0
         assert mean_iou(preds, [expr], [scene]) == 0.0
 
@@ -114,9 +126,9 @@ class TestNegAcc:
     def test_three_crafted_cases(self):
         scene = scene_with("a", [(40, 40, 60, 60)])
         neg = negative_expr("n0", "a")
-        disjoint = Predictions(records=[record("n0", "a", [(70, 70, 90, 90)], [1.0])])
-        overlapping = Predictions(records=[record("n0", "a", [(45, 45, 65, 65)], [1.0])])
-        touching = Predictions(records=[record("n0", "a", [(60, 40, 80, 60)], [1.0])])
+        disjoint = predictions([record("n0", "a", [(70, 70, 90, 90)], [1.0])])
+        overlapping = predictions([record("n0", "a", [(45, 45, 65, 65)], [1.0])])
+        touching = predictions([record("n0", "a", [(60, 40, 80, 60)], [1.0])])
         assert neg_acc(disjoint, [neg], [scene]) == 100.0
         assert neg_acc(overlapping, [neg], [scene]) == 0.0
         assert neg_acc(touching, [neg], [scene]) == 100.0
@@ -124,14 +136,14 @@ class TestNegAcc:
     def test_empty_scene_counts_correct(self):
         scene = scene_with("a", [])
         neg = negative_expr("n0", "a")
-        preds = Predictions(records=[record("n0", "a", [(1, 1, 20, 20)], [1.0])])
+        preds = predictions([record("n0", "a", [(1, 1, 20, 20)], [1.0])])
         assert neg_acc(preds, [neg], [scene]) == 100.0
 
     def test_strict_mode_judges_all_proposals(self):
         scene = scene_with("a", [(40, 40, 60, 60)])
         neg = negative_expr("n0", "a")
         boxes = [(70, 70, 90, 90), (45, 45, 65, 65)]  # top-1 clean, rank-2 overlaps
-        preds = Predictions(records=[record("n0", "a", boxes, [2.0, 1.0])])
+        preds = predictions([record("n0", "a", boxes, [2.0, 1.0])])
         assert neg_acc(preds, [neg], [scene]) == 100.0
         assert neg_acc(preds, [neg], [scene], strict=True) == 0.0
 
@@ -142,11 +154,11 @@ class TestNegAcc:
         boxes = rng.integers(0, 80, size=(6, 2))
         boxes = [(int(x), int(y), int(x) + 15, int(y) + 15) for x, y in boxes]
         scores = rng.normal(size=6)
-        base = neg_acc(Predictions(records=[record("n0", "a", boxes, scores)]),
+        base = neg_acc(predictions([record("n0", "a", boxes, scores)]),
                        [neg], [scene])
         for transform in (lambda s: 3 * s + 2, np.exp, lambda s: s ** 3):
             moved = transform(np.asarray(scores))
-            out = neg_acc(Predictions(records=[record("n0", "a", boxes, moved)]),
+            out = neg_acc(predictions([record("n0", "a", boxes, moved)]),
                           [neg], [scene])
             assert out == base
 
@@ -207,7 +219,7 @@ class TestAgainstReference:
                 })
             if not scenes:
                 continue
-            preds = Predictions(records=records)
+            preds = predictions(records)
             for k in (1, 5):
                 assert topk(preds, expressions, scenes, k) == pytest.approx(
                     ref.ref_topk(pos_cases, k), abs=1e-9)
@@ -241,7 +253,7 @@ class TestStratify:
             record("n0", "a", [(70, 70, 90, 90)], [1.0]),
             record("n1", "b", [(40, 60, 60, 80)], [1.0]),
         ]
-        return scenes, expressions, Predictions(records=records)
+        return scenes, expressions, predictions(records)
 
     def test_supports_sum_to_overall(self):
         scenes, expressions, preds = self._dataset()
@@ -279,7 +291,7 @@ class TestStratify:
             expr = positive_expr("e", "x", [0],
                                  size=scene.instances[0].size_bin,
                                  cell=scene.instances[0].grid_cell)
-            preds = Predictions(records=[record("e", "x", [(0, 0, 80, 80)], [1.0])])
+            preds = predictions([record("e", "x", [(0, 0, 80, 80)], [1.0])])
             report = stratify(preds, [scene], [expr])
             return [label for label, row in report.by_density.items() if row.support][0]
 
@@ -293,7 +305,7 @@ class TestStratify:
         inst = scenes[0].instances[0]
         expressions = [positive_expr("e0", "a", [0], size=inst.size_bin,
                                      cell=inst.grid_cell)]
-        preds = Predictions(records=[record("e0", "a", [(10, 10, 40, 40)], [1.0])])
+        preds = predictions([record("e0", "a", [(10, 10, 40, 40)], [1.0])])
         report = stratify(preds, scenes, expressions)
         stratum = report.by_scale[f"{inst.size_bin}/crop"]
         assert stratum.top1 == report.overall.top1
@@ -363,7 +375,12 @@ class TestStratifyAgainstReference:
         return boxes
 
     def _dataset(self, rng):
-        scenes, expressions, records = [], [], []
+        """Each scene's records rank rows of one box table. A record either
+        appends boxes of its own to the table, now and then with a copy of
+        a row the table holds already, or ranks rows drawn with
+        replacement from those already there: records share rows, rank
+        different subsets of them and may rank one row twice."""
+        scenes, expressions, records, tables = [], [], [], {}
         sizes = [0, int(rng.integers(1, 11)), int(rng.integers(11, 31)),
                  int(rng.integers(31, 40))]
         for s, n in enumerate(sizes):
@@ -372,16 +389,30 @@ class TestStratifyAgainstReference:
             exprs = datagen.gen_positive_expressions(scene) + datagen.gen_image_negatives(scene)
             exprs += [negative_expr(f"s{s}-neg{k}", scene.image_id, kind=kind)
                       for k, kind in enumerate(KIND_LABELS)]
+            table = np.empty((0, 4))
             for expr in exprs:
                 fate = rng.random()
                 if fate < 0.1:
                     continue                                  # no record at all
-                targets = [i for i in scene.instances if i.instance_id in expr.target_ids]
-                boxes = [] if fate < 0.2 else self._boxes(rng, scene, targets)
-                records.append(record(expr.expression_id, scene.image_id, boxes,
-                                      rng.normal(size=len(boxes))))
+                if fate < 0.2:
+                    rows = np.empty(0, dtype=np.intp)         # no proposals
+                elif fate < 0.55 or len(table) == 0:
+                    targets = [i for i in scene.instances if i.instance_id in expr.target_ids]
+                    boxes = np.array(self._boxes(rng, scene, targets), dtype=np.float64)
+                    if len(table) and rng.random() < 0.3:
+                        boxes = np.concatenate([boxes, table[rng.integers(len(table))][None]])
+                    rows = len(table) + np.arange(len(boxes))
+                    table = np.concatenate([table, boxes])
+                else:
+                    rows = rng.integers(0, len(table), int(rng.integers(1, 9)))
+                scores = rng.normal(size=len(rows))
+                order = np.argsort(-scores, kind="stable")
+                records.append(PredictionRecord(
+                    expression_id=expr.expression_id, image_id=scene.image_id,
+                    level0_class=0, ranking=rows[order], scores=scores[order]))
+            tables[scene.image_id] = table
             expressions += exprs
-        return scenes, expressions, Predictions(records=records)
+        return scenes, expressions, Predictions(records=records, tables=tables)
 
     @staticmethod
     def _cases(scenes, expressions, preds):
@@ -396,7 +427,8 @@ class TestStratifyAgainstReference:
             norm = lambda b: tuple(v / scene.width for v in b)   # square images
             rec = recs.get(expr.expression_id)
             case = {"expr": expr, "density": len(scene.instances),
-                    "proposals": [norm(b) for b in rec.boxes_px] if rec else [],
+                    "proposals": ([norm(b) for b in preds.tables[rec.image_id][rec.ranking]]
+                                  if rec else []),
                     "scores": list(rec.scores) if rec else []}
             boxes = [(i.x1, i.y1, i.x2, i.y2) for i in scene.instances]
             if expr.polarity == "positive":
@@ -427,7 +459,8 @@ class TestStratifyAgainstReference:
     @pytest.mark.parametrize("strict", [False, True], ids=["top-1", "strict"])
     def test_every_row_matches_the_oracle(self, strict):
         rng = np.random.default_rng(7 + strict)
-        seen = dict.fromkeys(("missing", "no boxes", "iou 0.5", "touching"), 0)
+        seen = dict.fromkeys(("missing", "no boxes", "iou 0.5", "touching",
+                              "shared row", "row ranked twice", "box twice in a table"), 0)
         for _ in range(12):
             scenes, expressions, preds = self._dataset(rng)
             pos, neg = self._cases(scenes, expressions, preds)
@@ -458,4 +491,29 @@ class TestStratifyAgainstReference:
                                    for b in c["proposals"] for t in c["targets"])
             seen["touching"] += sum(ref.ref_giou(b, g) == 0.0 for c in neg
                                     for b in c["proposals"] for g in c["scene_boxes"])
+            ranked_by = {}
+            for rec in preds.records:
+                for row in rec.ranking:
+                    ranked_by.setdefault((rec.image_id, row), set()).add(rec.expression_id)
+                seen["row ranked twice"] += len(set(rec.ranking)) < len(rec.ranking)
+            seen["shared row"] += sum(len(ids) > 1 for ids in ranked_by.values())
+            seen["box twice in a table"] += sum(len(np.unique(t, axis=0)) < len(t)
+                                                for t in preds.tables.values())
         assert all(seen.values()), seen
+
+    def test_at_most_one_matrix_of_each_kind_per_image(self, monkeypatch):
+        """However many expressions rank an image's boxes, ``stratify``
+        computes at most one IoU and one GIoU matrix for the image."""
+        calls = dict.fromkeys(("iou", "giou"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _core=getattr(evaluation, name)):
+                calls[_name] += 1
+                return _core(*args)
+            monkeypatch.setattr(evaluation, name, counted)
+        rng = np.random.default_rng(11)
+        for _ in range(4):
+            scenes, expressions, preds = self._dataset(rng)
+            before = dict(calls)
+            stratify(preds, scenes, expressions)
+            for name in calls:
+                assert 0 < calls[name] - before[name] <= len(scenes), (name, calls, before)

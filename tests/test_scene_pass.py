@@ -149,7 +149,8 @@ def test_predictions_match_the_oracle(setup, trained, checkpoint, gate):
         params.ffn_b2.value += 5.0 * np.random.default_rng(0).normal(size=params.d)
     split = dataset.test
     preds = predict_split(split, cfg, TCFG_SHORT, params, trained.refiner,
-                          gate_level0=gate).by_expression()
+                          gate_level0=gate)
+    records = preds.by_expression()
     vocab = Level0Vocabulary()
     vocab_texts = vocabulary_texts(vocab, table, cfg.max_tokens)
     checked = fell_back = 0
@@ -163,9 +164,10 @@ def test_predictions_match_the_oracle(setup, trained, checkpoint, gate):
                                   refined[:, :2] + refined[:, 2:] / 2], axis=1)
         corners *= np.array([scene.width, scene.height, scene.width, scene.height])
         for expr, (order, scores, gated) in zip(item.expressions, ranked):
-            record = preds[expr.expression_id]
-            assert record.level0_class == level0_class
-            assert np.array_equal(record.boxes_px, corners[order]), expr.expression_id
+            record = records[expr.expression_id]
+            assert (record.image_id, record.level0_class) == (scene.image_id, level0_class)
+            assert np.array_equal(preds.tables[scene.image_id][record.ranking],
+                                  corners[order]), expr.expression_id
             assert np.max(np.abs(record.scores - scores)) <= 1e-10
             checked += 1
             fell_back += gated

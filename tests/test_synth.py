@@ -379,7 +379,9 @@ class TestPrediction:
         loaded = read_predictions(p1)
         assert len(loaded.records) == len(preds.records)
         for got, want in zip(loaded.records, preds.records):
-            assert got.boxes_px.tobytes() == want.boxes_px.tobytes()
+            assert np.array_equal(got.ranking, want.ranking)
+            assert (loaded.tables[got.image_id][got.ranking].tobytes()
+                    == preds.tables[want.image_id][want.ranking].tobytes())
             assert got.scores.tobytes() == want.scores.tobytes()
 
     def test_every_expression_predicted(self, predicted):
