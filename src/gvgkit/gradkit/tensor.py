@@ -141,8 +141,9 @@ def _node(value: np.ndarray, parents: tuple[Tensor, ...],
 
 def _as_of_now(t: Tensor) -> np.ndarray:
     """``t``'s values as they are now, for a tie gap computed later. Only
-    a parameter leaf's array is edited in place (``check_gradients``
-    does it), so only that one is copied."""
+    a parameter leaf's array is edited in place (the finite-difference
+    check in ``tests/gradient_check.py`` does it), so only that one is
+    copied."""
     return t.value.copy() if t.requires_grad and not t._parents else t.value
 
 

@@ -7,10 +7,13 @@ in proposal order. Each record carries ``ranking``, indices into its
 image's table, best first, and ``scores`` in the same order; no record
 holds boxes of its own.
 
-A predictions file (version 2) is JSON lines. The header holds the
-tables, ``"boxes_xyxy_px": {image_id: [[x1, y1, x2, y2], ...]}``; each
-prediction line names its image and carries its ``ranking`` and
-``scores``. Both are written and read back as they are.
+A predictions file (version 3) is JSON lines: a header, then one line
+per expression. Every numeric array in it is the base64 of its
+little-endian bytes, with the dtype in the key name (``gradkit.io``):
+the header maps each image id to its table's row-major corners under
+``boxes_xyxy_px_float64_le``, and each prediction line names its image
+and carries ``ranking_int32_le`` and ``scores_float64_le``. So every
+array reads back bit for bit, and no number is formatted or parsed.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from gvgkit import gradkit as gk
 from gvgkit import hrs
 from gvgkit.geometry import centre_rows, corners
 from gvgkit.hrs import HrsParams, Level0Vocabulary
@@ -31,7 +35,11 @@ from gvgkit.synth.scenes import SplitData
 from gvgkit.synth.train import encode_texts, vocabulary_texts
 
 PREDICTIONS_FORMAT = "gvgkit-predictions"
-PREDICTIONS_VERSION = 2
+PREDICTIONS_VERSION = 3
+# the stored arrays, each named with its dtype
+BOXES_KEY = "boxes_xyxy_px_float64_le"
+RANKING_KEY = "ranking_int32_le"
+SCORES_KEY = "scores_float64_le"
 
 
 @dataclass
@@ -121,13 +129,13 @@ def predict_split(split: SplitData, cfg: SynthConfig, tcfg: TrainConfig,
 
 
 def write_predictions(preds: Predictions, path: str | Path, seed: int) -> None:
-    """Write version 2: the box tables in the header, then one line per
+    """Write version 3: the box tables in the header, then one line per
     record."""
     header = {"record": "header", "format": PREDICTIONS_FORMAT,
               "version": PREDICTIONS_VERSION, "seed": seed}
     header.update(preds.meta)
-    header["boxes_xyxy_px"] = {image_id: table.tolist()
-                               for image_id, table in preds.tables.items()}
+    header[BOXES_KEY] = {image_id: gk.encode_array(table, "float64_le")
+                         for image_id, table in preds.tables.items()}
     lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
     for rec in preds.records:
         lines.append(json.dumps({
@@ -135,18 +143,20 @@ def write_predictions(preds: Predictions, path: str | Path, seed: int) -> None:
             "expression_id": rec.expression_id,
             "image_id": rec.image_id,
             "level0_class": rec.level0_class,
-            "ranking": rec.ranking.tolist(),
-            "scores": rec.scores.tolist(),
+            RANKING_KEY: gk.encode_array(rec.ranking, "int32_le"),
+            SCORES_KEY: gk.encode_array(rec.scores, "float64_le"),
         }, sort_keys=True, separators=(",", ":")))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_predictions(path: str | Path) -> Predictions:
-    """Read a predictions file. A malformed line raises a one-line
-    ``ValueError`` naming the file and the line number."""
+    """Read a predictions file. A malformed line, or a second record for
+    one expression, raises a one-line ``ValueError`` naming the file and
+    the line number. The tables and scores read back are read-only."""
     records = []
     meta = {}
     tables: dict[str, np.ndarray] = {}
+    first_line: dict[str, int] = {}     # expression id -> its record's line
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -157,7 +167,12 @@ def read_predictions(path: str | Path) -> Predictions:
                 if lineno == 1:
                     meta, tables = _header(record)
                 else:
-                    records.append(_prediction_record(record, tables))
+                    rec = _prediction_record(record, tables)
+                    first = first_line.setdefault(rec.expression_id, lineno)
+                    if first != lineno:
+                        raise ValueError(f"a second record for expression "
+                                         f"{rec.expression_id!r} (the first is on line {first})")
+                    records.append(rec)
             except json.JSONDecodeError as err:
                 raise ValueError(f"{path}, line {lineno}: not JSON ({err.msg})") from None
             except KeyError as err:
@@ -173,15 +188,16 @@ def _header(header: dict) -> tuple[dict, dict[str, np.ndarray]]:
     if header.get("version") != PREDICTIONS_VERSION:
         raise ValueError(f"unsupported predictions version {header.get('version')}; "
                          "re-run `gvgkit predict`")
-    stored = header["boxes_xyxy_px"]
+    stored = header[BOXES_KEY]
     if not isinstance(stored, dict):
-        raise ValueError("boxes_xyxy_px must map image ids to box lists")
+        raise ValueError(f"{BOXES_KEY} must map image ids to box tables")
     tables = {}
-    for image_id, boxes in stored.items():
-        if set(map(len, boxes)) - {4}:
+    for image_id, text in stored.items():
+        flat = gk.decode_array(text, "float64_le", f"the box table of image {image_id!r}")
+        if flat.size % 4:
             raise ValueError(f"every box of image {image_id!r} needs 4 coordinates")
-        tables[image_id] = np.array(boxes, dtype=np.float64).reshape(-1, 4)
-    meta = {k: v for k, v in header.items() if k not in ("record", "boxes_xyxy_px")}
+        tables[image_id] = flat.reshape(-1, 4)
+    meta = {k: v for k, v in header.items() if k not in ("record", BOXES_KEY)}
     return meta, tables
 
 
@@ -190,13 +206,12 @@ def _prediction_record(record: dict, tables: dict[str, np.ndarray]) -> Predictio
     if image_id not in tables:
         raise ValueError(f"image {image_id!r} has no box table in the header")
     table = tables[image_id]
-    ranking = np.array(record["ranking"])
-    scores = np.array(record["scores"], dtype=np.float64)
-    if ranking.ndim != 1 or ranking.shape != scores.shape:
+    ranking = gk.decode_array(record[RANKING_KEY], "int32_le", RANKING_KEY)
+    scores = gk.decode_array(record[SCORES_KEY], "float64_le", SCORES_KEY)
+    if ranking.size != scores.size:
         raise ValueError("ranking and scores need one entry per box")
-    if ranking.size and (ranking.dtype.kind != "i" or ranking.min() < 0
-                         or ranking.max() >= len(table)):
-        raise ValueError(f"ranking index out of range or not an integer "
+    if ranking.size and (ranking.min() < 0 or ranking.max() >= len(table)):
+        raise ValueError(f"ranking index out of range "
                          f"(image {image_id!r} has {len(table)} boxes)")
     return PredictionRecord(
         expression_id=record["expression_id"],

@@ -1,4 +1,5 @@
-"""Central finite-difference verification of tape gradients."""
+"""Central finite-difference verification of tape gradients: the
+oracle the tests check every hand-written backward against."""
 
 from __future__ import annotations
 

@@ -10,6 +10,7 @@ from gvgkit.geometry import BBox
 from gvgkit.synth.boxhead import BoxRefiner, giou_loss_diff, interp_iou_loss_diff, iou_loss_diff
 
 from box_oracle import InterpConfig, grad_loss_interp_iou, loss_interp_iou
+from gradient_check import check_gradients
 from reference_metrics import ref_giou
 
 
@@ -65,7 +66,7 @@ def test_giou_loss_reads_the_enclosing_box():
     assert g.item() > 1.0
     gk.backward(g)
     assert np.any(one.grad != 0.0)
-    report = gk.check_gradients(lambda: giou_loss_diff(p, gt, weights), [("pred", p)])
+    report = check_gradients(lambda: giou_loss_diff(p, gt, weights), [("pred", p)])
     assert report.passed, str(report)
 
 
@@ -80,7 +81,7 @@ def test_refine_moves_centres_and_scales_sizes():
     refined = refiner.refine(boxes).value
     assert np.array_equal(refined[:, :2], boxes[:, :2] + delta[:, :2] * boxes[:, 2:])
     assert np.array_equal(refined[:, 2:], boxes[:, 2:] * np.exp(delta[:, 2:]))
-    report = gk.check_gradients(lambda: interp_iou_loss_diff(refiner.refine(boxes), gt),
+    report = check_gradients(lambda: interp_iou_loss_diff(refiner.refine(boxes), gt),
                                 refiner.leaves())
     assert report.passed, str(report)
 

@@ -16,9 +16,18 @@ from gvgkit.synth import SplitData, load_config, train_two_stage
 from gvgkit.synth.predict import read_predictions
 
 
+def decode_le(text: str, dtype: str) -> np.ndarray:
+    """The flat array stored as ``text``, base64 of little-endian bytes."""
+    return np.frombuffer(base64.b64decode(text, validate=True), dtype=dtype)
+
+
+def encode_le(values, dtype: str) -> str:
+    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode()
+
+
 def decode_tensor(spec: dict) -> np.ndarray:
     """The flat float64 values of one checkpoint tensor entry."""
-    return np.frombuffer(base64.b64decode(spec["float64_le"], validate=True), dtype="<f8")
+    return decode_le(spec["float64_le"], "<f8")
 
 
 def set_tensor_value(payload: dict, name: str, index, value: float) -> None:
@@ -28,7 +37,7 @@ def set_tensor_value(payload: dict, name: str, index, value: float) -> None:
     spec = payload["tensors"][name]
     values = decode_tensor(spec).copy()
     values[index] = value
-    spec["float64_le"] = base64.b64encode(values.astype("<f8").tobytes()).decode()
+    spec["float64_le"] = encode_le(values, "<f8")
 
 
 @pytest.fixture(scope="module")
@@ -178,15 +187,19 @@ class TestErrors:
     # fault -> (line of the error, part of its message)
     MALFORMED = {
         "not json": (3, "not JSON"),
-        "no ranking": (3, "missing key 'ranking'"),
+        "no ranking": (3, "missing key 'ranking_int32_le'"),
         "no expression_id": (3, "missing key 'expression_id'"),
         "ranking out of range": (3, "ranking index out of range"),
         "ranking longer than scores": (3, "one entry per box"),
         "negative ranking index": (3, "ranking index out of range"),
-        "fractional ranking index": (3, "not an integer"),
+        "partial ranking entry": (3, "not a whole number of 4-byte entries"),
+        "invalid base64": (3, "scores_float64_le is not base64"),
+        "duplicate expression_id": (3, "a second record for expression "),
         "image without box table": (3, "no box table"),
         "3-coordinate box": (1, "needs 4 coordinates"),
+        "partial box table entry": (1, "not a whole number of 8-byte entries"),
         "version 1": (1, "unsupported predictions version 1; re-run `gvgkit predict`"),
+        "version 2": (1, "unsupported predictions version 2; re-run `gvgkit predict`"),
     }
 
     @pytest.mark.parametrize("fault", list(MALFORMED))
@@ -196,30 +209,53 @@ class TestErrors:
             (tmp_path / name).write_bytes((run_dir / name).read_bytes())
         lines = (run_dir / "predictions-test.jsonl").read_text().splitlines()
         header, record = json.loads(lines[0]), json.loads(lines[2])
-        tables = header["boxes_xyxy_px"]
+        tables = header["boxes_xyxy_px_float64_le"]
+        image = record["image_id"]
+        table = decode_le(tables[image], "<f8").reshape(-1, 4)
+        ranking = decode_le(record["ranking_int32_le"], "<i4")
+        assert ranking.size and len(table), "the faults below need a ranked box"
         if fault == "not json":
             lines[2] = lines[2][:-1]
         elif fault == "no ranking":
-            del record["ranking"]
+            del record["ranking_int32_le"]
         elif fault == "no expression_id":
             del record["expression_id"]
         elif fault == "ranking out of range":
-            record["ranking"][-1] = len(tables[record["image_id"]])
+            record["ranking_int32_le"] = encode_le(np.r_[ranking[:-1], len(table)], "<i4")
         elif fault == "ranking longer than scores":
-            record["ranking"].append(0)
+            record["ranking_int32_le"] = encode_le(np.r_[ranking, 0], "<i4")
         elif fault == "negative ranking index":
-            record["ranking"][0] = -1
-        elif fault == "fractional ranking index":
-            record["ranking"][0] = 0.5
+            record["ranking_int32_le"] = encode_le(np.r_[-1, ranking[1:]], "<i4")
+        elif fault == "partial ranking entry":   # the last int32 cut to two bytes
+            record["ranking_int32_le"] = base64.b64encode(ranking.tobytes()[:-2]).decode()
+        elif fault == "invalid base64":
+            # a lenient decoder would skip the stray character and read the scores
+            record["scores_float64_le"] = "*" + record["scores_float64_le"]
+        elif fault == "duplicate expression_id":   # line 2's record again, reversed
+            record = json.loads(lines[1])
+            record["ranking_int32_le"] = encode_le(
+                decode_le(record["ranking_int32_le"], "<i4")[::-1], "<i4")
+            lines.insert(2, lines[1])
         elif fault == "image without box table":
-            del tables[record["image_id"]]
+            del tables[image]
         elif fault == "3-coordinate box":
-            tables[record["image_id"]][0] = [1.0, 2.0, 3.0]
-        else:
-            # a version-1 file: every line lists its boxes, the header none
-            del header["boxes_xyxy_px"], record["ranking"], record["scores"]
+            tables[image] = encode_le(np.delete(table.ravel(), 3), "<f8")
+        elif fault == "partial box table entry":   # half of the last coordinate
+            tables[image] = base64.b64encode(table.tobytes()[:-4]).decode()
+        elif fault == "version 1":
+            # every line lists its boxes, the header none
+            del header["boxes_xyxy_px_float64_le"]
+            del record["ranking_int32_le"], record["scores_float64_le"]
             header["version"] = 1
             record["proposals"] = [{"bbox_xyxy_px": [1.0, 2.0, 3.0, 4.0], "score": 0.5}]
+        else:
+            # version 2: the same fields as JSON number lists
+            header["version"] = 2
+            stored = header.pop("boxes_xyxy_px_float64_le")
+            header["boxes_xyxy_px"] = {i: decode_le(t, "<f8").reshape(-1, 4).tolist()
+                                       for i, t in stored.items()}
+            record["ranking"] = decode_le(record.pop("ranking_int32_le"), "<i4").tolist()
+            record["scores"] = decode_le(record.pop("scores_float64_le"), "<f8").tolist()
         if fault != "not json":
             lines[2] = json.dumps(record)
         lines[0] = json.dumps(header)
@@ -239,16 +275,17 @@ class TestErrors:
             (tmp_path / name).write_bytes((run_dir / name).read_bytes())
         lines = (run_dir / "predictions-test.jsonl").read_text().splitlines()
         header = json.loads(lines[0])
-        tables = header["boxes_xyxy_px"]
+        sizes = {i: decode_le(t, "<f8").size // 4
+                 for i, t in header["boxes_xyxy_px_float64_le"].items()}
         _, expressions, _ = datagen.read_dataset(run_dir / "test.jsonl")
         instance = {e.expression_id for e in expressions if e.level == "instance"}
         index = next(k for k, line in enumerate(lines[1:], start=1)
                      if json.loads(line)["expression_id"] in instance)
         record = json.loads(lines[index])
-        other = max((i for i in tables if i != record["image_id"]),
-                    key=lambda i: len(tables[i]))
+        other = max((i for i in sizes if i != record["image_id"]), key=sizes.get)
         record["image_id"] = other
-        record["ranking"] = [k % len(tables[other]) for k in record["ranking"]]
+        ranking = decode_le(record["ranking_int32_le"], "<i4") % sizes[other]
+        record["ranking_int32_le"] = encode_le(ranking, "<i4")
         lines[index] = json.dumps(record)
         path = tmp_path / "predictions-test.jsonl"
         path.write_text("\n".join(lines) + "\n")

@@ -26,6 +26,8 @@ from gvgkit.hrs import (
     stack_texts,
 )
 
+from gradient_check import check_gradients
+
 D_V = 12
 D_T = 12
 
@@ -269,7 +271,7 @@ class TestLosses:
         # finite differences agree on a composed objective
         x = gk.tensor(0.3, requires_grad=True)
         y = gk.tensor(0.9, requires_grad=True)
-        report = gk.check_gradients(
+        report = check_gradients(
             lambda: loss_constrained(gk.mul(x, x), gk.mul(y, 0.5)),
             [("x", x), ("y", y)])
         assert report.passed, str(report)
@@ -314,7 +316,7 @@ class TestEndToEndGradients:
             l1 = loss_lvl1(gk.reshape(gk.narrow(scores, 0, 4, 1), (-1,)), targets)
             return loss_total(loss_hmce(l0, loss_constrained(l1, l0), "mixed"), 0.0)
 
-        report = gk.check_gradients(f, params.leaves(), max_entries_per_param=4)
+        report = check_gradients(f, params.leaves(), max_entries_per_param=4)
         assert report.passed, str(report)
 
     def test_save_load_roundtrip(self, tmp_path):

@@ -1,7 +1,9 @@
-"""Predictions file, version 2: each image's box table is written once
-in the header, and the tables and every record's ranking and scores
-read back bit for bit."""
+"""Predictions file, version 3: each image's box table is written once
+in the header, every array is stored as base64 of its little-endian
+bytes, and the tables and every record's ranking and scores read back
+bit for bit."""
 
+import base64
 import json
 
 import numpy as np
@@ -63,14 +65,21 @@ def test_roundtrip_is_bit_identical(tmp_path):
     write_predictions(preds, path, seed=7)
     loaded = read_predictions(path)
     assert_same_predictions(loaded, preds)
-    assert loaded.meta == {"format": "gvgkit-predictions", "version": 2, "seed": 7, **meta}
+    assert loaded.meta == {"format": "gvgkit-predictions", "version": 3, "seed": 7, **meta}
+
+    def decoded(text, dtype):
+        return np.frombuffer(base64.b64decode(text, validate=True), dtype=dtype)
 
     lines = path.read_text().splitlines()
     assert len(lines) == 1 + len(records)
-    stored = json.loads(lines[0])["boxes_xyxy_px"]
-    assert {k: len(v) for k, v in stored.items()} == {"img-a": 6, "img-b": 3, "img-c": 0}
-    assert [json.loads(line)["ranking"] for line in lines[1:]] == \
-        [r.ranking.tolist() for r in records]
+    stored = json.loads(lines[0])["boxes_xyxy_px_float64_le"]
+    assert {k: decoded(v, "<f8").size for k, v in stored.items()} == \
+        {"img-a": 24, "img-b": 12, "img-c": 0}
+    assert decoded(stored["img-a"], "<f8").tobytes() == boxes.astype("<f8").tobytes()
+    for line, rec in zip(lines[1:], records):
+        stored = json.loads(line)
+        assert decoded(stored["ranking_int32_le"], "<i4").tolist() == rec.ranking.tolist()
+        assert decoded(stored["scores_float64_le"], "<f8").tobytes() == rec.scores.tobytes()
     # the file read back writes the same bytes again
     again = tmp_path / "again.jsonl"
     write_predictions(loaded, again, seed=7)
