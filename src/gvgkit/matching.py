@@ -8,8 +8,18 @@ size discrepancy:
 
 Costs are computed in normalized coordinates so the default weights are
 resolution independent. The cost matrix of a scene is one vectorised
-pass over all proposal/ground-truth pairs. The optimal one-to-one
-assignment is solved as a rectangular linear sum assignment problem.
+pass over all proposal/ground-truth pairs.
+
+The optimal one-to-one assignment is solved in-repo, in numpy, by
+Crouse's shortest augmenting path ("On implementing 2D rectangular
+assignment algorithms", IEEE TAES 2016), the algorithm of
+``scipy.optimize.linear_sum_assignment``, with its conventions: a tall
+matrix is solved transposed, each row's search visits the columns in
+reversed order, and among equally short paths it takes the last
+unassigned column, else the first. So it returns scipy's pairs, ties
+included, and scipy is only a test oracle. A shortcut comes first: when
+every row's minimum is strict and in a column of its own, that pairing
+is the unique optimum and comes back directly.
 """
 
 from __future__ import annotations
@@ -18,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from gvgkit.geometry import BBox, centre_rows, corners, iou
 
@@ -78,10 +87,77 @@ def _assignment_from_pairs(cost: np.ndarray, pairs: list[tuple[int, int]]) -> As
     )
 
 
+def _row_minima(cost: np.ndarray) -> np.ndarray | None:
+    """The column of each row's minimum, when every row's minimum is
+    strict and no two rows share that column; else None. That pairing
+    costs the sum of the row minima, a bound no other one-to-one
+    assignment of every row reaches, so it is the unique optimum."""
+    cols = cost.argmin(axis=1)
+    n = len(cols)
+    if len(set(cols.tolist())) < n:
+        return None
+    strict = np.count_nonzero(cost == cost[np.arange(n), cols, None]) == n
+    return cols if strict else None
+
+
+def _shortest_augmenting_path(cost: np.ndarray) -> np.ndarray:
+    """The column of each row in a minimum-cost assignment of a wide
+    (rows <= cols) matrix. Rows are added one at a time: a Dijkstra-like
+    search over reduced costs ``cost - u - v`` finds the shortest path
+    from the new row to an unassigned column, the duals move so that
+    every reduced cost stays non-negative, and the path is flipped."""
+    n, m = cost.shape
+    u, v = np.zeros(n), np.zeros(m)
+    col4row = np.full(n, -1, dtype=np.intp)
+    row4col = np.full(m, -1, dtype=np.intp)
+    path = np.full(m, -1, dtype=np.intp)
+    for cur in range(n):
+        shortest = np.full(m, np.inf)
+        # columns in reversed order, so a constant matrix pairs row i
+        # with column i; a visited column is swapped out for the last
+        remaining = np.arange(m - 1, -1, -1)
+        rows, cols = [cur], []
+        i, min_val = cur, 0.0
+        while True:
+            reduced = min_val + cost[i, remaining] - u[i] - v[remaining]
+            closer = reduced < shortest[remaining]
+            path[remaining[closer]] = i
+            lengths = np.where(closer, reduced, shortest[remaining])
+            shortest[remaining] = lengths
+            ties = np.flatnonzero(lengths == lengths.min())
+            free = ties[row4col[remaining[ties]] < 0]
+            index = free[-1] if free.size else ties[0]
+            j = int(remaining[index])
+            min_val = lengths[index]
+            cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining = remaining[:-1]
+            if row4col[j] < 0:
+                break
+            i = int(row4col[j])
+            rows.append(i)
+        u[cur] += min_val
+        others = np.array(rows[1:], dtype=np.intp)
+        u[others] += min_val - shortest[col4row[others]]
+        v[cols] -= min_val - shortest[cols]
+        while True:                              # flip the path, sink to root
+            i = int(path[j])
+            row4col[j] = i
+            col4row[i], j = j, int(col4row[i])
+            if i == cur:
+                break
+    return col4row
+
+
 def assign_optimal(cost: np.ndarray) -> Assignment:
-    """Minimum-total-cost assignment of min(rows, cols) pairs, as the
-    solver returns it. Among equally cheap assignments any one may come
-    back; with continuous random costs ties have measure zero."""
+    """Minimum-total-cost assignment of min(rows, cols) pairs, the pairs
+    ``scipy.optimize.linear_sum_assignment`` returns, ties included.
+
+    A tall matrix is solved transposed. When every row's minimum is
+    strict and in a column of its own (the common case for real scenes)
+    that pairing is returned directly; otherwise the shortest augmenting
+    path solves it, taking among equally short paths the last unassigned
+    column, else the first."""
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
         raise ValueError(f"cost matrix must be 2-D, got shape {cost.shape}")
@@ -92,5 +168,12 @@ def assign_optimal(cost: np.ndarray) -> Assignment:
             unmatched_proposals=list(range(cost.shape[0])),
             unmatched_gts=list(range(cost.shape[1])),
         )
-    row_ind, col_ind = linear_sum_assignment(cost)
-    return _assignment_from_pairs(cost, list(zip(row_ind.tolist(), col_ind.tolist())))
+    transposed = cost.shape[0] > cost.shape[1]
+    wide = cost.T if transposed else cost
+    cols = _row_minima(wide)
+    if cols is None:
+        cols = _shortest_augmenting_path(wide)
+    pairs = list(enumerate(cols.tolist()))
+    if transposed:
+        pairs = [(i, j) for j, i in pairs]
+    return _assignment_from_pairs(cost, pairs)

@@ -104,8 +104,7 @@ def predict_split(split: SplitData, cfg: SynthConfig, tcfg: TrainConfig,
             raise OverflowError(f"non-finite referring scores for image {scene.image_id}")
         if not np.all(np.isfinite(refined)):
             raise OverflowError(f"non-finite refined boxes for image {scene.image_id}")
-        logits, _ = hrs.level0_distribution(scores, len(vocab_texts))
-        level0_class = int(np.argmax(logits.value))
+        level0_class = int(np.argmax(hrs.level0_logits(scores, len(vocab_texts)).value))
         tables[scene.image_id] = corners(refined) * np.array([scene.width, scene.height,
                                                               scene.width, scene.height])
         background_scores = scores.value[background_class]

@@ -262,8 +262,8 @@ def _scene_losses(item: EncodedScene, params: HrsParams, vocab: Level0Vocabulary
                                        encoded_texts)
     scores = hrs.score_expression(item.proposals, texts, params,
                                   tcfg.ablation).referring_scores
-    logits, _ = hrs.level0_distribution(scores, len(vocab_texts))
-    l0 = hrs.loss_lvl0(logits, vocab.true_class(item.scene.image_type))
+    l0 = hrs.loss_lvl0(hrs.level0_logits(scores, len(vocab_texts)),
+                       vocab.true_class(item.scene.image_type))
     if not exprs:
         l1c = gk.constant(0.0)
     else:

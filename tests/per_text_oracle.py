@@ -111,20 +111,19 @@ def score_expression(proposals, text, params, ablation=AblationFlags()):
     return referring_score(fuse(proposals, text, params), text, params, ablation)
 
 
-def level0_distribution(proposals, vocab_texts, params, ablation=AblationFlags()):
+def level0_logits(proposals, vocab_texts, params, ablation=AblationFlags()):
     """One fused pass per vocabulary sentence, max-pooled over proposals."""
     pooled = []
     for text in vocab_texts:
         out = score_expression(proposals, text, params, ablation)
         pooled.append(gk.max_over_axis(out.referring_scores, axis=0))
-    logits = stack(pooled)
-    return logits, gk.softmax(logits)
+    return stack(pooled)
 
 
 def scene_loss(item, params, vocab, vocab_texts, table, tcfg, rng, max_tokens):
     """Stage-2 objective of one scene, every text scored on its own."""
-    logits, _ = level0_distribution(item.proposals, vocab_texts, params, tcfg.ablation)
-    l0 = hrs.loss_lvl0(logits, vocab.true_class(item.scene.image_type))
+    l0 = hrs.loss_lvl0(level0_logits(item.proposals, vocab_texts, params, tcfg.ablation),
+                       vocab.true_class(item.scene.image_type))
     exprs = _pick_expressions(item, tcfg.expressions_per_scene, rng)
     if not exprs:
         l1c = gk.constant(0.0)
@@ -149,7 +148,7 @@ def predict_scene(proposals, expressions, vocab, vocab_texts, table, params,
     """Level-0 class and, per expression, the proposal order, the scores
     and whether the existence gate fell back to a separate background
     pass."""
-    logits, _ = level0_distribution(proposals, vocab_texts, params, ablation)
+    logits = level0_logits(proposals, vocab_texts, params, ablation)
     background = vocab.class_by_image_type["empty"]
     background_scores = score_expression(proposals, vocab_texts[background], params,
                                          ablation).referring_scores.value

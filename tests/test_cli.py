@@ -671,3 +671,35 @@ def test_closed_pipe_exits_without_traceback(run_dir):
     proc.stderr.close()
     proc.wait(timeout=120)
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
+NO_SCIPY_SCRIPT = """
+import json, sys, warnings
+import gvgkit.cli
+loaded = {"import": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}
+out = sys.argv[1]
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    for argv in (["build", "--config", out + "/cfg.json"], ["train"],
+                 ["predict", "--split", "test"], ["eval", "--split", "test"]):
+        assert gvgkit.cli.main(argv + ["--out", out]) == 0, argv
+        loaded[argv[0]] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps(loaded))
+"""
+
+
+def test_no_command_imports_scipy(tmp_path):
+    # scipy is a test oracle only: neither the import nor any command,
+    # stage-1 matching included, may load it
+    config = {"synth": {"seed": 5, "n_scenes": 12},
+              "train": {"seed": 5, "stage1_epochs": 1, "stage2_epochs": 1}}
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == dict.fromkeys(["import", "build", "train", "predict", "eval"], []), loaded
+    assert (tmp_path / "report-test.json").exists()

@@ -15,7 +15,7 @@ from gvgkit.hrs import (
     TextFeatures,
     coarse_image_type,
     fuse,
-    level0_distribution,
+    level0_logits,
     loss_constrained,
     loss_hmce,
     loss_lvl0,
@@ -180,8 +180,11 @@ class TestLevel0:
         props = make_proposals(rng, n=3)
         vocab_texts = [make_text(rng, tokens=3) for _ in range(4)]
         scores = score_expression(props, vocab_texts, params).referring_scores
-        logits, probs = level0_distribution(scores, 4)
+        logits = level0_logits(scores, 4)
         assert logits.value.shape == (4,)
+        # the class distribution is the softmax of the pooled logits, as
+        # loss_lvl0's cross-entropy takes it
+        probs = gk.softmax(logits)
         assert probs.value.sum() == pytest.approx(1.0, abs=1e-10)
         # pooled logits really are maxima of per-proposal referring scores
         for k, text in enumerate(vocab_texts):
@@ -203,9 +206,9 @@ class TestLevel0:
         scores = score_expression(make_proposals(rng), [make_text(rng)] * 2,
                                   params).referring_scores
         with pytest.raises(ValueError):
-            level0_distribution(scores, 1)
+            level0_logits(scores, 1)
         with pytest.raises(ValueError):
-            level0_distribution(scores, 3)
+            level0_logits(scores, 3)
 
 
 class TestLosses:
@@ -311,8 +314,7 @@ class TestEndToEndGradients:
 
         def f():
             scores = score_expression(props, vocab_texts + [text], params).referring_scores
-            logits, _ = level0_distribution(scores, 4)
-            l0 = loss_lvl0(logits, 1)
+            l0 = loss_lvl0(level0_logits(scores, 4), 1)
             l1 = loss_lvl1(gk.reshape(gk.narrow(scores, 0, 4, 1), (-1,)), targets)
             return loss_total(loss_hmce(l0, loss_constrained(l1, l0), "mixed"), 0.0)
 

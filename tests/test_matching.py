@@ -1,12 +1,18 @@
 import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
+from gvgkit import matching
 from gvgkit.geometry import BBox
 from gvgkit.matching import Assignment, MatchConfig, assign_optimal, build_cost_matrix
+from gvgkit.synth import SynthConfig, gen_scenes
+from gvgkit.synth.encode import EmbeddingTable, encode_proposals
 
 from matching_oracle import assign_bruteforce, match_cost
 from reference_metrics import ref_iou
@@ -176,3 +182,101 @@ class TestAssignment:
         assert len(a.pairs) == 3
         assert len({i for i, _ in a.pairs}) == len({j for _, j in a.pairs}) == 3
         assert len(a.unmatched_gts) == 1 and not a.unmatched_proposals
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """Counts of the ``assign_optimal`` calls that took the row-minima
+    shortcut and of those that took the augmenting path."""
+    counts = Counter()
+    row_minima = matching._row_minima
+
+    def counted(cost):
+        cols = row_minima(cost)
+        counts["path" if cols is None else "shortcut"] += 1
+        return cols
+
+    monkeypatch.setattr(matching, "_row_minima", counted)
+    return counts
+
+
+def scipy_pairs(cost):
+    rows, cols = linear_sum_assignment(cost)
+    return sorted(zip(rows.tolist(), cols.tolist()))
+
+
+def seeded_matrices(seed: int, count: int):
+    """Continuous, small-integer (many ties) and constant matrices, in
+    turn; wide, square and tall, with 1 x m and n x 1 among them."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n, m = (int(x) for x in rng.integers(1, 11, size=2))
+        if k % 5 == 3:
+            n = 1
+        elif k % 5 == 4:
+            m = 1
+        kind = k % 3
+        if kind == 0:
+            yield rng.uniform(-5.0, 5.0, size=(n, m))
+        elif kind == 1:
+            yield rng.integers(0, 4, size=(n, m)).astype(np.float64)
+        else:
+            yield np.full((n, m), float(rng.integers(0, 3)))
+
+
+class TestAgainstScipy:
+    """``assign_optimal`` returns the pairs of scipy's solver, pair for
+    pair, ties included; scipy is the oracle here and nowhere else."""
+
+    def test_seeded_matrices(self, routes):
+        shapes = Counter()
+        for cost in seeded_matrices(seed=8, count=6000):
+            assert assign_optimal(cost).pairs == scipy_pairs(cost), cost
+            n, m = cost.shape
+            shapes["1 x m" if n == 1 else "n x 1" if m == 1
+                   else "wide" if n < m else "tall" if n > m else "square"] += 1
+        assert sum(routes.values()) == 6000
+        assert routes["shortcut"] > 0 and routes["path"] > 0, routes
+        assert min(shapes[k] for k in ("1 x m", "n x 1", "wide", "tall", "square")) > 0
+
+    def test_constant_matrix_pairs_the_diagonal(self):
+        for n, m in ((3, 3), (2, 5), (5, 2)):
+            out = assign_optimal(np.full((n, m), 2.0))
+            assert out.pairs == [(i, i) for i in range(min(n, m))]
+
+    def test_tie_rule(self, routes):
+        # the search visits columns in reversed order; among equally short
+        # paths it takes the last free column: columns 1 and 2 tie here
+        cost = np.array([[1.0, 0.0, 0.0]])
+        assert assign_optimal(cost).pairs == scipy_pairs(cost) == [(0, 1)]
+        # row 2 ties on columns 0 and 1, both taken: the first visited,
+        # column 1, goes on the path; rows 1 and 2 then swap into the
+        # second of two optimal pairings
+        cost = np.array([[0.0, 5.0, 5.0],
+                         [5.0, 0.0, 5.0],
+                         [0.0, 0.0, 9.0]])
+        assert assign_optimal(cost).pairs == scipy_pairs(cost) == [(0, 0), (1, 2), (2, 1)]
+        assert routes == {"path": 2}
+
+    @pytest.mark.parametrize("density_probs", [None, (0.0, 0.5, 0.35, 0.15)],
+                             ids=["sparse", "dense"])
+    def test_every_cost_matrix_of_a_built_dataset(self, routes, density_probs):
+        extra = {} if density_probs is None else {"density_probs": density_probs}
+        cfg = SynthConfig(n_scenes=60, seed=21, **extra)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            dataset = gen_scenes(cfg)
+        table = EmbeddingTable(cfg.seed)
+        matrices = 0
+        for split in dataset.splits.values():
+            for scene in split.scenes:
+                gts = [inst.normalized_box(scene.width, scene.height)
+                       for inst in scene.instances]
+                if not gts:
+                    continue
+                proposals, _ = encode_proposals(scene, cfg, table)
+                cost = build_cost_matrix(proposals.boxes, gts)
+                assert assign_optimal(cost).pairs == scipy_pairs(cost), scene.image_id
+                matrices += 1
+        assert matrices > 40
+        assert sum(routes.values()) == matrices and routes["shortcut"] > 0
