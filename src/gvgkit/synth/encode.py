@@ -172,24 +172,27 @@ def _jitter_box(box: BBox, cfg: SynthConfig, rng: np.random.Generator) -> BBox:
     return BBox(cx, cy, w, h)
 
 
-def _background_box(gt_boxes: list[BBox], rng: np.random.Generator) -> BBox:
-    """A box over soil: disjoint from every instance when possible. Each
-    try draws one ``rng.random(4)``."""
-    gt_corners = [box.to_corners() for box in gt_boxes]
+def _background_box(gt_corners: list[tuple[float, float, float, float]],
+                    rng: np.random.Generator) -> BBox:
+    """A box over soil: disjoint from every instance when possible.
+    ``gt_corners`` are the instances' corners, computed once per scene.
+    Each try draws one ``rng.random(4)`` and tests its corners, taken
+    with the arithmetic of ``BBox.to_corners``; only the returned draw
+    becomes a ``BBox``."""
     for _ in range(60):
         u_w, u_h, u_cx, u_cy = rng.random(4).tolist()
         w = _uniform(0.04, 0.14, u_w)
         h = _uniform(0.04, 0.14, u_h)
         cx = _uniform(w / 2, 1 - w / 2, u_cx)
         cy = _uniform(h / 2, 1 - h / 2, u_cy)
-        candidate = BBox(cx, cy, w, h)
-        x1, y1, x2, y2 = candidate.to_corners()
+        hw, hh = w / 2.0, h / 2.0
+        x1, y1, x2, y2 = cx - hw, cy - hh, cx + hw, cy + hh
         for ox1, oy1, ox2, oy2 in gt_corners:
             if not (x2 <= ox1 or ox2 <= x1 or y2 <= oy1 or oy2 <= y1):
                 break
         else:   # clear of every instance
-            return candidate
-    return candidate  # crowded scene: accept the last sample
+            return BBox(cx, cy, w, h)
+    return BBox(cx, cy, w, h)  # crowded scene: accept the last sample
 
 
 def encode_proposals(scene: SceneAnnotation, cfg: SynthConfig,
@@ -206,6 +209,7 @@ def encode_proposals(scene: SceneAnnotation, cfg: SynthConfig,
     ctx = _context_block(scene, cfg)
     gt_boxes = [inst.normalized_box(scene.width, scene.height)
                 for inst in scene.instances]
+    gt_corners = [box.to_corners() for box in gt_boxes]
 
     features = []
     boxes = []
@@ -227,7 +231,7 @@ def encode_proposals(scene: SceneAnnotation, cfg: SynthConfig,
         vec[WORD_SPACE_DIMS:] = ctx * cfg.context_bg_scale
         vec[WORD_SPACE_DIMS + CTX_BARE_PATCH] = 1.0 * cfg.context_strength
         features.append(vec)
-        boxes.append(_background_box(gt_boxes, rng))
+        boxes.append(_background_box(gt_corners, rng))
         source_ids.append(-1)
 
     feats = np.stack(features)

@@ -69,7 +69,11 @@ def predict_split(split: SplitData, cfg: SynthConfig, tcfg: TrainConfig,
     frozen refinement head into the image's box table, and each record
     ranks that table's rows. One batched pass per image scores the fixed
     vocabulary and every expression of the image; the level-0 argmax
-    comes from the vocabulary rows.
+    comes from the vocabulary rows. The image's expression rows are gated
+    and ranked as one block: one rowwise max, one stable rowwise argsort
+    and one gather, so a record's ranking and scores are rows of the
+    block's arrays. An image with no expressions gets its table and no
+    record.
 
     With ``gate_level0`` the final score enforces the hierarchy at
     inference: the referent counts as present only when some proposal
@@ -107,20 +111,20 @@ def predict_split(split: SplitData, cfg: SynthConfig, tcfg: TrainConfig,
         level0_class = int(np.argmax(hrs.level0_logits(scores, len(vocab_texts)).value))
         tables[scene.image_id] = corners(refined) * np.array([scene.width, scene.height,
                                                               scene.width, scene.height])
-        background_scores = scores.value[background_class]
-        for row, expr in enumerate(exprs, start=len(vocab_texts)):
-            expr_scores = scores.value[row]
-            if gate_level0 and expr.level == "instance":
-                referent_present = float(np.max(expr_scores)) >= 0.0
-                if not referent_present:
-                    expr_scores = background_scores
-            order = np.argsort(-expr_scores, kind="stable")
+        block = scores.value[len(vocab_texts):]                            # (E, N)
+        if gate_level0:
+            instance = np.array([expr.level == "instance" for expr in exprs], dtype=bool)
+            absent = instance & (block.max(axis=1) < 0.0)
+            block = np.where(absent[:, None], scores.value[background_class], block)
+        order = np.argsort(-block, axis=1, kind="stable")
+        ranked = np.take_along_axis(block, order, axis=1)
+        for row, expr in enumerate(exprs):
             records.append(PredictionRecord(
                 expression_id=expr.expression_id,
                 image_id=scene.image_id,
                 level0_class=level0_class,
-                ranking=order,
-                scores=expr_scores[order],
+                ranking=order[row],
+                scores=ranked[row],
             ))
     return Predictions(records=records, tables=tables,
                        meta={"split": split.name, "vocab": list(vocab.sentences),

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,156 @@ class TestBackward:
         z = gk.reduce_sum(gk.add(gk.mul(x, x), x))
         gk.backward(z)
         assert np.allclose(x.grad, [7.0])
+
+
+# Plain-numpy references for the reductions gradkit takes by slices along
+# a short axis: max and sum along the axis, and the first maximum (numpy's
+# argmax, the first NaN if any) for the gradient.
+
+
+def numpy_max(x, axis, g):
+    grad = np.zeros_like(x)
+    np.put_along_axis(grad, np.expand_dims(x.argmax(axis=axis), axis),
+                      np.expand_dims(g, axis), axis=axis)
+    return x.max(axis=axis), grad
+
+
+def numpy_softmax(x, axis, g):
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    value = e / e.sum(axis=axis, keepdims=True)
+    return value, value * (g - (g * value).sum(axis=axis, keepdims=True))
+
+
+def short_axis_input(rng, shape, kind):
+    if kind == "ties":          # few distinct values: many exact ties
+        return rng.integers(-2, 3, size=shape).astype(float)
+    x = rng.normal(size=shape) * 5
+    if kind == "padded":
+        x[rng.random(shape) < 0.3] = -np.inf
+    elif kind == "nonfinite":
+        draw = rng.random(shape)
+        x[draw < 0.1] = np.nan
+        x[(draw >= 0.1) & (draw < 0.2)] = np.inf
+        x[(draw >= 0.2) & (draw < 0.3)] = -np.inf
+    return x
+
+
+def some_valid_mask(rng, shape, axis):
+    """A random mask with at least one valid position per slot."""
+    mask = rng.random(shape) < 0.5
+    first = np.expand_dims(rng.integers(0, shape[axis], size=np.delete(shape, axis)), axis)
+    np.put_along_axis(mask, first, True, axis=axis)
+    return mask
+
+
+def assert_same(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+class TestShortAxisReductions:
+    """Both sides of the short-axis rule (lengths 1-10), at every axis
+    position and in a strided layout, against numpy, bit for bit."""
+
+    @pytest.mark.parametrize("length", range(1, 11))
+    @pytest.mark.parametrize("kind", ["normal", "ties", "padded", "nonfinite"])
+    def test_against_numpy(self, length, kind):
+        rng = np.random.default_rng([length, len(kind)])
+        for axis in (0, 1, 2, -1):
+            shape = [4, 5]
+            shape.insert(axis % 3, length)
+            for strided in (False, True):
+                x = short_axis_input(rng, shape[::-1] if strided else shape, kind)
+                if strided:     # a transposed view, as ``permute`` leaves
+                    x = x.transpose(2, 1, 0)
+                g = rng.normal(size=np.delete(shape, axis % 3))
+                mask = some_valid_mask(rng, shape, axis % 3)
+                with np.errstate(all="ignore"):
+                    self.compare(x, axis, g, mask)
+
+    @staticmethod
+    def compare(x, axis, g, mask):
+        a = gk.tensor(x, requires_grad=True)
+        out = gk.max_over_axis(a, axis=axis)
+        value, grad = numpy_max(x, axis, g)
+        assert_same(out.value, value)
+        assert_same(out._backward_fn(g)[0], grad)
+
+        pooled = gk.masked_max_pool(a, mask, axis=axis)
+        value, grad = numpy_max(np.where(mask, x, -np.inf), axis, g)
+        assert_same(pooled.value, value)
+        assert_same(pooled._backward_fn(g)[0], grad)
+
+        # the mask broadcast along the other axes, as hrs passes it
+        narrow_mask = mask[tuple(slice(None) if i == axis % 3 else slice(0, 1)
+                                 for i in range(3))]
+        pooled = gk.masked_max_pool(a, narrow_mask, axis=axis)
+        value, grad = numpy_max(np.where(narrow_mask, x, -np.inf), axis, g)
+        assert_same(pooled.value, value)
+        assert_same(pooled._backward_fn(g)[0], grad)
+
+        weights = np.expand_dims(g, axis) * np.linspace(0.5, 1.5, x.shape[axis]).reshape(
+            [-1 if i == axis % 3 else 1 for i in range(3)])
+        soft = gk.softmax(a, axis=axis)
+        value, grad = numpy_softmax(x, axis, weights)
+        assert_same(soft.value, value)
+        assert_same(soft._backward_fn(weights)[0], grad)
+
+    def test_ties_route_to_the_first_maximum(self):
+        x = gk.tensor([[2.0, 5.0, 5.0], [1.0, 1.0, 1.0], [-np.inf, -np.inf, 0.0],
+                       [np.nan, 3.0, np.nan]], requires_grad=True)
+        with np.errstate(all="ignore"):
+            out = gk.max_over_axis(x, axis=1)
+        assert_same(out.value, np.array([5.0, 1.0, 0.0, np.nan]))
+        assert np.array_equal(out._backward_fn(np.ones(4))[0],
+                              [[0, 1, 0], [1, 0, 0], [0, 0, 1], [1, 0, 0]])
+
+    @pytest.mark.parametrize("length", [1, 3, 9])
+    def test_one_dimensional_input_has_a_scalar_output(self, length):
+        rng = np.random.default_rng(length)
+        x = rng.integers(-2, 3, size=length).astype(float)
+        mask = np.arange(length) % 2 == 0
+        for node, masked in ((lambda a: gk.max_over_axis(a, axis=0), x),
+                             (lambda a: gk.masked_max_pool(a, mask, axis=0),
+                              np.where(mask, x, -np.inf))):
+            a = gk.tensor(x, requires_grad=True)
+            out = node(a)
+            assert out.value.shape == ()
+            gk.backward(gk.mul(out, 2.0))
+            value, grad = numpy_max(masked, 0, np.float64(2.0))
+            assert out.value == value
+            assert np.array_equal(a.grad, grad)
+        a = gk.tensor(x, requires_grad=True)
+        weights = np.linspace(-1.0, 1.0, length)
+        gk.backward(gk.reduce_sum(gk.mul(gk.softmax(a, axis=0), weights)))
+        value, grad = numpy_softmax(x, 0, weights)
+        assert np.array_equal(gk.softmax(gk.tensor(x)).value, value)
+        assert np.array_equal(a.grad, grad)
+
+    @pytest.mark.parametrize("length", [3, 9])
+    def test_route_is_fixed_when_the_node_is_created(self, length):
+        # a parameter leaf edited in place after the forward pass, as the
+        # finite-difference check does, keeps the route of that pass
+        rng = np.random.default_rng(length)
+        values = rng.normal(size=(4, length))
+        a = gk.tensor(values.copy(), requires_grad=True)
+        out = gk.max_over_axis(a, axis=1)
+        a.value[:, -1] = 100.0      # a new maximum in every slot
+        gk.backward(gk.reduce_sum(out))
+        assert np.array_equal(a.grad, numpy_max(values, 1, np.ones(4))[1])
+
+    def test_no_route_without_grad(self, monkeypatch):
+        tensor_module = importlib.import_module("gvgkit.gradkit.tensor")
+
+        def no_route(*args):
+            raise AssertionError("route built for a constant")
+
+        monkeypatch.setattr(tensor_module, "_first_max_route", no_route)
+        for length in (3, 9):
+            x = gk.constant(np.arange(2.0 * length).reshape(2, length))
+            assert np.array_equal(gk.max_over_axis(x, axis=1).value,
+                                  [length - 1.0, 2.0 * length - 1.0])
+            gk.masked_max_pool(x, np.ones(length, dtype=bool), axis=1)
 
 
 def count_backward_calls(loss):

@@ -23,6 +23,7 @@ from gvgkit.synth import (
     write_split,
 )
 from gvgkit.synth.config import WORD_SPACE_DIMS
+from gvgkit.synth.scenes import SplitData
 from gvgkit.synth.train import encode_split, train_stage2
 
 
@@ -158,12 +159,18 @@ class TestProposalEncoding:
                    for _ in range(12)] if crowded else [BBox(0.5, 0.5, 0.2, 0.2)]
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             assert _jitter_box(box, cfg, rng) == uniform_oracle.jitter_box(box, cfg, ref)
-            assert _background_box(gts, rng) == uniform_oracle.background_box(gts, ref)
-            # both took the same number of draws
-            assert rng.bit_generator.state == ref.bit_generator.state
-            one_try = np.random.default_rng(seed)
-            one_try.random(8)
-            retried += one_try.bit_generator.state != ref.bit_generator.state
+            # one corner list per scene, as encode_proposals computes it; the
+            # oracle builds a BBox and its corners on every try
+            gt_corners = [gt.to_corners() for gt in gts]
+            for draw in range(4 if crowded else 1):
+                assert (_background_box(gt_corners, rng)
+                        == uniform_oracle.background_box(gts, ref))
+                # both took the same number of draws
+                assert rng.bit_generator.state == ref.bit_generator.state
+                if draw == 0:
+                    one_try = np.random.default_rng(seed)
+                    one_try.random(8)
+                    retried += one_try.bit_generator.state != ref.bit_generator.state
         assert retried > (250 if crowded else 0)
 
 
@@ -388,6 +395,30 @@ class TestPrediction:
         _, _, ds, _, preds = predicted
         assert {r.expression_id for r in preds.records} == \
             {e.expression_id for e in ds.test.expressions}
+
+    @pytest.mark.parametrize("gate", [True, False])
+    def test_scene_without_expressions(self, predicted, gate):
+        # the block of an image's expression rows is empty for this scene
+        cfg, tcfg, ds, result, _ = predicted
+        full = predict_split(ds.test, cfg, tcfg, result.params, result.refiner,
+                             gate_level0=gate)
+        victim = next(s.image_id for s in ds.test.scenes
+                      if any(e.level == "instance" for e in ds.test.expressions_for(s.image_id)))
+        split = SplitData(ds.test.name, ds.test.scenes,
+                          [e for e in ds.test.expressions if e.image_id != victim])
+        preds = predict_split(split, cfg, tcfg, result.params, result.refiner,
+                              gate_level0=gate)
+        assert not any(r.image_id == victim for r in preds.records)
+        kept = [r for r in full.records if r.image_id != victim]
+        assert len(preds.records) == len(kept) < len(full.records)
+        for got, want in zip(preds.records, kept):
+            assert (got.expression_id, got.image_id, got.level0_class) == \
+                (want.expression_id, want.image_id, want.level0_class)
+            assert np.array_equal(got.ranking, want.ranking)
+            assert got.scores.tobytes() == want.scores.tobytes()
+        assert preds.tables.keys() == full.tables.keys()
+        for image_id, table in full.tables.items():
+            assert preds.tables[image_id].tobytes() == table.tobytes()
 
 
 class TestTopOneBeatsRandom:
