@@ -496,7 +496,7 @@ def _max_reduce(a: Tensor, masked: np.ndarray, axis: int) -> Tensor:
     ``axis``. The tie gap, computed when asked, is the smallest margin
     between a slot's best and second-best entry."""
     top = _reduce(np.maximum, masked, axis)
-    route = _first_max_route(masked, top, axis) if a.requires_grad else None
+    route = _first_max_route(masked, axis) if a.requires_grad else None
     tie_gap = None
     if masked.shape[axis] > 1:
         entries = _as_of_now(a) if masked is a.value else masked
@@ -512,22 +512,11 @@ def _max_reduce(a: Tensor, masked: np.ndarray, axis: int) -> Tensor:
     return _node(top.squeeze(axis), (a,), backward, tie_gap=tie_gap)
 
 
-def _first_max_route(x: np.ndarray, top: np.ndarray, axis: int) -> np.ndarray:
-    """True at the first entry of each slot along ``axis`` that equals
-    its maximum ``top`` (kept dims), or at the first NaN, as ``argmax``
-    picks."""
-    if not _is_short(x, axis):
-        route = np.zeros(x.shape, dtype=bool)
-        np.put_along_axis(route, np.expand_dims(x.argmax(axis=axis), axis), True, axis=axis)
-        return route
-    route = (x == top) | np.isnan(x)
-    head = (slice(None),) * (axis % x.ndim)
-    claimed = route[head + (0,)]
-    for i in range(1, x.shape[axis]):
-        hit = route[head + (i,)]
-        first = hit & ~claimed
-        claimed = claimed | hit
-        route[head + (i,)] = first
+def _first_max_route(x: np.ndarray, axis: int) -> np.ndarray:
+    """True at the entry of each slot along ``axis`` that ``argmax``
+    picks: the first maximum, or the first NaN."""
+    route = np.zeros(x.shape, dtype=bool)
+    np.put_along_axis(route, np.expand_dims(x.argmax(axis=axis), axis), True, axis=axis)
     return route
 
 

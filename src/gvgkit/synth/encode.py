@@ -176,23 +176,21 @@ def _background_box(gt_corners: list[tuple[float, float, float, float]],
                     rng: np.random.Generator) -> BBox:
     """A box over soil: disjoint from every instance when possible.
     ``gt_corners`` are the instances' corners, computed once per scene.
-    Each try draws one ``rng.random(4)`` and tests its corners, taken
-    with the arithmetic of ``BBox.to_corners``; only the returned draw
-    becomes a ``BBox``."""
+    Each try draws one ``rng.random(4)``."""
     for _ in range(60):
         u_w, u_h, u_cx, u_cy = rng.random(4).tolist()
         w = _uniform(0.04, 0.14, u_w)
         h = _uniform(0.04, 0.14, u_h)
         cx = _uniform(w / 2, 1 - w / 2, u_cx)
         cy = _uniform(h / 2, 1 - h / 2, u_cy)
-        hw, hh = w / 2.0, h / 2.0
-        x1, y1, x2, y2 = cx - hw, cy - hh, cx + hw, cy + hh
+        candidate = BBox(cx, cy, w, h)
+        x1, y1, x2, y2 = candidate.to_corners()
         for ox1, oy1, ox2, oy2 in gt_corners:
             if not (x2 <= ox1 or ox2 <= x1 or y2 <= oy1 or oy2 <= y1):
                 break
         else:   # clear of every instance
-            return BBox(cx, cy, w, h)
-    return BBox(cx, cy, w, h)  # crowded scene: accept the last sample
+            return candidate
+    return candidate  # crowded scene: accept the last sample
 
 
 def encode_proposals(scene: SceneAnnotation, cfg: SynthConfig,
