@@ -62,7 +62,6 @@ def _resolve_configs(args) -> tuple[SynthConfig, TrainConfig]:
 def _store_config(out: Path, synth_cfg: SynthConfig, train_cfg: TrainConfig) -> None:
     payload = {"synth": dataclasses.asdict(synth_cfg),
                "train": dataclasses.asdict(train_cfg)}
-    payload["train"]["ablation"] = dataclasses.asdict(train_cfg.ablation)
     (out / "config.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -111,7 +110,7 @@ def cmd_train(args) -> int:
     if result.params is not None:
         result.params.save(out / "params.json", seed=train_cfg.seed)
     write_log(result.log, out / "log.csv", seed=train_cfg.seed)
-    # a later `train --stage 2` or `predict` picks up the same variant
+    # a later `train --stage 2` trains the same variant
     _store_config(out, synth_cfg, train_cfg)
     print(f"trained stage {args.stage}; checkpoints and log.csv in {out}")
     return 0
@@ -124,11 +123,6 @@ def cmd_predict(args) -> int:
     params = HrsParams.load(out / "params.json")
     if params.d_v != synth_cfg.d_v or params.d_t != synth_cfg.d_t:
         raise ValueError("checkpoint feature dims do not match the dataset config")
-    # the checkpoint's ablation shapes its forward pass; --ablate may only repeat it
-    if args.ablate and train_cfg.ablation != params.ablation:
-        raise ValueError(f"--ablate {args.ablate} does not match the checkpoint, "
-                         f"trained with ablation {ablation_name(params.ablation)}")
-    train_cfg = dataclasses.replace(train_cfg, ablation=params.ablation)
     refiner = BoxRefiner.load(out / "refiner.json")
     # no_interp_iou is the one flag stage 1 trains under
     if refiner.ablation.no_interp_iou != params.ablation.no_interp_iou:
@@ -136,7 +130,7 @@ def cmd_predict(args) -> int:
                          f"{ablation_name(refiner.ablation)} and params.json with "
                          f"{ablation_name(params.ablation)}, which differ in "
                          "no-interp-iou; re-run `gvgkit train`")
-    preds = predict_split(split, synth_cfg, train_cfg, params, refiner,
+    preds = predict_split(split, synth_cfg, params, refiner,
                           gate_level0=not args.no_gate_level0)
     path = out / f"predictions-{args.split}.jsonl"
     write_predictions(preds, path, seed=train_cfg.seed)
@@ -157,10 +151,10 @@ def cmd_eval(args) -> int:
         raise ValueError(f"{path}: {err}") from None
     write_report(report, out / f"report-{args.split}.json", seed=train_cfg.seed,
                  fmt="json")
-    table = format_table(report)
-    (out / f"report-{args.split}.txt").write_text(f"# seed={train_cfg.seed}\n" + table)
+    write_report(report, out / f"report-{args.split}.txt", seed=train_cfg.seed,
+                 fmt="table")
     if args.format == "table":
-        print(table)
+        print(format_table(report))
     else:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return 0
@@ -194,9 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred = sub.add_parser("predict", help="score a split with a checkpoint")
     common(p_pred)
     p_pred.add_argument("--split", choices=SPLITS, default="test")
-    p_pred.add_argument("--ablate", default=None,
-                        help="optional: must name the ablation the checkpoint "
-                             "was trained with, which predict reads from it")
     p_pred.add_argument("--no-gate-level0", action="store_true",
                         help="rank by raw referring scores without the "
                              "existence-aware re-ranking of absent referents")

@@ -41,6 +41,10 @@ GRID_CELLS = tuple(
 IMAGE_TYPES = ("crop_only", "weed_only", "mixed", "empty")
 NEGATIVE_KINDS = ("replace_category", "swap_size", "swap_position")
 
+# scene density buckets: label and instance-count range, the last open-ended
+DENSITY_BUCKETS = (("1-10", 1, 10), ("11-20", 11, 20), ("21-30", 21, 30), (">30", 31, None))
+DENSITY_LABELS = tuple(label for label, _, _ in DENSITY_BUCKETS)
+
 MIN_INSTANCE_AREA_PX = 256  # anything smaller is unidentifiable by eye
 
 IMAGE_NEGATIVE_TEXT = {
@@ -70,6 +74,13 @@ def grid_cell(box: BBox) -> str:
     if (row, col) == (1, 1):
         return "centre"
     return f"{GRID_ROWS[row]} {GRID_COLS[col]}"
+
+
+def density_label(n_instances: int) -> str:
+    """The density bucket of a scene with ``n_instances`` instances: the
+    first whose highest count it does not exceed."""
+    return next(label for label, _, hi in DENSITY_BUCKETS
+                if hi is None or n_instances <= hi)
 
 
 def size_bin(box: BBox, image_w: float, image_h: float,

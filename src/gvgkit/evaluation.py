@@ -28,13 +28,16 @@ from pathlib import Path
 
 import numpy as np
 
-from gvgkit.datagen import Expression, SceneAnnotation
+from gvgkit.datagen import (
+    DENSITY_LABELS,
+    NEGATIVE_KINDS,
+    SIZE_BINS,
+    Expression,
+    SceneAnnotation,
+    density_label,
+)
 from gvgkit.geometry import giou, iou
 from gvgkit.synth.predict import Predictions
-
-DENSITY_LABELS = ("1-10", "11-20", "21-30", ">30")
-SCALE_LABELS = ("tiny", "small", "medium", "large")
-KIND_LABELS = ("replace_category", "swap_size", "swap_position")
 
 # the GIoU <= 0 rule is inclusive; exactly-touching boxes may evaluate a
 # few ulp off zero after coordinate conversions, so the boundary carries
@@ -230,16 +233,6 @@ def _metric_row(out: _Outcomes, strict: bool) -> MetricRow:
     return row
 
 
-def _density_label(n_instances: int) -> str:
-    if n_instances <= 10:
-        return "1-10"
-    if n_instances <= 20:
-        return "11-20"
-    if n_instances <= 30:
-        return "21-30"
-    return ">30"
-
-
 def stratify(predictions: Predictions, scenes: list[SceneAnnotation],
              expressions: list[Expression], strict_negatives: bool = False) -> EvalReport:
     """Full report: overall row, scale x crop/weed and density strata
@@ -256,21 +249,21 @@ def stratify(predictions: Predictions, scenes: list[SceneAnnotation],
         return _metric_row(subset, strict_negatives)
 
     by_scale = {}
-    for size in SCALE_LABELS:
+    for size in SIZE_BINS:
         for group, is_weed in (("crop", False), ("weed", True)):
             by_scale[f"{size}/{group}"] = row(
                 [e.attributes.size_bin == size and (e.attributes.category == "weed") == is_weed
                  for e in out.positives], no_neg)
 
-    n_instances = {s.image_id: len(s.instances) for s in scenes}
-    density = [_density_label(n_instances[e.image_id]) for e in out.positives]
+    by_image = {s.image_id: density_label(len(s.instances)) for s in scenes}
+    density = [by_image[e.image_id] for e in out.positives]
     by_density = {label: row([d == label for d in density], no_neg)
                   for label in DENSITY_LABELS}
 
     neg_by_kind = {}
     weighted_sum = 0.0
     weighted_support = 0
-    for kind in KIND_LABELS:
+    for kind in NEGATIVE_KINDS:
         kind_row = row(no_pos, [e.negative_kind == kind for e in out.negatives])
         if kind_row.neg_support:
             weighted_sum += kind_row.neg_acc * kind_row.neg_support
@@ -302,7 +295,7 @@ def format_table(report: EvalReport) -> str:
     lines.append("")
     lines.append("By instance scale (Top-1 | mIoU)")
     lines.append("            Crop             Weed")
-    for size in SCALE_LABELS:
+    for size in SIZE_BINS:
         crop = report.by_scale[f"{size}/crop"]
         weed = report.by_scale[f"{size}/weed"]
         lines.append(f"  {size.capitalize():<7} {_fmt(crop.top1)} |{_fmt(crop.miou)}"
@@ -318,7 +311,7 @@ def format_table(report: EvalReport) -> str:
     lines.append(f"Negative accuracy by manipulation ({mode})")
     pretty = {"replace_category": "Replace Category", "swap_size": "Swap Size",
               "swap_position": "Swap Position", "weighted_average": "Weighted Average"}
-    for kind in (*KIND_LABELS, "weighted_average"):
+    for kind in (*NEGATIVE_KINDS, "weighted_average"):
         row = report.neg_acc_by_kind[kind]
         lines.append(f"  {pretty[kind]:<18} {_fmt(row.neg_acc)}   (n={row.neg_support})")
     return "\n".join(lines) + "\n"

@@ -89,37 +89,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.value.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar used throughout the model code
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def tensor(value, requires_grad: bool = False) -> Tensor:
     return Tensor(value, requires_grad=requires_grad)
@@ -522,12 +491,6 @@ def _first_max_route(x: np.ndarray, axis: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # composed losses
-
-
-def softplus(a) -> Tensor:
-    """log(1 + exp(a)), computed on the non-overflowing side."""
-    a = _as_tensor(a)
-    return add(relu(a), log(add(1.0, exp(neg(abs_(a))))))
 
 
 def abs_(a) -> Tensor:

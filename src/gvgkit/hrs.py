@@ -18,7 +18,8 @@ referring-score matrix.
 ``level0_logits`` pools the vocabulary rows of that matrix into the
 level-0 class logits, and each expression reads its own row. The pass
 runs on gradkit tensors so the training losses get exact reverse-mode
-gradients; prediction code just reads ``.value``.
+gradients; prediction code just reads ``.value``. The pass runs as the
+variant its ``HrsParams`` carries.
 """
 
 from __future__ import annotations
@@ -165,8 +166,9 @@ class HrsParams:
     raw cosine does, instead of through two unrelated random maps. The
     two stay separate arrays and are trained separately.
 
-    ``ablation`` names the variant the head is trained as. It shapes the
-    forward pass, so the checkpoint records it.
+    ``ablation`` names the variant the head is trained as. It is the
+    only record of the variant: the forward pass, the losses and the
+    optimiser read it from here, and the checkpoint saves it.
     """
 
     def __init__(self, d_v: int, d_t: int, d: int = 64, heads: int = 4,
@@ -215,11 +217,11 @@ class HrsParams:
     def leaves(self) -> list[tuple[str, Tensor]]:
         return [(name, getattr(self, name)) for name in self._TENSOR_NAMES]
 
-    def trainable(self, ablation: AblationFlags = AblationFlags()) -> list[Tensor]:
-        """Tensors the optimizer may update; the no-projection ablation
-        freezes both projections at their initialisation, which for
-        ``d_v == d_t`` is one shared random map."""
-        skip = {"visual_proj", "text_proj"} if ablation.no_projection else set()
+    def trainable(self) -> list[Tensor]:
+        """Tensors the optimizer may update; the model's no-projection
+        ablation freezes both projections at their initialisation, which
+        for ``d_v == d_t`` is one shared random map."""
+        skip = {"visual_proj", "text_proj"} if self.ablation.no_projection else set()
         return [t for name, t in self.leaves() if name not in skip]
 
     def frozen(self) -> "HrsParams":
@@ -348,11 +350,11 @@ def _unit_rows(x: Tensor, null_ok: np.ndarray | None = None) -> Tensor:
 
 
 def referring_score(fused: Tensor, tokens: Tensor, valid_mask: np.ndarray,
-                    params: HrsParams,
-                    ablation: AblationFlags = AblationFlags()) -> RelevanceOutput:
+                    params: HrsParams) -> RelevanceOutput:
     """Temperature-scaled sentence and word similarities for K texts,
     fused into one (K, N) ranking score by each text's learned sentence
-    weight.
+    weight, which the model's sentence-only and word-only variants fix
+    at 1 and 0.
 
     A text's sentence feature is the max-pool of its valid projected
     tokens. Word scores keep the block's token width; entries at padding
@@ -374,9 +376,9 @@ def referring_score(fused: Tensor, tokens: Tensor, valid_mask: np.ndarray,
     hidden = gk.relu(gk.add(gk.matmul(sentence, params.fusion_w1), params.fusion_b1))
     weight = gk.sigmoid(gk.add(gk.matmul(hidden, params.fusion_w2),
                                params.fusion_b2))                          # (K, 1)
-    if ablation.sentence_only:
+    if params.ablation.sentence_only:
         weight = gk.constant(np.ones((n_texts, 1)))
-    elif ablation.word_only:
+    elif params.ablation.word_only:
         weight = gk.constant(np.zeros((n_texts, 1)))
     referring = gk.add(gk.mul(weight, sentence_scores),
                        gk.mul(gk.sub(1.0, weight), word_max))
@@ -385,15 +387,15 @@ def referring_score(fused: Tensor, tokens: Tensor, valid_mask: np.ndarray,
 
 
 def score_expression(proposals: ProposalFeatures, texts: Sequence[TextFeatures],
-                     params: HrsParams,
-                     ablation: AblationFlags = AblationFlags()) -> RelevanceOutput:
+                     params: HrsParams) -> RelevanceOutput:
     """The full forward pass of one scene: every text in ``texts``
-    against all its proposals, in one batch. The text projection is
-    computed once and shared by the attention and the scores."""
+    against all its proposals, in one batch, as the variant that
+    ``params.ablation`` names. The text projection is computed once and
+    shared by the attention and the scores."""
     embeddings, valid_mask = stack_texts(texts)
     tokens = gk.matmul(gk.constant(embeddings), params.text_proj)          # (K, T, d)
     fused = fuse(proposals, tokens, valid_mask, params)
-    return referring_score(fused, tokens, valid_mask, params, ablation)
+    return referring_score(fused, tokens, valid_mask, params)
 
 
 def level0_logits(referring_scores: Tensor, vocab_size: int) -> Tensor:

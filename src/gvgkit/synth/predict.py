@@ -29,7 +29,7 @@ from gvgkit import hrs
 from gvgkit.geometry import centre_rows, corners
 from gvgkit.hrs import HrsParams, Level0Vocabulary
 from gvgkit.synth.boxhead import BoxRefiner
-from gvgkit.synth.config import SynthConfig, TrainConfig
+from gvgkit.synth.config import SynthConfig
 from gvgkit.synth.encode import EmbeddingTable, encode_proposals
 from gvgkit.synth.scenes import SplitData
 from gvgkit.synth.train import encode_texts, vocabulary_texts
@@ -61,19 +61,18 @@ class Predictions:
         return {r.expression_id: r for r in self.records}
 
 
-def predict_split(split: SplitData, cfg: SynthConfig, tcfg: TrainConfig,
-                  params: HrsParams, refiner: BoxRefiner,
-                  vocab: Level0Vocabulary | None = None,
-                  gate_level0: bool = True) -> Predictions:
+def predict_split(split: SplitData, cfg: SynthConfig, params: HrsParams,
+                  refiner: BoxRefiner, gate_level0: bool = True) -> Predictions:
     """Rank all proposals for every expression; boxes pass through the
     frozen refinement head into the image's box table, and each record
-    ranks that table's rows. One batched pass per image scores the fixed
-    vocabulary and every expression of the image; the level-0 argmax
-    comes from the vocabulary rows. The image's expression rows are gated
-    and ranked as one block: one rowwise max, one stable rowwise argsort
-    and one gather, so a record's ranking and scores are rows of the
-    block's arrays. An image with no expressions gets its table and no
-    record.
+    ranks that table's rows. The scoring head runs as the variant that
+    ``params.ablation`` records. One batched pass per image scores the
+    fixed vocabulary and every expression of the image; the level-0
+    argmax comes from the vocabulary rows. The image's expression rows
+    are gated and ranked as one block: one rowwise max, one stable
+    rowwise argsort and one gather, so a record's ranking and scores are
+    rows of the block's arrays. An image with no expressions gets its
+    table and no record.
 
     With ``gate_level0`` the final score enforces the hierarchy at
     inference: the referent counts as present only when some proposal
@@ -85,7 +84,7 @@ def predict_split(split: SplitData, cfg: SynthConfig, tcfg: TrainConfig,
     images), so the prediction points at soil instead of at some other
     instance. ``gate_level0=False`` ranks by the raw referring score.
     """
-    vocab = vocab or Level0Vocabulary()
+    vocab = Level0Vocabulary()
     table = EmbeddingTable(cfg.seed)
     vocab_texts = vocabulary_texts(vocab, table, cfg.max_tokens)
     background_class = vocab.class_by_image_type["empty"]
@@ -101,8 +100,7 @@ def predict_split(split: SplitData, cfg: SynthConfig, tcfg: TrainConfig,
                                            cfg.max_tokens, encoded)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # a non-finite score or box is reported by the checks below
-            scores = hrs.score_expression(proposals, texts, frozen,
-                                          tcfg.ablation).referring_scores
+            scores = hrs.score_expression(proposals, texts, frozen).referring_scores
             refined = refiner.refine_numpy(centre_rows(proposals.boxes))
         if not np.all(np.isfinite(scores.value)):
             raise OverflowError(f"non-finite referring scores for image {scene.image_id}")

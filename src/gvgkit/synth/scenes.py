@@ -18,10 +18,15 @@ import numpy as np
 from gvgkit import datagen
 from gvgkit.datagen import (
     CROP_CATEGORIES,
+    DENSITY_BUCKETS,
+    DENSITY_LABELS,
+    IMAGE_TYPES,
+    SIZE_BINS,
     WEED_CATEGORY,
     Expression,
     InstanceAnnotation,
     SceneAnnotation,
+    density_label,
     filter_instances,
     gen_image_negatives,
     gen_positive_expressions,
@@ -29,8 +34,6 @@ from gvgkit.datagen import (
     stratified_split,
 )
 from gvgkit.synth.config import SynthConfig
-
-DENSITY_BUCKETS = ((1, 10), (11, 20), (21, 30), (31, None))
 
 # sqrt-area fractions per size bin used when drawing boxes; kept inside
 # the bin thresholds so derived attributes match the draw
@@ -119,8 +122,8 @@ def _generate_raw_scene(image_id: str, image_type: str, cfg: SynthConfig,
         scene.refresh_type()
         return scene
 
-    bucket = DENSITY_BUCKETS[int(rng.choice(4, p=cfg.density_probs))]
-    lo, hi = bucket[0], bucket[1] if bucket[1] is not None else cfg.max_instances
+    _, lo, hi = DENSITY_BUCKETS[int(rng.choice(len(DENSITY_BUCKETS), p=cfg.density_probs))]
+    hi = cfg.max_instances if hi is None else hi
     target = int(rng.integers(lo, hi + 1))
     categories = _scene_categories(image_type, rng)
 
@@ -202,10 +205,9 @@ def gen_scenes(cfg: SynthConfig) -> SyntheticDataset:
     """Full dataset build: raw scenes, filtering, split, copy-paste on
     the training split, expressions, and test-split negatives."""
     rng = np.random.default_rng(cfg.seed)
-    type_names = ("crop_only", "weed_only", "mixed", "empty")
     scenes = []
     for k in range(cfg.n_scenes):
-        image_type = type_names[int(rng.choice(4, p=cfg.type_mix))]
+        image_type = IMAGE_TYPES[int(rng.choice(len(IMAGE_TYPES), p=cfg.type_mix))]
         raw = _generate_raw_scene(f"scene-{k:04d}", image_type, cfg, rng)
         scenes.append(filter_instances(raw, cfg.size_thresholds))
 
@@ -231,7 +233,7 @@ def gen_scenes(cfg: SynthConfig) -> SyntheticDataset:
         "scene_counts": {name: len(s.scenes) for name, s in splits.items()},
         "type_counts": {
             name: {t: sum(1 for sc in s.scenes if sc.image_type == t)
-                   for t in type_names}
+                   for t in IMAGE_TYPES}
             for name, s in splits.items()
         },
     }
@@ -240,22 +242,13 @@ def gen_scenes(cfg: SynthConfig) -> SyntheticDataset:
 
 def dataset_stats(split: SplitData) -> dict:
     """Scale and density histograms for the build summary."""
-    scale_hist = {name: 0 for name in ("tiny", "small", "medium", "large")}
-    density_hist = {"1-10": 0, "11-20": 0, "21-30": 0, ">30": 0}
+    scale_hist = dict.fromkeys(SIZE_BINS, 0)
+    density_hist = dict.fromkeys(DENSITY_LABELS, 0)
     for scene in split.scenes:
         for inst in scene.instances:
             scale_hist[inst.size_bin] += 1
-        n = len(scene.instances)
-        if n == 0:
-            continue
-        if n <= 10:
-            density_hist["1-10"] += 1
-        elif n <= 20:
-            density_hist["11-20"] += 1
-        elif n <= 30:
-            density_hist["21-30"] += 1
-        else:
-            density_hist[">30"] += 1
+        if scene.instances:
+            density_hist[density_label(len(scene.instances))] += 1
     return {
         "scenes": len(split.scenes),
         "expressions": len(split.expressions),

@@ -190,13 +190,14 @@ def match_scene(item: EncodedScene, match_cfg: MatchConfig) -> Pairs | None:
 def stage1_loss(pairs: list[Pairs], refiner: BoxRefiner, tcfg: TrainConfig):
     """The mean over scenes of each scene's mean box loss, as one graph:
     the matched rows of every scene go through one refine and one loss,
-    a row of scene s weighted (1/S) * (1/M_s)."""
+    a row of scene s weighted (1/S) * (1/M_s). The loss is GIoU when the
+    refiner is the no-interp-iou variant, else interpolated IoU."""
     share = 1.0 / len(pairs)
     weights = np.concatenate([np.full(len(prop), share * (1.0 / len(prop)))
                               for prop, _ in pairs])
     refined = refiner.refine(np.concatenate([prop for prop, _ in pairs]))
     gt = np.concatenate([gt for _, gt in pairs])
-    if tcfg.ablation.no_interp_iou:
+    if refiner.ablation.no_interp_iou:
         return giou_loss_diff(refined, gt, weights)
     return interp_iou_loss_diff(refined, gt, alpha=tcfg.interp_alpha, weights=weights)
 
@@ -253,15 +254,15 @@ def _scene_losses(item: EncodedScene, params: HrsParams, vocab: Level0Vocabulary
     """Per-scene objective: existence cross-entropy plus the constrained
     instance loss averaged over the sampled expressions. The existence
     floor applies per expression, then the type weights combine the two
-    levels. One batched pass scores the vocabulary sentences and the
-    sampled expressions together, and the k expression rows of its
-    scores give k instance losses in one (k, N) pass. ``encoded_texts``
-    caches each text's encoding across calls."""
+    levels; the no-constraint variant of ``params`` drops the floor. One
+    batched pass scores the vocabulary sentences and the sampled
+    expressions together, and the k expression rows of its scores give
+    k instance losses in one (k, N) pass. ``encoded_texts`` caches each
+    text's encoding across calls."""
     exprs = _pick_expressions(item, tcfg.expressions_per_scene, rng)
     texts = vocab_texts + encode_texts([e.text for e in exprs], table, max_tokens,
                                        encoded_texts)
-    scores = hrs.score_expression(item.proposals, texts, params,
-                                  tcfg.ablation).referring_scores
+    scores = hrs.score_expression(item.proposals, texts, params).referring_scores
     l0 = hrs.loss_lvl0(hrs.level0_logits(scores, len(vocab_texts)),
                        vocab.true_class(item.scene.image_type))
     if not exprs:
@@ -272,7 +273,7 @@ def _scene_losses(item: EncodedScene, params: HrsParams, vocab: Level0Vocabulary
                             for expr in exprs])
         l1 = hrs.loss_lvl1(gk.narrow(scores, 0, len(vocab_texts), len(exprs)),
                            targets.astype(float))                           # (k,)
-        if not tcfg.ablation.no_constraint:
+        if not params.ablation.no_constraint:
             l1 = hrs.loss_constrained(l1, l0)
         l1c = gk.mean(l1)
     hmce = hrs.loss_hmce(l0, l1c, hrs.coarse_image_type(item.scene.image_type))
@@ -302,7 +303,7 @@ def train_stage2(encoded: list[EncodedScene], params: HrsParams,
             total = gk.add(total, gk.mul(extra, 1.0 / len(pieces)))
         return total
 
-    return _run_stage(2, params, params.trainable(tcfg.ablation), encoded, tcfg,
+    return _run_stage(2, params, params.trainable(), encoded, tcfg,
                       tcfg.stage2_epochs, batch_loss)
 
 

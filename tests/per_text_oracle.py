@@ -121,8 +121,10 @@ def level0_logits(proposals, vocab_texts, params, ablation=AblationFlags()):
 
 
 def scene_loss(item, params, vocab, vocab_texts, table, tcfg, rng, max_tokens):
-    """Stage-2 objective of one scene, every text scored on its own."""
-    l0 = hrs.loss_lvl0(level0_logits(item.proposals, vocab_texts, params, tcfg.ablation),
+    """Stage-2 objective of one scene, every text scored on its own, as
+    the variant ``params`` carries."""
+    ablation = params.ablation
+    l0 = hrs.loss_lvl0(level0_logits(item.proposals, vocab_texts, params, ablation),
                        vocab.true_class(item.scene.image_type))
     exprs = _pick_expressions(item, tcfg.expressions_per_scene, rng)
     if not exprs:
@@ -131,11 +133,11 @@ def scene_loss(item, params, vocab, vocab_texts, table, tcfg, rng, max_tokens):
         pieces = []
         for expr in exprs:
             text = encode_text(expr.text, table, max_tokens)
-            out = score_expression(item.proposals, text, params, tcfg.ablation)
+            out = score_expression(item.proposals, text, params, ablation)
             targets = np.isin(item.source_ids,
                               np.asarray(expr.target_ids, dtype=np.int64))
             l1 = hrs.loss_lvl1(out.referring_scores, targets.astype(float))
-            pieces.append(l1 if tcfg.ablation.no_constraint
+            pieces.append(l1 if ablation.no_constraint
                           else hrs.loss_constrained(l1, l0))
         l1c = gk.mul(pieces[0], 1.0 / len(pieces))
         for extra in pieces[1:]:

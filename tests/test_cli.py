@@ -494,18 +494,21 @@ def test_predict_reads_the_ablation_from_the_checkpoint(run_dir, tmp_path, capsy
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert main(["train", "--out", str(tmp_path), "--ablate", "sentence-only"]) == 0
-        for flag in ([], ["--ablate", "sentence-only"]):
-            assert main(["predict", "--out", str(tmp_path), "--split", "test", *flag]) == 0
+        # the stored config names another variant: predict does not read it
+        for variant in ("sentence-only", "word-only"):
+            config = json.loads((tmp_path / "config.json").read_text())
+            config["train"]["ablation"] = variant
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            assert main(["predict", "--out", str(tmp_path), "--split", "test"]) == 0
             outputs.append(predictions.read_bytes())
         predictions.unlink()
         capsys.readouterr()
-        assert main(["predict", "--out", str(tmp_path), "--split", "test",
-                     "--ablate", "word-only"]) == 1
+        with pytest.raises(SystemExit) as info:
+            main(["predict", "--out", str(tmp_path), "--split", "test",
+                  "--ablate", "sentence-only"])
     assert outputs[0] == outputs[1]
-    err = capsys.readouterr().err
-    assert err.startswith("error: --ablate word-only does not match the checkpoint, "
-                          "trained with ablation sentence-only"), err
-    assert err.count("\n") == 1, err
+    assert info.value.code == 2
+    assert "unrecognized arguments: --ablate sentence-only" in capsys.readouterr().err
     assert not predictions.exists()
 
 

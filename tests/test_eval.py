@@ -5,12 +5,12 @@ from gvgkit import datagen, evaluation
 from gvgkit.datagen import (
     Attributes,
     Expression,
+    NEGATIVE_KINDS,
     InstanceAnnotation,
     SceneAnnotation,
     filter_instances,
 )
 from gvgkit.evaluation import (
-    KIND_LABELS,
     EvalReport,
     format_table,
     mean_iou,
@@ -388,7 +388,7 @@ class TestStratifyAgainstReference:
             scenes.append(scene)
             exprs = datagen.gen_positive_expressions(scene) + datagen.gen_image_negatives(scene)
             exprs += [negative_expr(f"s{s}-neg{k}", scene.image_id, kind=kind)
-                      for k, kind in enumerate(KIND_LABELS)]
+                      for k, kind in enumerate(NEGATIVE_KINDS)]
             table = np.empty((0, 4))
             for expr in exprs:
                 fate = rng.random()
@@ -476,7 +476,7 @@ class TestStratifyAgainstReference:
                                   ("21-30", 21, 30), (">30", 31, 10**6)):
                 cases = [c for c in pos if lo <= c["density"] <= hi]
                 self._assert_row(report.by_density[label], cases, [], strict)
-            for kind in KIND_LABELS:
+            for kind in NEGATIVE_KINDS:
                 cases = [c for c in neg if c["expr"].negative_kind == kind]
                 self._assert_row(report.neg_acc_by_kind[kind], [], cases, strict)
             average = report.neg_acc_by_kind["weighted_average"]

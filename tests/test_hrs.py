@@ -32,9 +32,9 @@ D_V = 12
 D_T = 12
 
 
-def make_params(seed=0, d=16, heads=2, d_ff=24, d_hidden=8):
+def make_params(seed=0, d=16, heads=2, d_ff=24, d_hidden=8, ablation=AblationFlags()):
     return HrsParams(d_v=D_V, d_t=D_T, d=d, heads=heads, d_ff=d_ff,
-                     d_hidden=d_hidden, seed=seed)
+                     d_hidden=d_hidden, seed=seed, ablation=ablation)
 
 
 def make_text(rng, tokens=5, valid=None):
@@ -126,20 +126,34 @@ class TestReferringScore:
 
     def test_sentence_only_limit(self):
         rng = np.random.default_rng(5)
-        params = make_params(seed=6)
+        params = make_params(seed=6, ablation=AblationFlags(sentence_only=True))
         props = make_proposals(rng)
         text = make_text(rng)
-        out = score_expression(props, [text], params, AblationFlags(sentence_only=True))
+        out = score_expression(props, [text], params)
         assert np.array_equal(out.referring_scores.value, out.sentence_scores.value)
 
     def test_word_only_limit(self):
         rng = np.random.default_rng(6)
-        params = make_params(seed=7)
+        params = make_params(seed=7, ablation=AblationFlags(word_only=True))
         props = make_proposals(rng)
         text = make_text(rng)
-        out = score_expression(props, [text], params, AblationFlags(word_only=True))
+        out = score_expression(props, [text], params)
         word_max = out.word_scores.value[0].max(axis=1)
         assert np.allclose(out.referring_scores.value[0], word_max, atol=1e-15)
+
+    @pytest.mark.parametrize("variant, weight", [("sentence_only", 1.0), ("word_only", 0.0)])
+    def test_the_variant_comes_from_the_params(self, variant, weight):
+        # the same weights as the full model: only the flags the params
+        # carry fix the sentence weight, in a live pass and a frozen one
+        rng = np.random.default_rng(9)
+        props, texts = make_proposals(rng), [make_text(rng), make_text(rng, tokens=3)]
+        full = score_expression(props, texts, make_params(seed=10))
+        ablated = make_params(seed=10, ablation=AblationFlags(**{variant: True}))
+        for params in (ablated, ablated.frozen()):
+            out = score_expression(props, texts, params)
+            assert np.array_equal(out.sentence_weight.value, np.full((2, 1), weight))
+            assert np.array_equal(out.sentence_scores.value, full.sentence_scores.value)
+            assert not np.allclose(out.referring_scores.value, full.referring_scores.value)
 
     def test_parallel_feature_hits_inverse_temperature(self):
         rng = np.random.default_rng(7)
@@ -337,9 +351,8 @@ class TestEndToEndGradients:
             HrsParams.load(bad)
 
     def test_trainable_excludes_frozen_projections(self):
-        params = make_params(seed=16)
-        full = params.trainable()
-        frozen = params.trainable(AblationFlags(no_projection=True))
+        full = make_params(seed=16).trainable()
+        frozen = make_params(seed=16, ablation=AblationFlags(no_projection=True)).trainable()
         assert len(full) - len(frozen) == 2
 
     def test_projections_start_shared_but_train_separately(self):

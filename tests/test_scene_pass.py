@@ -1,6 +1,7 @@
 """The batched scene pass against the per-text oracle: same losses,
 gradients, rankings and level-0 classes, from far fewer tape nodes."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -42,10 +43,11 @@ def pick_scenes(encoded):
             for kinds in (("empty",), ("mixed",), ("crop_only", "weed_only"))]
 
 
-def fresh_params(seed):
+def fresh_params(seed, ablation=AblationFlags()):
     tcfg = TrainConfig()
     return HrsParams(d_v=SynthConfig().d_v, d_t=SynthConfig().d_t, d=tcfg.d,
-                     heads=tcfg.heads, d_ff=tcfg.d_ff, d_hidden=tcfg.d_hidden, seed=seed)
+                     heads=tcfg.heads, d_ff=tcfg.d_ff, d_hidden=tcfg.d_hidden, seed=seed,
+                     ablation=ablation)
 
 
 def loss_and_grads(loss_fn, params):
@@ -59,11 +61,12 @@ def loss_and_grads(loss_fn, params):
 
 @pytest.mark.parametrize("ablation", sorted(ABLATIONS))
 def test_scene_loss_and_gradients_match_the_oracle(setup, ablation):
+    # the variant lives in the model; the config carries the full model's flags
     cfg, _, table, encoded = setup
-    tcfg = TrainConfig(seed=11, ablation=ABLATIONS[ablation])
+    tcfg = TrainConfig(seed=11)
     vocab = Level0Vocabulary()
     vocab_texts = vocabulary_texts(vocab, table, cfg.max_tokens)
-    params = fresh_params(seed=21)
+    params = fresh_params(seed=21, ablation=ABLATIONS[ablation])
     items = pick_scenes(encoded)
     # masked filler tokens ("there is ... in the image") sit inside the texts
     assert any(not t.valid_mask.all() for t in vocab_texts)
@@ -138,18 +141,28 @@ def trained(setup):
         return train_two_stage(dataset.train, cfg, TCFG_SHORT)
 
 
+@pytest.fixture(scope="module")
+def word_only(setup):
+    cfg, dataset, _, _ = setup
+    tcfg = dataclasses.replace(TCFG_SHORT, ablation=AblationFlags(word_only=True))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return train_two_stage(dataset.train, cfg, tcfg, stages=(2,)).params
+
+
 @pytest.mark.parametrize("gate", [True, False])
-@pytest.mark.parametrize("checkpoint", ["trained", "offset"])
-def test_predictions_match_the_oracle(setup, trained, checkpoint, gate):
+@pytest.mark.parametrize("checkpoint", ["trained", "offset", "word_only"])
+def test_predictions_match_the_oracle(setup, trained, word_only, checkpoint, gate):
+    # a word-only checkpoint is predicted as word-only: predict takes no
+    # flags besides the ones the checkpoint carries
     cfg, dataset, table, _ = setup
-    params = copy.deepcopy(trained.params)
+    params = copy.deepcopy(word_only if checkpoint == "word_only" else trained.params)
     if checkpoint == "offset":
         # a feed-forward bias offset drives every score of some texts below
         # zero, so the gate falls back to the background row for them
         params.ffn_b2.value += 5.0 * np.random.default_rng(0).normal(size=params.d)
     split = dataset.test
-    preds = predict_split(split, cfg, TCFG_SHORT, params, trained.refiner,
-                          gate_level0=gate)
+    preds = predict_split(split, cfg, params, trained.refiner, gate_level0=gate)
     records = preds.by_expression()
     vocab = Level0Vocabulary()
     vocab_texts = vocabulary_texts(vocab, table, cfg.max_tokens)
@@ -157,7 +170,7 @@ def test_predictions_match_the_oracle(setup, trained, checkpoint, gate):
     for scene, item in zip(split.scenes, encode_split(split, cfg, table)):
         level0_class, ranked = oracle.predict_scene(
             item.proposals, item.expressions, vocab, vocab_texts, table, params,
-            TCFG_SHORT.ablation, cfg.max_tokens, gate_level0=gate)
+            params.ablation, cfg.max_tokens, gate_level0=gate)
         raw = np.array([[b.cx, b.cy, b.w, b.h] for b in item.proposals.boxes])
         refined = trained.refiner.refine_numpy(raw)
         corners = np.concatenate([refined[:, :2] - refined[:, 2:] / 2,

@@ -32,7 +32,7 @@ def stage1_scene_loss(item, refiner, tcfg, match_cfg):
     prop = centre_rows([item.proposals.boxes[i] for i, _ in assignment.pairs])
     gt = centre_rows([gts[j] for _, j in assignment.pairs])
     refined = refiner.refine(prop)
-    if tcfg.ablation.no_interp_iou:
+    if refiner.ablation.no_interp_iou:
         return giou_loss_diff(refined, gt)
     return interp_iou_loss_diff(refined, gt, alpha=tcfg.interp_alpha)
 
@@ -78,9 +78,10 @@ def loss_and_grads(loss_fn, refiner):
 @pytest.mark.parametrize("ablation", [AblationFlags(), AblationFlags(no_interp_iou=True)],
                          ids=["interp-iou", "no-interp-iou"])
 def test_batch_loss_and_gradients_match_the_oracle(encoded, ablation):
-    tcfg = TrainConfig(seed=11, ablation=ablation)
+    # the variant lives in the refiner; the config carries the full model's flags
+    tcfg = TrainConfig(seed=11)
     match_cfg = MatchConfig(lambda_centre=tcfg.lambda_centre, lambda_size=tcfg.lambda_size)
-    refiner = BoxRefiner(seed=3)
+    refiner = BoxRefiner(seed=3, ablation=ablation)
     rng = np.random.default_rng(3)
     for _, t in refiner.leaves():    # away from the identity map
         t.value = t.value + rng.normal(scale=0.3, size=t.value.shape)
@@ -96,6 +97,17 @@ def test_batch_loss_and_gradients_match_the_oracle(encoded, ablation):
             assert np.any(grad), name
             np.testing.assert_allclose(got_grads[name], grad, rtol=0, atol=1e-12,
                                        err_msg=name)
+
+
+def test_a_no_interp_iou_refiner_trains_under_giou(encoded):
+    # a default config names no variant: the refiner alone picks the loss
+    pairs = [match_scene(item, MatchConfig()) for item in mixed_batch(encoded)[1:2]]
+    (prop, gt), = pairs
+    tcfg = TrainConfig(seed=11)
+    refiner = BoxRefiner(seed=3, ablation=AblationFlags(no_interp_iou=True))
+    got = stage1_loss(pairs, refiner, tcfg).value
+    assert got == giou_loss_diff(refiner.refine(prop), gt).value
+    assert got != interp_iou_loss_diff(refiner.refine(prop), gt, alpha=tcfg.interp_alpha).value
 
 
 def test_one_batch_records_at_most_60_tape_nodes(encoded):

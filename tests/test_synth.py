@@ -349,7 +349,7 @@ class TestTraining:
 
         result, in_training = truncations(lambda: train_two_stage(ds.train, cfg, tcfg))
         _, in_prediction = truncations(lambda: predict_split(
-            ds.train, cfg, tcfg, result.params, result.refiner))
+            ds.train, cfg, result.params, result.refiner))
         vocab = {f"expression truncated to 4 tokens: {s!r}"
                  for s in Level0Vocabulary().sentences if len(tokenize(s)) > 4}
         assert vocab and vocab <= in_training       # the vocabulary sentences
@@ -367,7 +367,7 @@ class TestPrediction:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             result = train_two_stage(ds.train, cfg, tcfg)
-        preds = predict_split(ds.test, cfg, tcfg, result.params, result.refiner)
+        preds = predict_split(ds.test, cfg, result.params, result.refiner)
         return cfg, tcfg, ds, result, preds
 
     def test_scores_non_increasing(self, predicted):
@@ -378,7 +378,7 @@ class TestPrediction:
 
     def test_deterministic_and_roundtrip(self, predicted, tmp_path):
         cfg, tcfg, ds, result, preds = predicted
-        again = predict_split(ds.test, cfg, tcfg, result.params, result.refiner)
+        again = predict_split(ds.test, cfg, result.params, result.refiner)
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write_predictions(preds, p1, seed=cfg.seed)
         write_predictions(again, p2, seed=cfg.seed)
@@ -400,13 +400,13 @@ class TestPrediction:
     def test_scene_without_expressions(self, predicted, gate):
         # the block of an image's expression rows is empty for this scene
         cfg, tcfg, ds, result, _ = predicted
-        full = predict_split(ds.test, cfg, tcfg, result.params, result.refiner,
+        full = predict_split(ds.test, cfg, result.params, result.refiner,
                              gate_level0=gate)
         victim = next(s.image_id for s in ds.test.scenes
                       if any(e.level == "instance" for e in ds.test.expressions_for(s.image_id)))
         split = SplitData(ds.test.name, ds.test.scenes,
                           [e for e in ds.test.expressions if e.image_id != victim])
-        preds = predict_split(split, cfg, tcfg, result.params, result.refiner,
+        preds = predict_split(split, cfg, result.params, result.refiner,
                               gate_level0=gate)
         assert not any(r.image_id == victim for r in preds.records)
         kept = [r for r in full.records if r.image_id != victim]
@@ -430,7 +430,7 @@ class TestTopOneBeatsRandom:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             result = train_two_stage(ds.train, cfg, tcfg)
-        preds = predict_split(ds.val, cfg, tcfg, result.params, result.refiner)
+        preds = predict_split(ds.val, cfg, result.params, result.refiner)
         from gvgkit.evaluation import topk
         top1 = topk(preds, ds.val.expressions, ds.val.scenes, 1)
         n_by_expr = {r.expression_id: len(r.scores) for r in preds.records}
