@@ -407,10 +407,11 @@ def write_dataset(scenes: list[SceneAnnotation], expressions: list[Expression],
 
 def read_dataset(path: str | Path
                  ) -> tuple[list[SceneAnnotation], list[Expression], dict]:
-    """Parse a dataset file; raises ParseError with the offending line."""
+    """Parse a dataset file; raises ParseError with the offending line,
+    or naming the file if it has no header line."""
     scenes: list[SceneAnnotation] = []
     expressions: list[Expression] = []
-    meta: dict = {}
+    meta: dict | None = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -438,6 +439,8 @@ def read_dataset(path: str | Path
                 expressions.append(_parse_expression(record, lineno))
             else:
                 raise ParseError(f"unknown record kind {kind!r}", lineno)
+    if meta is None:
+        raise ParseError(f"{path}: empty, no header line; re-run `gvgkit build`")
     return scenes, expressions, meta
 
 

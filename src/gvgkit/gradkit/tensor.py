@@ -29,6 +29,10 @@ the node is created. Elementwise maximum/minimum route ties to the
 first argument, and relu'(0) = 0. ``relu`` keeps no mask: its value is
 ``np.maximum(a, 0)`` (so relu(-0.0) is +0.0 and NaN passes through to
 the boundary checks), and backward reads the mask off that value.
+A node keeps only what backward needs: how close a max-style decision
+came to a tie is measured by the finite-difference oracle in
+``tests/gradient_check.py``, from outside, by wrapping ``_pick`` and
+``_max_reduce``, through which every max-style node is built.
 
 Finiteness is checked at the boundaries, not at every node: ``exp``
 raises OverflowError when it overflows, ``backward`` rejects a
@@ -52,7 +56,6 @@ class DomainError(ValueError):
     pass
 
 
-_TIE_EPS = 1e-9
 # Longest axis reduced by slices. Measured, one BLAS thread: with 1000
 # or more outputs the slices win at every length up to 10 (4368 outputs
 # of a 3-wide last axis: 12 µs against 251 µs); with 100 outputs they
@@ -65,8 +68,7 @@ _created = itertools.count()
 
 
 class Tensor:
-    __slots__ = ("value", "requires_grad", "grad", "_parents", "_backward_fn",
-                 "_tie_gap", "_order")
+    __slots__ = ("value", "requires_grad", "grad", "_parents", "_backward_fn", "_order")
 
     def __init__(self, value, requires_grad: bool = False):
         self.value = np.asarray(value, dtype=np.float64)
@@ -75,9 +77,6 @@ class Tensor:
         self._order = next(_created)
         self._parents: tuple["Tensor", ...] = ()
         self._backward_fn: Optional[Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]] = None
-        # on max-style nodes that require grad: returns the smallest
-        # margin by which a choice was decided here
-        self._tie_gap: Optional[Callable[[], float]] = None
 
     @property
     def shape(self):
@@ -102,8 +101,7 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _node(value: np.ndarray, parents: tuple[Tensor, ...],
-          backward_fn, tie_gap=None) -> Tensor:
+def _node(value: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     """The result of a primitive. ``value`` is float64 already; only a
     numpy scalar (a full reduction, 0-d arithmetic) is wrapped."""
     out = Tensor.__new__(Tensor)
@@ -115,27 +113,11 @@ def _node(value: np.ndarray, parents: tuple[Tensor, ...],
             out.requires_grad = True
             out._parents = parents
             out._backward_fn = backward_fn
-            # a tie among constants cannot move when a parameter is nudged
-            out._tie_gap = tie_gap
             return out
     out.requires_grad = False
     out._parents = ()
-    out._backward_fn = out._tie_gap = None
+    out._backward_fn = None
     return out
-
-
-def _as_of_now(t: Tensor) -> np.ndarray:
-    """``t``'s values as they are now, for a tie gap computed later. Only
-    a parameter leaf's array is edited in place (the finite-difference
-    check in ``tests/gradient_check.py`` does it), so only that one is
-    copied."""
-    return t.value.copy() if t.requires_grad and not t._parents else t.value
-
-
-def _elementwise_gap(a: Tensor, b: Tensor):
-    """Tie gap of an elementwise max/min, computed when asked."""
-    av, bv = _as_of_now(a), _as_of_now(b)
-    return lambda: float(np.min(np.abs(av - bv)))
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -235,12 +217,6 @@ def relu(a) -> Tensor:
     return _node(value, (a,), lambda g: (np.where(value > 0.0, g, 0.0),))
 
 
-def tanh(a) -> Tensor:
-    a = _as_tensor(a)
-    value = np.tanh(a.value)
-    return _node(value, (a,), lambda g: (g * (1.0 - value * value),))
-
-
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
     x = a.value
@@ -292,13 +268,6 @@ def _matmul_grad_b(g: np.ndarray, av: np.ndarray, bv: np.ndarray) -> np.ndarray:
         # a stack times one matrix: one product over all stacked rows
         return av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1])
     return _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape)
-
-
-def transpose(a) -> Tensor:
-    a = _as_tensor(a)
-    if a.value.ndim != 2:
-        raise ShapeError("transpose expects a 2-D tensor")
-    return _node(a.value.T.copy(), (a,), lambda g: (g.T,))
 
 
 def permute(a, axes: Sequence[int]) -> Tensor:
@@ -403,8 +372,7 @@ def _pick(a: Tensor, b: Tensor, take_a: np.ndarray) -> Tensor:
                  lambda g: (_unbroadcast(g * gate, a.value.shape) if a.requires_grad
                             else None,
                             _unbroadcast(g * (1.0 - gate), b.value.shape)
-                            if b.requires_grad else None),
-                 tie_gap=_elementwise_gap(a, b))
+                            if b.requires_grad else None))
 
 
 def _is_short(x: np.ndarray, axis: int) -> bool:
@@ -441,7 +409,7 @@ def masked_max_pool(a, mask, axis: int = 0) -> Tensor:
     as ``a`` broadcasts against it, so each output slot can have its own
     valid positions (a padded batch of texts, say). Every slot needs at
     least one. Invalid positions are excluded structurally, so their
-    values never influence the output, the gradient or the tie gap.
+    values never influence the output or the gradient.
     """
     a = _as_tensor(a)
     mask = np.asarray(mask, dtype=bool)
@@ -462,23 +430,14 @@ def masked_max_pool(a, mask, axis: int = 0) -> Tensor:
 
 def _max_reduce(a: Tensor, masked: np.ndarray, axis: int) -> Tensor:
     """Max of ``masked`` (``a``'s values, -inf where excluded) along
-    ``axis``. The tie gap, computed when asked, is the smallest margin
-    between a slot's best and second-best entry."""
+    ``axis``."""
     top = _reduce(np.maximum, masked, axis)
     route = _first_max_route(masked, axis) if a.requires_grad else None
-    tie_gap = None
-    if masked.shape[axis] > 1:
-        entries = _as_of_now(a) if masked is a.value else masked
-
-        def tie_gap():
-            top_two = np.partition(entries, -2, axis=axis)
-            return float(np.min(np.take(top_two, -1, axis=axis)
-                                - np.take(top_two, -2, axis=axis)))
 
     def backward(g):
         return (np.where(route, np.expand_dims(g, axis), 0.0),)
 
-    return _node(top.squeeze(axis), (a,), backward, tie_gap=tie_gap)
+    return _node(top.squeeze(axis), (a,), backward)
 
 
 def _first_max_route(x: np.ndarray, axis: int) -> np.ndarray:
@@ -549,14 +508,6 @@ class Tape:
                     stack.append((parent, False))
         self.nodes = nodes  # topological order: parents precede children
 
-    def min_tie_gap(self) -> float:
-        """Smallest decision margin across all max-style nodes."""
-        return min((n._tie_gap() for n in self.nodes if n._tie_gap is not None),
-                   default=np.inf)
-
-    def had_ties(self) -> bool:
-        return self.min_tie_gap() < _TIE_EPS
-
 
 def backward(loss: Tensor) -> None:
     """Populate ``.grad`` on every tensor that requires grad and that the
@@ -585,8 +536,3 @@ def backward(loss: Tensor) -> None:
                 heapq.heappush(heap, (-parent._order, parent))
             else:
                 grads[id(parent)] = acc + pg
-
-
-def zero_grad(params: Sequence[Tensor]) -> None:
-    for p in params:
-        p.grad = None

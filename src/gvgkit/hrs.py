@@ -54,15 +54,10 @@ class EmptyTextError(ValueError):
 
 @dataclass
 class TextFeatures:
-    """Raw token embeddings with a validity mask.
-
-    ``sentence_feature`` is derived: the per-channel maximum over valid
-    tokens, the pooling the scoring head mirrors in its shared space.
-    """
+    """Raw token embeddings with a validity mask."""
 
     token_embeddings: np.ndarray
     valid_mask: np.ndarray
-    sentence_feature: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         self.token_embeddings = np.asarray(self.token_embeddings, dtype=np.float64)
@@ -73,7 +68,6 @@ class TextFeatures:
             raise ValueError("valid mask must have one flag per token")
         if not self.valid_mask.any():
             raise EmptyTextError("expression has no valid tokens")
-        self.sentence_feature = self.token_embeddings[self.valid_mask].max(axis=0)
 
 
 @dataclass
@@ -133,10 +127,6 @@ class Level0Vocabulary:
         for image_type, idx in self.class_by_image_type.items():
             if not 0 <= idx < len(self.sentences):
                 raise ValueError(f"class index {idx} for {image_type} out of range")
-
-    @property
-    def empty_index(self) -> int:
-        return self.sentences.index("[EMPTY]")
 
     def true_class(self, image_type: str) -> int:
         if image_type not in self.class_by_image_type:

@@ -153,9 +153,10 @@ def write_predictions(preds: Predictions, path: str | Path, seed: int) -> None:
 def read_predictions(path: str | Path) -> Predictions:
     """Read a predictions file. A malformed line, or a second record for
     one expression, raises a one-line ``ValueError`` naming the file and
-    the line number. The tables and scores read back are read-only."""
+    the line number; a file without a header line raises one naming the
+    file. The tables and scores read back are read-only."""
     records = []
-    meta = {}
+    meta = None
     tables: dict[str, np.ndarray] = {}
     first_line: dict[str, int] = {}     # expression id -> its record's line
     with open(path) as fh:
@@ -180,6 +181,8 @@ def read_predictions(path: str | Path) -> Predictions:
                 raise ValueError(f"{path}, line {lineno}: missing key {err}") from None
             except (TypeError, ValueError) as err:
                 raise ValueError(f"{path}, line {lineno}: {err}") from None
+    if meta is None:
+        raise ValueError(f"{path}: empty, no header line; re-run `gvgkit predict`")
     return Predictions(records=records, tables=tables, meta=meta)
 
 

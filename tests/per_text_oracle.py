@@ -38,7 +38,7 @@ def cosine_matrix(a, b):
         raise gk.DomainError("cosine similarity of a zero-norm vector")
     a_norm = gk.sqrt(gk.reduce_sum(gk.mul(a, a), axis=1, keepdims=True))
     b_norm = gk.sqrt(gk.reduce_sum(gk.mul(b, b), axis=1, keepdims=True))
-    return gk.matmul(gk.div(a, a_norm), gk.transpose(gk.div(b, b_norm)))
+    return gk.matmul(gk.div(a, a_norm), gk.permute(gk.div(b, b_norm), (1, 0)))
 
 
 def stack(scalars):
@@ -67,7 +67,7 @@ def fuse(proposals, text, params):
         q = gk.narrow(q_all, 1, h * dh, dh)
         k = gk.narrow(k_all, 1, h * dh, dh)
         v = gk.narrow(v_all, 1, h * dh, dh)
-        scores = gk.add(gk.mul(gk.matmul(q, gk.transpose(k)), scale), gk.constant(bias))
+        scores = gk.add(gk.mul(gk.matmul(q, gk.permute(k, (1, 0))), scale), gk.constant(bias))
         attn = gk.softmax(scores, axis=-1)
         head_outputs.append(gk.matmul(attn, v))
     message = gk.matmul(gk.concat(head_outputs, axis=1), params.attn_out)

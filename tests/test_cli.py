@@ -184,8 +184,9 @@ class TestErrors:
         out.mkdir()
         assert main(["train", "--out", str(out)]) == 1
 
-    # fault -> (line of the error, part of its message)
+    # fault -> (line of the error, or None for the whole file, part of its message)
     MALFORMED = {
+        "empty file": (None, "empty, no header line; re-run `gvgkit predict`"),
         "not json": (3, "not JSON"),
         "no ranking": (3, "missing key 'ranking_int32_le'"),
         "no expression_id": (3, "missing key 'expression_id'"),
@@ -242,6 +243,8 @@ class TestErrors:
             tables[image] = encode_le(np.delete(table.ravel(), 3), "<f8")
         elif fault == "partial box table entry":   # half of the last coordinate
             tables[image] = base64.b64encode(table.tobytes()[:-4]).decode()
+        elif fault == "empty file":
+            lines = []
         elif fault == "version 1":
             # every line lists its boxes, the header none
             del header["boxes_xyxy_px_float64_le"]
@@ -256,17 +259,19 @@ class TestErrors:
                                        for i, t in stored.items()}
             record["ranking"] = decode_le(record.pop("ranking_int32_le"), "<i4").tolist()
             record["scores"] = decode_le(record.pop("scores_float64_le"), "<f8").tolist()
-        if fault != "not json":
-            lines[2] = json.dumps(record)
-        lines[0] = json.dumps(header)
+        if lines:
+            if fault != "not json":
+                lines[2] = json.dumps(record)
+            lines[0] = json.dumps(header)
         path = tmp_path / "predictions-test.jsonl"
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("".join(line + "\n" for line in lines))
         capsys.readouterr()
         assert main(["eval", "--out", str(tmp_path), "--split", "test"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
         line, message = self.MALFORMED[fault]
-        assert f"{path}, line {line}: " in err and message in err, err
+        where = f"{path}: " if line is None else f"{path}, line {line}: "
+        assert where in err and message in err, err
 
     def test_record_of_another_image_is_a_one_line_error(self, run_dir, tmp_path, capsys):
         """A record moved to another image of the file, with a ranking
@@ -324,11 +329,14 @@ def run_subprocess(argv):
 
 # case -> (command, (edited file, edits), start of the error); an edit
 # (key, index, value) sets train[key] in config.json, or the flat entries
-# ``index`` of tensor ``key`` in a checkpoint; a dataset split keeps only
-# its header line, so it holds no scenes
+# ``index`` of tensor ``key`` in a checkpoint; a dataset split keeps as
+# many lines as its edit says: its header line, so it holds no scenes, or
+# none; ``{out}`` in the error stands for the run directory
 FAILING_RUNS = {
-    "empty training split": (["train"], ("train.jsonl", []),
+    "empty training split": (["train"], ("train.jsonl", 1),
                              "error: training split has no scenes"),
+    "empty file": (["train"], ("train.jsonl", 0),
+                   "error: {out}/train.jsonl: empty, no header line; re-run `gvgkit build`"),
     "stage 1 diverges": (["train", "--stage", "1"],
                          ("config.json", [("lr_init", None, 1e307)]),
                          "error: stage 1 diverged in epoch 0:"),
@@ -357,8 +365,8 @@ def test_failing_run_prints_only_its_error(run_dir, tmp_path, case):
         (tmp_path / name).write_bytes((run_dir / name).read_bytes())
     argv, (edited, edits), message = FAILING_RUNS[case]
     if edited.endswith(".jsonl"):
-        header = (tmp_path / edited).read_text().splitlines()[0]
-        (tmp_path / edited).write_text(header + "\n")
+        kept = (tmp_path / edited).read_text().splitlines()[:edits]
+        (tmp_path / edited).write_text("".join(line + "\n" for line in kept))
     else:
         payload = json.loads((tmp_path / edited).read_text())
         for key, index, value in edits:
@@ -370,6 +378,7 @@ def test_failing_run_prints_only_its_error(run_dir, tmp_path, case):
     edited_bytes = (tmp_path / edited).read_bytes()
     proc = run_subprocess(argv + ["--out", str(tmp_path)])
     assert proc.returncode == 1, proc.stderr
+    message = message.format(out=tmp_path)
     assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1, proc.stderr
     # nothing is written: no checkpoint, log or predictions
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(copied)

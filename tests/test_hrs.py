@@ -56,10 +56,14 @@ def make_proposals(rng, n=4):
 
 class TestTypes:
     def test_sentence_feature_is_masked_maxpool(self):
+        # the pooling ``referring_score`` applies to a stacked token block
         rng = np.random.default_rng(0)
-        text = make_text(rng, tokens=6, valid=[1, 1, 0, 1, 0, 1])
-        expected = text.token_embeddings[text.valid_mask].max(axis=0)
-        assert np.array_equal(text.sentence_feature, expected)
+        texts = [make_text(rng, tokens=6, valid=[1, 1, 0, 1, 0, 1]),
+                 make_text(rng, tokens=3, valid=[0, 1, 0])]
+        emb, mask = stack_texts(texts)
+        pooled = gk.masked_max_pool(gk.constant(emb), mask[:, :, None], axis=1).value
+        for text, row in zip(texts, pooled):
+            assert np.array_equal(row, text.token_embeddings[text.valid_mask].max(axis=0))
 
     def test_all_invalid_rejected(self):
         rng = np.random.default_rng(1)
@@ -72,7 +76,7 @@ class TestTypes:
 
     def test_vocabulary_invariants(self):
         vocab = Level0Vocabulary()
-        assert vocab.sentences[vocab.empty_index] == "[EMPTY]"
+        assert vocab.sentences.count("[EMPTY]") == 1
         assert vocab.true_class("crop_only") == 1
         with pytest.raises(ValueError):
             Level0Vocabulary(sentences=("a", "b"))  # no [EMPTY]

@@ -51,7 +51,8 @@ def fresh_params(seed, ablation=AblationFlags()):
 
 
 def loss_and_grads(loss_fn, params):
-    gk.zero_grad([t for _, t in params.leaves()])
+    for _, t in params.leaves():
+        t.grad = None
     loss = loss_fn()
     gk.backward(loss)
     grads = {name: np.zeros_like(t.value) if t.grad is None else t.grad.copy()

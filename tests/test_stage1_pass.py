@@ -69,7 +69,8 @@ def mixed_batch(encoded):
 
 
 def loss_and_grads(loss_fn, refiner):
-    gk.zero_grad([t for _, t in refiner.leaves()])
+    for _, t in refiner.leaves():
+        t.grad = None
     loss = loss_fn()
     gk.backward(loss)
     return float(loss.value), {name: t.grad.copy() for name, t in refiner.leaves()}

@@ -103,8 +103,8 @@ class TestProposalEncoding:
                 continue
             inst = next(i for i in scene.instances if i.instance_id == sid)
             expr_text = f"the {inst.size_bin} {inst.category} at the {inst.grid_cell} of the image"
-            pooled = encode_text(expr_text, table).sentence_feature
-            assert np.array_equal(row, pooled)
+            text = encode_text(expr_text, table)
+            assert np.array_equal(row, text.token_embeddings[text.valid_mask].max(axis=0))
 
     def test_identical_attributes_identical_noiseless_features(self):
         cfg = SynthConfig(**SMALL, feature_noise=0.0)
