@@ -10,7 +10,7 @@ JSON-lines file that round-trips exactly.
 
 from __future__ import annotations
 
-import json
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from gvgkit.geometry import BBox
+from gvgkit.gradkit.io import check_unique, read_records, write_records
 
 FORMAT_NAME = "gref-cw-like"
 FORMAT_VERSION = 1
@@ -52,12 +53,6 @@ IMAGE_NEGATIVE_TEXT = {
     "weed_only": "there is no crop in the image",
     "empty": "there is no vegetation in the image",
 }
-
-
-class ParseError(ValueError):
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
 def grid_cell(box: BBox) -> str:
@@ -393,92 +388,66 @@ def _expression_record(expr: Expression) -> dict:
 
 def write_dataset(scenes: list[SceneAnnotation], expressions: list[Expression],
                   path: str | Path, meta: dict | None = None) -> None:
-    header = {"record": "header", "format": FORMAT_NAME, "version": FORMAT_VERSION}
-    header.update(meta or {})
-    lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
-    for scene in scenes:
-        lines.append(json.dumps(_scene_record(scene), sort_keys=True,
-                                separators=(",", ":")))
-    for expr in expressions:
-        lines.append(json.dumps(_expression_record(expr), sort_keys=True,
-                                separators=(",", ":")))
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = {"format": FORMAT_NAME, "version": FORMAT_VERSION, **(meta or {})}
+    write_records(path, header, itertools.chain(map(_scene_record, scenes),
+                                                map(_expression_record, expressions)))
 
 
 def read_dataset(path: str | Path
                  ) -> tuple[list[SceneAnnotation], list[Expression], dict]:
-    """Parse a dataset file; raises ParseError with the offending line,
-    or naming the file if it has no header line."""
-    scenes: list[SceneAnnotation] = []
+    """Parse a dataset file. A malformed line, a second scene or
+    expression with one id, and an expression whose image no earlier
+    scene record holds each raise a one-line ValueError naming the file
+    and the line."""
+    scenes: dict[str, SceneAnnotation] = {}
     expressions: list[Expression] = []
-    meta: dict | None = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise ParseError(f"invalid JSON ({err.msg})", lineno) from None
-            kind = record.get("record")
-            if lineno == 1:
-                if kind != "header":
-                    raise ParseError("first record must be the header", lineno)
-                if record.get("format") != FORMAT_NAME:
-                    raise ParseError(f"unknown format {record.get('format')!r}", lineno)
-                if record.get("version") != FORMAT_VERSION:
-                    raise ParseError(
-                        f"unsupported version {record.get('version')!r}; "
-                        f"this reader handles version {FORMAT_VERSION}", lineno)
-                meta = {k: v for k, v in record.items() if k != "record"}
-                continue
-            if kind == "scene":
-                scenes.append(_parse_scene(record, lineno))
-            elif kind == "expression":
-                expressions.append(_parse_expression(record, lineno))
-            else:
-                raise ParseError(f"unknown record kind {kind!r}", lineno)
-    if meta is None:
-        raise ParseError(f"{path}: empty, no header line; re-run `gvgkit build`")
-    return scenes, expressions, meta
+    scene_lines: dict[str, int] = {}        # id -> its record's line
+    expression_lines: dict[str, int] = {}
 
-
-def _parse_scene(record: dict, lineno: int) -> SceneAnnotation:
-    try:
+    def scene(record: dict, lineno: int) -> None:
         instances = []
         for spec in record["instances"]:
             if spec["category"] not in CATEGORIES:
-                raise ParseError(f"unknown category {spec['category']!r}", lineno)
-            x1, y1, x2, y2 = spec["bbox_xyxy_px"]
+                raise ValueError(f"unknown category {spec['category']!r}")
+            x1, y1, x2, y2 = _numbers(spec["bbox_xyxy_px"], "box coordinates")
             instances.append(InstanceAnnotation(
                 instance_id=spec["instance_id"], category=spec["category"],
                 x1=x1, y1=y1, x2=x2, y2=y2,
                 size_bin=spec["size_bin"], grid_cell=spec["grid_cell"]))
         if record["image_type"] not in IMAGE_TYPES:
-            raise ParseError(f"unknown image type {record['image_type']!r}", lineno)
-        return SceneAnnotation(
-            image_id=record["image_id"], width=record["width"],
-            height=record["height"], instances=instances,
+            raise ValueError(f"unknown image type {record['image_type']!r}")
+        width, height = _numbers((record["width"], record["height"]), "width and height")
+        check_unique(scene_lines, record["image_id"], lineno, "scene")
+        scenes[record["image_id"]] = SceneAnnotation(
+            image_id=record["image_id"], width=width, height=height, instances=instances,
             image_type=record["image_type"])
-    except (KeyError, TypeError, ValueError) as err:
-        if isinstance(err, ParseError):
-            raise
-        raise ParseError(f"malformed scene record ({err})", lineno) from None
 
-
-def _parse_expression(record: dict, lineno: int) -> Expression:
-    try:
+    def expression(record: dict, lineno: int) -> None:
+        check_unique(expression_lines, record["expression_id"], lineno, "expression")
+        if record["image_id"] not in scenes:
+            raise ValueError(f"expression {record['expression_id']!r} is for image "
+                             f"{record['image_id']!r}, which no earlier scene record holds")
         attrs = record["attributes"]
-        return Expression(
+        expressions.append(Expression(
             expression_id=record["expression_id"], image_id=record["image_id"],
             text=record["text"], level=record["level"], polarity=record["polarity"],
             negative_kind=record["negative_kind"],
             attributes=Attributes(category=attrs["category"],
                                   size_bin=attrs.get("size_bin"),
                                   grid_cell=attrs.get("grid_cell")),
-            target_ids=list(record["target_ids"]))
-    except (KeyError, TypeError, ValueError) as err:
-        if isinstance(err, ParseError):
-            raise
-        raise ParseError(f"malformed expression record ({err})", lineno) from None
+            target_ids=list(record["target_ids"])))
+
+    meta = read_records(path, FORMAT_NAME, FORMAT_VERSION, "dataset", "build",
+                        {"scene": scene, "expression": expression})
+    return list(scenes.values()), expressions, meta
+
+
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _numbers(values, what: str):
+    """``values``, if each is a JSON number."""
+    for value in values:
+        if type(value) not in _NUMBER_TYPES:
+            raise ValueError(f"{what} must be numbers, not {values!r}")
+    return values

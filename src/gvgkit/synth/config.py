@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from gvgkit.gradkit.io import read_json_object
 from gvgkit.hrs import AblationFlags
 
 # feature layout: one-hot word space plus reserved scene-context block
@@ -129,29 +130,49 @@ def ablation_name(flags: AblationFlags) -> str:
                      if getattr(flags, key)) or "none"
 
 
-def _from_dict(cls, payload: dict):
+def _fits(value, default) -> bool:
+    """Whether a config value has its field's type, read off the default:
+    any number for a float, a list as long as a tuple."""
+    if isinstance(default, tuple):
+        return (isinstance(value, tuple) and len(value) == len(default)
+                and all(map(_fits, value, default)))
+    if isinstance(default, float) and not isinstance(value, bool):
+        return isinstance(value, (int, float))
+    return type(value) is type(default)
+
+
+def _from_dict(cls, payload, section: str):
+    if not isinstance(payload, dict):
+        raise ValueError(f"config section {section!r} is not a JSON object")
     known = {f.name for f in dataclasses.fields(cls)}
     unknown = set(payload) - known
     if unknown:
         raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    defaults = cls()
     converted = {}
     for key, value in payload.items():
-        if key == "ablation":
-            value = AblationFlags(**value) if isinstance(value, dict) \
-                else ablation_from_name(value)
-        elif isinstance(value, list):
-            value = tuple(value)
+        default = getattr(defaults, key)
+        if isinstance(default, AblationFlags):
+            value = ablation_from_name(value) if isinstance(value, str) \
+                else _from_dict(AblationFlags, value, f"{section}.{key}")
+        else:
+            value = tuple(value) if isinstance(value, list) else value
+            if not _fits(value, default):
+                raise ValueError(f"config {section}.{key} must be like its default "
+                                 f"{json.dumps(default)}, not {json.dumps(value)}")
         converted[key] = value
     return cls(**converted)
 
 
 def load_config(path: str | Path | None) -> tuple[SynthConfig, TrainConfig]:
-    """Read a run configuration: {"synth": {...}, "train": {...}}."""
+    """Read a run configuration: {"synth": {...}, "train": {...}}. A file
+    that is not a JSON object, or a value of the wrong type for its field,
+    raises a one-line ValueError."""
     if path is None:
         return SynthConfig(), TrainConfig()
-    payload = json.loads(Path(path).read_text())
+    payload = read_json_object(path)
     unknown = set(payload) - {"synth", "train"}
     if unknown:
         raise ValueError(f"unknown top-level config sections: {sorted(unknown)}")
-    return (_from_dict(SynthConfig, payload.get("synth", {})),
-            _from_dict(TrainConfig, payload.get("train", {})))
+    return (_from_dict(SynthConfig, payload.get("synth", {}), "synth"),
+            _from_dict(TrainConfig, payload.get("train", {}), "train"))

@@ -18,7 +18,6 @@ array reads back bit for bit, and no number is formatted or parsed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,6 +26,7 @@ import numpy as np
 from gvgkit import gradkit as gk
 from gvgkit import hrs
 from gvgkit.geometry import centre_rows, corners
+from gvgkit.gradkit.io import check_unique, read_records, write_records
 from gvgkit.hrs import HrsParams, Level0Vocabulary
 from gvgkit.synth.boxhead import BoxRefiner
 from gvgkit.synth.config import SynthConfig
@@ -132,94 +132,59 @@ def predict_split(split: SplitData, cfg: SynthConfig, params: HrsParams,
 def write_predictions(preds: Predictions, path: str | Path, seed: int) -> None:
     """Write version 3: the box tables in the header, then one line per
     record."""
-    header = {"record": "header", "format": PREDICTIONS_FORMAT,
-              "version": PREDICTIONS_VERSION, "seed": seed}
-    header.update(preds.meta)
-    header[BOXES_KEY] = {image_id: gk.encode_array(table, "float64_le")
-                         for image_id, table in preds.tables.items()}
-    lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
-    for rec in preds.records:
-        lines.append(json.dumps({
-            "record": "prediction",
-            "expression_id": rec.expression_id,
-            "image_id": rec.image_id,
-            "level0_class": rec.level0_class,
-            RANKING_KEY: gk.encode_array(rec.ranking, "int32_le"),
-            SCORES_KEY: gk.encode_array(rec.scores, "float64_le"),
-        }, sort_keys=True, separators=(",", ":")))
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = {"format": PREDICTIONS_FORMAT, "version": PREDICTIONS_VERSION, "seed": seed,
+              **preds.meta,
+              BOXES_KEY: {image_id: gk.encode_array(table, "float64_le")
+                          for image_id, table in preds.tables.items()}}
+    write_records(path, header, ({
+        "record": "prediction",
+        "expression_id": rec.expression_id,
+        "image_id": rec.image_id,
+        "level0_class": rec.level0_class,
+        RANKING_KEY: gk.encode_array(rec.ranking, "int32_le"),
+        SCORES_KEY: gk.encode_array(rec.scores, "float64_le"),
+    } for rec in preds.records))
 
 
 def read_predictions(path: str | Path) -> Predictions:
     """Read a predictions file. A malformed line, or a second record for
     one expression, raises a one-line ``ValueError`` naming the file and
-    the line number; a file without a header line raises one naming the
-    file. The tables and scores read back are read-only."""
-    records = []
-    meta = None
+    the line number. The tables and scores read back are read-only."""
+    records: list[PredictionRecord] = []
     tables: dict[str, np.ndarray] = {}
     first_line: dict[str, int] = {}     # expression id -> its record's line
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                if lineno == 1:
-                    meta, tables = _header(record)
-                else:
-                    rec = _prediction_record(record, tables)
-                    first = first_line.setdefault(rec.expression_id, lineno)
-                    if first != lineno:
-                        raise ValueError(f"a second record for expression "
-                                         f"{rec.expression_id!r} (the first is on line {first})")
-                    records.append(rec)
-            except json.JSONDecodeError as err:
-                raise ValueError(f"{path}, line {lineno}: not JSON ({err.msg})") from None
-            except KeyError as err:
-                raise ValueError(f"{path}, line {lineno}: missing key {err}") from None
-            except (TypeError, ValueError) as err:
-                raise ValueError(f"{path}, line {lineno}: {err}") from None
-    if meta is None:
-        raise ValueError(f"{path}: empty, no header line; re-run `gvgkit predict`")
+
+    def box_tables(header: dict, _lineno: int) -> None:
+        stored = header[BOXES_KEY]
+        if not isinstance(stored, dict):
+            raise ValueError(f"{BOXES_KEY} must map image ids to box tables")
+        for image_id, text in stored.items():
+            flat = gk.decode_array(text, "float64_le", f"the box table of image {image_id!r}")
+            if flat.size % 4:
+                raise ValueError(f"every box of image {image_id!r} needs 4 coordinates")
+            tables[image_id] = flat.reshape(-1, 4)
+
+    def prediction(record: dict, lineno: int) -> None:
+        image_id = record["image_id"]
+        if image_id not in tables:
+            raise ValueError(f"image {image_id!r} has no box table in the header")
+        table = tables[image_id]
+        ranking = gk.decode_array(record[RANKING_KEY], "int32_le", RANKING_KEY)
+        scores = gk.decode_array(record[SCORES_KEY], "float64_le", SCORES_KEY)
+        if ranking.size != scores.size:
+            raise ValueError("ranking and scores need one entry per box")
+        if ranking.size and (ranking.min() < 0 or ranking.max() >= len(table)):
+            raise ValueError(f"ranking index out of range "
+                             f"(image {image_id!r} has {len(table)} boxes)")
+        check_unique(first_line, record["expression_id"], lineno, "expression")
+        records.append(PredictionRecord(
+            expression_id=record["expression_id"],
+            image_id=image_id,
+            level0_class=record["level0_class"],
+            ranking=ranking.astype(np.intp),
+            scores=scores))
+
+    meta = read_records(path, PREDICTIONS_FORMAT, PREDICTIONS_VERSION, "predictions",
+                        "predict", {"header": box_tables, "prediction": prediction})
+    del meta[BOXES_KEY]
     return Predictions(records=records, tables=tables, meta=meta)
-
-
-def _header(header: dict) -> tuple[dict, dict[str, np.ndarray]]:
-    if not isinstance(header, dict) or header.get("format") != PREDICTIONS_FORMAT:
-        raise ValueError("not a predictions file")
-    if header.get("version") != PREDICTIONS_VERSION:
-        raise ValueError(f"unsupported predictions version {header.get('version')}; "
-                         "re-run `gvgkit predict`")
-    stored = header[BOXES_KEY]
-    if not isinstance(stored, dict):
-        raise ValueError(f"{BOXES_KEY} must map image ids to box tables")
-    tables = {}
-    for image_id, text in stored.items():
-        flat = gk.decode_array(text, "float64_le", f"the box table of image {image_id!r}")
-        if flat.size % 4:
-            raise ValueError(f"every box of image {image_id!r} needs 4 coordinates")
-        tables[image_id] = flat.reshape(-1, 4)
-    meta = {k: v for k, v in header.items() if k not in ("record", BOXES_KEY)}
-    return meta, tables
-
-
-def _prediction_record(record: dict, tables: dict[str, np.ndarray]) -> PredictionRecord:
-    image_id = record["image_id"]
-    if image_id not in tables:
-        raise ValueError(f"image {image_id!r} has no box table in the header")
-    table = tables[image_id]
-    ranking = gk.decode_array(record[RANKING_KEY], "int32_le", RANKING_KEY)
-    scores = gk.decode_array(record[SCORES_KEY], "float64_le", SCORES_KEY)
-    if ranking.size != scores.size:
-        raise ValueError("ranking and scores need one entry per box")
-    if ranking.size and (ranking.min() < 0 or ranking.max() >= len(table)):
-        raise ValueError(f"ranking index out of range "
-                         f"(image {image_id!r} has {len(table)} boxes)")
-    return PredictionRecord(
-        expression_id=record["expression_id"],
-        image_id=image_id,
-        level0_class=record["level0_class"],
-        ranking=ranking.astype(np.intp),
-        scores=scores)

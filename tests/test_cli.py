@@ -188,6 +188,8 @@ class TestErrors:
     MALFORMED = {
         "empty file": (None, "empty, no header line; re-run `gvgkit predict`"),
         "not json": (3, "not JSON"),
+        "not a JSON object": (3, "not a JSON object"),
+        "a scene record in a predictions file": (3, "unexpected record kind 'scene'"),
         "no ranking": (3, "missing key 'ranking_int32_le'"),
         "no expression_id": (3, "missing key 'expression_id'"),
         "ranking out of range": (3, "ranking index out of range"),
@@ -217,6 +219,10 @@ class TestErrors:
         assert ranking.size and len(table), "the faults below need a ranked box"
         if fault == "not json":
             lines[2] = lines[2][:-1]
+        elif fault == "not a JSON object":
+            lines[2] = "[]"
+        elif fault == "a scene record in a predictions file":
+            lines[2] = (run_dir / "test.jsonl").read_text().splitlines()[1]
         elif fault == "no ranking":
             del record["ranking_int32_le"]
         elif fault == "no expression_id":
@@ -260,7 +266,8 @@ class TestErrors:
             record["ranking"] = decode_le(record.pop("ranking_int32_le"), "<i4").tolist()
             record["scores"] = decode_le(record.pop("scores_float64_le"), "<f8").tolist()
         if lines:
-            if fault != "not json":
+            if fault not in ("not json", "not a JSON object",
+                             "a scene record in a predictions file"):
                 lines[2] = json.dumps(record)
             lines[0] = json.dumps(header)
         path = tmp_path / "predictions-test.jsonl"
@@ -272,6 +279,100 @@ class TestErrors:
         line, message = self.MALFORMED[fault]
         where = f"{path}: " if line is None else f"{path}, line {line}: "
         assert where in err and message in err, err
+
+    # fault in test.jsonl -> (line of the error: 1, None for the whole file,
+    # or the line of the edited scene or expression record or of its
+    # copy; part of the message)
+    SPLIT_FAULTS = {
+        "non-object line": ("scene", "not a JSON object"),
+        "not json": ("scene", "not JSON"),
+        "unknown record kind": ("scene", "unexpected record kind 'plant'"),
+        "missing key": ("scene", "missing key 'instances'"),
+        "unknown category": ("scene", "unknown category 'kudzu'"),
+        "orphan expression": ("expression", "which no earlier scene record holds"),
+        "duplicate scene": ("scene copy", "a second record for scene 'scene-"),
+        "duplicate expression": ("expression copy", "a second record for expression '"),
+        "non-numeric coordinate": ("scene", "box coordinates must be numbers, not ['a', "),
+        "another format": (1, "not a gref-cw-like file"),
+        "version 2": (1, "unsupported dataset version 2; re-run `gvgkit build`"),
+        "empty file": (None, "empty, no header line; re-run `gvgkit build`"),
+    }
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    @pytest.mark.parametrize("fault", list(SPLIT_FAULTS))
+    def test_malformed_split_is_a_one_line_error(self, run_dir, tmp_path, capsys, fault,
+                                                 command):
+        copied = ["config.json", "params.json", "refiner.json"]
+        if command == "eval":
+            copied.append("predictions-test.jsonl")
+        for name in copied:
+            (tmp_path / name).write_bytes((run_dir / name).read_bytes())
+        lines = (run_dir / "test.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        header = records[0]
+        # the first scene with a plant, and the first expression
+        at = next(k for k, r in enumerate(records) if r["record"] == "scene" and r["instances"])
+        first = next(k for k, r in enumerate(records) if r["record"] == "expression")
+        scene, expression = records[at], records[first]
+        if fault == "non-object line":
+            lines[at] = "[]"
+        elif fault == "not json":
+            lines[at] = lines[at][:-1]
+        elif fault == "unknown record kind":
+            scene["record"] = "plant"
+        elif fault == "missing key":
+            del scene["instances"]
+        elif fault == "unknown category":
+            scene["instances"][0]["category"] = "kudzu"
+        elif fault == "orphan expression":
+            expression["image_id"] = "scene-9999"
+        elif fault == "duplicate scene":
+            lines.insert(at + 1, lines[at])
+        elif fault == "duplicate expression":
+            lines.insert(first + 1, lines[first])
+        elif fault == "non-numeric coordinate":
+            scene["instances"][0]["bbox_xyxy_px"][0] = "a"
+        elif fault == "another format":
+            header["format"] = "gvgkit-predictions"
+        elif fault == "version 2":
+            header["version"] = 2
+        else:
+            lines = []
+        if fault in ("unknown record kind", "missing key", "unknown category",
+                     "non-numeric coordinate"):
+            lines[at] = json.dumps(scene)
+        elif fault == "orphan expression":
+            lines[first] = json.dumps(expression)
+        elif fault in ("another format", "version 2"):
+            lines[0] = json.dumps(header)
+        path = tmp_path / "test.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        capsys.readouterr()
+        assert main([command, "--out", str(tmp_path), "--split", "test"]) == 1
+        err = capsys.readouterr().err
+        line, message = self.SPLIT_FAULTS[fault]
+        line = {"scene": at + 1, "scene copy": at + 2, "expression": first + 1,
+                "expression copy": first + 2}.get(line, line)
+        where = f"{path}: " if line is None else f"{path}, line {line}: "
+        assert err.startswith(f"error: {where}") and err.count("\n") == 1, err
+        assert message in err, err
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(copied + ["test.jsonl"])
+
+    @pytest.mark.parametrize("text,message", [
+        pytest.param("[]", "{path} is not a JSON object", id="not an object"),
+        pytest.param('{"synth": {"n_scenes": 12,}}', "{path} is not valid JSON",
+                     id="not json"),
+        pytest.param('{"synth": {"n_scenes": "x"}}',
+                     'config synth.n_scenes must be like its default 240, not "x"',
+                     id="a string for an int")])
+    def test_malformed_config_is_a_one_line_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        capsys.readouterr()
+        assert main(["build", "--config", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message.format(path=path)}"), err
+        assert err.count("\n") == 1, err
 
     def test_record_of_another_image_is_a_one_line_error(self, run_dir, tmp_path, capsys):
         """A record moved to another image of the file, with a ranking
