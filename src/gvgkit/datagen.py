@@ -417,6 +417,9 @@ def read_dataset(path: str | Path
         if record["image_type"] not in IMAGE_TYPES:
             raise ValueError(f"unknown image type {record['image_type']!r}")
         width, height = _numbers((record["width"], record["height"]), "width and height")
+        if not (0 < width < math.inf and 0 < height < math.inf):
+            raise ValueError(f"width and height must be positive and finite, "
+                             f"not {[width, height]!r}")
         check_unique(scene_lines, record["image_id"], lineno, "scene")
         scenes[record["image_id"]] = SceneAnnotation(
             image_id=record["image_id"], width=width, height=height, instances=instances,
@@ -427,6 +430,11 @@ def read_dataset(path: str | Path
         if record["image_id"] not in scenes:
             raise ValueError(f"expression {record['expression_id']!r} is for image "
                              f"{record['image_id']!r}, which no earlier scene record holds")
+        if type(record["text"]) is not str:
+            raise ValueError(f"text must be a string, not {record['text']!r}")
+        target_ids = record["target_ids"]
+        if type(target_ids) is not list or any(type(i) is not int for i in target_ids):
+            raise ValueError(f"target ids must be a list of ints, not {target_ids!r}")
         attrs = record["attributes"]
         expressions.append(Expression(
             expression_id=record["expression_id"], image_id=record["image_id"],
@@ -435,7 +443,7 @@ def read_dataset(path: str | Path
             attributes=Attributes(category=attrs["category"],
                                   size_bin=attrs.get("size_bin"),
                                   grid_cell=attrs.get("grid_cell")),
-            target_ids=list(record["target_ids"])))
+            target_ids=target_ids))
 
     meta = read_records(path, FORMAT_NAME, FORMAT_VERSION, "dataset", "build",
                         {"scene": scene, "expression": expression})

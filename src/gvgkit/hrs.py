@@ -17,9 +17,12 @@ feed-forward block and one cosine step, which yield a (K, N)
 referring-score matrix.
 ``level0_logits`` pools the vocabulary rows of that matrix into the
 level-0 class logits, and each expression reads its own row. The pass
-runs on gradkit tensors so the training losses get exact reverse-mode
-gradients; prediction code just reads ``.value``. The pass runs as the
-variant its ``HrsParams`` carries.
+runs as the variant its ``HrsParams`` carries. For training it runs on
+gradkit tensors, so the losses get exact reverse-mode gradients. A
+frozen model (``HrsParams.frozen``, which prediction uses) runs the same
+operations on plain numpy arrays instead, with no graph and with its
+intermediates updated in place; it returns the same bits, as constant
+tensors, and raises the same errors.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import numpy as np
 from gvgkit import gradkit as gk
 from gvgkit.geometry import BBox
 from gvgkit.gradkit import Tensor
+from gvgkit.gradkit.tensor import _reduce
 
 PARAMS_FORMAT = "gvgkit-params"
 PARAMS_VERSION = 3
@@ -215,10 +219,11 @@ class HrsParams:
         return [t for name, t in self.leaves() if name not in skip]
 
     def frozen(self) -> "HrsParams":
-        """The same model with constant tensors sharing these values.
-        Passes over it record no graph, so each intermediate is freed as
-        soon as the pass moves on: for inference, where a batched pass
-        would otherwise keep all of them alive."""
+        """The same model with constant tensors sharing these values,
+        for inference. With no tensor that requires grad,
+        ``score_expression`` runs its plain-array pass: no graph, no
+        node per step, and each intermediate freed as soon as the pass
+        moves on. The pass never writes to the shared values."""
         frozen = copy.copy(self)
         for name, t in self.leaves():
             setattr(frozen, name, gk.constant(t.value))
@@ -381,11 +386,99 @@ def score_expression(proposals: ProposalFeatures, texts: Sequence[TextFeatures],
     """The full forward pass of one scene: every text in ``texts``
     against all its proposals, in one batch, as the variant that
     ``params.ablation`` names. The text projection is computed once and
-    shared by the attention and the scores."""
+    shared by the attention and the scores.
+
+    A model with no tensor that requires grad (``HrsParams.frozen``)
+    runs ``_plain_pass`` and gets the same bits as constant tensors;
+    any other model runs the graph."""
     embeddings, valid_mask = stack_texts(texts)
+    if not any(t.requires_grad for _, t in params.leaves()):
+        return RelevanceOutput(*map(gk.constant, _plain_pass(proposals.features, embeddings,
+                                                             valid_mask, params)))
     tokens = gk.matmul(gk.constant(embeddings), params.text_proj)          # (K, T, d)
     fused = fuse(proposals, tokens, valid_mask, params)
     return referring_score(fused, tokens, valid_mask, params)
+
+
+def _plain_pass(features: np.ndarray, embeddings: np.ndarray, valid_mask: np.ndarray,
+                params: HrsParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``fuse`` and ``referring_score`` on plain arrays: the fields of
+    ``RelevanceOutput``, in its order, bit for bit as the graph gives
+    them.
+
+    Each step is the graph's numpy operation on the same operands, in
+    the same order; a step whose input is not needed again runs in
+    place (bias adds, relu, the softmax steps, the residual), and the
+    short-axis reductions go through gradkit's ``_reduce``. The checks
+    are the graph's: ``EmptyTextError`` for a text with no valid token,
+    ``gk.exp``'s ``OverflowError`` for the temperature and ``gk.div``'s
+    ``DomainError`` for a zero-norm row or a zero temperature.
+    """
+    if not valid_mask.any(axis=1).all():
+        raise EmptyTextError("expression has no valid tokens")
+    w = {name: t.value for name, t in params.leaves()}
+    n_texts, width = valid_mask.shape
+    d, heads = params.d, params.heads
+    dh = d // heads
+    tokens = embeddings @ w["text_proj"]                                    # (K, T, d)
+
+    # fuse
+    p = features @ w["visual_proj"]                                         # (N, d)
+    q = (p @ w["attn_q"]).reshape(-1, heads, dh).transpose(1, 0, 2)         # (H, N, dh)
+    k = (tokens @ w["attn_k"]).reshape(n_texts, width, heads, dh).transpose(0, 2, 3, 1)
+    v = (tokens @ w["attn_v"]).reshape(n_texts, width, heads, dh).transpose(0, 2, 1, 3)
+    attention = q @ k                                                       # (K, H, N, T)
+    attention *= 1.0 / np.sqrt(dh)
+    attention += np.where(valid_mask, 0.0, -1e9)[:, None, None, :]
+    attention -= _reduce(np.maximum, attention, -1)
+    np.exp(attention, out=attention)
+    attention /= _reduce(np.add, attention, -1)
+    fused = ((attention @ v).transpose(0, 2, 1, 3).reshape(n_texts, -1, d)
+             @ w["attn_out"])                                               # (K, N, d)
+    fused += p
+    hidden = fused @ w["ffn_w1"]
+    hidden += w["ffn_b1"]
+    np.maximum(hidden, 0.0, out=hidden)
+    out = hidden @ w["ffn_w2"]
+    out += w["ffn_b2"]
+    out += fused
+
+    # referring_score
+    sentence = _reduce(np.maximum, np.where(valid_mask[:, :, None], tokens, -np.inf),
+                       1).squeeze(1)                                        # (K, d)
+    tau = gk.exp(w["log_temperature"]).value
+    unit_fused = _plain_unit_rows(out)
+    unit_sentence = _plain_unit_rows(sentence).reshape(n_texts, -1, 1)
+    sentence_scores = gk.div((unit_fused @ unit_sentence).reshape(n_texts, -1), tau).value
+    unit_tokens = _plain_unit_rows(tokens, null_ok=~valid_mask[:, :, None])
+    word_scores = unit_fused @ unit_tokens.transpose(0, 2, 1)              # (K, N, T)
+    word_scores /= tau                  # nonzero: gk.div checked it above
+    word_max = _reduce(np.maximum, np.where(valid_mask[:, None, :], word_scores, -np.inf),
+                       2).squeeze(2)                                        # (K, N)
+
+    if params.ablation.sentence_only:
+        weight = np.ones((n_texts, 1))
+    elif params.ablation.word_only:
+        weight = np.zeros((n_texts, 1))
+    else:
+        hidden = sentence @ w["fusion_w1"]
+        hidden += w["fusion_b1"]
+        np.maximum(hidden, 0.0, out=hidden)
+        logit = hidden @ w["fusion_w2"]
+        logit += w["fusion_b2"]
+        weight = gk.sigmoid(logit).value                                    # (K, 1)
+    referring = weight * sentence_scores
+    word_max *= 1.0 - weight
+    referring += word_max
+    return sentence_scores, word_scores, weight, referring
+
+
+def _plain_unit_rows(x: np.ndarray, null_ok: np.ndarray | None = None) -> np.ndarray:
+    """``_unit_rows`` on a plain array."""
+    squared = (x * x).sum(axis=-1, keepdims=True)
+    if null_ok is not None:
+        squared += null_ok
+    return gk.div(x, np.sqrt(squared)).value
 
 
 def level0_logits(referring_scores: Tensor, vocab_size: int) -> Tensor:

@@ -293,6 +293,9 @@ class TestErrors:
         "duplicate scene": ("scene copy", "a second record for scene 'scene-"),
         "duplicate expression": ("expression copy", "a second record for expression '"),
         "non-numeric coordinate": ("scene", "box coordinates must be numbers, not ['a', "),
+        "zero width": ("scene", "width and height must be positive and finite, not [0, "),
+        "text not a string": ("expression", "text must be a string, not 5"),
+        "nested target ids": ("expression", "target ids must be a list of ints, not [[1]]"),
         "another format": (1, "not a gref-cw-like file"),
         "version 2": (1, "unsupported dataset version 2; re-run `gvgkit build`"),
         "empty file": (None, "empty, no header line; re-run `gvgkit build`"),
@@ -332,6 +335,12 @@ class TestErrors:
             lines.insert(first + 1, lines[first])
         elif fault == "non-numeric coordinate":
             scene["instances"][0]["bbox_xyxy_px"][0] = "a"
+        elif fault == "zero width":
+            scene["width"] = 0
+        elif fault == "text not a string":
+            expression["text"] = 5
+        elif fault == "nested target ids":
+            expression["target_ids"] = [[1]]
         elif fault == "another format":
             header["format"] = "gvgkit-predictions"
         elif fault == "version 2":
@@ -339,9 +348,9 @@ class TestErrors:
         else:
             lines = []
         if fault in ("unknown record kind", "missing key", "unknown category",
-                     "non-numeric coordinate"):
+                     "non-numeric coordinate", "zero width"):
             lines[at] = json.dumps(scene)
-        elif fault == "orphan expression":
+        elif fault in ("orphan expression", "text not a string", "nested target ids"):
             lines[first] = json.dumps(expression)
         elif fault in ("another format", "version 2"):
             lines[0] = json.dumps(header)

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -30,6 +32,9 @@ from gradient_check import check_gradients
 
 D_V = 12
 D_T = 12
+# the full model and each ablation on its own
+VARIANTS = [AblationFlags()] + [AblationFlags(**{f.name: True})
+                                for f in dataclasses.fields(AblationFlags)]
 
 
 def make_params(seed=0, d=16, heads=2, d_ff=24, d_hidden=8, ablation=AblationFlags()):
@@ -37,8 +42,8 @@ def make_params(seed=0, d=16, heads=2, d_ff=24, d_hidden=8, ablation=AblationFla
                      d_hidden=d_hidden, seed=seed, ablation=ablation)
 
 
-def make_text(rng, tokens=5, valid=None):
-    emb = rng.normal(size=(tokens, D_T))
+def make_text(rng, tokens=5, valid=None, dim=D_T):
+    emb = rng.normal(size=(tokens, dim))
     mask = np.ones(tokens, dtype=bool) if valid is None else np.asarray(valid, dtype=bool)
     return TextFeatures(token_embeddings=emb, valid_mask=mask)
 
@@ -371,16 +376,61 @@ class TestEndToEndGradients:
         assert not np.array_equal(params.text_proj.value, start + 1.0)
 
     def test_frozen_scores_alike_and_records_no_graph(self):
-        rng = np.random.default_rng(19)
-        params = make_params(seed=19)
+        # the frozen model runs the plain-array pass; every field must
+        # match the graph's bit for bit, for every variant, for equal and
+        # unequal input dims, for one text and for several whose content
+        # counts 4, 1 and 9 put the token axis under and over the
+        # short-axis limit
+        text_sets = {"one text": [[1] * 5],
+                     "several texts": [[1, 1, 0, 1, 1], [0, 1, 0], [1] * 9]}
+        for ablation, d_t, masks in itertools.product(VARIANTS, (D_T, D_T + 5), text_sets):
+            case = f"{ablation}, d_t={d_t}, {masks}"
+            rng = np.random.default_rng(19)
+            params = HrsParams(d_v=D_V, d_t=d_t, d=16, heads=2, d_ff=24, d_hidden=8,
+                               seed=19, ablation=ablation)
+            props = make_proposals(rng, n=6)
+            texts = [make_text(rng, tokens=len(m), valid=m, dim=d_t)
+                     for m in text_sets[masks]]
+            frozen = params.frozen()
+            assert all(a.value is b.value for (_, a), (_, b) in zip(params.leaves(),
+                                                                      frozen.leaves()))
+            live = score_expression(props, texts, params)
+            still = score_expression(props, texts, frozen)
+            assert live.referring_scores.requires_grad, case
+            for name in ("sentence_scores", "word_scores", "sentence_weight",
+                         "referring_scores"):
+                want, got = getattr(live, name), getattr(still, name)
+                assert got.value.shape == want.value.shape, (case, name)
+                assert got.value.tobytes() == want.value.tobytes(), (case, name)
+                assert not got.requires_grad and got._parents == (), (case, name)
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["graph", "plain"])
+    @pytest.mark.parametrize("fault, error", [("zero proposal row", gk.DomainError),
+                                              ("zero temperature", gk.DomainError),
+                                              ("hot temperature", OverflowError),
+                                              ("no valid token", EmptyTextError)])
+    def test_both_passes_raise_alike(self, frozen, fault, error):
+        # under predict's errstate, a fault still raises on either pass
+        rng = np.random.default_rng(20)
+        params = make_params(seed=20)
         props, texts = make_proposals(rng), [make_text(rng), make_text(rng, tokens=3)]
-        frozen = params.frozen()
-        assert all(a.value is b.value for (_, a), (_, b) in zip(params.leaves(),
-                                                                  frozen.leaves()))
-        live = score_expression(props, texts, params).referring_scores
-        still = score_expression(props, texts, frozen).referring_scores
-        assert np.array_equal(live.value, still.value)
-        assert live.requires_grad and not still.requires_grad and still._parents == ()
+        if fault == "zero proposal row":
+            # with no attention message and no feed-forward output, a
+            # proposal's fused row is its projection: zero for a zero row
+            for name in ("attn_out", "ffn_w2", "ffn_b2"):
+                getattr(params, name).value[...] = 0.0
+            props.features[2] = 0.0
+        elif fault == "zero temperature":
+            params.log_temperature.value = np.array(-1e4)
+        elif fault == "hot temperature":
+            params.log_temperature.value = np.array(1000.0)
+        else:
+            texts[1].valid_mask[:] = False
+        if frozen:
+            params = params.frozen()
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
+                pytest.raises(error):
+            score_expression(props, texts, params)
 
     def test_text_projection_drawn_when_dims_differ(self):
         params = HrsParams(d_v=D_V, d_t=D_T + 2, d=16, heads=2, seed=18)

@@ -377,8 +377,12 @@ class TestPrediction:
             assert np.all(np.diff(rec.scores) <= 0)
 
     def test_deterministic_and_roundtrip(self, predicted, tmp_path):
+        # a second call gives the same records, and neither call edits a
+        # weight of either model in place
         cfg, tcfg, ds, result, preds = predicted
+        before = checksum(result.params), checksum(result.refiner)
         again = predict_split(ds.test, cfg, result.params, result.refiner)
+        assert (checksum(result.params), checksum(result.refiner)) == before
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write_predictions(preds, p1, seed=cfg.seed)
         write_predictions(again, p2, seed=cfg.seed)
