@@ -395,32 +395,41 @@ def write_dataset(scenes: list[SceneAnnotation], expressions: list[Expression],
 
 def read_dataset(path: str | Path
                  ) -> tuple[list[SceneAnnotation], list[Expression], dict]:
-    """Parse a dataset file. A malformed line, a second scene or
-    expression with one id, and an expression whose image no earlier
-    scene record holds each raise a one-line ValueError naming the file
-    and the line."""
+    """Parse a dataset file. Each of these raises a one-line ValueError
+    naming the file and the line: a malformed line; a value this module
+    never writes; a second scene or expression with one id, or a second
+    instance with one id in a scene; an expression whose image no
+    earlier scene record holds, or with a target id that names no
+    instance of that image."""
     scenes: dict[str, SceneAnnotation] = {}
+    instance_ids: dict[str, set[int]] = {}  # image id -> its instances' ids
     expressions: list[Expression] = []
     scene_lines: dict[str, int] = {}        # id -> its record's line
     expression_lines: dict[str, int] = {}
 
     def scene(record: dict, lineno: int) -> None:
         instances = []
+        ids: set[int] = set()
         for spec in record["instances"]:
-            if spec["category"] not in CATEGORIES:
-                raise ValueError(f"unknown category {spec['category']!r}")
+            _known(spec, "category", "size_bin", "grid_cell")
+            instance_id = spec["instance_id"]
+            if type(instance_id) is not int:
+                raise ValueError(f"instance id must be an int, not {instance_id!r}")
+            if instance_id in ids:
+                raise ValueError(f"a second instance with id {instance_id}")
+            ids.add(instance_id)
             x1, y1, x2, y2 = _numbers(spec["bbox_xyxy_px"], "box coordinates")
             instances.append(InstanceAnnotation(
-                instance_id=spec["instance_id"], category=spec["category"],
+                instance_id=instance_id, category=spec["category"],
                 x1=x1, y1=y1, x2=x2, y2=y2,
                 size_bin=spec["size_bin"], grid_cell=spec["grid_cell"]))
-        if record["image_type"] not in IMAGE_TYPES:
-            raise ValueError(f"unknown image type {record['image_type']!r}")
+        _known(record, "image_type")
         width, height = _numbers((record["width"], record["height"]), "width and height")
         if not (0 < width < math.inf and 0 < height < math.inf):
             raise ValueError(f"width and height must be positive and finite, "
                              f"not {[width, height]!r}")
         check_unique(scene_lines, record["image_id"], lineno, "scene")
+        instance_ids[record["image_id"]] = ids
         scenes[record["image_id"]] = SceneAnnotation(
             image_id=record["image_id"], width=width, height=height, instances=instances,
             image_type=record["image_type"])
@@ -435,7 +444,18 @@ def read_dataset(path: str | Path
         target_ids = record["target_ids"]
         if type(target_ids) is not list or any(type(i) is not int for i in target_ids):
             raise ValueError(f"target ids must be a list of ints, not {target_ids!r}")
+        if not instance_ids[record["image_id"]].issuperset(target_ids):
+            unknown = sorted(set(target_ids) - instance_ids[record["image_id"]])
+            raise ValueError(f"target ids {unknown} name no instance of image "
+                             f"{record['image_id']!r}")
+        kind = (record["level"], record["polarity"], record["negative_kind"])
+        if kind not in _EXPRESSION_KINDS:
+            raise ValueError("unknown kind of expression: level {!r}, polarity {!r}, "
+                             "negative_kind {!r}".format(*kind))
         attrs = record["attributes"]
+        place = (attrs.get("size_bin"), attrs.get("grid_cell"))
+        if place not in _ATTRIBUTE_PLACES:
+            raise ValueError("unknown attributes: size_bin {!r}, grid_cell {!r}".format(*place))
         expressions.append(Expression(
             expression_id=record["expression_id"], image_id=record["image_id"],
             text=record["text"], level=record["level"], polarity=record["polarity"],
@@ -450,12 +470,34 @@ def read_dataset(path: str | Path
     return list(scenes.values()), expressions, meta
 
 
+# the values this module writes: by instance and scene record key; the
+# (level, polarity, negative_kind) of an expression; the (size_bin,
+# grid_cell) of its attributes, neither for an image-level expression
+_KNOWN = {
+    "category": frozenset(CATEGORIES),
+    "size_bin": frozenset(SIZE_BINS),
+    "grid_cell": frozenset(GRID_CELLS),
+    "image_type": frozenset(IMAGE_TYPES),
+}
+_EXPRESSION_KINDS = frozenset([("image", "negative", "none"), ("instance", "positive", "none")]
+                              + [("instance", "negative", kind) for kind in NEGATIVE_KINDS])
+_ATTRIBUTE_PLACES = frozenset([(None, None)] + list(itertools.product(SIZE_BINS, GRID_CELLS)))
 _NUMBER_TYPES = frozenset((int, float))
 
 
+def _known(record: dict, *keys: str) -> None:
+    """Raise unless each ``record[key]`` is a value this module writes there."""
+    for key in keys:
+        if record[key] not in _KNOWN[key]:
+            raise ValueError(f"unknown {key} {record[key]!r}")
+
+
 def _numbers(values, what: str):
-    """``values``, if each is a JSON number."""
+    """``values``, if each is a finite JSON number (``json`` also reads
+    NaN and Infinity)."""
     for value in values:
         if type(value) not in _NUMBER_TYPES:
             raise ValueError(f"{what} must be numbers, not {values!r}")
+        if type(value) is float and not math.isfinite(value):
+            raise ValueError(f"{what} must be finite, not {values!r}")
     return values

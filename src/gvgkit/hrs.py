@@ -37,7 +37,6 @@ from typing import Sequence
 import numpy as np
 
 from gvgkit import gradkit as gk
-from gvgkit.geometry import BBox
 from gvgkit.gradkit import Tensor
 from gvgkit.gradkit.tensor import _reduce
 
@@ -72,21 +71,6 @@ class TextFeatures:
             raise ValueError("valid mask must have one flag per token")
         if not self.valid_mask.any():
             raise EmptyTextError("expression has no valid tokens")
-
-
-@dataclass
-class ProposalFeatures:
-    """Candidate regions: one feature row and one box per proposal."""
-
-    features: np.ndarray
-    boxes: list[BBox]
-
-    def __post_init__(self) -> None:
-        self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.ndim != 2 or self.features.shape[0] < 1:
-            raise ValueError("proposal features must be a non-empty (N, d) matrix")
-        if len(self.boxes) != self.features.shape[0]:
-            raise ValueError("feature rows and boxes must align")
 
 
 @dataclass
@@ -299,10 +283,11 @@ def stack_texts(texts: Sequence[TextFeatures]) -> tuple[np.ndarray, np.ndarray]:
     return embeddings, np.arange(counts.max()) < counts[:, None]
 
 
-def fuse(proposals: ProposalFeatures, tokens: Tensor, valid_mask: np.ndarray,
+def fuse(features: np.ndarray, tokens: Tensor, valid_mask: np.ndarray,
          params: HrsParams) -> Tensor:
-    """Let the proposals attend to the tokens of each of K texts; residual
-    plus feed-forward on top. Returns (K, N, d).
+    """Let the N proposals, rows of ``features`` (N, d_v), attend to the
+    tokens of each of K texts; residual plus feed-forward on top.
+    Returns (K, N, d).
 
     ``tokens`` are the projected tokens (K, T, d) and ``valid_mask``
     (K, T) marks the real ones. The proposals are projected once for all
@@ -316,7 +301,7 @@ def fuse(proposals: ProposalFeatures, tokens: Tensor, valid_mask: np.ndarray,
     n_texts, width = valid_mask.shape
     d, heads = params.d, params.heads
     dh = d // heads
-    p = gk.matmul(gk.constant(proposals.features), params.visual_proj)      # (N, d)
+    p = gk.matmul(gk.constant(features), params.visual_proj)               # (N, d)
     q = gk.permute(gk.reshape(gk.matmul(p, params.attn_q), (-1, heads, dh)),
                    (1, 0, 2))                                               # (H, N, dh)
     k = gk.permute(gk.reshape(gk.matmul(tokens, params.attn_k),
@@ -381,22 +366,23 @@ def referring_score(fused: Tensor, tokens: Tensor, valid_mask: np.ndarray,
                            sentence_weight=weight, referring_scores=referring)
 
 
-def score_expression(proposals: ProposalFeatures, texts: Sequence[TextFeatures],
+def score_expression(features: np.ndarray, texts: Sequence[TextFeatures],
                      params: HrsParams) -> RelevanceOutput:
     """The full forward pass of one scene: every text in ``texts``
-    against all its proposals, in one batch, as the variant that
-    ``params.ablation`` names. The text projection is computed once and
-    shared by the attention and the scores.
+    against all its proposals, the rows of ``features`` (N, d_v), in one
+    batch, as the variant that ``params.ablation`` names. The text
+    projection is computed once and shared by the attention and the
+    scores.
 
     A model with no tensor that requires grad (``HrsParams.frozen``)
     runs ``_plain_pass`` and gets the same bits as constant tensors;
     any other model runs the graph."""
     embeddings, valid_mask = stack_texts(texts)
     if not any(t.requires_grad for _, t in params.leaves()):
-        return RelevanceOutput(*map(gk.constant, _plain_pass(proposals.features, embeddings,
+        return RelevanceOutput(*map(gk.constant, _plain_pass(features, embeddings,
                                                              valid_mask, params)))
     tokens = gk.matmul(gk.constant(embeddings), params.text_proj)          # (K, T, d)
-    fused = fuse(proposals, tokens, valid_mask, params)
+    fused = fuse(features, tokens, valid_mask, params)
     return referring_score(fused, tokens, valid_mask, params)
 
 

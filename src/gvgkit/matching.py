@@ -24,44 +24,18 @@ is the unique optimum and comes back directly.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from gvgkit.geometry import BBox, centre_rows, corners, iou
+from gvgkit.geometry import corners, iou
 
 
-@dataclass(frozen=True)
-class MatchConfig:
-    lambda_centre: float = 2.0
-    lambda_size: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.lambda_centre < 0 or self.lambda_size < 0:
-            raise ValueError("matching weights must be non-negative")
-
-
-@dataclass
-class Assignment:
-    """One-to-one pairing of proposal rows to ground-truth columns."""
-
-    pairs: list[tuple[int, int]] = field(default_factory=list)
-    unmatched_proposals: list[int] = field(default_factory=list)
-    unmatched_gts: list[int] = field(default_factory=list)
-    total_cost: float = 0.0
-
-
-def build_cost_matrix(proposals: list[BBox], gts: list[BBox],
-                      cfg: MatchConfig = MatchConfig()) -> np.ndarray:
-    """Cost matrix C[i, j] between proposals[i] and gts[j]; zero iff the
-    boxes coincide.
-
-    An empty ground-truth list yields an (N, 0) matrix, the signal for
-    callers to skip the regression stage for this image.
+def build_cost_matrix(p: np.ndarray, g: np.ndarray, lambda_centre: float,
+                      lambda_size: float) -> np.ndarray:
+    """Cost matrix C[i, j] between the centre-form rows p[i] (N, 4) of
+    the proposals and g[j] (M, 4) of the ground truth, with the weights
+    ``TrainConfig`` holds; zero iff the boxes coincide. No ground truth,
+    an (N, 0) matrix, leaves nothing to assign.
     """
-    p = centre_rows(proposals)
-    g = centre_rows(gts)
     if np.any(g[:, 2:] <= 0.0):
         raise ValueError("ground-truth box must have positive width and height")
     overlap = iou(corners(p), corners(g))
@@ -72,19 +46,7 @@ def build_cost_matrix(proposals: list[BBox], gts: list[BBox],
                  + np.float_power(p[..., 1] - g[..., 1], 2))
     size_term = (np.abs(p[..., 2] - g[..., 2]) / g[..., 2]
                  + np.abs(p[..., 3] - g[..., 3]) / g[..., 3])
-    return (1.0 - overlap) + cfg.lambda_centre * centre_sq + cfg.lambda_size * size_term
-
-
-def _assignment_from_pairs(cost: np.ndarray, pairs: list[tuple[int, int]]) -> Assignment:
-    rows = {i for i, _ in pairs}
-    cols = {j for _, j in pairs}
-    pairs = sorted(pairs)
-    return Assignment(
-        pairs=pairs,
-        unmatched_proposals=[i for i in range(cost.shape[0]) if i not in rows],
-        unmatched_gts=[j for j in range(cost.shape[1]) if j not in cols],
-        total_cost=math.fsum(cost[i, j] for i, j in pairs),
-    )
+    return (1.0 - overlap) + lambda_centre * centre_sq + lambda_size * size_term
 
 
 def _row_minima(cost: np.ndarray) -> np.ndarray | None:
@@ -149,9 +111,10 @@ def _shortest_augmenting_path(cost: np.ndarray) -> np.ndarray:
     return col4row
 
 
-def assign_optimal(cost: np.ndarray) -> Assignment:
-    """Minimum-total-cost assignment of min(rows, cols) pairs, the pairs
-    ``scipy.optimize.linear_sum_assignment`` returns, ties included.
+def assign_optimal(cost: np.ndarray) -> list[tuple[int, int]]:
+    """A minimum-total-cost assignment as min(rows, cols) sorted (row,
+    column) pairs: the pairs ``scipy.optimize.linear_sum_assignment``
+    returns, ties included.
 
     A tall matrix is solved transposed. When every row's minimum is
     strict and in a column of its own (the common case for real scenes)
@@ -161,19 +124,15 @@ def assign_optimal(cost: np.ndarray) -> Assignment:
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
         raise ValueError(f"cost matrix must be 2-D, got shape {cost.shape}")
-    if cost.size and not np.all(np.isfinite(cost)):
+    if not np.all(np.isfinite(cost)):
         raise ValueError("cost matrix contains NaN or infinite entries")
-    if cost.shape[0] == 0 or cost.shape[1] == 0:
-        return Assignment(
-            unmatched_proposals=list(range(cost.shape[0])),
-            unmatched_gts=list(range(cost.shape[1])),
-        )
+    if cost.size == 0:
+        return []
     transposed = cost.shape[0] > cost.shape[1]
     wide = cost.T if transposed else cost
     cols = _row_minima(wide)
     if cols is None:
         cols = _shortest_augmenting_path(wide)
-    pairs = list(enumerate(cols.tolist()))
     if transposed:
-        pairs = [(i, j) for j, i in pairs]
-    return _assignment_from_pairs(cost, pairs)
+        return sorted((i, j) for j, i in enumerate(cols.tolist()))
+    return list(enumerate(cols.tolist()))

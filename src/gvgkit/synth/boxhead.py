@@ -122,10 +122,6 @@ class BoxRefiner:
             raise OverflowError("the refiner collapsed a box to a non-positive size")
         return gk.concat([centre, scaled], axis=1)
 
-    def refine_numpy(self, boxes: np.ndarray) -> np.ndarray:
-        """Gradient-free refinement for prediction time."""
-        return self.refine(boxes).value
-
     def save(self, path: str | Path, seed: int | None = None) -> None:
         payload = {
             "format": REFINER_FORMAT,

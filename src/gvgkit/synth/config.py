@@ -105,6 +105,8 @@ class TrainConfig:
             raise ValueError("expressions_per_scene must be positive")
         if not 0.0 < self.interp_alpha < 1.0:
             raise ValueError("interp_alpha must lie in (0, 1)")
+        if self.lambda_centre < 0 or self.lambda_size < 0:
+            raise ValueError("matching weights must be non-negative")
 
 
 _ABLATION_NAMES = {

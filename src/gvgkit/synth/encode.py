@@ -33,8 +33,8 @@ from gvgkit.datagen import (
     SIZE_BINS,
     SceneAnnotation,
 )
-from gvgkit.geometry import BBox
-from gvgkit.hrs import ProposalFeatures, TextFeatures
+from gvgkit.geometry import BBox, centre_rows
+from gvgkit.hrs import TextFeatures
 from gvgkit.synth.config import CONTEXT_DIMS, FEATURE_DIMS, WORD_SPACE_DIMS, SynthConfig
 
 EXTRA_WORDS = ("no", "crop", "vegetation", "[EMPTY]")
@@ -193,15 +193,15 @@ def _background_box(gt_corners: list[tuple[float, float, float, float]],
     return candidate  # crowded scene: accept the last sample
 
 
-def encode_proposals(scene: SceneAnnotation, cfg: SynthConfig,
-                     table: EmbeddingTable) -> tuple[ProposalFeatures, np.ndarray]:
-    """Simulated detector output for one scene.
-
-    Returns the proposal set plus the source instance id per proposal
-    (-1 for background distractors). Real instances contribute one
-    jittered box each with attribute-aligned features; distractors sit
-    on background with noise-only features. Everything is a pure
-    function of the dataset seed and the image id.
+def encode_proposals(scene: SceneAnnotation, cfg: SynthConfig, table: EmbeddingTable
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Simulated detector output for one scene, as three aligned arrays:
+    the (N, d_v) features, the (N, 4) centre-form boxes and the (N,)
+    source instance ids (-1 for background distractors). Real instances
+    contribute one jittered box each with attribute-aligned features;
+    distractors sit on background with noise-only features. Everything
+    is a pure function of the dataset seed and the image id. A scene
+    with no proposal raises ValueError.
     """
     rng = _scene_rng(cfg.seed, scene.image_id, "proposals")
     ctx = _context_block(scene, cfg)
@@ -232,6 +232,8 @@ def encode_proposals(scene: SceneAnnotation, cfg: SynthConfig,
         boxes.append(_background_box(gt_corners, rng))
         source_ids.append(-1)
 
+    if not features:
+        raise ValueError(f"scene {scene.image_id!r} has no proposals")
     feats = np.stack(features)
     if cfg.feature_noise > 0:
         feats[:, :WORD_SPACE_DIMS] += rng.normal(
@@ -244,5 +246,4 @@ def encode_proposals(scene: SceneAnnotation, cfg: SynthConfig,
         n_inst = len(scene.instances)
         feats[:n_inst, WORD_SPACE_DIMS:] += scene_noise
         feats[n_inst:, WORD_SPACE_DIMS:] += scene_noise * cfg.context_bg_scale
-    return (ProposalFeatures(features=feats, boxes=boxes),
-            np.asarray(source_ids, dtype=np.int64))
+    return feats, centre_rows(boxes), np.asarray(source_ids, dtype=np.int64)

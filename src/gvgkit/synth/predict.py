@@ -25,7 +25,7 @@ import numpy as np
 
 from gvgkit import gradkit as gk
 from gvgkit import hrs
-from gvgkit.geometry import centre_rows, corners
+from gvgkit.geometry import corners
 from gvgkit.gradkit.io import check_unique, read_records, write_records
 from gvgkit.hrs import HrsParams, Level0Vocabulary
 from gvgkit.synth.boxhead import BoxRefiner
@@ -94,14 +94,14 @@ def predict_split(split: SplitData, cfg: SynthConfig, params: HrsParams,
     tables: dict[str, np.ndarray] = {}
     encoded: dict[str, hrs.TextFeatures] = {}   # expressions are templated
     for scene in split.scenes:
-        proposals, _ = encode_proposals(scene, cfg, table)
+        features, boxes, _ = encode_proposals(scene, cfg, table)
         exprs = split.expressions_for(scene.image_id)
         texts = vocab_texts + encode_texts([e.text for e in exprs], table,
                                            cfg.max_tokens, encoded)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # a non-finite score or box is reported by the checks below
-            scores = hrs.score_expression(proposals, texts, frozen).referring_scores
-            refined = refiner.refine_numpy(centre_rows(proposals.boxes))
+            scores = hrs.score_expression(features, texts, frozen).referring_scores
+            refined = refiner.refine(boxes).value
         if not np.all(np.isfinite(scores.value)):
             raise OverflowError(f"non-finite referring scores for image {scene.image_id}")
         if not np.all(np.isfinite(refined)):

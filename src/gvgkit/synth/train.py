@@ -28,7 +28,7 @@ from gvgkit import hrs
 from gvgkit.datagen import Expression, SceneAnnotation
 from gvgkit.geometry import centre_rows
 from gvgkit.hrs import HrsParams, Level0Vocabulary
-from gvgkit.matching import MatchConfig, assign_optimal, build_cost_matrix
+from gvgkit.matching import assign_optimal, build_cost_matrix
 from gvgkit.synth.boxhead import BoxRefiner, giou_loss_diff, interp_iou_loss_diff
 from gvgkit.synth.config import SynthConfig, TrainConfig
 from gvgkit.synth.encode import EmbeddingTable, encode_proposals, encode_text
@@ -48,9 +48,13 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class EncodedScene:
+    """A scene with its proposals as ``encode_proposals`` returns them:
+    row i of ``features``, ``boxes`` and ``source_ids`` is proposal i."""
+
     scene: SceneAnnotation
-    proposals: hrs.ProposalFeatures
-    source_ids: np.ndarray
+    features: np.ndarray        # (N, d_v)
+    boxes: np.ndarray           # (N, 4) centre form
+    source_ids: np.ndarray      # (N,) source instance ids, -1 for background
     expressions: list[Expression]
 
 
@@ -79,9 +83,7 @@ def encode_split(split: SplitData, cfg: SynthConfig,
                  table: EmbeddingTable) -> list[EncodedScene]:
     out = []
     for scene in split.scenes:
-        proposals, source_ids = encode_proposals(scene, cfg, table)
-        out.append(EncodedScene(scene=scene, proposals=proposals,
-                                source_ids=source_ids,
+        out.append(EncodedScene(scene, *encode_proposals(scene, cfg, table),
                                 expressions=split.expressions_for(scene.image_id)))
     return out
 
@@ -170,21 +172,19 @@ def _run_stage(stage: int, model, trainable: list[gk.Tensor],
 Pairs = tuple[np.ndarray, np.ndarray]
 
 
-def match_scene(item: EncodedScene, match_cfg: MatchConfig) -> Pairs | None:
+def match_scene(item: EncodedScene, tcfg: TrainConfig) -> Pairs | None:
     """The proposal rows and ground-truth rows, both (M, 4) in centre
-    form, that the matcher pairs in one scene; None without pairs. The
-    cost matrix reads only the proposals and the ground truth, so one
-    match serves every epoch."""
-    gts = [inst.normalized_box(item.scene.width, item.scene.height)
-           for inst in item.scene.instances]
-    if not gts:
+    form, that the matcher pairs in one scene under ``tcfg``'s weights;
+    None for a scene without instances. The cost matrix reads only the
+    proposals and the ground truth, so one match serves every epoch."""
+    if not item.scene.instances:
         return None
-    cost = build_cost_matrix(item.proposals.boxes, gts, match_cfg)
-    assignment = assign_optimal(cost)
-    if not assignment.pairs:
-        return None
-    return (centre_rows([item.proposals.boxes[i] for i, _ in assignment.pairs]),
-            centre_rows([gts[j] for _, j in assignment.pairs]))
+    gts = centre_rows([inst.normalized_box(item.scene.width, item.scene.height)
+                       for inst in item.scene.instances])
+    pairs = assign_optimal(build_cost_matrix(item.boxes, gts, tcfg.lambda_centre,
+                                             tcfg.lambda_size))
+    rows, cols = np.array(pairs).T
+    return item.boxes[rows], gts[cols]
 
 
 def stage1_loss(pairs: list[Pairs], refiner: BoxRefiner, tcfg: TrainConfig):
@@ -204,9 +204,7 @@ def stage1_loss(pairs: list[Pairs], refiner: BoxRefiner, tcfg: TrainConfig):
 
 def train_stage1(encoded: list[EncodedScene], tcfg: TrainConfig) -> tuple[BoxRefiner, list[LogRow]]:
     refiner = BoxRefiner(seed=tcfg.seed, ablation=tcfg.ablation)
-    match_cfg = MatchConfig(lambda_centre=tcfg.lambda_centre,
-                            lambda_size=tcfg.lambda_size)
-    matched = {id(item): match_scene(item, match_cfg) for item in encoded}
+    matched = {id(item): match_scene(item, tcfg) for item in encoded}
 
     def batch_loss(batch, rng, terms):
         pairs = [matched[id(item)] for item in batch if matched[id(item)] is not None]
@@ -262,7 +260,7 @@ def _scene_losses(item: EncodedScene, params: HrsParams, vocab: Level0Vocabulary
     exprs = _pick_expressions(item, tcfg.expressions_per_scene, rng)
     texts = vocab_texts + encode_texts([e.text for e in exprs], table, max_tokens,
                                        encoded_texts)
-    scores = hrs.score_expression(item.proposals, texts, params).referring_scores
+    scores = hrs.score_expression(item.features, texts, params).referring_scores
     l0 = hrs.loss_lvl0(hrs.level0_logits(scores, len(vocab_texts)),
                        vocab.true_class(item.scene.image_type))
     if not exprs:

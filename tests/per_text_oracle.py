@@ -48,10 +48,11 @@ def stack(scalars):
     return gk.concat([gk.reshape(s, (1,)) for s in scalars], axis=0)
 
 
-def fuse(proposals, text, params):
-    """Proposal queries attend to one text's tokens; residual plus
-    feed-forward on top. Invalid tokens get a large negative bias."""
-    p = gk.matmul(gk.constant(proposals.features), params.visual_proj)       # (N, d)
+def fuse(features, text, params):
+    """Proposal queries, the rows of ``features``, attend to one text's
+    tokens; residual plus feed-forward on top. Invalid tokens get a large
+    negative bias."""
+    p = gk.matmul(gk.constant(features), params.visual_proj)                # (N, d)
     t = gk.matmul(gk.constant(text.token_embeddings), params.text_proj)     # (T, d)
 
     d, heads = params.d, params.heads
@@ -107,15 +108,15 @@ def referring_score(fused, text, params, ablation=AblationFlags()):
                            sentence_weight=weight, referring_scores=referring)
 
 
-def score_expression(proposals, text, params, ablation=AblationFlags()):
-    return referring_score(fuse(proposals, text, params), text, params, ablation)
+def score_expression(features, text, params, ablation=AblationFlags()):
+    return referring_score(fuse(features, text, params), text, params, ablation)
 
 
-def level0_logits(proposals, vocab_texts, params, ablation=AblationFlags()):
+def level0_logits(features, vocab_texts, params, ablation=AblationFlags()):
     """One fused pass per vocabulary sentence, max-pooled over proposals."""
     pooled = []
     for text in vocab_texts:
-        out = score_expression(proposals, text, params, ablation)
+        out = score_expression(features, text, params, ablation)
         pooled.append(gk.max_over_axis(out.referring_scores, axis=0))
     return stack(pooled)
 
@@ -124,7 +125,7 @@ def scene_loss(item, params, vocab, vocab_texts, table, tcfg, rng, max_tokens):
     """Stage-2 objective of one scene, every text scored on its own, as
     the variant ``params`` carries."""
     ablation = params.ablation
-    l0 = hrs.loss_lvl0(level0_logits(item.proposals, vocab_texts, params, ablation),
+    l0 = hrs.loss_lvl0(level0_logits(item.features, vocab_texts, params, ablation),
                        vocab.true_class(item.scene.image_type))
     exprs = _pick_expressions(item, tcfg.expressions_per_scene, rng)
     if not exprs:
@@ -133,7 +134,7 @@ def scene_loss(item, params, vocab, vocab_texts, table, tcfg, rng, max_tokens):
         pieces = []
         for expr in exprs:
             text = encode_text(expr.text, table, max_tokens)
-            out = score_expression(item.proposals, text, params, ablation)
+            out = score_expression(item.features, text, params, ablation)
             targets = np.isin(item.source_ids,
                               np.asarray(expr.target_ids, dtype=np.int64))
             l1 = hrs.loss_lvl1(out.referring_scores, targets.astype(float))
@@ -145,19 +146,19 @@ def scene_loss(item, params, vocab, vocab_texts, table, tcfg, rng, max_tokens):
     return hrs.loss_hmce(l0, l1c, hrs.coarse_image_type(item.scene.image_type))
 
 
-def predict_scene(proposals, expressions, vocab, vocab_texts, table, params,
+def predict_scene(features, expressions, vocab, vocab_texts, table, params,
                   ablation, max_tokens, gate_level0=True):
     """Level-0 class and, per expression, the proposal order, the scores
     and whether the existence gate fell back to a separate background
     pass."""
-    logits = level0_logits(proposals, vocab_texts, params, ablation)
+    logits = level0_logits(features, vocab_texts, params, ablation)
     background = vocab.class_by_image_type["empty"]
-    background_scores = score_expression(proposals, vocab_texts[background], params,
+    background_scores = score_expression(features, vocab_texts[background], params,
                                          ablation).referring_scores.value
     ranked = []
     for expr in expressions:
         text = encode_text(expr.text, table, max_tokens)
-        scores = score_expression(proposals, text, params, ablation).referring_scores.value
+        scores = score_expression(features, text, params, ablation).referring_scores.value
         fell_back = gate_level0 and expr.level == "instance" and float(np.max(scores)) < 0.0
         if fell_back:
             scores = background_scores

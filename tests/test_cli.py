@@ -1,6 +1,7 @@
 import base64
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -281,8 +282,9 @@ class TestErrors:
         assert where in err and message in err, err
 
     # fault in test.jsonl -> (line of the error: 1, None for the whole file,
-    # or the line of the edited scene or expression record or of its
-    # copy; part of the message)
+    # or the line of the edited scene record, first expression or first
+    # expression with targets ("positive"), or of a copy; part of the
+    # message)
     SPLIT_FAULTS = {
         "non-object line": ("scene", "not a JSON object"),
         "not json": ("scene", "not JSON"),
@@ -296,6 +298,18 @@ class TestErrors:
         "zero width": ("scene", "width and height must be positive and finite, not [0, "),
         "text not a string": ("expression", "text must be a string, not 5"),
         "nested target ids": ("expression", "target ids must be a list of ints, not [[1]]"),
+        "NaN coordinate": ("scene", "box coordinates must be finite, not [nan, "),
+        "Infinity coordinate": ("scene", "box coordinates must be finite, not [inf, "),
+        "unknown level": ("expression", "unknown kind of expression: level 'object', "),
+        "unknown polarity": ("expression", ", polarity 'positve', "),
+        "unknown negative kind": ("expression", ", negative_kind 'swap_colour'"),
+        "unknown instance size bin": ("scene", "unknown size_bin 'huge'"),
+        "unknown instance grid cell": ("scene", "unknown grid_cell 'under'"),
+        "unknown attribute size bin": ("positive", "unknown attributes: size_bin 'huge', "),
+        "unknown attribute grid cell": ("positive", ", grid_cell 'under'"),
+        "instance id not an int": ("scene", "instance id must be an int, not '0'"),
+        "repeated instance id": ("scene", "a second instance with id "),
+        "unknown target id": ("positive", "target ids [99] name no instance of image 'scene-"),
         "another format": (1, "not a gref-cw-like file"),
         "version 2": (1, "unsupported dataset version 2; re-run `gvgkit build`"),
         "empty file": (None, "empty, no header line; re-run `gvgkit build`"),
@@ -312,11 +326,14 @@ class TestErrors:
             (tmp_path / name).write_bytes((run_dir / name).read_bytes())
         lines = (run_dir / "test.jsonl").read_text().splitlines()
         records = [json.loads(line) for line in lines]
+        unedited = [json.loads(line) for line in lines]
         header = records[0]
         # the first scene with a plant, and the first expression
         at = next(k for k, r in enumerate(records) if r["record"] == "scene" and r["instances"])
         first = next(k for k, r in enumerate(records) if r["record"] == "expression")
-        scene, expression = records[at], records[first]
+        positive = next(k for k, r in enumerate(records) if r["record"] == "expression"
+                        and r["target_ids"])
+        scene, expression, targeted = records[at], records[first], records[positive]
         if fault == "non-object line":
             lines[at] = "[]"
         elif fault == "not json":
@@ -341,19 +358,39 @@ class TestErrors:
             expression["text"] = 5
         elif fault == "nested target ids":
             expression["target_ids"] = [[1]]
+        elif fault == "NaN coordinate":
+            scene["instances"][0]["bbox_xyxy_px"][0] = math.nan
+        elif fault == "Infinity coordinate":
+            scene["instances"][0]["bbox_xyxy_px"][0] = math.inf
+        elif fault == "unknown level":
+            expression["level"] = "object"
+        elif fault == "unknown polarity":
+            expression["polarity"] = "positve"
+        elif fault == "unknown negative kind":
+            expression["negative_kind"] = "swap_colour"
+        elif fault == "unknown instance size bin":
+            scene["instances"][0]["size_bin"] = "huge"
+        elif fault == "unknown instance grid cell":
+            scene["instances"][0]["grid_cell"] = "under"
+        elif fault == "unknown attribute size bin":
+            targeted["attributes"]["size_bin"] = "huge"
+        elif fault == "unknown attribute grid cell":
+            targeted["attributes"]["grid_cell"] = "under"
+        elif fault == "instance id not an int":
+            scene["instances"][0]["instance_id"] = "0"
+        elif fault == "repeated instance id":
+            scene["instances"].append(dict(scene["instances"][0]))
+        elif fault == "unknown target id":
+            targeted["target_ids"] = [99]
         elif fault == "another format":
             header["format"] = "gvgkit-predictions"
         elif fault == "version 2":
             header["version"] = 2
         else:
             lines = []
-        if fault in ("unknown record kind", "missing key", "unknown category",
-                     "non-numeric coordinate", "zero width"):
-            lines[at] = json.dumps(scene)
-        elif fault in ("orphan expression", "text not a string", "nested target ids"):
-            lines[first] = json.dumps(expression)
-        elif fault in ("another format", "version 2"):
-            lines[0] = json.dumps(header)
+        for k in {0, at, first, positive}:      # write back the records edited above
+            if records[k] != unedited[k]:
+                lines[k] = json.dumps(records[k])
         path = tmp_path / "test.jsonl"
         path.write_text("".join(line + "\n" for line in lines))
         capsys.readouterr()
@@ -361,7 +398,7 @@ class TestErrors:
         err = capsys.readouterr().err
         line, message = self.SPLIT_FAULTS[fault]
         line = {"scene": at + 1, "scene copy": at + 2, "expression": first + 1,
-                "expression copy": first + 2}.get(line, line)
+                "expression copy": first + 2, "positive": positive + 1}.get(line, line)
         where = f"{path}: " if line is None else f"{path}, line {line}: "
         assert err.startswith(f"error: {where}") and err.count("\n") == 1, err
         assert message in err, err
@@ -373,7 +410,9 @@ class TestErrors:
                      id="not json"),
         pytest.param('{"synth": {"n_scenes": "x"}}',
                      'config synth.n_scenes must be like its default 240, not "x"',
-                     id="a string for an int")])
+                     id="a string for an int"),
+        pytest.param('{"train": {"lambda_centre": -1.0}}',
+                     "matching weights must be non-negative", id="a negative matching weight")])
     def test_malformed_config_is_a_one_line_error(self, tmp_path, capsys, text, message):
         path = tmp_path / "cfg.json"
         path.write_text(text)

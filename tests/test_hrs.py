@@ -7,13 +7,11 @@ import pytest
 
 from gvgkit import gradkit as gk
 from gvgkit import hrs
-from gvgkit.geometry import BBox
 from gvgkit.hrs import (
     AblationFlags,
     EmptyTextError,
     HrsParams,
     Level0Vocabulary,
-    ProposalFeatures,
     TextFeatures,
     coarse_image_type,
     fuse,
@@ -54,9 +52,8 @@ def project_tokens(texts, params):
 
 
 def make_proposals(rng, n=4):
-    feats = rng.normal(size=(n, D_V))
-    boxes = [BBox(0.5, 0.5, 0.1, 0.1) for _ in range(n)]
-    return ProposalFeatures(features=feats, boxes=boxes)
+    """The (n, D_V) feature matrix of n proposals."""
+    return rng.normal(size=(n, D_V))
 
 
 class TestTypes:
@@ -74,10 +71,6 @@ class TestTypes:
         rng = np.random.default_rng(1)
         with pytest.raises(EmptyTextError):
             make_text(rng, tokens=3, valid=[0, 0, 0])
-
-    def test_proposal_row_box_alignment(self):
-        with pytest.raises(ValueError):
-            ProposalFeatures(features=np.ones((2, 4)), boxes=[BBox(0.5, 0.5, 0.1, 0.1)])
 
     def test_vocabulary_invariants(self):
         vocab = Level0Vocabulary()
@@ -97,8 +90,7 @@ class TestFuse:
     def test_deterministic_and_shape(self):
         rng = np.random.default_rng(2)
         params = HrsParams(d_v=D_V, d_t=D_T, d=64, heads=4, d_ff=128, d_hidden=32, seed=3)
-        props = ProposalFeatures(features=rng.normal(size=(5, D_V)),
-                                 boxes=[BBox(0.5, 0.5, 0.1, 0.1)] * 5)
+        props = rng.normal(size=(5, D_V))
         text = make_text(rng, tokens=7)
         tokens, mask = project_tokens([text], params)
         out1 = fuse(props, tokens, mask, params)
@@ -419,7 +411,7 @@ class TestEndToEndGradients:
             # proposal's fused row is its projection: zero for a zero row
             for name in ("attn_out", "ffn_w2", "ffn_b2"):
                 getattr(params, name).value[...] = 0.0
-            props.features[2] = 0.0
+            props[2] = 0.0
         elif fault == "zero temperature":
             params.log_temperature.value = np.array(-1e4)
         elif fault == "hot temperature":

@@ -9,13 +9,20 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from gvgkit import matching
-from gvgkit.geometry import BBox
-from gvgkit.matching import Assignment, MatchConfig, assign_optimal, build_cost_matrix
-from gvgkit.synth import SynthConfig, gen_scenes
+from gvgkit.geometry import BBox, centre_rows
+from gvgkit.matching import assign_optimal, build_cost_matrix
+from gvgkit.synth import SynthConfig, TrainConfig, gen_scenes
 from gvgkit.synth.encode import EmbeddingTable, encode_proposals
 
-from matching_oracle import assign_bruteforce, match_cost
+from matching_oracle import assign_bruteforce, match_cost, total_cost, unmatched
 from reference_metrics import ref_iou
+
+# the weights training matches with
+WEIGHTS = (TrainConfig().lambda_centre, TrainConfig().lambda_size)
+
+
+def cost_matrix(props: list[BBox], gts: list[BBox]) -> np.ndarray:
+    return build_cost_matrix(centre_rows(props), centre_rows(gts), *WEIGHTS)
 
 
 def random_box(rng, min_side=0.05, max_side=0.4) -> BBox:
@@ -44,26 +51,27 @@ class TestMatchCost:
         assert match_cost(p, g) == pytest.approx(expected, abs=1e-9)
 
     def test_weight_zeroing_reduces_to_iou(self):
-        cfg = MatchConfig(lambda_centre=0.0, lambda_size=0.0)
         rng = np.random.default_rng(1)
         for _ in range(100):
             p, g = random_box(rng), random_box(rng)
             overlap = ref_iou(p.to_corners(), g.to_corners())
-            assert match_cost(p, g, cfg) == pytest.approx(1 - overlap, abs=1e-12)
+            assert match_cost(p, g, 0.0, 0.0) == pytest.approx(1 - overlap, abs=1e-12)
+            assert build_cost_matrix(centre_rows([p]), centre_rows([g]), 0.0, 0.0)[0, 0] \
+                == match_cost(p, g, 0.0, 0.0)
 
     def test_degenerate_gt_rejected(self):
         p = BBox(0.5, 0.5, 0.2, 0.2)
         with pytest.raises(ValueError):
             match_cost(p, BBox(0.5, 0.5, 0.0, 0.2))
         with pytest.raises(ValueError):
-            build_cost_matrix([p], [BBox(0.5, 0.5, 0.0, 0.2)])
+            cost_matrix([p], [BBox(0.5, 0.5, 0.0, 0.2)])
 
 
 class TestCostMatrix:
     def test_single_pair_equals_match_cost(self):
         rng = np.random.default_rng(2)
         p, g = random_box(rng), random_box(rng)
-        mat = build_cost_matrix([p], [g])
+        mat = cost_matrix([p], [g])
         assert mat.shape == (1, 1)
         assert mat[0, 0] == match_cost(p, g)
 
@@ -75,7 +83,7 @@ class TestCostMatrix:
         for n, m in ((3, 3), (1, 5), (44, 36), (0, 4), (160, 120)):
             props = [random_box(rng) for _ in range(n)]
             gts = [random_box(rng) for _ in range(m)]
-            mat = build_cost_matrix(props, gts)
+            mat = cost_matrix(props, gts)
             assert mat.shape == (n, m)
             for i in range(n):
                 for j in range(m):
@@ -85,44 +93,45 @@ class TestCostMatrix:
         rng = np.random.default_rng(4)
         props = [random_box(rng) for _ in range(4)]
         gts = [random_box(rng) for _ in range(3)]
-        mat = build_cost_matrix(props, gts)
+        mat = cost_matrix(props, gts)
         perm = [2, 0, 1]
-        mat_p = build_cost_matrix(props, [gts[j] for j in perm])
+        mat_p = cost_matrix(props, [gts[j] for j in perm])
         assert np.array_equal(mat_p, mat[:, perm])
 
     def test_empty_gts_signal(self):
         rng = np.random.default_rng(5)
-        mat = build_cost_matrix([random_box(rng)], [])
+        mat = cost_matrix([random_box(rng)], [])
         assert mat.shape == (1, 0)
-        out = assign_optimal(mat)
-        assert out.pairs == []
-        assert out.unmatched_proposals == [0]
+        pairs = assign_optimal(mat)
+        assert pairs == []
+        assert unmatched(mat, pairs) == ([0], [])
 
 
 class TestAssignment:
     def test_diagonal_dominant(self):
-        out = assign_optimal(np.array([[0.0, 9.0], [9.0, 0.0]]))
-        assert out.pairs == [(0, 0), (1, 1)]
-        assert out.total_cost == 0.0
+        cost = np.array([[0.0, 9.0], [9.0, 0.0]])
+        pairs = assign_optimal(cost)
+        assert pairs == [(0, 0), (1, 1)]
+        assert total_cost(cost, pairs) == 0.0
 
     def test_tie_reaches_optimal_total(self):
         # every full pairing is optimal: any one of them may come back
-        out = assign_optimal(np.ones((2, 2)))
-        assert out.total_cost == 2.0
-        assert sorted(i for i, _ in out.pairs) == [0, 1]
-        assert sorted(j for _, j in out.pairs) == [0, 1]
+        pairs = assign_optimal(np.ones((2, 2)))
+        assert total_cost(np.ones((2, 2)), pairs) == 2.0
+        assert sorted(i for i, _ in pairs) == [0, 1]
+        assert sorted(j for _, j in pairs) == [0, 1]
 
     def test_identity_optimal_3x3(self):
         cost = np.full((3, 3), 5.0)
         np.fill_diagonal(cost, 0.0)
-        out = assign_bruteforce(cost)
-        assert out.pairs == [(0, 0), (1, 1), (2, 2)]
-        assert out.total_cost == 0.0
+        pairs = assign_bruteforce(cost)
+        assert pairs == [(0, 0), (1, 1), (2, 2)]
+        assert total_cost(cost, pairs) == 0.0
 
     def test_single_entry_oracle(self):
-        out = assign_bruteforce(np.array([[3.5]]))
-        assert out.pairs == [(0, 0)]
-        assert out.total_cost == 3.5
+        pairs = assign_bruteforce(np.array([[3.5]]))
+        assert pairs == [(0, 0)]
+        assert total_cost(np.array([[3.5]]), pairs) == 3.5
 
     def test_oracle_agreement_500_random(self):
         rng = np.random.default_rng(6)
@@ -132,16 +141,17 @@ class TestAssignment:
             cost = rng.uniform(0, 10, size=(n, m))
             a = assign_optimal(cost)
             b = assign_bruteforce(cost)
-            assert a.total_cost == b.total_cost
-            assert len(a.pairs) == min(n, m)
+            assert total_cost(cost, a) == total_cost(cost, b)
+            assert len(a) == min(n, m)
 
     def test_rectangular_leaves_surplus_unmatched(self):
         rng = np.random.default_rng(7)
         cost = rng.uniform(0, 1, size=(6, 2))
-        out = assign_optimal(cost)
-        assert len(out.pairs) == 2
-        assert len(out.unmatched_proposals) == 4
-        assert out.unmatched_gts == []
+        pairs = assign_optimal(cost)
+        assert len(pairs) == 2
+        rows, cols = unmatched(cost, pairs)
+        assert len(rows) == 4
+        assert cols == []
 
     def test_invalid_costs_rejected(self):
         with pytest.raises(ValueError):
@@ -163,13 +173,13 @@ class TestAssignment:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 6))
         cost = rng.uniform(0, 5, size=(n, n))
-        base = assign_optimal(cost)
+        base = total_cost(cost, assign_optimal(cost))
         shift = float(rng.uniform(0.5, 3.0))
         row = int(rng.integers(0, n))
         shifted = cost.copy()
         shifted[row, :] += shift
-        out = assign_optimal(shifted)
-        assert out.total_cost == pytest.approx(base.total_cost + shift, rel=1e-12)
+        out = total_cost(shifted, assign_optimal(shifted))
+        assert out == pytest.approx(base + shift, rel=1e-12)
 
     def test_matches_bruteforce_total_on_ties(self):
         # many equal-cost optima: the solver reaches the optimal total
@@ -177,11 +187,12 @@ class TestAssignment:
         cost = np.ones((3, 4))
         a = assign_optimal(cost)
         b = assign_bruteforce(cost)
-        assert b.pairs == [(0, 0), (1, 1), (2, 2)]
-        assert a.total_cost == b.total_cost == 3.0
-        assert len(a.pairs) == 3
-        assert len({i for i, _ in a.pairs}) == len({j for _, j in a.pairs}) == 3
-        assert len(a.unmatched_gts) == 1 and not a.unmatched_proposals
+        assert b == [(0, 0), (1, 1), (2, 2)]
+        assert total_cost(cost, a) == total_cost(cost, b) == 3.0
+        assert len(a) == 3
+        assert len({i for i, _ in a}) == len({j for _, j in a}) == 3
+        rows, cols = unmatched(cost, a)
+        assert len(cols) == 1 and not rows
 
 
 @pytest.fixture
@@ -231,7 +242,7 @@ class TestAgainstScipy:
     def test_seeded_matrices(self, routes):
         shapes = Counter()
         for cost in seeded_matrices(seed=8, count=6000):
-            assert assign_optimal(cost).pairs == scipy_pairs(cost), cost
+            assert assign_optimal(cost) == scipy_pairs(cost), cost
             n, m = cost.shape
             shapes["1 x m" if n == 1 else "n x 1" if m == 1
                    else "wide" if n < m else "tall" if n > m else "square"] += 1
@@ -241,21 +252,20 @@ class TestAgainstScipy:
 
     def test_constant_matrix_pairs_the_diagonal(self):
         for n, m in ((3, 3), (2, 5), (5, 2)):
-            out = assign_optimal(np.full((n, m), 2.0))
-            assert out.pairs == [(i, i) for i in range(min(n, m))]
+            assert assign_optimal(np.full((n, m), 2.0)) == [(i, i) for i in range(min(n, m))]
 
     def test_tie_rule(self, routes):
         # the search visits columns in reversed order; among equally short
         # paths it takes the last free column: columns 1 and 2 tie here
         cost = np.array([[1.0, 0.0, 0.0]])
-        assert assign_optimal(cost).pairs == scipy_pairs(cost) == [(0, 1)]
+        assert assign_optimal(cost) == scipy_pairs(cost) == [(0, 1)]
         # row 2 ties on columns 0 and 1, both taken: the first visited,
         # column 1, goes on the path; rows 1 and 2 then swap into the
         # second of two optimal pairings
         cost = np.array([[0.0, 5.0, 5.0],
                          [5.0, 0.0, 5.0],
                          [0.0, 0.0, 9.0]])
-        assert assign_optimal(cost).pairs == scipy_pairs(cost) == [(0, 0), (1, 2), (2, 1)]
+        assert assign_optimal(cost) == scipy_pairs(cost) == [(0, 0), (1, 2), (2, 1)]
         assert routes == {"path": 2}
 
     @pytest.mark.parametrize("density_probs", [None, (0.0, 0.5, 0.35, 0.15)],
@@ -274,9 +284,9 @@ class TestAgainstScipy:
                        for inst in scene.instances]
                 if not gts:
                     continue
-                proposals, _ = encode_proposals(scene, cfg, table)
-                cost = build_cost_matrix(proposals.boxes, gts)
-                assert assign_optimal(cost).pairs == scipy_pairs(cost), scene.image_id
+                _, boxes, _ = encode_proposals(scene, cfg, table)
+                cost = build_cost_matrix(boxes, centre_rows(gts), *WEIGHTS)
+                assert assign_optimal(cost) == scipy_pairs(cost), scene.image_id
                 matrices += 1
         assert matrices > 40
         assert sum(routes.values()) == matrices and routes["shortcut"] > 0

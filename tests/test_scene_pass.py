@@ -170,10 +170,9 @@ def test_predictions_match_the_oracle(setup, trained, word_only, checkpoint, gat
     checked = fell_back = 0
     for scene, item in zip(split.scenes, encode_split(split, cfg, table)):
         level0_class, ranked = oracle.predict_scene(
-            item.proposals, item.expressions, vocab, vocab_texts, table, params,
+            item.features, item.expressions, vocab, vocab_texts, table, params,
             params.ablation, cfg.max_tokens, gate_level0=gate)
-        raw = np.array([[b.cx, b.cy, b.w, b.h] for b in item.proposals.boxes])
-        refined = trained.refiner.refine_numpy(raw)
+        refined = trained.refiner.refine(item.boxes).value
         corners = np.concatenate([refined[:, :2] - refined[:, 2:] / 2,
                                   refined[:, :2] + refined[:, 2:] / 2], axis=1)
         corners *= np.array([scene.width, scene.height, scene.width, scene.height])
@@ -206,8 +205,8 @@ def test_fillers_leave_the_scores_unchanged(setup):
     others = vocabulary_texts(Level0Vocabulary(), table, cfg.max_tokens)[:2]
     for texts, row in (([with_fillers], 0), ([with_fillers] + others, 0),
                        (others + [with_fillers], 2)):
-        got = hrs.score_expression(item.proposals, texts, params)
-        want = hrs.score_expression(item.proposals, [content_only], params)
+        got = hrs.score_expression(item.features, texts, params)
+        want = hrs.score_expression(item.features, [content_only], params)
         for field in ("sentence_scores", "referring_scores"):
             diff = getattr(got, field).value[row] - getattr(want, field).value[0]
             assert np.max(np.abs(diff)) <= 1e-12, field
@@ -224,7 +223,7 @@ def test_scoring_a_text_alone_or_in_a_padded_batch_agrees(setup):
     vocab_texts = vocabulary_texts(Level0Vocabulary(), table, cfg.max_tokens)
     params = fresh_params(seed=23)
     item = next(e for e in encoded if e.scene.image_type == "mixed")
-    together = hrs.score_expression(item.proposals, vocab_texts, params).referring_scores
+    together = hrs.score_expression(item.features, vocab_texts, params).referring_scores
     for k, text in enumerate(vocab_texts):
-        alone = hrs.score_expression(item.proposals, [text], params).referring_scores
+        alone = hrs.score_expression(item.features, [text], params).referring_scores
         assert np.max(np.abs(alone.value[0] - together.value[k])) <= 1e-12

@@ -11,7 +11,7 @@ import pytest
 from gvgkit import gradkit as gk
 from gvgkit.geometry import centre_rows
 from gvgkit.hrs import AblationFlags
-from gvgkit.matching import MatchConfig, assign_optimal, build_cost_matrix
+from gvgkit.matching import assign_optimal, build_cost_matrix
 from gvgkit.synth import SynthConfig, TrainConfig, TrainingDiverged, gen_scenes
 from gvgkit.synth import train as train_module
 from gvgkit.synth.boxhead import BoxRefiner, giou_loss_diff, interp_iou_loss_diff
@@ -19,27 +19,28 @@ from gvgkit.synth.encode import EmbeddingTable
 from gvgkit.synth.train import encode_split, match_scene, stage1_loss, train_stage1
 
 
-def stage1_scene_loss(item, refiner, tcfg, match_cfg):
+def stage1_scene_loss(item, refiner, tcfg):
     """Oracle: one scene's mean box loss, matched and refined on its own."""
     gts = [inst.normalized_box(item.scene.width, item.scene.height)
            for inst in item.scene.instances]
     if not gts:
         return None
-    cost = build_cost_matrix(item.proposals.boxes, gts, match_cfg)
-    assignment = assign_optimal(cost)
-    if not assignment.pairs:
+    cost = build_cost_matrix(item.boxes, centre_rows(gts), tcfg.lambda_centre,
+                             tcfg.lambda_size)
+    pairs = assign_optimal(cost)
+    if not pairs:
         return None
-    prop = centre_rows([item.proposals.boxes[i] for i, _ in assignment.pairs])
-    gt = centre_rows([gts[j] for _, j in assignment.pairs])
+    prop = np.array([item.boxes[i] for i, _ in pairs])
+    gt = centre_rows([gts[j] for _, j in pairs])
     refined = refiner.refine(prop)
     if refiner.ablation.no_interp_iou:
         return giou_loss_diff(refined, gt)
     return interp_iou_loss_diff(refined, gt, alpha=tcfg.interp_alpha)
 
 
-def oracle_batch_loss(batch, refiner, tcfg, match_cfg):
+def oracle_batch_loss(batch, refiner, tcfg):
     """Oracle: the mean over scenes with pairs of each scene's loss."""
-    losses = [loss for loss in (stage1_scene_loss(item, refiner, tcfg, match_cfg)
+    losses = [loss for loss in (stage1_scene_loss(item, refiner, tcfg)
                                 for item in batch) if loss is not None]
     total = gk.mul(losses[0], 1.0 / len(losses))
     for extra in losses[1:]:
@@ -62,7 +63,7 @@ def mixed_batch(encoded):
     some = next(e for e in encoded if e.scene.instances)
     single = dataclasses.replace(some, scene=dataclasses.replace(
         some.scene, instances=some.scene.instances[:1]))
-    assert len(match_scene(single, MatchConfig())[0]) == 1
+    assert len(match_scene(single, TrainConfig())[0]) == 1
     dense = max(encoded, key=lambda e: len(e.scene.instances))
     assert len(dense.scene.instances) > 20
     return [empty, single, dense]
@@ -81,18 +82,17 @@ def loss_and_grads(loss_fn, refiner):
 def test_batch_loss_and_gradients_match_the_oracle(encoded, ablation):
     # the variant lives in the refiner; the config carries the full model's flags
     tcfg = TrainConfig(seed=11)
-    match_cfg = MatchConfig(lambda_centre=tcfg.lambda_centre, lambda_size=tcfg.lambda_size)
     refiner = BoxRefiner(seed=3, ablation=ablation)
     rng = np.random.default_rng(3)
     for _, t in refiner.leaves():    # away from the identity map
         t.value = t.value + rng.normal(scale=0.3, size=t.value.shape)
     batch = mixed_batch(encoded)
     for scenes in (batch, batch[1:2], batch[::-1], encoded[:4]):
-        pairs = [p for p in (match_scene(item, match_cfg) for item in scenes)
+        pairs = [p for p in (match_scene(item, tcfg) for item in scenes)
                  if p is not None]
         got, got_grads = loss_and_grads(lambda: stage1_loss(pairs, refiner, tcfg), refiner)
         want, want_grads = loss_and_grads(
-            lambda: oracle_batch_loss(scenes, refiner, tcfg, match_cfg), refiner)
+            lambda: oracle_batch_loss(scenes, refiner, tcfg), refiner)
         assert got == pytest.approx(want, abs=1e-12)
         for name, grad in want_grads.items():
             assert np.any(grad), name
@@ -102,9 +102,9 @@ def test_batch_loss_and_gradients_match_the_oracle(encoded, ablation):
 
 def test_a_no_interp_iou_refiner_trains_under_giou(encoded):
     # a default config names no variant: the refiner alone picks the loss
-    pairs = [match_scene(item, MatchConfig()) for item in mixed_batch(encoded)[1:2]]
-    (prop, gt), = pairs
     tcfg = TrainConfig(seed=11)
+    pairs = [match_scene(item, tcfg) for item in mixed_batch(encoded)[1:2]]
+    (prop, gt), = pairs
     refiner = BoxRefiner(seed=3, ablation=AblationFlags(no_interp_iou=True))
     got = stage1_loss(pairs, refiner, tcfg).value
     assert got == giou_loss_diff(refiner.refine(prop), gt).value
@@ -116,25 +116,43 @@ def test_one_batch_records_at_most_60_tape_nodes(encoded):
     # not grow with the scenes or rows of a batch
     tcfg = TrainConfig(seed=11)
     for scenes in (mixed_batch(encoded), encoded[:4]):
-        pairs = [p for p in (match_scene(item, MatchConfig()) for item in scenes)
+        pairs = [p for p in (match_scene(item, tcfg) for item in scenes)
                  if p is not None]
         assert len(gk.Tape(stage1_loss(pairs, BoxRefiner(seed=3), tcfg)).nodes) <= 60
 
 
 def test_each_scene_is_matched_once(encoded, monkeypatch):
+    # with the config's weights, each in its place
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return build_cost_matrix(*args, **kwargs)
+    def counted(p, g, lambda_centre, lambda_size):
+        calls.append((lambda_centre, lambda_size))
+        return build_cost_matrix(p, g, lambda_centre, lambda_size)
 
     monkeypatch.setattr(train_module, "build_cost_matrix", counted)
     scenes = encoded[:12]
     with_instances = sum(1 for item in scenes if item.scene.instances)
     for epochs in (1, 3):
         calls.clear()
-        train_stage1(scenes, TrainConfig(seed=11, stage1_epochs=epochs))
-        assert len(calls) == with_instances
+        train_stage1(scenes, TrainConfig(seed=11, stage1_epochs=epochs, lambda_centre=3.0,
+                                         lambda_size=0.25))
+        assert calls == [(3.0, 0.25)] * with_instances
+
+
+def test_match_scene_slices_the_paired_rows(encoded):
+    # proposals in reverse order, so that the matcher pairs proposal
+    # rows and instance rows of different indices
+    tcfg = TrainConfig(seed=11)
+    item = max(encoded, key=lambda e: len(e.scene.instances))
+    item = dataclasses.replace(item, boxes=item.boxes[::-1].copy())
+    gts = centre_rows([inst.normalized_box(item.scene.width, item.scene.height)
+                       for inst in item.scene.instances])
+    pairs = assign_optimal(build_cost_matrix(item.boxes, gts, tcfg.lambda_centre,
+                                             tcfg.lambda_size))
+    assert any(i != j for i, j in pairs)
+    prop, gt = match_scene(item, tcfg)
+    assert np.array_equal(prop, np.array([item.boxes[i] for i, _ in pairs]))
+    assert np.array_equal(gt, np.array([gts[j] for _, j in pairs]))
 
 
 def test_batches_without_pairs_are_skipped(encoded):

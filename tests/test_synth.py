@@ -97,8 +97,8 @@ class TestProposalEncoding:
         ds = quiet_gen(cfg)
         table = EmbeddingTable(cfg.seed)
         scene = next(s for s in ds.train.scenes if s.instances)
-        proposals, source_ids = encode_proposals(scene, cfg, table)
-        for row, sid in zip(proposals.features, source_ids):
+        features, _, source_ids = encode_proposals(scene, cfg, table)
+        for row, sid in zip(features, source_ids):
             if sid < 0:
                 continue
             inst = next(i for i in scene.instances if i.instance_id == sid)
@@ -111,9 +111,9 @@ class TestProposalEncoding:
         ds = quiet_gen(cfg)
         table = EmbeddingTable(cfg.seed)
         for scene in ds.train.scenes:
-            proposals, source_ids = encode_proposals(scene, cfg, table)
+            features, _, source_ids = encode_proposals(scene, cfg, table)
             by_triple = {}
-            for row, sid in zip(proposals.features, source_ids):
+            for row, sid in zip(features, source_ids):
                 if sid < 0:
                     continue
                 inst = next(i for i in scene.instances if i.instance_id == sid)
@@ -127,22 +127,40 @@ class TestProposalEncoding:
         ds = quiet_gen(cfg)
         table = EmbeddingTable(cfg.seed)
         scene = next(s for s in ds.train.scenes if 0 < len(s.instances) <= 8)
-        proposals, source_ids = encode_proposals(scene, cfg, table)
+        _, boxes, source_ids = encode_proposals(scene, cfg, table)
         assert (source_ids == -1).sum() >= cfg.distractor_min
         from gvgkit.geometry import centre_rows, corners, iou
         gt = [i.normalized_box(scene.width, scene.height) for i in scene.instances]
-        background = [box for box, sid in zip(proposals.boxes, source_ids) if sid == -1]
-        assert np.all(iou(corners(centre_rows(background)), corners(centre_rows(gt))) == 0.0)
+        background = boxes[source_ids == -1]
+        assert np.all(iou(corners(background), corners(centre_rows(gt))) == 0.0)
 
     def test_encoding_deterministic(self):
         cfg = SynthConfig(**SMALL)
         ds = quiet_gen(cfg)
         table = EmbeddingTable(cfg.seed)
         scene = ds.train.scenes[0]
-        a, ids_a = encode_proposals(scene, cfg, table)
-        b, ids_b = encode_proposals(scene, cfg, table)
-        assert np.array_equal(a.features, b.features)
+        a, boxes_a, ids_a = encode_proposals(scene, cfg, table)
+        b, boxes_b, ids_b = encode_proposals(scene, cfg, table)
+        assert np.array_equal(a, b)
+        assert np.array_equal(boxes_a, boxes_b)
         assert np.array_equal(ids_a, ids_b)
+
+    def test_arrays_align_and_an_empty_set_is_rejected(self):
+        # one row per proposal in each array: one per instance, then the
+        # distractors; a scene without any proposal is an error
+        cfg = SynthConfig(**SMALL)
+        ds = quiet_gen(cfg)
+        table = EmbeddingTable(cfg.seed)
+        for scene in ds.train.scenes:
+            features, boxes, source_ids = encode_proposals(scene, cfg, table)
+            n = len(source_ids)
+            assert features.shape == (n, cfg.d_v) and boxes.shape == (n, 4)
+            assert source_ids[:len(scene.instances)].tolist() == [
+                i.instance_id for i in scene.instances]
+            assert np.all(source_ids[len(scene.instances):] == -1)
+        empty = next(s for s in ds.train.scenes if not s.instances)
+        with pytest.raises(ValueError, match=f"scene {empty.image_id!r} has no proposals"):
+            encode_proposals(empty, dataclasses.replace(cfg, empty_scene_proposals=0), table)
 
     @pytest.mark.parametrize("crowded", [False, True])
     def test_box_draws_match_rng_uniform(self, crowded):
