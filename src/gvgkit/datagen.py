@@ -483,6 +483,9 @@ _EXPRESSION_KINDS = frozenset([("image", "negative", "none"), ("instance", "posi
                               + [("instance", "negative", kind) for kind in NEGATIVE_KINDS])
 _ATTRIBUTE_PLACES = frozenset([(None, None)] + list(itertools.product(SIZE_BINS, GRID_CELLS)))
 _NUMBER_TYPES = frozenset((int, float))
+# the largest magnitude a number in a split may have: ``json`` reads an
+# int of any size, and one past the float range fails in float arithmetic
+_LARGEST = 1e300
 
 
 def _known(record: dict, *keys: str) -> None:
@@ -493,11 +496,13 @@ def _known(record: dict, *keys: str) -> None:
 
 
 def _numbers(values, what: str):
-    """``values``, if each is a finite JSON number (``json`` also reads
-    NaN and Infinity)."""
+    """``values``, if each is a finite JSON number of magnitude at most
+    ``_LARGEST`` (``json`` also reads NaN, Infinity and ints of any size)."""
     for value in values:
         if type(value) not in _NUMBER_TYPES:
             raise ValueError(f"{what} must be numbers, not {values!r}")
         if type(value) is float and not math.isfinite(value):
             raise ValueError(f"{what} must be finite, not {values!r}")
+        if abs(value) > _LARGEST:
+            raise ValueError(f"{what} must be at most 1e300 in magnitude, not {values!r}")
     return values

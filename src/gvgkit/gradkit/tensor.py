@@ -37,6 +37,16 @@ came to a tie is measured by the finite-difference oracle in
 Finiteness is checked at the boundaries, not at every node: ``exp``
 raises OverflowError when it overflows, ``backward`` rejects a
 non-finite loss, and ``Adam.step`` a non-finite gradient.
+
+Per-node cost: a primitive's forward and backward call no numpy helper
+written in Python (``np.any``, ``np.all``, ``np.expand_dims``,
+``np.broadcast_to``, ``np.put_along_axis``, ``np.isin``, ...). Each
+costs a few microseconds of interpreter time per call, on nodes whose
+arithmetic often takes less; array methods, indexing and ufuncs do the
+same work from C. A rewrite keeps the arithmetic, its order and the
+memory layout of every array that a sum reduces: numpy's pairwise sum
+follows the layout, so ``-g * a / (b * b)`` done in place in one buffer
+sums to other bits when ``g`` is a transposed view.
 """
 
 from __future__ import annotations
@@ -168,7 +178,7 @@ def mul(a, b) -> Tensor:
 
 def div(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    if np.any(b.value == 0.0):
+    if (b.value == 0.0).any():
         raise DomainError("division by zero")
     value = a.value / b.value
     return _node(value, (a, b),
@@ -191,21 +201,21 @@ def exp(a) -> Tensor:
     a = _as_tensor(a)
     with np.errstate(over="ignore"):  # surfaced as OverflowError below
         value = np.exp(a.value)
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise OverflowError("exp produced a non-finite value")
     return _node(value, (a,), lambda g: (g * value,))
 
 
 def log(a) -> Tensor:
     a = _as_tensor(a)
-    if np.any(a.value <= 0.0):
+    if (a.value <= 0.0).any():
         raise DomainError("log of a non-positive value")
     return _node(np.log(a.value), (a,), lambda g: (g / a.value,))
 
 
 def sqrt(a) -> Tensor:
     a = _as_tensor(a)
-    if np.any(a.value < 0.0):
+    if (a.value < 0.0).any():
         raise DomainError("sqrt of a negative value")
     value = np.sqrt(a.value)
     return _node(value, (a,), lambda g: (g * 0.5 / value,))
@@ -220,8 +230,8 @@ def relu(a) -> Tensor:
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
     x = a.value
-    value = np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    value = np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
     return _node(value, (a,), lambda g: (g * value * (1.0 - value),))
 
 
@@ -256,7 +266,7 @@ def _matmul_grad_a(g: np.ndarray, av: np.ndarray, bv: np.ndarray) -> np.ndarray:
         return g * bv if av.ndim == 1 else np.outer(g, bv)
     if bv.ndim == 2:
         return g @ bv.T
-    return _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape)
+    return _unbroadcast(g @ bv.swapaxes(-1, -2), av.shape)
 
 
 def _matmul_grad_b(g: np.ndarray, av: np.ndarray, bv: np.ndarray) -> np.ndarray:
@@ -267,7 +277,7 @@ def _matmul_grad_b(g: np.ndarray, av: np.ndarray, bv: np.ndarray) -> np.ndarray:
     if bv.ndim == 2:
         # a stack times one matrix: one product over all stacked rows
         return av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-    return _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape)
+    return _unbroadcast(av.swapaxes(-1, -2) @ g, bv.shape)
 
 
 def permute(a, axes: Sequence[int]) -> Tensor:
@@ -276,7 +286,7 @@ def permute(a, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     if sorted(axes) != list(range(a.value.ndim)):
         raise ShapeError(f"permute axes {axes} do not reorder shape {a.value.shape}")
-    inverse = tuple(np.argsort(axes))
+    inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
     return _node(a.value.transpose(axes), (a,), lambda g: (g.transpose(inverse),))
 
 
@@ -300,7 +310,7 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     idx = tuple(idx)
 
     def backward(g):
-        full = np.zeros_like(a.value)
+        full = np.zeros(a.value.shape)
         full[idx] = g
         return (full,)
 
@@ -327,17 +337,15 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
-    value = a.value.sum(axis=axis, keepdims=keepdims)
+    kept = a.value.sum(axis=axis, keepdims=True)
+    kept_shape = kept.shape
 
     def backward(g):
-        g = np.asarray(g)
-        if axis is None:
-            return (np.full_like(a.value, float(g)),)
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.value.shape).copy(),)
+        grad = np.empty(a.value.shape)
+        grad[...] = np.asarray(g).reshape(kept_shape)
+        return (grad,)
 
-    return _node(value, (a,), backward)
+    return _node(kept if keepdims else kept.squeeze(axis), (a,), backward)
 
 
 def mean(a, axis=None) -> Tensor:
@@ -388,7 +396,7 @@ def _reduce(ufunc: np.ufunc, x: np.ndarray, axis: int) -> np.ndarray:
     out = x[head + (0,)]
     for i in range(1, x.shape[axis]):
         out = ufunc(out, x[head + (i,)])
-    return np.expand_dims(out, axis)
+    return out[head + (None,)]
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -413,19 +421,15 @@ def masked_max_pool(a, mask, axis: int = 0) -> Tensor:
     """
     a = _as_tensor(a)
     mask = np.asarray(mask, dtype=bool)
-    ndim = a.value.ndim
-    if mask.ndim == 1 and ndim > 1 and mask.shape[0] == a.value.shape[axis]:
-        mask = np.expand_dims(mask, [i for i in range(ndim) if i != axis % ndim])
-    try:
-        keep = np.broadcast_to(mask, a.value.shape) if mask.ndim == ndim else None
-    except ValueError:
-        keep = None
-    if keep is None:
+    shape = a.value.shape
+    if mask.ndim == 1 and len(shape) > 1 and mask.shape[0] == shape[axis]:
+        mask = mask.reshape(_along(axis, len(shape)))
+    if mask.ndim != len(shape) or any(m != s and m != 1 for m, s in zip(mask.shape, shape)):
         raise ShapeError(f"mask of shape {mask.shape} does not mask axis {axis} "
-                         f"of shape {a.value.shape}")
-    if not _reduce(np.logical_or, keep, axis).all():
+                         f"of shape {shape}")
+    if not mask.any(axis=axis).all():
         raise DomainError("masked_max_pool needs at least one valid position per slot")
-    return _max_reduce(a, np.where(keep, a.value, -np.inf), axis)
+    return _max_reduce(a, np.where(mask, a.value, -np.inf), axis)
 
 
 def _max_reduce(a: Tensor, masked: np.ndarray, axis: int) -> Tensor:
@@ -433,9 +437,10 @@ def _max_reduce(a: Tensor, masked: np.ndarray, axis: int) -> Tensor:
     ``axis``."""
     top = _reduce(np.maximum, masked, axis)
     route = _first_max_route(masked, axis) if a.requires_grad else None
+    top_shape = top.shape
 
     def backward(g):
-        return (np.where(route, np.expand_dims(g, axis), 0.0),)
+        return (np.where(route, g.reshape(top_shape), 0.0),)
 
     return _node(top.squeeze(axis), (a,), backward)
 
@@ -443,9 +448,13 @@ def _max_reduce(a: Tensor, masked: np.ndarray, axis: int) -> Tensor:
 def _first_max_route(x: np.ndarray, axis: int) -> np.ndarray:
     """True at the entry of each slot along ``axis`` that ``argmax``
     picks: the first maximum, or the first NaN."""
-    route = np.zeros(x.shape, dtype=bool)
-    np.put_along_axis(route, np.expand_dims(x.argmax(axis=axis), axis), True, axis=axis)
-    return route
+    positions = np.arange(x.shape[axis]).reshape(_along(axis, x.ndim))
+    return positions == x.argmax(axis=axis, keepdims=True)
+
+
+def _along(axis: int, ndim: int) -> list[int]:
+    """The shape that lays a 1-D array along ``axis`` of ``ndim`` dims."""
+    return [-1 if i == axis % ndim else 1 for i in range(ndim)]
 
 
 # ---------------------------------------------------------------------------
@@ -512,27 +521,30 @@ class Tape:
 def backward(loss: Tensor) -> None:
     """Populate ``.grad`` on every tensor that requires grad and that the
     scalar loss depends on. Nodes leave a heap highest creation number
-    first, so each one's consumers have all been visited before it."""
+    first, so each one's consumers have all been visited before it; a
+    node's pending gradient waits in a dict keyed by the node itself."""
     if loss.value.ndim != 0:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.value.shape}")
     if not np.isfinite(loss.value):
         raise ValueError("backward on a non-finite loss")
     if not loss.requires_grad:
         return
-    grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
+    pending: dict[Tensor, np.ndarray] = {loss: np.ones((), dtype=np.float64)}
     heap: list[tuple[int, Tensor]] = [(-loss._order, loss)]
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        node = heapq.heappop(heap)[1]
-        g = grads.pop(id(node))
+        node = pop(heap)[1]
+        g = pending.pop(node)
         node.grad = g if node.grad is None else node.grad + g
-        if node._backward_fn is None:
+        backward_fn = node._backward_fn
+        if backward_fn is None:
             continue
-        for parent, pg in zip(node._parents, node._backward_fn(g)):
+        for parent, pg in zip(node._parents, backward_fn(g)):
             if pg is None or not parent.requires_grad:
                 continue
-            acc = grads.get(id(parent))
+            acc = pending.get(parent)
             if acc is None:
-                grads[id(parent)] = pg
-                heapq.heappush(heap, (-parent._order, parent))
+                pending[parent] = pg
+                push(heap, (-parent._order, parent))
             else:
-                grads[id(parent)] = acc + pg
+                pending[parent] = acc + pg

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -59,10 +60,14 @@ class SynthConfig:
     d_t: int = FEATURE_DIMS
 
     def __post_init__(self) -> None:
-        for name in ("type_mix", "density_probs", "size_probs"):
+        for name in ("type_mix", "density_probs", "size_probs", "split_ratios"):
             probs = getattr(self, name)
-            if abs(sum(probs) - 1.0) > 1e-9 or any(p < 0 for p in probs):
+            if not abs(sum(probs) - 1.0) <= 1e-9 or not all(p >= 0 for p in probs):
                 raise ValueError(f"{name} must be a probability vector, got {probs}")
+        _require(self, ("n_scenes", "image_size", "max_tokens", "empty_scene_proposals"),
+                 lambda v: v >= 1, "at least 1")
+        _require(self, ("feature_noise", "context_noise", "jitter_centre", "jitter_scale"),
+                 lambda v: v >= 0, "at least 0")
         if self.d_v != FEATURE_DIMS or self.d_t != FEATURE_DIMS:
             raise ValueError(f"feature dims are fixed at {FEATURE_DIMS} "
                              f"({WORD_SPACE_DIMS} word + {CONTEXT_DIMS} context)")
@@ -107,6 +112,20 @@ class TrainConfig:
             raise ValueError("interp_alpha must lie in (0, 1)")
         if self.lambda_centre < 0 or self.lambda_size < 0:
             raise ValueError("matching weights must be non-negative")
+        _require(self, ("d", "heads", "d_ff", "d_hidden"), lambda v: v >= 1, "positive")
+        if self.d % self.heads:
+            raise ValueError(f"TrainConfig.d = {self.d} must be divisible by "
+                             f"TrainConfig.heads = {self.heads}")
+        _require(self, ("lr_init",), lambda v: 0 < v < math.inf, "positive and finite")
+
+
+def _require(cfg, names: tuple[str, ...], ok, rule: str) -> None:
+    """Raise a one-line ValueError naming the first field of ``names``
+    whose value fails ``ok`` (NaN fails every rule)."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not ok(value):
+            raise ValueError(f"{type(cfg).__name__}.{name} must be {rule}, not {value!r}")
 
 
 _ABLATION_NAMES = {

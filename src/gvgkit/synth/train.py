@@ -266,11 +266,15 @@ def _scene_losses(item: EncodedScene, params: HrsParams, vocab: Level0Vocabulary
     if not exprs:
         l1c = gk.constant(0.0)
     else:
-        targets = np.stack([np.isin(item.source_ids,
-                                    np.asarray(expr.target_ids, dtype=np.int64))
-                            for expr in exprs])
+        # 1 where proposal n shows a target of expression r: every
+        # (expression, target id) pair against every proposal at once
+        rows = [r for r, expr in enumerate(exprs) for _ in expr.target_ids]
+        ids = [i for expr in exprs for i in expr.target_ids]
+        pair, proposal = (np.array(ids, dtype=np.int64)[:, None] == item.source_ids).nonzero()
+        targets = np.zeros((len(exprs), len(item.source_ids)))
+        targets[np.array(rows, dtype=np.intp)[pair], proposal] = 1.0
         l1 = hrs.loss_lvl1(gk.narrow(scores, 0, len(vocab_texts), len(exprs)),
-                           targets.astype(float))                           # (k,)
+                           targets)                                         # (k,)
         if not params.ablation.no_constraint:
             l1 = hrs.loss_constrained(l1, l0)
         l1c = gk.mean(l1)

@@ -300,6 +300,8 @@ class TestErrors:
         "nested target ids": ("expression", "target ids must be a list of ints, not [[1]]"),
         "NaN coordinate": ("scene", "box coordinates must be finite, not [nan, "),
         "Infinity coordinate": ("scene", "box coordinates must be finite, not [inf, "),
+        "coordinate past the float range": ("scene", "box coordinates must be at most 1e300 "
+                                                     "in magnitude, not ["),
         "unknown level": ("expression", "unknown kind of expression: level 'object', "),
         "unknown polarity": ("expression", ", polarity 'positve', "),
         "unknown negative kind": ("expression", ", negative_kind 'swap_colour'"),
@@ -362,6 +364,8 @@ class TestErrors:
             scene["instances"][0]["bbox_xyxy_px"][0] = math.nan
         elif fault == "Infinity coordinate":
             scene["instances"][0]["bbox_xyxy_px"][0] = math.inf
+        elif fault == "coordinate past the float range":
+            scene["instances"][0]["bbox_xyxy_px"][2] = 10**400
         elif fault == "unknown level":
             expression["level"] = "object"
         elif fault == "unknown polarity":
@@ -412,7 +416,57 @@ class TestErrors:
                      'config synth.n_scenes must be like its default 240, not "x"',
                      id="a string for an int"),
         pytest.param('{"train": {"lambda_centre": -1.0}}',
-                     "matching weights must be non-negative", id="a negative matching weight")])
+                     "matching weights must be non-negative", id="a negative matching weight"),
+        pytest.param('{"train": {"d": 0}}', "TrainConfig.d must be positive, not 0",
+                     id="a zero model dim"),
+        pytest.param('{"train": {"heads": 0}}', "TrainConfig.heads must be positive, not 0",
+                     id="no attention heads"),
+        pytest.param('{"train": {"heads": 3}}',
+                     "TrainConfig.d = 64 must be divisible by TrainConfig.heads = 3",
+                     id="heads that do not divide the model dim"),
+        pytest.param('{"train": {"d_ff": 0}}', "TrainConfig.d_ff must be positive, not 0",
+                     id="a zero feed-forward dim"),
+        pytest.param('{"train": {"d_hidden": -2}}',
+                     "TrainConfig.d_hidden must be positive, not -2", id="a negative hidden dim"),
+        pytest.param('{"train": {"lr_init": -1.0}}',
+                     "TrainConfig.lr_init must be positive and finite, not -1.0",
+                     id="a negative learning rate"),
+        pytest.param('{"train": {"lr_init": 0}}',
+                     "TrainConfig.lr_init must be positive and finite, not 0",
+                     id="a zero learning rate"),
+        pytest.param('{"train": {"lr_init": NaN}}',
+                     "TrainConfig.lr_init must be positive and finite, not nan",
+                     id="a NaN learning rate"),
+        pytest.param('{"train": {"lr_init": Infinity}}',
+                     "TrainConfig.lr_init must be positive and finite, not inf",
+                     id="an infinite learning rate"),
+        pytest.param('{"synth": {"split_ratios": [0.5, 0.6, -0.1]}}',
+                     "split_ratios must be a probability vector, got (0.5, 0.6, -0.1)",
+                     id="a negative split ratio"),
+        pytest.param('{"synth": {"split_ratios": [0.5, 0.2, 0.2]}}',
+                     "split_ratios must be a probability vector, got (0.5, 0.2, 0.2)",
+                     id="split ratios short of 1"),
+        pytest.param('{"synth": {"n_scenes": -3}}',
+                     "SynthConfig.n_scenes must be at least 1, not -3", id="negative scenes"),
+        pytest.param('{"synth": {"image_size": 0}}',
+                     "SynthConfig.image_size must be at least 1, not 0", id="a zero image size"),
+        pytest.param('{"synth": {"max_tokens": 0}}',
+                     "SynthConfig.max_tokens must be at least 1, not 0", id="a zero token cap"),
+        pytest.param('{"synth": {"empty_scene_proposals": 0}}',
+                     "SynthConfig.empty_scene_proposals must be at least 1, not 0",
+                     id="no proposals in an empty scene"),
+        pytest.param('{"synth": {"feature_noise": -0.1}}',
+                     "SynthConfig.feature_noise must be at least 0, not -0.1",
+                     id="a negative feature noise"),
+        pytest.param('{"synth": {"context_noise": -0.1}}',
+                     "SynthConfig.context_noise must be at least 0, not -0.1",
+                     id="a negative context noise"),
+        pytest.param('{"synth": {"jitter_centre": -0.1}}',
+                     "SynthConfig.jitter_centre must be at least 0, not -0.1",
+                     id="a negative centre jitter"),
+        pytest.param('{"synth": {"jitter_scale": -0.2}}',
+                     "SynthConfig.jitter_scale must be at least 0, not -0.2",
+                     id="a negative scale jitter")])
     def test_malformed_config_is_a_one_line_error(self, tmp_path, capsys, text, message):
         path = tmp_path / "cfg.json"
         path.write_text(text)

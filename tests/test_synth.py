@@ -159,8 +159,10 @@ class TestProposalEncoding:
                 i.instance_id for i in scene.instances]
             assert np.all(source_ids[len(scene.instances):] == -1)
         empty = next(s for s in ds.train.scenes if not s.instances)
+        bare = dataclasses.replace(cfg)
+        bare.empty_scene_proposals = 0      # set after the config's own check, which rejects 0
         with pytest.raises(ValueError, match=f"scene {empty.image_id!r} has no proposals"):
-            encode_proposals(empty, dataclasses.replace(cfg, empty_scene_proposals=0), table)
+            encode_proposals(empty, bare, table)
 
     @pytest.mark.parametrize("crowded", [False, True])
     def test_box_draws_match_rng_uniform(self, crowded):
