@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gvgkit.geometry import BBox
+from gvgkit.geometry import BBox, centres
 from gvgkit.gradkit.io import check_unique, read_records, write_records
 
 FORMAT_NAME = "gref-cw-like"
@@ -150,6 +150,13 @@ class SceneAnnotation:
 
     def refresh_type(self) -> None:
         self.image_type = classify_image_type(self.instances)
+
+    def normalized_rows(self) -> np.ndarray:
+        """(n, 4) centre-form rows of the instance boxes as fractions of
+        the image size: each instance's ``normalized_box``, bit for bit."""
+        px = np.array([(i.x1, i.y1, i.x2, i.y2) for i in self.instances],
+                      dtype=np.float64).reshape(-1, 4)
+        return centres(px / (self.width, self.height, self.width, self.height))
 
     def instances_matching(self, category: str, size: str, cell: str) -> list[int]:
         return [i.instance_id for i in self.instances
@@ -397,10 +404,11 @@ def read_dataset(path: str | Path
                  ) -> tuple[list[SceneAnnotation], list[Expression], dict]:
     """Parse a dataset file. Each of these raises a one-line ValueError
     naming the file and the line: a malformed line; a value this module
-    never writes; a second scene or expression with one id, or a second
-    instance with one id in a scene; an expression whose image no
-    earlier scene record holds, or with a target id that names no
-    instance of that image."""
+    never writes; an instance box that is empty, inverted or not inside
+    its image; an image type its scene's instances do not make; a second
+    scene or expression with one id, or a second instance with one id in
+    a scene; an expression whose image no earlier scene record holds, or
+    with a target id that names no instance of that image."""
     scenes: dict[str, SceneAnnotation] = {}
     instance_ids: dict[str, set[int]] = {}  # image id -> its instances' ids
     expressions: list[Expression] = []
@@ -408,6 +416,10 @@ def read_dataset(path: str | Path
     expression_lines: dict[str, int] = {}
 
     def scene(record: dict, lineno: int) -> None:
+        width, height = _numbers((record["width"], record["height"]), "width and height")
+        if not (0 < width < math.inf and 0 < height < math.inf):
+            raise ValueError(f"width and height must be positive and finite, "
+                             f"not {[width, height]!r}")
         instances = []
         ids: set[int] = set()
         for spec in record["instances"]:
@@ -419,15 +431,18 @@ def read_dataset(path: str | Path
                 raise ValueError(f"a second instance with id {instance_id}")
             ids.add(instance_id)
             x1, y1, x2, y2 = _numbers(spec["bbox_xyxy_px"], "box coordinates")
+            if not (0 <= x1 < x2 <= width and 0 <= y1 < y2 <= height):
+                raise ValueError(f"instance {instance_id} box {[x1, y1, x2, y2]!r} must have "
+                                 f"0 <= x1 < x2 <= {width} and 0 <= y1 < y2 <= {height}")
             instances.append(InstanceAnnotation(
                 instance_id=instance_id, category=spec["category"],
                 x1=x1, y1=y1, x2=x2, y2=y2,
                 size_bin=spec["size_bin"], grid_cell=spec["grid_cell"]))
         _known(record, "image_type")
-        width, height = _numbers((record["width"], record["height"]), "width and height")
-        if not (0 < width < math.inf and 0 < height < math.inf):
-            raise ValueError(f"width and height must be positive and finite, "
-                             f"not {[width, height]!r}")
+        image_type = classify_image_type(instances)
+        if record["image_type"] != image_type:
+            raise ValueError(f"image_type {record['image_type']!r} does not match the "
+                             f"instances, which make the scene {image_type!r}")
         check_unique(scene_lines, record["image_id"], lineno, "scene")
         instance_ids[record["image_id"]] = ids
         scenes[record["image_id"]] = SceneAnnotation(

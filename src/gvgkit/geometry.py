@@ -12,7 +12,6 @@ and evaluation both use them; no scalar IoU exists in the package.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,18 +45,19 @@ class BBox:
         return BBox(self.cx * sx, self.cy * sy, self.w * sx, self.h * sy)
 
 
-def centre_rows(boxes: Sequence[BBox]) -> np.ndarray:
-    """(N, 4) centre-form rows (cx, cy, w, h) of a box list."""
-    return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes],
-                    dtype=np.float64).reshape(-1, 4)
-
-
 def corners(centre: np.ndarray) -> np.ndarray:
     """Centre-form rows to corner rows, with the arithmetic of
     ``BBox.to_corners``."""
     cx, cy, w, h = (centre[..., k] for k in range(4))
     hw, hh = w / 2.0, h / 2.0
     return np.stack([cx - hw, cy - hh, cx + hw, cy + hh], axis=-1)
+
+
+def centres(corner: np.ndarray) -> np.ndarray:
+    """Corner rows to centre-form rows, with the arithmetic of
+    ``BBox.from_corners``. The rows' corner order is not checked."""
+    x1, y1, x2, y2 = (corner[..., k] for k in range(4))
+    return np.stack([(x1 + x2) / 2.0, (y1 + y2) / 2.0, x2 - x1, y2 - y1], axis=-1)
 
 
 def _pairwise(a: np.ndarray, b: np.ndarray):

@@ -17,6 +17,13 @@ noise describe the scene, so both are drawn once per scene: instances
 with the same attributes get the same noiseless feature. Background
 proposals carry no attribute content and only an attenuated context
 echo (block and noise scaled by ``context_bg_scale``).
+
+``encode_proposals`` builds a scene's arrays with array operations. Its
+random stream is a pure function of the dataset seed and the image id,
+and is drawn in this order: one (cx, cy, w, h) jitter draw per instance,
+then each background box's tries, then the word noise, then the scene
+noise. Drawing the scene noise last keeps the box and word-noise draws
+independent of it.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from gvgkit.datagen import (
     SIZE_BINS,
     SceneAnnotation,
 )
-from gvgkit.geometry import BBox, centre_rows
+from gvgkit.geometry import corners
 from gvgkit.hrs import TextFeatures
 from gvgkit.synth.config import CONTEXT_DIMS, FEATURE_DIMS, WORD_SPACE_DIMS, SynthConfig
 
@@ -78,9 +85,12 @@ class EmbeddingTable:
         rng = np.random.default_rng([seed, 0xE0B])
         axes = rng.permutation(WORD_SPACE_DIMS)[:len(CONTENT_WORDS)]
         self.axis = {word: int(axes[i]) for i, word in enumerate(CONTENT_WORDS)}
-        self._table = {word: self._blend([word]) for word in CONTENT_WORDS}
-        self._table["crop"] = self._blend(CROP_CATEGORIES)
-        self._table["vegetation"] = self._blend(CATEGORIES)
+        # row k of ``matrix`` embeds word ``CONTENT_WORDS[k]``; ``row`` maps
+        # a word to its row, so a scene's words are gathered in one index
+        self.row = {word: k for k, word in enumerate(CONTENT_WORDS)}
+        self.matrix = np.stack([self._blend([word]) for word in CONTENT_WORDS])
+        self.matrix[self.row["crop"]] = self._blend(CROP_CATEGORIES)
+        self.matrix[self.row["vegetation"]] = self._blend(CATEGORIES)
 
     def _blend(self, words) -> np.ndarray:
         """Unit-norm sum of the words' own axes."""
@@ -90,10 +100,10 @@ class EmbeddingTable:
         return vec / np.linalg.norm(vec)
 
     def embed(self, word: str) -> np.ndarray:
-        return self._table[word].copy()
+        return self.matrix[self.row[word]].copy()
 
     def is_content(self, word: str) -> bool:
-        return word in self._table
+        return word in self.row
 
 
 def tokenize(text: str) -> list[str]:
@@ -143,54 +153,66 @@ def _context_block(scene: SceneAnnotation, cfg: SynthConfig) -> np.ndarray:
     return ctx * cfg.context_strength
 
 
-def _uniform(low: float, high: float, u: float) -> float:
-    """A draw ``u`` of ``rng.random()`` scaled to [low, high) with the
-    arithmetic of ``rng.uniform``, so the result equals what
-    ``rng.uniform(low, high)`` would have drawn, bit for bit."""
-    return low + (high - low) * u
+# ``rng.uniform(low, high)`` is ``low + (high - low) * rng.random()``.
+# The jitter and the soil draws below apply that arithmetic to
+# ``rng.random`` draws (for ``low = -noise``, ``high - low`` is
+# ``2 * noise`` exactly), so they equal ``rng.uniform``'s, bit for bit.
+_BG_SIDE_LOW = 0.04
+_BG_SIDE_SPAN = 0.14 - 0.04
 
 
-def _jitter_box(box: BBox, cfg: SynthConfig, rng: np.random.Generator) -> BBox:
-    """Detector-style box corruption: a systematic bias (boxes inflated
-    and shifted toward the lower right, as an untuned detector would
-    produce consistently) plus random noise. The systematic part is what
-    the refinement stage can and should learn away; totals stay within
-    the configured centre/scale envelopes. The four draws come from one
-    ``rng.random(4)``."""
+def _jitter_boxes(gt: np.ndarray, cfg: SynthConfig, rng: np.random.Generator) -> np.ndarray:
+    """Detector-style corruption of the (n, 4) centre rows ``gt``: a
+    systematic bias (boxes inflated and shifted toward the lower right,
+    as an untuned detector would produce consistently) plus random
+    noise. The systematic part is what the refinement stage can and
+    should learn away; totals stay within the configured centre/scale
+    envelopes. Row i takes row i of one ``rng.random((n, 4))`` as its
+    (cx, cy, w, h) draws; sides are floored at 1e-4 and centres clamped
+    so that the box stays inside the image."""
     bias_c = 0.6 * cfg.jitter_centre
     noise_c = 0.4 * cfg.jitter_centre
     bias_s = 0.75 * cfg.jitter_scale
     noise_s = 0.25 * cfg.jitter_scale
-    u_cx, u_cy, u_w, u_h = rng.random(4).tolist()
-    cx = box.cx + (bias_c + _uniform(-noise_c, noise_c, u_cx)) * box.w
-    cy = box.cy + (bias_c + _uniform(-noise_c, noise_c, u_cy)) * box.h
-    w = box.w * (1.0 + bias_s + _uniform(-noise_s, noise_s, u_w))
-    h = box.h * (1.0 + bias_s + _uniform(-noise_s, noise_s, u_h))
-    w, h = max(w, 1e-4), max(h, 1e-4)
-    cx = min(max(cx, w / 2), 1 - w / 2)
-    cy = min(max(cy, h / 2), 1 - h / 2)
-    return BBox(cx, cy, w, h)
+    u = rng.random((len(gt), 4))
+    cx, cy, w, h = gt.T
+    out = np.empty_like(gt)
+    out[:, 0] = cx + (bias_c + (-noise_c + 2 * noise_c * u[:, 0])) * w
+    out[:, 1] = cy + (bias_c + (-noise_c + 2 * noise_c * u[:, 1])) * h
+    sides = out[:, 2:]
+    sides[:, 0] = w * (1.0 + bias_s + (-noise_s + 2 * noise_s * u[:, 2]))
+    sides[:, 1] = h * (1.0 + bias_s + (-noise_s + 2 * noise_s * u[:, 3]))
+    np.maximum(sides, 1e-4, out=sides)
+    half = sides / 2
+    out[:, :2] = np.minimum(np.maximum(out[:, :2], half), 1 - half)
+    return out
 
 
-def _background_box(gt_corners: list[tuple[float, float, float, float]],
-                    rng: np.random.Generator) -> BBox:
-    """A box over soil: disjoint from every instance when possible.
-    ``gt_corners`` are the instances' corners, computed once per scene.
-    Each try draws one ``rng.random(4)``."""
-    for _ in range(60):
-        u_w, u_h, u_cx, u_cy = rng.random(4).tolist()
-        w = _uniform(0.04, 0.14, u_w)
-        h = _uniform(0.04, 0.14, u_h)
-        cx = _uniform(w / 2, 1 - w / 2, u_cx)
-        cy = _uniform(h / 2, 1 - h / 2, u_cy)
-        candidate = BBox(cx, cy, w, h)
-        x1, y1, x2, y2 = candidate.to_corners()
-        for ox1, oy1, ox2, oy2 in gt_corners:
-            if not (x2 <= ox1 or ox2 <= x1 or y2 <= oy1 or oy2 <= y1):
+def _background_boxes(n: int, gt: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """``n`` boxes over soil, as (n, 4) centre-form rows: each is the first
+    draw clear of every instance row of ``gt``, or the 60th draw in a
+    crowded scene. Each try draws one ``rng.random(4)``, as (w, h, cx,
+    cy). The instances' corners come from their centre rows, with the
+    arithmetic of ``geometry.corners``, as do the draws' corners."""
+    random = rng.random
+    gt_corners = corners(gt).tolist()
+    rows = []
+    for _ in range(n):
+        for _ in range(60):
+            u_w, u_h, u_cx, u_cy = random(4).tolist()
+            w = _BG_SIDE_LOW + _BG_SIDE_SPAN * u_w
+            h = _BG_SIDE_LOW + _BG_SIDE_SPAN * u_h
+            hw, hh = w / 2, h / 2
+            cx = hw + (1 - hw - hw) * u_cx
+            cy = hh + (1 - hh - hh) * u_cy
+            x1, y1, x2, y2 = cx - hw, cy - hh, cx + hw, cy + hh
+            for ox1, oy1, ox2, oy2 in gt_corners:
+                if x1 < ox2 and ox1 < x2 and y1 < oy2 and oy1 < y2:
+                    break
+            else:   # clear of every instance
                 break
-        else:   # clear of every instance
-            return candidate
-    return candidate  # crowded scene: accept the last sample
+        rows.append((cx, cy, w, h))
+    return np.array(rows, dtype=np.float64).reshape(n, 4)
 
 
 def encode_proposals(scene: SceneAnnotation, cfg: SynthConfig, table: EmbeddingTable
@@ -203,47 +225,37 @@ def encode_proposals(scene: SceneAnnotation, cfg: SynthConfig, table: EmbeddingT
     is a pure function of the dataset seed and the image id. A scene
     with no proposal raises ValueError.
     """
+    n_inst = len(scene.instances)
+    n_bg = max(cfg.distractor_min, int(round(cfg.distractor_rate * n_inst)))
+    if not n_inst:
+        n_bg = cfg.empty_scene_proposals
+    if not n_inst + n_bg:
+        raise ValueError(f"scene {scene.image_id!r} has no proposals")
     rng = _scene_rng(cfg.seed, scene.image_id, "proposals")
     ctx = _context_block(scene, cfg)
-    gt_boxes = [inst.normalized_box(scene.width, scene.height)
-                for inst in scene.instances]
-    gt_corners = [box.to_corners() for box in gt_boxes]
+    gt = scene.normalized_rows()
 
-    features = []
-    boxes = []
-    source_ids = []
-    for inst, gt_box in zip(scene.instances, gt_boxes):
-        vec = np.zeros(FEATURE_DIMS)
-        for word in inst.triple:
-            vec = np.maximum(vec, table.embed(word))
-        vec[WORD_SPACE_DIMS:] = ctx
-        features.append(vec)
-        boxes.append(_jitter_box(gt_box, cfg, rng))
-        source_ids.append(inst.instance_id)
+    feats = np.zeros((n_inst + n_bg, FEATURE_DIMS))
+    boxes = np.empty((n_inst + n_bg, 4))
+    source_ids = np.full(n_inst + n_bg, -1, dtype=np.int64)
+    words = table.matrix[[table.row[word] for inst in scene.instances
+                          for word in inst.triple]].reshape(n_inst, 3, FEATURE_DIMS)
+    np.maximum(np.maximum(np.maximum(0.0, words[:, 0]), words[:, 1]), words[:, 2],
+               out=feats[:n_inst])
+    feats[:n_inst, WORD_SPACE_DIMS:] = ctx
+    feats[n_inst:, WORD_SPACE_DIMS:] = ctx * cfg.context_bg_scale
+    feats[n_inst:, WORD_SPACE_DIMS + CTX_BARE_PATCH] = 1.0 * cfg.context_strength
+    source_ids[:n_inst] = [inst.instance_id for inst in scene.instances]
+    boxes[:n_inst] = _jitter_boxes(gt, cfg, rng)
+    boxes[n_inst:] = _background_boxes(n_bg, gt, rng)
 
-    n_bg = max(cfg.distractor_min, int(round(cfg.distractor_rate * len(scene.instances))))
-    if not scene.instances:
-        n_bg = cfg.empty_scene_proposals
-    for _ in range(n_bg):
-        vec = np.zeros(FEATURE_DIMS)
-        vec[WORD_SPACE_DIMS:] = ctx * cfg.context_bg_scale
-        vec[WORD_SPACE_DIMS + CTX_BARE_PATCH] = 1.0 * cfg.context_strength
-        features.append(vec)
-        boxes.append(_background_box(gt_corners, rng))
-        source_ids.append(-1)
-
-    if not features:
-        raise ValueError(f"scene {scene.image_id!r} has no proposals")
-    feats = np.stack(features)
     if cfg.feature_noise > 0:
         feats[:, :WORD_SPACE_DIMS] += rng.normal(
             0.0, cfg.feature_noise, size=(feats.shape[0], WORD_SPACE_DIMS))
     context_sigma = cfg.context_noise * cfg.context_strength
     if context_sigma > 0:
-        # one draw per scene, like the block it perturbs; drawn last so
-        # the box and word-noise streams do not depend on it
+        # one draw per scene, like the block it perturbs
         scene_noise = rng.normal(0.0, context_sigma, size=CONTEXT_DIMS)
-        n_inst = len(scene.instances)
         feats[:n_inst, WORD_SPACE_DIMS:] += scene_noise
         feats[n_inst:, WORD_SPACE_DIMS:] += scene_noise * cfg.context_bg_scale
-    return feats, centre_rows(boxes), np.asarray(source_ids, dtype=np.int64)
+    return feats, boxes, source_ids

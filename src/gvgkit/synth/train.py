@@ -26,7 +26,6 @@ import numpy as np
 from gvgkit import gradkit as gk
 from gvgkit import hrs
 from gvgkit.datagen import Expression, SceneAnnotation
-from gvgkit.geometry import centre_rows
 from gvgkit.hrs import HrsParams, Level0Vocabulary
 from gvgkit.matching import assign_optimal, build_cost_matrix
 from gvgkit.synth.boxhead import BoxRefiner, giou_loss_diff, interp_iou_loss_diff
@@ -179,8 +178,7 @@ def match_scene(item: EncodedScene, tcfg: TrainConfig) -> Pairs | None:
     proposals and the ground truth, so one match serves every epoch."""
     if not item.scene.instances:
         return None
-    gts = centre_rows([inst.normalized_box(item.scene.width, item.scene.height)
-                       for inst in item.scene.instances])
+    gts = item.scene.normalized_rows()
     pairs = assign_optimal(build_cost_matrix(item.boxes, gts, tcfg.lambda_centre,
                                              tcfg.lambda_size))
     rows, cols = np.array(pairs).T

@@ -312,6 +312,11 @@ class TestErrors:
         "instance id not an int": ("scene", "instance id must be an int, not '0'"),
         "repeated instance id": ("scene", "a second instance with id "),
         "unknown target id": ("positive", "target ids [99] name no instance of image 'scene-"),
+        "inverted box": ("scene", " must have 0 <= x1 < x2 <= "),
+        "zero-width box": ("scene", " must have 0 <= x1 < x2 <= "),
+        "box outside the image": ("scene", " must have 0 <= x1 < x2 <= "),
+        "image type its instances do not make": ("scene", "image_type 'empty' does not match "
+                                                          "the instances, which make the scene "),
         "another format": (1, "not a gref-cw-like file"),
         "version 2": (1, "unsupported dataset version 2; re-run `gvgkit build`"),
         "empty file": (None, "empty, no header line; re-run `gvgkit build`"),
@@ -386,6 +391,18 @@ class TestErrors:
             scene["instances"].append(dict(scene["instances"][0]))
         elif fault == "unknown target id":
             targeted["target_ids"] = [99]
+        elif fault == "inverted box":
+            box = scene["instances"][0]["bbox_xyxy_px"]
+            box[0], box[2] = box[2], box[0]
+        elif fault == "zero-width box":
+            box = scene["instances"][0]["bbox_xyxy_px"]
+            box[2] = box[0]
+        elif fault == "box outside the image":
+            box = scene["instances"][0]["bbox_xyxy_px"]
+            box[0] += 5000
+            box[2] += 5000
+        elif fault == "image type its instances do not make":
+            scene["image_type"] = "empty"
         elif fault == "another format":
             header["format"] = "gvgkit-predictions"
         elif fault == "version 2":

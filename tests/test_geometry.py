@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gvgkit.geometry import BBox, centre_rows, corners, giou, iou
+from gvgkit.datagen import SceneAnnotation
+from gvgkit.geometry import BBox, centres, corners, giou, iou
 
 from box_oracle import (
     InterpConfig,
@@ -15,6 +16,7 @@ from box_oracle import (
     loss_interp_iou,
 )
 from reference_metrics import ref_giou, ref_iou
+from uniform_oracle import centre_rows
 
 
 def iou1(a: BBox, b: BBox) -> float:
@@ -76,6 +78,13 @@ class TestConversions:
             assert abs(rebuilt.cy - b.cy) < 1e-12
             assert abs(rebuilt.w - b.w) < 1e-12
             assert abs(rebuilt.h - b.h) < 1e-12
+
+    def test_centres_match_from_corners(self):
+        rng = np.random.default_rng(1)
+        rows = np.sort(rng.random((50, 2, 2)), axis=1).reshape(50, 4)   # x1 <= x2, y1 <= y2
+        expected = [BBox.from_corners(*row) for row in rows.tolist()]
+        assert np.array_equal(centres(rows), [(b.cx, b.cy, b.w, b.h) for b in expected])
+        assert centres(np.zeros((0, 4))).shape == (0, 4)
 
     def test_negative_sides_rejected(self):
         with pytest.raises(ValueError):
@@ -180,7 +189,7 @@ class TestPairwise:
         none = np.zeros((0, 4))
         assert iou(none, boxes).shape == (0, 2)
         assert giou(boxes, none).shape == (2, 0)
-        assert centre_rows([]).shape == (0, 4)
+        assert SceneAnnotation("s", 10, 10).normalized_rows().shape == (0, 4)
 
 
 class TestInterpBox:

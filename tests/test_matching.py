@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from gvgkit import matching
-from gvgkit.geometry import BBox, centre_rows
+from gvgkit.geometry import BBox
 from gvgkit.matching import assign_optimal, build_cost_matrix
 from gvgkit.synth import SynthConfig, TrainConfig, gen_scenes
 from gvgkit.synth.encode import EmbeddingTable, encode_proposals
 
 from matching_oracle import assign_bruteforce, match_cost, total_cost, unmatched
 from reference_metrics import ref_iou
+from uniform_oracle import centre_rows
 
 # the weights training matches with
 WEIGHTS = (TrainConfig().lambda_centre, TrainConfig().lambda_size)

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from gvgkit import gradkit as gk
-from gvgkit.geometry import centre_rows
 from gvgkit.hrs import AblationFlags
 from gvgkit.matching import assign_optimal, build_cost_matrix
 from gvgkit.synth import SynthConfig, TrainConfig, TrainingDiverged, gen_scenes
@@ -17,6 +16,8 @@ from gvgkit.synth import train as train_module
 from gvgkit.synth.boxhead import BoxRefiner, giou_loss_diff, interp_iou_loss_diff
 from gvgkit.synth.encode import EmbeddingTable
 from gvgkit.synth.train import encode_split, match_scene, stage1_loss, train_stage1
+
+from uniform_oracle import centre_rows
 
 
 def stage1_scene_loss(item, refiner, tcfg):

@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from gvgkit.datagen import read_dataset
+from gvgkit.datagen import InstanceAnnotation, SceneAnnotation, read_dataset
+from gvgkit.geometry import corners, iou
 from gvgkit.hrs import AblationFlags, HrsParams, Level0Vocabulary
 from gvgkit.synth import (
     EmbeddingTable,
@@ -23,8 +24,11 @@ from gvgkit.synth import (
     write_split,
 )
 from gvgkit.synth.config import WORD_SPACE_DIMS
+from gvgkit.synth.encode import _scene_rng
 from gvgkit.synth.scenes import SplitData
 from gvgkit.synth.train import encode_split, train_stage2
+
+import uniform_oracle
 
 
 def checksum(model) -> str:
@@ -129,10 +133,9 @@ class TestProposalEncoding:
         scene = next(s for s in ds.train.scenes if 0 < len(s.instances) <= 8)
         _, boxes, source_ids = encode_proposals(scene, cfg, table)
         assert (source_ids == -1).sum() >= cfg.distractor_min
-        from gvgkit.geometry import centre_rows, corners, iou
         gt = [i.normalized_box(scene.width, scene.height) for i in scene.instances]
         background = boxes[source_ids == -1]
-        assert np.all(iou(corners(background), corners(centre_rows(gt))) == 0.0)
+        assert np.all(iou(corners(background), corners(uniform_oracle.centre_rows(gt))) == 0.0)
 
     def test_encoding_deterministic(self):
         cfg = SynthConfig(**SMALL)
@@ -164,34 +167,138 @@ class TestProposalEncoding:
         with pytest.raises(ValueError, match=f"scene {empty.image_id!r} has no proposals"):
             encode_proposals(empty, bare, table)
 
+    @pytest.mark.parametrize("extra", [{}, {"density_probs": (0.0, 0.5, 0.35, 0.15)},
+                                       {"context_strength": 0.0}, {"feature_noise": 0.0},
+                                       {"distractor_min": 0, "distractor_rate": 0.0}],
+                             ids=["small", "dense", "no context", "no word noise",
+                                  "no soil boxes"])
+    def test_every_scene_encodes_as_the_per_proposal_oracle(self, extra):
+        cfg = SynthConfig(**SMALL, **extra)
+        ds = quiet_gen(cfg)
+        table = EmbeddingTable(cfg.seed)
+        for split in ds.splits.values():
+            for scene in split.scenes:
+                assert_same_as_oracle(scene, cfg, table)
+
     @pytest.mark.parametrize("crowded", [False, True])
     def test_box_draws_match_rng_uniform(self, crowded):
-        from gvgkit.geometry import BBox
-        from gvgkit.synth.encode import _background_box, _jitter_box
-        import uniform_oracle
+        # random instances, each scene's word noise drawn after its boxes,
+        # so equal features show that both took the same number of draws
         cfg = SynthConfig(jitter_centre=0.6, jitter_scale=1.2)
+        table = EmbeddingTable(cfg.seed)
         setup = np.random.default_rng(0)
         retried = 0
-        for seed in range(300):
-            box = BBox(*setup.uniform(0.1, 0.9, 2), *setup.uniform(0.01, 0.6, 2))
-            # large boxes all over the image use up _background_box's retries
-            gts = [BBox(*setup.uniform(0.2, 0.8, 2), *setup.uniform(0.3, 0.6, 2))
-                   for _ in range(12)] if crowded else [BBox(0.5, 0.5, 0.2, 0.2)]
-            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert _jitter_box(box, cfg, rng) == uniform_oracle.jitter_box(box, cfg, ref)
-            # one corner list per scene, as encode_proposals computes it; the
-            # oracle builds a BBox and its corners on every try
-            gt_corners = [gt.to_corners() for gt in gts]
-            for draw in range(4 if crowded else 1):
-                assert (_background_box(gt_corners, rng)
-                        == uniform_oracle.background_box(gts, ref))
-                # both took the same number of draws
-                assert rng.bit_generator.state == ref.bit_generator.state
-                if draw == 0:
-                    one_try = np.random.default_rng(seed)
-                    one_try.random(8)
-                    retried += one_try.bit_generator.state != ref.bit_generator.state
+        for k in range(300):
+            # large boxes all over the image use up the soil draws' retries
+            boxes = [_centre_box(*setup.uniform(0.2, 0.8, 2), *setup.uniform(0.3, 0.6, 2))
+                     for _ in range(12)] if crowded else [
+                _centre_box(*setup.uniform(0.1, 0.9, 2), *setup.uniform(0.01, 0.6, 2))]
+            scene = _scene(f"scene-{k}", boxes)
+            assert_same_as_oracle(scene, cfg, table)
+            # did the first soil box need more than one try?
+            gts = [i.normalized_box(scene.width, scene.height) for i in scene.instances]
+            rng = _scene_rng(cfg.seed, scene.image_id, "proposals")
+            one_try = _scene_rng(cfg.seed, scene.image_id, "proposals")
+            rng.random(4 * len(gts))
+            uniform_oracle.background_box(gts, rng)
+            one_try.random(4 * len(gts) + 4)
+            retried += one_try.bit_generator.state != rng.bit_generator.state
         assert retried > (250 if crowded else 0)
+
+    def test_instances_on_the_borders_take_every_clamp(self):
+        # an instance on each border: jittered boxes pushed out of the
+        # image are clamped back, on each side
+        cfg = SynthConfig(jitter_centre=0.6, jitter_scale=1.2)
+        table = EmbeddingTable(cfg.seed)
+        clamped = np.zeros((2, 2), dtype=int)      # (low, high) x (x, y)
+        for k in range(40):
+            scene = _scene(f"scene-{k}", [(0, 400, 300, 700), (500, 0, 700, 250),
+                                          (1000, 300, 1280, 600), (200, 1100, 600, 1280)])
+            assert_same_as_oracle(scene, cfg, table)
+            _, boxes, source_ids = encode_proposals(scene, cfg, table)
+            centre, half = boxes[source_ids >= 0, :2], boxes[source_ids >= 0, 2:] / 2
+            clamped[0] += (centre == half).sum(axis=0)
+            clamped[1] += (centre == 1 - half).sum(axis=0)
+        assert np.all(clamped > 0), clamped
+
+    def test_a_covered_image_uses_up_every_soil_try(self):
+        # four quadrants cover the image: no draw is clear, so each soil
+        # box is its 60th draw and overlaps a plant
+        cfg = SynthConfig()
+        table = EmbeddingTable(cfg.seed)
+        scene = _scene("scene-covered", [(0, 0, 640, 640), (640, 0, 1280, 640),
+                                         (0, 640, 640, 1280), (640, 640, 1280, 1280)])
+        assert_same_as_oracle(scene, cfg, table)
+        _, boxes, source_ids = encode_proposals(scene, cfg, table)
+        soil = corners(boxes[source_ids == -1])
+        assert np.all(iou(soil, corners(scene.normalized_rows())).max(axis=1) > 0)
+
+    def test_an_empty_scene_encodes_as_the_oracle(self):
+        cfg = SynthConfig()
+        table = EmbeddingTable(cfg.seed)
+        scene = _scene("scene-empty", [])
+        assert_same_as_oracle(scene, cfg, table)
+        assert len(encode_proposals(scene, cfg, table)[2]) == cfg.empty_scene_proposals
+
+    def test_overlap_reads_the_corners_of_the_centre_rows(self):
+        # an instance whose left edge, as pixels / image size, is the first
+        # soil draw's right edge: the corners of its centre row fall one
+        # bit inside the draw, so the draw overlaps it and is retried
+        cfg = SynthConfig()
+        table = EmbeddingTable(cfg.seed)
+        size = 1024                 # pixels / size is exact
+        for k in range(50):
+            image_id = f"scene-edge-{k}"
+            rng = _scene_rng(cfg.seed, image_id, "proposals")
+            rng.random(4)           # the instance's jitter
+            edge = uniform_oracle.background_box([], rng).to_corners()[2]
+            x1 = edge * size
+            inside = [x2 for x2 in x1 + np.arange(1, 400) * 0.37 if x2 <= size
+                      and (x1 / size + x2 / size) / 2.0 - (x2 / size - x1 / size) / 2.0 < edge]
+            if inside:
+                break
+        scene = _scene(image_id, [(x1, 0, inside[0], size)], size=size)
+        assert_same_as_oracle(scene, cfg, table)
+        _, boxes, source_ids = encode_proposals(scene, cfg, table)
+        assert corners(boxes[source_ids == -1])[0, 2] != edge
+
+    def test_tables_of_other_seeds_at_one_address_encode_their_own_words(self):
+        # each table is dropped after use, so the next one is likely to
+        # take its address: what the encoder derives from a table must
+        # come from that table, never from a lookup keyed by its id
+        cfg = SynthConfig(**SMALL)
+        scenes = [s for s in quiet_gen(cfg).train.scenes if s.instances][:4]
+        for seed in (1, 2, 1, 2):
+            table = EmbeddingTable(seed)
+            for scene in scenes:
+                assert_arrays_equal(encode_proposals(scene, cfg, table),
+                                    uniform_oracle.encode_proposals(scene, cfg,
+                                                                    EmbeddingTable(seed)))
+            del table
+
+
+def _centre_box(cx, cy, w, h, size=1280):
+    """Pixel corners of a normalised centre-form box."""
+    return ((cx - w / 2) * size, (cy - h / 2) * size, (cx + w / 2) * size, (cy + h / 2) * size)
+
+
+def _scene(image_id, boxes, size=1280):
+    """A scene of maize plants at the given pixel corners, attributes derived."""
+    scene = SceneAnnotation(image_id=image_id, width=size, height=size, instances=[
+        InstanceAnnotation(k, "maize", *box).with_attributes(size, size)
+        for k, box in enumerate(boxes)])
+    scene.refresh_type()
+    return scene
+
+
+def assert_arrays_equal(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_as_oracle(scene, cfg, table):
+    assert_arrays_equal(encode_proposals(scene, cfg, table),
+                        uniform_oracle.encode_proposals(scene, cfg, table))
 
 
 class TestSceneGeneration:
