@@ -21,14 +21,12 @@ from pathlib import Path
 
 from gvgkit import datagen
 from gvgkit.evaluation import format_table, stratify, write_report
-from gvgkit.hrs import HrsParams
+from gvgkit.hrs import VARIANTS, HrsParams
 from gvgkit.synth import (
     BoxRefiner,
     SplitData,
     SynthConfig,
     TrainConfig,
-    ablation_from_name,
-    ablation_name,
     dataset_stats,
     gen_scenes,
     load_config,
@@ -39,6 +37,7 @@ from gvgkit.synth import (
     write_predictions,
     write_split,
 )
+from gvgkit.synth.config import FEATURE_DIMS
 
 SPLITS = ("train", "val", "test")
 
@@ -54,8 +53,8 @@ def _resolve_configs(args) -> tuple[SynthConfig, TrainConfig]:
         synth_cfg = dataclasses.replace(synth_cfg, seed=args.seed)
         train_cfg = dataclasses.replace(train_cfg, seed=args.seed)
     ablate = getattr(args, "ablate", None)
-    if ablate:
-        train_cfg = dataclasses.replace(train_cfg, ablation=ablation_from_name(ablate))
+    if ablate is not None:
+        train_cfg = dataclasses.replace(train_cfg, ablation=ablate)
     return synth_cfg, train_cfg
 
 
@@ -121,14 +120,14 @@ def cmd_predict(args) -> int:
     out = Path(args.out)
     split = _load_split(out, args.split, synth_cfg)
     params = HrsParams.load(out / "params.json")
-    if params.d_v != synth_cfg.d_v or params.d_t != synth_cfg.d_t:
-        raise ValueError("checkpoint feature dims do not match the dataset config")
+    if params.d_v != FEATURE_DIMS or params.d_t != FEATURE_DIMS:
+        raise ValueError(f"params.json has feature dims d_v = {params.d_v}, d_t = "
+                         f"{params.d_t}, not the encoder's {FEATURE_DIMS}")
     refiner = BoxRefiner.load(out / "refiner.json")
-    # no_interp_iou is the one flag stage 1 trains under
-    if refiner.ablation.no_interp_iou != params.ablation.no_interp_iou:
-        raise ValueError(f"refiner.json was trained with ablation "
-                         f"{ablation_name(refiner.ablation)} and params.json with "
-                         f"{ablation_name(params.ablation)}, which differ in "
+    # no-interp-iou is the one variant stage 1 trains under
+    if (refiner.ablation == "no-interp-iou") != (params.ablation == "no-interp-iou"):
+        raise ValueError(f"refiner.json was trained with ablation {refiner.ablation} and "
+                         f"params.json with {params.ablation}, which differ in "
                          "no-interp-iou; re-run `gvgkit train`")
     preds = predict_split(split, synth_cfg, params, refiner,
                           gate_level0=not args.no_gate_level0)
@@ -181,8 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_train)
     p_train.add_argument("--stage", choices=("1", "2", "both"), default="both")
     p_train.add_argument("--ablate", default=None,
-                         help="one of sentence-only, word-only, no-projection, "
-                              "no-constraint, no-interp-iou")
+                         help=f"the variant to train: one of {', '.join(VARIANTS)}")
     p_train.set_defaults(fn=cmd_train)
 
     p_pred = sub.add_parser("predict", help="score a split with a checkpoint")

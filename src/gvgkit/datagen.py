@@ -430,7 +430,10 @@ def read_dataset(path: str | Path
             if instance_id in ids:
                 raise ValueError(f"a second instance with id {instance_id}")
             ids.add(instance_id)
-            x1, y1, x2, y2 = _numbers(spec["bbox_xyxy_px"], "box coordinates")
+            box = spec["bbox_xyxy_px"]
+            if type(box) is not list or len(box) != 4:
+                raise ValueError(f"box coordinates must be a list of 4 numbers, not {box!r}")
+            x1, y1, x2, y2 = _numbers(box, "box coordinates")
             if not (0 <= x1 < x2 <= width and 0 <= y1 < y2 <= height):
                 raise ValueError(f"instance {instance_id} box {[x1, y1, x2, y2]!r} must have "
                                  f"0 <= x1 < x2 <= {width} and 0 <= y1 < y2 <= {height}")
@@ -468,6 +471,8 @@ def read_dataset(path: str | Path
             raise ValueError("unknown kind of expression: level {!r}, polarity {!r}, "
                              "negative_kind {!r}".format(*kind))
         attrs = record["attributes"]
+        if type(attrs) is not dict:
+            raise ValueError(f"attributes must be an object, not {attrs!r}")
         place = (attrs.get("size_bin"), attrs.get("grid_cell"))
         if place not in _ATTRIBUTE_PLACES:
             raise ValueError("unknown attributes: size_bin {!r}, grid_cell {!r}".format(*place))

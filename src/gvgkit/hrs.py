@@ -30,7 +30,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -41,7 +41,7 @@ from gvgkit.gradkit import Tensor
 from gvgkit.gradkit.tensor import _reduce
 
 PARAMS_FORMAT = "gvgkit-params"
-PARAMS_VERSION = 3
+PARAMS_VERSION = 4
 
 # (lambda_level0, lambda_level1) per coarse image type
 HMCE_WEIGHTS = {
@@ -122,17 +122,17 @@ class Level0Vocabulary:
         return self.class_by_image_type[image_type]
 
 
-@dataclass(frozen=True)
-class AblationFlags:
-    sentence_only: bool = False
-    word_only: bool = False
-    no_projection: bool = False
-    no_constraint: bool = False
-    no_interp_iou: bool = False
+# the model's variants: the full model and its five ablations
+VARIANTS = ("full", "sentence-only", "word-only", "no-projection", "no-constraint",
+            "no-interp-iou")
 
-    def __post_init__(self) -> None:
-        if self.sentence_only and self.word_only:
-            raise ValueError("sentence_only and word_only are mutually exclusive")
+
+def check_variant(name, what: str) -> str:
+    """``name`` if it is one of ``VARIANTS``; else a one-line ValueError
+    that names ``what`` and lists the variants."""
+    if name not in VARIANTS:
+        raise ValueError(f"{what} must be one of {', '.join(VARIANTS)}, not {name!r}")
+    return name
 
 
 class HrsParams:
@@ -144,15 +144,15 @@ class HrsParams:
     raw cosine does, instead of through two unrelated random maps. The
     two stay separate arrays and are trained separately.
 
-    ``ablation`` names the variant the head is trained as. It is the
-    only record of the variant: the forward pass, the losses and the
-    optimiser read it from here, and the checkpoint saves it.
+    ``ablation``, one of ``VARIANTS``, names the variant the head is
+    trained as. It is the only record of the variant: the forward pass,
+    the losses and the optimiser read it from here, and the checkpoint
+    saves it.
     """
 
     def __init__(self, d_v: int, d_t: int, d: int = 64, heads: int = 4,
                  d_ff: int = 128, d_hidden: int = 32, seed: int = 0,
-                 temperature_init: float = 0.07,
-                 ablation: AblationFlags = AblationFlags()):
+                 temperature_init: float = 0.07, ablation: str = "full"):
         if d % heads != 0:
             raise ValueError(f"model dim {d} not divisible by {heads} heads")
         if temperature_init <= 0:
@@ -199,7 +199,7 @@ class HrsParams:
         """Tensors the optimizer may update; the model's no-projection
         ablation freezes both projections at their initialisation, which
         for ``d_v == d_t`` is one shared random map."""
-        skip = {"visual_proj", "text_proj"} if self.ablation.no_projection else set()
+        skip = {"visual_proj", "text_proj"} if self.ablation == "no-projection" else set()
         return [t for name, t in self.leaves() if name not in skip]
 
     def frozen(self) -> "HrsParams":
@@ -224,7 +224,7 @@ class HrsParams:
             "seed": seed,
             "dims": {"d_v": self.d_v, "d_t": self.d_t, "d": self.d,
                      "heads": self.heads, "d_ff": self.d_ff, "d_hidden": self.d_hidden},
-            "ablation": asdict(self.ablation),
+            "ablation": self.ablation,
             "tensors": gk.dump_leaves(self.leaves()),
         }
         Path(path).write_text(json.dumps(payload))
@@ -258,11 +258,8 @@ class HrsParams:
             if not fits:
                 raise ValueError(f"tensor {name!r} in checkpoint {path} does not hold "
                                  f"the ({', '.join(keys)}) = {shape} its model dims give")
-        params = cls(**dims)
-        try:
-            params.ablation = AblationFlags(**payload["ablation"])
-        except (KeyError, TypeError):
-            raise ValueError(f"checkpoint {path} lacks its ablation flags") from None
+        params = cls(**dims, ablation=check_variant(payload.get("ablation"),
+                                                    f"the ablation of checkpoint {path}"))
         gk.load_leaves(params.leaves(), payload.get("tensors"), f"checkpoint {path}")
         return params
 
@@ -356,9 +353,9 @@ def referring_score(fused: Tensor, tokens: Tensor, valid_mask: np.ndarray,
     hidden = gk.relu(gk.add(gk.matmul(sentence, params.fusion_w1), params.fusion_b1))
     weight = gk.sigmoid(gk.add(gk.matmul(hidden, params.fusion_w2),
                                params.fusion_b2))                          # (K, 1)
-    if params.ablation.sentence_only:
+    if params.ablation == "sentence-only":
         weight = gk.constant(np.ones((n_texts, 1)))
-    elif params.ablation.word_only:
+    elif params.ablation == "word-only":
         weight = gk.constant(np.zeros((n_texts, 1)))
     referring = gk.add(gk.mul(weight, sentence_scores),
                        gk.mul(gk.sub(1.0, weight), word_max))
@@ -442,9 +439,9 @@ def _plain_pass(features: np.ndarray, embeddings: np.ndarray, valid_mask: np.nda
     word_max = _reduce(np.maximum, np.where(valid_mask[:, None, :], word_scores, -np.inf),
                        2).squeeze(2)                                        # (K, N)
 
-    if params.ablation.sentence_only:
+    if params.ablation == "sentence-only":
         weight = np.ones((n_texts, 1))
-    elif params.ablation.word_only:
+    elif params.ablation == "word-only":
         weight = np.zeros((n_texts, 1))
     else:
         hidden = sentence @ w["fusion_w1"]

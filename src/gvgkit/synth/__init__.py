@@ -6,8 +6,6 @@ from gvgkit.synth.boxhead import (
 from gvgkit.synth.config import (
     SynthConfig,
     TrainConfig,
-    ablation_from_name,
-    ablation_name,
     load_config,
 )
 from gvgkit.synth.encode import EmbeddingTable, encode_proposals, encode_text, tokenize
@@ -40,9 +38,8 @@ __all__ = [
     "BoxRefiner", "EmbeddingTable", "EncodedScene", "LogRow",
     "PredictionRecord", "Predictions", "SplitData", "SyntheticDataset",
     "SynthConfig", "TrainConfig", "TrainResult", "TrainingDiverged",
-    "ablation_from_name", "ablation_name", "dataset_stats", "encode_proposals",
-    "encode_split", "encode_text", "gen_scenes", "giou_loss_diff",
-    "interp_iou_loss_diff", "load_config", "predict_split",
-    "read_predictions", "tokenize", "train_two_stage", "vocabulary_texts",
-    "write_log", "write_predictions", "write_split",
+    "dataset_stats", "encode_proposals", "encode_split", "encode_text",
+    "gen_scenes", "giou_loss_diff", "interp_iou_loss_diff", "load_config",
+    "predict_split", "read_predictions", "tokenize", "train_two_stage",
+    "vocabulary_texts", "write_log", "write_predictions", "write_split",
 ]

@@ -11,7 +11,6 @@ weights, so that one graph can carry the rows of several scenes.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -19,10 +18,10 @@ import numpy as np
 from gvgkit import gradkit as gk
 from gvgkit.geometry import corners
 from gvgkit.gradkit import Tensor
-from gvgkit.hrs import AblationFlags
+from gvgkit.hrs import check_variant
 
 REFINER_FORMAT = "gvgkit-box-refiner"
-REFINER_VERSION = 2
+REFINER_VERSION = 3
 
 
 def _area(sides: Tensor) -> Tensor:
@@ -89,11 +88,11 @@ def interp_iou_loss_diff(pred: Tensor, gt: np.ndarray, alpha: float = 0.99,
 class BoxRefiner:
     """Residual MLP refining proposal boxes: centre shifts plus
     log-scale width/height corrections. Starts as the identity map.
-    ``ablation`` names the variant it is trained as; of its flags only
-    ``no_interp_iou`` changes the refiner, and the checkpoint records it."""
+    ``ablation`` names the variant it is trained as; of the variants
+    only ``no-interp-iou`` changes the refiner, and the checkpoint
+    records it."""
 
-    def __init__(self, hidden: int = 16, seed: int = 0,
-                 ablation: AblationFlags = AblationFlags()):
+    def __init__(self, hidden: int = 16, seed: int = 0, ablation: str = "full"):
         self.ablation = ablation
         rng = np.random.default_rng(seed)
         bound = 1.0 / np.sqrt(4)
@@ -127,7 +126,7 @@ class BoxRefiner:
             "format": REFINER_FORMAT,
             "version": REFINER_VERSION,
             "seed": seed,
-            "ablation": asdict(self.ablation),
+            "ablation": self.ablation,
             "tensors": gk.dump_leaves(self.leaves()),
         }
         Path(path).write_text(json.dumps(payload))
@@ -145,9 +144,7 @@ class BoxRefiner:
                 raise ValueError
         except (KeyError, TypeError, ValueError):
             raise ValueError(f"tensor 'box.b1' in {source} is malformed") from None
-        try:
-            refiner = cls(hidden=hidden, ablation=AblationFlags(**payload["ablation"]))
-        except (KeyError, TypeError):
-            raise ValueError(f"{source} lacks its ablation flags") from None
+        refiner = cls(hidden=hidden, ablation=check_variant(payload.get("ablation"),
+                                                            f"the ablation of {source}"))
         gk.load_leaves(refiner.leaves(), payload["tensors"], source)
         return refiner

@@ -12,11 +12,11 @@ import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from gvgkit.gradkit.io import read_json_object
-from gvgkit.hrs import AblationFlags
+from gvgkit.hrs import check_variant
 
 # feature layout: one-hot word space plus reserved scene-context block
 WORD_SPACE_DIMS = 32
@@ -56,8 +56,6 @@ class SynthConfig:
     distractor_min: int = 2
     empty_scene_proposals: int = 10
     max_tokens: int = 64
-    d_v: int = FEATURE_DIMS
-    d_t: int = FEATURE_DIMS
 
     def __post_init__(self) -> None:
         for name in ("type_mix", "density_probs", "size_probs", "split_ratios"):
@@ -68,9 +66,6 @@ class SynthConfig:
                  lambda v: v >= 1, "at least 1")
         _require(self, ("feature_noise", "context_noise", "jitter_centre", "jitter_scale"),
                  lambda v: v >= 0, "at least 0")
-        if self.d_v != FEATURE_DIMS or self.d_t != FEATURE_DIMS:
-            raise ValueError(f"feature dims are fixed at {FEATURE_DIMS} "
-                             f"({WORD_SPACE_DIMS} word + {CONTEXT_DIMS} context)")
         if self.max_instances < 31:
             raise ValueError("max_instances must allow the >30 density bucket")
 
@@ -101,7 +96,7 @@ class TrainConfig:
     heads: int = 4
     d_ff: int = 128
     d_hidden: int = 32
-    ablation: AblationFlags = field(default_factory=AblationFlags)
+    ablation: str = "full"     # one of hrs.VARIANTS
 
     def __post_init__(self) -> None:
         if self.batch_size < 1 or self.stage1_epochs < 1 or self.stage2_epochs < 1:
@@ -117,6 +112,7 @@ class TrainConfig:
             raise ValueError(f"TrainConfig.d = {self.d} must be divisible by "
                              f"TrainConfig.heads = {self.heads}")
         _require(self, ("lr_init",), lambda v: 0 < v < math.inf, "positive and finite")
+        check_variant(self.ablation, "TrainConfig.ablation")
 
 
 def _require(cfg, names: tuple[str, ...], ok, rule: str) -> None:
@@ -126,29 +122,6 @@ def _require(cfg, names: tuple[str, ...], ok, rule: str) -> None:
         value = getattr(cfg, name)
         if not ok(value):
             raise ValueError(f"{type(cfg).__name__}.{name} must be {rule}, not {value!r}")
-
-
-_ABLATION_NAMES = {
-    "sentence-only": "sentence_only",
-    "word-only": "word_only",
-    "no-projection": "no_projection",
-    "no-constraint": "no_constraint",
-    "no-interp-iou": "no_interp_iou",
-}
-
-
-def ablation_from_name(name: str) -> AblationFlags:
-    key = _ABLATION_NAMES.get(name.replace("_", "-"))
-    if key is None:
-        raise ValueError(f"unknown ablation {name!r}; "
-                         f"expected one of {sorted(_ABLATION_NAMES)}")
-    return AblationFlags(**{key: True})
-
-
-def ablation_name(flags: AblationFlags) -> str:
-    """The names ``ablation_from_name`` reads, joined; "none" for the full model."""
-    return ", ".join(name for name, key in _ABLATION_NAMES.items()
-                     if getattr(flags, key)) or "none"
 
 
 def _fits(value, default) -> bool:
@@ -173,14 +146,10 @@ def _from_dict(cls, payload, section: str):
     converted = {}
     for key, value in payload.items():
         default = getattr(defaults, key)
-        if isinstance(default, AblationFlags):
-            value = ablation_from_name(value) if isinstance(value, str) \
-                else _from_dict(AblationFlags, value, f"{section}.{key}")
-        else:
-            value = tuple(value) if isinstance(value, list) else value
-            if not _fits(value, default):
-                raise ValueError(f"config {section}.{key} must be like its default "
-                                 f"{json.dumps(default)}, not {json.dumps(value)}")
+        value = tuple(value) if isinstance(value, list) else value
+        if not _fits(value, default):
+            raise ValueError(f"config {section}.{key} must be like its default "
+                             f"{json.dumps(default)}, not {json.dumps(value)}")
         converted[key] = value
     return cls(**converted)
 

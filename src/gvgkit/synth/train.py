@@ -29,7 +29,7 @@ from gvgkit.datagen import Expression, SceneAnnotation
 from gvgkit.hrs import HrsParams, Level0Vocabulary
 from gvgkit.matching import assign_optimal, build_cost_matrix
 from gvgkit.synth.boxhead import BoxRefiner, giou_loss_diff, interp_iou_loss_diff
-from gvgkit.synth.config import SynthConfig, TrainConfig
+from gvgkit.synth.config import FEATURE_DIMS, SynthConfig, TrainConfig
 from gvgkit.synth.encode import EmbeddingTable, encode_proposals, encode_text
 from gvgkit.synth.scenes import SplitData
 
@@ -195,7 +195,7 @@ def stage1_loss(pairs: list[Pairs], refiner: BoxRefiner, tcfg: TrainConfig):
                               for prop, _ in pairs])
     refined = refiner.refine(np.concatenate([prop for prop, _ in pairs]))
     gt = np.concatenate([gt for _, gt in pairs])
-    if refiner.ablation.no_interp_iou:
+    if refiner.ablation == "no-interp-iou":
         return giou_loss_diff(refined, gt, weights)
     return interp_iou_loss_diff(refined, gt, alpha=tcfg.interp_alpha, weights=weights)
 
@@ -273,7 +273,7 @@ def _scene_losses(item: EncodedScene, params: HrsParams, vocab: Level0Vocabulary
         targets[np.array(rows, dtype=np.intp)[pair], proposal] = 1.0
         l1 = hrs.loss_lvl1(gk.narrow(scores, 0, len(vocab_texts), len(exprs)),
                            targets)                                         # (k,)
-        if not params.ablation.no_constraint:
+        if params.ablation != "no-constraint":
             l1 = hrs.loss_constrained(l1, l0)
         l1c = gk.mean(l1)
     hmce = hrs.loss_hmce(l0, l1c, hrs.coarse_image_type(item.scene.image_type))
@@ -328,8 +328,8 @@ def train_two_stage(train_split: SplitData, cfg: SynthConfig, tcfg: TrainConfig,
         result.refiner, log1 = train_stage1(encoded, tcfg)
         result.log.extend(log1)
     if 2 in stages:
-        result.params = HrsParams(d_v=cfg.d_v, d_t=cfg.d_t, d=tcfg.d, heads=tcfg.heads,
-                                  d_ff=tcfg.d_ff, d_hidden=tcfg.d_hidden,
+        result.params = HrsParams(d_v=FEATURE_DIMS, d_t=FEATURE_DIMS, d=tcfg.d,
+                                  heads=tcfg.heads, d_ff=tcfg.d_ff, d_hidden=tcfg.d_hidden,
                                   seed=tcfg.seed, ablation=tcfg.ablation)
         result.log.extend(train_stage2(encoded, result.params, vocab, table, tcfg,
                                        cfg.max_tokens))

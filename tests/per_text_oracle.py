@@ -12,7 +12,7 @@ import numpy as np
 
 from gvgkit import gradkit as gk
 from gvgkit import hrs
-from gvgkit.hrs import AblationFlags, RelevanceOutput
+from gvgkit.hrs import RelevanceOutput
 from gvgkit.synth.encode import encode_text
 from gvgkit.synth.train import _pick_expressions
 
@@ -78,7 +78,7 @@ def fuse(features, text, params):
     return gk.add(fused, gk.add(gk.matmul(hidden, params.ffn_w2), params.ffn_b2))
 
 
-def referring_score(fused, text, params, ablation=AblationFlags()):
+def referring_score(fused, text, params, ablation="full"):
     """Sentence and word cosines over temperature for one text, fused by
     its learned sentence weight; word scores are zero at invalid tokens."""
     t = gk.matmul(gk.constant(text.token_embeddings), params.text_proj)     # (T, d)
@@ -98,9 +98,9 @@ def referring_score(fused, text, params, ablation=AblationFlags()):
     logit = gk.add(gk.matmul(hidden, params.fusion_w2), params.fusion_b2)
     weight = gk.sigmoid(gk.reduce_sum(logit))
 
-    if ablation.sentence_only:
+    if ablation == "sentence-only":
         weight = gk.constant(1.0)
-    elif ablation.word_only:
+    elif ablation == "word-only":
         weight = gk.constant(0.0)
     referring = gk.add(gk.mul(weight, sentence_scores),
                        gk.mul(gk.sub(1.0, weight), word_max))
@@ -108,11 +108,11 @@ def referring_score(fused, text, params, ablation=AblationFlags()):
                            sentence_weight=weight, referring_scores=referring)
 
 
-def score_expression(features, text, params, ablation=AblationFlags()):
+def score_expression(features, text, params, ablation="full"):
     return referring_score(fuse(features, text, params), text, params, ablation)
 
 
-def level0_logits(features, vocab_texts, params, ablation=AblationFlags()):
+def level0_logits(features, vocab_texts, params, ablation="full"):
     """One fused pass per vocabulary sentence, max-pooled over proposals."""
     pooled = []
     for text in vocab_texts:
@@ -138,7 +138,7 @@ def scene_loss(item, params, vocab, vocab_texts, table, tcfg, rng, max_tokens):
             targets = np.isin(item.source_ids,
                               np.asarray(expr.target_ids, dtype=np.int64))
             l1 = hrs.loss_lvl1(out.referring_scores, targets.astype(float))
-            pieces.append(l1 if ablation.no_constraint
+            pieces.append(l1 if ablation == "no-constraint"
                           else hrs.loss_constrained(l1, l0))
         l1c = gk.mul(pieces[0], 1.0 / len(pieces))
         for extra in pieces[1:]:

@@ -24,8 +24,8 @@ CONFIG = {
 }
 
 SHA256 = {
-    "refiner.json": "4fe154c991344fe9ffaca365601eb29d8d54c55d6f35319fac0bef29e206ce48",
-    "params.json": "7609f7a9f4b4d8f447776ebffcaf9ae7b7d0c01497a0a8ce828a75d10db164ff",
+    "refiner.json": "e9dc8a3eeafb13ffabb0237731d4846d0ea90f8d59541356f84a74d8a03036dc",
+    "params.json": "b7ddf30c035c228b3f0fc4dbaff2811629c5d68f27a60ef9e59c38a5639b887d",
     "log.csv": "2c75cb34e39725d98f1bc11ec1e19ef147eaa07483822d4192424b8428e230d9",
     "predictions-test.jsonl": "a66bf2cb140996c3069724f1ca5eb36a88d74d509316e6a318408b1ba62f43f7",
 }

@@ -13,6 +13,7 @@ import pytest
 
 from gvgkit import datagen
 from gvgkit.cli import main
+from gvgkit.hrs import VARIANTS
 from gvgkit.synth import SplitData, load_config, train_two_stage
 from gvgkit.synth.predict import read_predictions
 
@@ -295,8 +296,11 @@ class TestErrors:
         "duplicate scene": ("scene copy", "a second record for scene 'scene-"),
         "duplicate expression": ("expression copy", "a second record for expression '"),
         "non-numeric coordinate": ("scene", "box coordinates must be numbers, not ['a', "),
+        "three-number box": ("scene", "box coordinates must be a list of 4 numbers, not ["),
+        "bare-number box": ("scene", "box coordinates must be a list of 4 numbers, not 7"),
         "zero width": ("scene", "width and height must be positive and finite, not [0, "),
         "text not a string": ("expression", "text must be a string, not 5"),
+        "attributes not an object": ("expression", "attributes must be an object, not 5"),
         "nested target ids": ("expression", "target ids must be a list of ints, not [[1]]"),
         "NaN coordinate": ("scene", "box coordinates must be finite, not [nan, "),
         "Infinity coordinate": ("scene", "box coordinates must be finite, not [inf, "),
@@ -359,10 +363,16 @@ class TestErrors:
             lines.insert(first + 1, lines[first])
         elif fault == "non-numeric coordinate":
             scene["instances"][0]["bbox_xyxy_px"][0] = "a"
+        elif fault == "three-number box":
+            del scene["instances"][0]["bbox_xyxy_px"][0]
+        elif fault == "bare-number box":
+            scene["instances"][0]["bbox_xyxy_px"] = 7
         elif fault == "zero width":
             scene["width"] = 0
         elif fault == "text not a string":
             expression["text"] = 5
+        elif fault == "attributes not an object":
+            expression["attributes"] = 5
         elif fault == "nested target ids":
             expression["target_ids"] = [[1]]
         elif fault == "NaN coordinate":
@@ -657,7 +667,7 @@ def test_stage2_trains_the_ablation_stage1_recorded(run_dir, tmp_path):
                      "--ablate", "no-interp-iou"]) == 0
         assert main(["train", "--out", str(tmp_path), "--stage", "2"]) == 0
     config = json.loads((tmp_path / "config.json").read_text())
-    assert config["train"]["ablation"]["no_interp_iou"] is True
+    assert config["train"]["ablation"] == "no-interp-iou"
     params = json.loads((tmp_path / "params.json").read_text())
     assert params["ablation"] == config["train"]["ablation"]
 
@@ -672,7 +682,7 @@ def test_predict_rejects_a_refiner_of_another_box_loss(run_dir, tmp_path, capsys
         assert main(["train", "--out", str(tmp_path), "--stage", "2",
                      "--ablate", "sentence-only"]) == 0
     refiner = json.loads((tmp_path / "refiner.json").read_text())
-    assert refiner["ablation"]["no_interp_iou"] is True
+    assert refiner["ablation"] == "no-interp-iou"
     capsys.readouterr()
     assert main(["predict", "--out", str(tmp_path), "--split", "test"]) == 1
     err = capsys.readouterr().err
@@ -680,6 +690,66 @@ def test_predict_rejects_a_refiner_of_another_box_loss(run_dir, tmp_path, capsys
                           "and params.json with sentence-only"), err
     assert err.count("\n") == 1, err
     assert not (tmp_path / "predictions-test.jsonl").exists()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_variant_is_recorded_and_predicted(run_dir, tmp_path, variant):
+    short_run(run_dir, tmp_path)
+    (tmp_path / "test.jsonl").write_bytes((run_dir / "test.jsonl").read_bytes())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["train", "--out", str(tmp_path), "--ablate", variant]) == 0
+        assert main(["predict", "--out", str(tmp_path), "--split", "test"]) == 0
+    assert json.loads((tmp_path / "config.json").read_text())["train"]["ablation"] == variant
+    for name in ("refiner.json", "params.json"):
+        assert json.loads((tmp_path / name).read_text())["ablation"] == variant, name
+    assert (tmp_path / "predictions-test.jsonl").exists()
+
+
+def test_ablate_full_trains_the_full_model_again(run_dir, tmp_path):
+    # the stored config names word-only; --ablate full replaces it
+    never, back = tmp_path / "never", tmp_path / "back"
+    for out in (never, back):
+        out.mkdir()
+        short_run(run_dir, out)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["train", "--out", str(never)]) == 0
+        assert main(["train", "--out", str(back), "--ablate", "word-only"]) == 0
+        assert main(["train", "--out", str(back), "--ablate", "full"]) == 0
+    for name in ("params.json", "refiner.json", "config.json"):
+        assert (back / name).read_bytes() == (never / name).read_bytes(), name
+
+
+NOT_A_VARIANT = ("must be one of full, sentence-only, word-only, no-projection, "
+                 "no-constraint, no-interp-iou, not ")
+
+
+@pytest.mark.parametrize("argv,ablation,message", [
+    pytest.param([], {"sentence_only": False, "word_only": True, "no_projection": False,
+                      "no_constraint": False, "no_interp_iou": False},
+                 'config train.ablation must be like its default "full", not {"sentence_only": ',
+                 id="the flag dict in config.json"),
+    pytest.param([], "word_only", f"TrainConfig.ablation {NOT_A_VARIANT}'word_only'",
+                 id="an underscore name in config.json"),
+    pytest.param([], "none", f"TrainConfig.ablation {NOT_A_VARIANT}'none'",
+                 id="an unknown name in config.json"),
+    pytest.param(["--ablate", "word_only"], "full",
+                 f"TrainConfig.ablation {NOT_A_VARIANT}'word_only'",
+                 id="an underscore name to --ablate"),
+    pytest.param(["--ablate", "none"], "full", f"TrainConfig.ablation {NOT_A_VARIANT}'none'",
+                 id="an unknown name to --ablate")])
+def test_a_variant_that_is_not_a_name_is_a_one_line_error(run_dir, tmp_path, capsys, argv,
+                                                          ablation, message):
+    short_run(run_dir, tmp_path)
+    config = json.loads((tmp_path / "config.json").read_text())
+    config["train"]["ablation"] = ablation
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["train", "--out", str(tmp_path)] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+    assert not (tmp_path / "params.json").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -855,7 +925,7 @@ class TestCheckpointErrors:
 
     @pytest.mark.parametrize("fault,message", [
         ("version 1", "unsupported checkpoint version 1"),
-        ("no ablation", "lacks its ablation flags")])
+        pytest.param("no ablation", f"{NOT_A_VARIANT}None", id="no ablation")])
     def test_outdated_checkpoint_is_a_one_line_error(self, copied, capsys, fault, message):
         path = copied / "params.json"
         payload = json.loads(path.read_text())
@@ -868,6 +938,55 @@ class TestCheckpointErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert message in err, err
+
+    def test_feature_dims_not_the_encoders_are_a_one_line_error(self, copied, capsys):
+        # a well-formed head whose proposal and token dims are 12
+        path = copied / "params.json"
+        payload = json.loads(path.read_text())
+        payload["dims"].update(d_v=12, d_t=12)
+        for name in ("visual_proj", "text_proj"):
+            spec = payload["tensors"][name]
+            spec["float64_le"] = encode_le(decode_tensor(spec)[:12 * 64], "<f8")
+            spec["shape"] = [12, 64]
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["predict", "--out", str(copied), "--split", "test"]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: params.json has feature dims d_v = 12, d_t = 12, not the "
+                       "encoder's 40\n"), err
+
+    @pytest.mark.parametrize("checkpoint,kind", [("params.json", "checkpoint"),
+                                                 ("refiner.json", "box-refiner checkpoint")])
+    @pytest.mark.parametrize("ablation", ["word_only", "none", 1, {"word_only": True}])
+    def test_ablation_that_is_not_a_name_is_a_one_line_error(self, copied, capsys,
+                                                             checkpoint, kind, ablation):
+        path = copied / checkpoint
+        payload = json.loads(path.read_text())
+        payload["ablation"] = ablation
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["predict", "--out", str(copied), "--split", "test"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: the ablation of {kind} {path} {NOT_A_VARIANT}{ablation!r}\n", err
+        assert not (copied / "predictions-test.jsonl").exists()
+
+    @pytest.mark.parametrize("checkpoint,version,message", [
+        ("params.json", 3, "unsupported checkpoint version 3; re-run `gvgkit train`"),
+        ("refiner.json", 2, "unsupported refiner version 2; re-run `gvgkit train`")])
+    def test_checkpoint_with_ablation_flags_is_a_one_line_error(self, copied, capsys,
+                                                                checkpoint, version, message):
+        # the previous version: the variant as five flags
+        path = copied / checkpoint
+        payload = json.loads(path.read_text())
+        payload["version"] = version
+        payload["ablation"] = {"sentence_only": False, "word_only": True,
+                               "no_projection": False, "no_constraint": False,
+                               "no_interp_iou": False}
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["predict", "--out", str(copied), "--split", "test"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n", err
 
     @pytest.mark.parametrize("log_temperature,message", [
         pytest.param(1000.0, "exp produced a non-finite value", id="exp overflows"),

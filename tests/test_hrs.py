@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 
@@ -8,7 +7,7 @@ import pytest
 from gvgkit import gradkit as gk
 from gvgkit import hrs
 from gvgkit.hrs import (
-    AblationFlags,
+    VARIANTS,
     EmptyTextError,
     HrsParams,
     Level0Vocabulary,
@@ -30,12 +29,9 @@ from gradient_check import check_gradients
 
 D_V = 12
 D_T = 12
-# the full model and each ablation on its own
-VARIANTS = [AblationFlags()] + [AblationFlags(**{f.name: True})
-                                for f in dataclasses.fields(AblationFlags)]
 
 
-def make_params(seed=0, d=16, heads=2, d_ff=24, d_hidden=8, ablation=AblationFlags()):
+def make_params(seed=0, d=16, heads=2, d_ff=24, d_hidden=8, ablation="full"):
     return HrsParams(d_v=D_V, d_t=D_T, d=d, heads=heads, d_ff=d_ff,
                      d_hidden=d_hidden, seed=seed, ablation=ablation)
 
@@ -81,10 +77,6 @@ class TestTypes:
         with pytest.raises(ValueError):
             vocab.true_class("underwater")
 
-    def test_ablation_exclusivity(self):
-        with pytest.raises(ValueError):
-            AblationFlags(sentence_only=True, word_only=True)
-
 
 class TestFuse:
     def test_deterministic_and_shape(self):
@@ -127,7 +119,7 @@ class TestReferringScore:
 
     def test_sentence_only_limit(self):
         rng = np.random.default_rng(5)
-        params = make_params(seed=6, ablation=AblationFlags(sentence_only=True))
+        params = make_params(seed=6, ablation="sentence-only")
         props = make_proposals(rng)
         text = make_text(rng)
         out = score_expression(props, [text], params)
@@ -135,21 +127,22 @@ class TestReferringScore:
 
     def test_word_only_limit(self):
         rng = np.random.default_rng(6)
-        params = make_params(seed=7, ablation=AblationFlags(word_only=True))
+        params = make_params(seed=7, ablation="word-only")
         props = make_proposals(rng)
         text = make_text(rng)
         out = score_expression(props, [text], params)
         word_max = out.word_scores.value[0].max(axis=1)
         assert np.allclose(out.referring_scores.value[0], word_max, atol=1e-15)
 
-    @pytest.mark.parametrize("variant, weight", [("sentence_only", 1.0), ("word_only", 0.0)])
+    @pytest.mark.parametrize("variant, weight", [("sentence-only", 1.0), ("word-only", 0.0)],
+                             ids=["sentence_only-1.0", "word_only-0.0"])
     def test_the_variant_comes_from_the_params(self, variant, weight):
-        # the same weights as the full model: only the flags the params
-        # carry fix the sentence weight, in a live pass and a frozen one
+        # the same weights as the full model: only the variant the params
+        # carry fixes the sentence weight, in a live pass and a frozen one
         rng = np.random.default_rng(9)
         props, texts = make_proposals(rng), [make_text(rng), make_text(rng, tokens=3)]
         full = score_expression(props, texts, make_params(seed=10))
-        ablated = make_params(seed=10, ablation=AblationFlags(**{variant: True}))
+        ablated = make_params(seed=10, ablation=variant)
         for params in (ablated, ablated.frozen()):
             out = score_expression(props, texts, params)
             assert np.array_equal(out.sentence_weight.value, np.full((2, 1), weight))
@@ -353,7 +346,7 @@ class TestEndToEndGradients:
 
     def test_trainable_excludes_frozen_projections(self):
         full = make_params(seed=16).trainable()
-        frozen = make_params(seed=16, ablation=AblationFlags(no_projection=True)).trainable()
+        frozen = make_params(seed=16, ablation="no-projection").trainable()
         assert len(full) - len(frozen) == 2
 
     def test_projections_start_shared_but_train_separately(self):

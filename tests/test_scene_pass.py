@@ -13,17 +13,14 @@ from tape_walk_oracle import tape_walk_gradients
 
 from gvgkit import gradkit as gk
 from gvgkit import hrs
-from gvgkit.hrs import AblationFlags, HrsParams, Level0Vocabulary
+from gvgkit.hrs import HrsParams, Level0Vocabulary
 from gvgkit.synth import SynthConfig, TrainConfig, gen_scenes, predict_split, train_two_stage
+from gvgkit.synth.config import FEATURE_DIMS
 from gvgkit.synth.encode import EmbeddingTable
 from gvgkit.synth.train import _scene_losses, encode_split, vocabulary_texts
 
-ABLATIONS = {
-    "full": AblationFlags(),
-    "sentence_only": AblationFlags(sentence_only=True),
-    "word_only": AblationFlags(word_only=True),
-    "no_constraint": AblationFlags(no_constraint=True),
-}
+# the variants that change the stage-2 loss
+ABLATIONS = ("full", "sentence-only", "word-only", "no-constraint")
 
 
 @pytest.fixture(scope="module")
@@ -43,9 +40,9 @@ def pick_scenes(encoded):
             for kinds in (("empty",), ("mixed",), ("crop_only", "weed_only"))]
 
 
-def fresh_params(seed, ablation=AblationFlags()):
+def fresh_params(seed, ablation="full"):
     tcfg = TrainConfig()
-    return HrsParams(d_v=SynthConfig().d_v, d_t=SynthConfig().d_t, d=tcfg.d,
+    return HrsParams(d_v=FEATURE_DIMS, d_t=FEATURE_DIMS, d=tcfg.d,
                      heads=tcfg.heads, d_ff=tcfg.d_ff, d_hidden=tcfg.d_hidden, seed=seed,
                      ablation=ablation)
 
@@ -60,14 +57,14 @@ def loss_and_grads(loss_fn, params):
     return float(loss.value), grads
 
 
-@pytest.mark.parametrize("ablation", sorted(ABLATIONS))
+@pytest.mark.parametrize("ablation", ABLATIONS, ids=lambda name: name.replace("-", "_"))
 def test_scene_loss_and_gradients_match_the_oracle(setup, ablation):
-    # the variant lives in the model; the config carries the full model's flags
+    # the variant lives in the model; the config names the full model
     cfg, _, table, encoded = setup
     tcfg = TrainConfig(seed=11)
     vocab = Level0Vocabulary()
     vocab_texts = vocabulary_texts(vocab, table, cfg.max_tokens)
-    params = fresh_params(seed=21, ablation=ABLATIONS[ablation])
+    params = fresh_params(seed=21, ablation=ablation)
     items = pick_scenes(encoded)
     # masked filler tokens ("there is ... in the image") sit inside the texts
     assert any(not t.valid_mask.all() for t in vocab_texts)
@@ -145,7 +142,7 @@ def trained(setup):
 @pytest.fixture(scope="module")
 def word_only(setup):
     cfg, dataset, _, _ = setup
-    tcfg = dataclasses.replace(TCFG_SHORT, ablation=AblationFlags(word_only=True))
+    tcfg = dataclasses.replace(TCFG_SHORT, ablation="word-only")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return train_two_stage(dataset.train, cfg, tcfg, stages=(2,)).params
@@ -155,7 +152,7 @@ def word_only(setup):
 @pytest.mark.parametrize("checkpoint", ["trained", "offset", "word_only"])
 def test_predictions_match_the_oracle(setup, trained, word_only, checkpoint, gate):
     # a word-only checkpoint is predicted as word-only: predict takes no
-    # flags besides the ones the checkpoint carries
+    # variant besides the one the checkpoint carries
     cfg, dataset, table, _ = setup
     params = copy.deepcopy(word_only if checkpoint == "word_only" else trained.params)
     if checkpoint == "offset":
@@ -197,7 +194,7 @@ def test_fillers_leave_the_scores_unchanged(setup):
     params = fresh_params(seed=25)
     item = next(e for e in encoded if e.scene.image_type == "mixed")
     rng = np.random.default_rng(5)
-    embeddings = rng.normal(size=(7, cfg.d_t))
+    embeddings = rng.normal(size=(7, FEATURE_DIMS))
     mask = np.array([0, 1, 1, 0, 0, 1, 0], dtype=bool)
     with_fillers = hrs.TextFeatures(token_embeddings=embeddings, valid_mask=mask)
     content_only = hrs.TextFeatures(token_embeddings=embeddings[mask],

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from gvgkit import gradkit as gk
-from gvgkit.hrs import AblationFlags
 from gvgkit.matching import assign_optimal, build_cost_matrix
 from gvgkit.synth import SynthConfig, TrainConfig, TrainingDiverged, gen_scenes
 from gvgkit.synth import train as train_module
@@ -34,7 +33,7 @@ def stage1_scene_loss(item, refiner, tcfg):
     prop = np.array([item.boxes[i] for i, _ in pairs])
     gt = centre_rows([gts[j] for _, j in pairs])
     refined = refiner.refine(prop)
-    if refiner.ablation.no_interp_iou:
+    if refiner.ablation == "no-interp-iou":
         return giou_loss_diff(refined, gt)
     return interp_iou_loss_diff(refined, gt, alpha=tcfg.interp_alpha)
 
@@ -78,10 +77,10 @@ def loss_and_grads(loss_fn, refiner):
     return float(loss.value), {name: t.grad.copy() for name, t in refiner.leaves()}
 
 
-@pytest.mark.parametrize("ablation", [AblationFlags(), AblationFlags(no_interp_iou=True)],
+@pytest.mark.parametrize("ablation", ["full", "no-interp-iou"],
                          ids=["interp-iou", "no-interp-iou"])
 def test_batch_loss_and_gradients_match_the_oracle(encoded, ablation):
-    # the variant lives in the refiner; the config carries the full model's flags
+    # the variant lives in the refiner; the config names the full model
     tcfg = TrainConfig(seed=11)
     refiner = BoxRefiner(seed=3, ablation=ablation)
     rng = np.random.default_rng(3)
@@ -102,11 +101,11 @@ def test_batch_loss_and_gradients_match_the_oracle(encoded, ablation):
 
 
 def test_a_no_interp_iou_refiner_trains_under_giou(encoded):
-    # a default config names no variant: the refiner alone picks the loss
+    # a default config names the full model: the refiner alone picks the loss
     tcfg = TrainConfig(seed=11)
     pairs = [match_scene(item, tcfg) for item in mixed_batch(encoded)[1:2]]
     (prop, gt), = pairs
-    refiner = BoxRefiner(seed=3, ablation=AblationFlags(no_interp_iou=True))
+    refiner = BoxRefiner(seed=3, ablation="no-interp-iou")
     got = stage1_loss(pairs, refiner, tcfg).value
     assert got == giou_loss_diff(refiner.refine(prop), gt).value
     assert got != interp_iou_loss_diff(refiner.refine(prop), gt, alpha=tcfg.interp_alpha).value

@@ -7,7 +7,7 @@ import pytest
 
 from gvgkit.datagen import InstanceAnnotation, SceneAnnotation, read_dataset
 from gvgkit.geometry import corners, iou
-from gvgkit.hrs import AblationFlags, HrsParams, Level0Vocabulary
+from gvgkit.hrs import HrsParams, Level0Vocabulary
 from gvgkit.synth import (
     EmbeddingTable,
     SynthConfig,
@@ -23,7 +23,7 @@ from gvgkit.synth import (
     write_predictions,
     write_split,
 )
-from gvgkit.synth.config import WORD_SPACE_DIMS
+from gvgkit.synth.config import FEATURE_DIMS, WORD_SPACE_DIMS
 from gvgkit.synth.encode import _scene_rng
 from gvgkit.synth.scenes import SplitData
 from gvgkit.synth.train import encode_split, train_stage2
@@ -157,7 +157,7 @@ class TestProposalEncoding:
         for scene in ds.train.scenes:
             features, boxes, source_ids = encode_proposals(scene, cfg, table)
             n = len(source_ids)
-            assert features.shape == (n, cfg.d_v) and boxes.shape == (n, 4)
+            assert features.shape == (n, FEATURE_DIMS) and boxes.shape == (n, 4)
             assert source_ids[:len(scene.instances)].tolist() == [
                 i.instance_id for i in scene.instances]
             assert np.all(source_ids[len(scene.instances):] == -1)
@@ -405,12 +405,12 @@ class TestTraining:
     def test_ablation_changes_training(self, tiny_setup):
         cfg, ds, tcfg, result = tiny_setup
         import dataclasses
-        ncfg = dataclasses.replace(tcfg, ablation=AblationFlags(no_constraint=True))
+        ncfg = dataclasses.replace(tcfg, ablation="no-constraint")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             other = train_two_stage(ds.train, cfg, ncfg)
         assert checksum(other.params) != checksum(result.params)
-        # the refinement stage is untouched by the constraint flag
+        # the refinement stage is untouched by the no-constraint variant
         assert checksum(other.refiner) == checksum(result.refiner)
 
     def test_empty_scene_hmce_equals_lvl0(self, tiny_setup):
@@ -444,7 +444,7 @@ class TestTraining:
         vocab = Level0Vocabulary()
 
         def fresh():
-            return HrsParams(d_v=cfg.d_v, d_t=cfg.d_t, d=tcfg.d, heads=tcfg.heads,
+            return HrsParams(d_v=FEATURE_DIMS, d_t=FEATURE_DIMS, d=tcfg.d, heads=tcfg.heads,
                              d_ff=tcfg.d_ff, d_hidden=tcfg.d_hidden, seed=tcfg.seed)
 
         last_good = fresh()
