@@ -44,14 +44,19 @@ SPLITS = ("train", "val", "test")
 
 def _resolve_configs(args) -> tuple[SynthConfig, TrainConfig]:
     config_path = args.config
-    if config_path is None:
-        stored = Path(args.out) / "config.json"
-        if stored.exists():
-            config_path = stored
-    synth_cfg, train_cfg = load_config(config_path)
-    if args.seed is not None:
-        synth_cfg = dataclasses.replace(synth_cfg, seed=args.seed)
-        train_cfg = dataclasses.replace(train_cfg, seed=args.seed)
+    if config_path is None and (Path(args.out) / "config.json").exists():
+        config_path = Path(args.out) / "config.json"
+    try:
+        synth_cfg, train_cfg = load_config(config_path)
+    except ValueError as err:
+        if args.config is not None:
+            raise
+        raise ValueError(f"{err}; `gvgkit build --config FILE --out {args.out}` "
+                         "replaces it") from None
+    seed = getattr(args, "seed", None)
+    if seed is not None:
+        synth_cfg = dataclasses.replace(synth_cfg, seed=seed)
+        train_cfg = dataclasses.replace(train_cfg, seed=seed)
     ablate = getattr(args, "ablate", None)
     if ablate is not None:
         train_cfg = dataclasses.replace(train_cfg, ablation=ablate)
@@ -65,8 +70,8 @@ def _store_config(out: Path, synth_cfg: SynthConfig, train_cfg: TrainConfig) -> 
 
 
 def _load_split(out: Path, name: str, synth_cfg: SynthConfig) -> SplitData:
-    """A split built from ``synth_cfg``: one built from another config
-    (another seed too) is an error."""
+    """A split built from ``synth_cfg``: one built from another config is
+    an error."""
     path = out / f"{name}.jsonl"
     if not path.exists():
         raise FileNotFoundError(f"missing dataset split {path}; run `gvgkit build` first")
@@ -168,12 +173,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", type=Path, default=None,
                        help="JSON config; defaults to <out>/config.json when present")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the seed for both data and training")
         p.add_argument("--out", type=Path, required=True, help="run directory")
 
     p_build = sub.add_parser("build", help="generate dataset splits")
     common(p_build)
+    p_build.add_argument("--seed", type=int, default=None,
+                         help="override the seed for both data and training")
     p_build.set_defaults(fn=cmd_build)
 
     p_train = sub.add_parser("train", help="run the two-stage training")

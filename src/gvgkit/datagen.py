@@ -473,6 +473,9 @@ def read_dataset(path: str | Path
         attrs = record["attributes"]
         if type(attrs) is not dict:
             raise ValueError(f"attributes must be an object, not {attrs!r}")
+        if attrs["category"] not in _EXPRESSION_CATEGORIES[record["level"]]:
+            raise ValueError(f"unknown category {attrs['category']!r} for an expression "
+                             f"of level {record['level']!r}")
         place = (attrs.get("size_bin"), attrs.get("grid_cell"))
         if place not in _ATTRIBUTE_PLACES:
             raise ValueError("unknown attributes: size_bin {!r}, grid_cell {!r}".format(*place))
@@ -492,7 +495,8 @@ def read_dataset(path: str | Path
 
 # the values this module writes: by instance and scene record key; the
 # (level, polarity, negative_kind) of an expression; the (size_bin,
-# grid_cell) of its attributes, neither for an image-level expression
+# grid_cell) of its attributes, neither for an image-level expression;
+# the category of its attributes, by level
 _KNOWN = {
     "category": frozenset(CATEGORIES),
     "size_bin": frozenset(SIZE_BINS),
@@ -501,6 +505,8 @@ _KNOWN = {
 }
 _EXPRESSION_KINDS = frozenset([("image", "negative", "none"), ("instance", "positive", "none")]
                               + [("instance", "negative", kind) for kind in NEGATIVE_KINDS])
+_EXPRESSION_CATEGORIES = {"instance": frozenset(CATEGORIES),
+                          "image": frozenset(("crop", "weed", "vegetation"))}
 _ATTRIBUTE_PLACES = frozenset([(None, None)] + list(itertools.product(SIZE_BINS, GRID_CELLS)))
 _NUMBER_TYPES = frozenset((int, float))
 # the largest magnitude a number in a split may have: ``json`` reads an

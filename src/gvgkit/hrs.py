@@ -9,12 +9,12 @@ and word-level similarities with a learned balance weight.
 Both levels come from one batched pass per scene: ``score_expression``
 packs the vocabulary sentences and the scene's expressions into one
 (K, T) token batch and scores all K texts against the N proposals at
-once. The block holds content tokens only: each text's valid tokens
-sit to the left, and T is the largest content count, so filler words
-never reach the pass. The proposals are projected once; the K texts
-share one token projection, one masked multi-head cross-attention, one
-feed-forward block and one cosine step, which yield a (K, N)
-referring-score matrix.
+once. A text is the (V, d_t) array of its content words' rows, in
+token order; the block puts each text's rows to the left and pads them
+with zeros to T, the longest text. The proposals are projected once;
+the K texts share one token projection, one masked multi-head
+cross-attention, one feed-forward block and one cosine step, which
+yield a (K, N) referring-score matrix.
 ``level0_logits`` pools the vocabulary rows of that matrix into the
 level-0 class logits, and each expression reads its own row. The pass
 runs as the variant its ``HrsParams`` carries. For training it runs on
@@ -53,24 +53,6 @@ HMCE_WEIGHTS = {
 
 class EmptyTextError(ValueError):
     pass
-
-
-@dataclass
-class TextFeatures:
-    """Raw token embeddings with a validity mask."""
-
-    token_embeddings: np.ndarray
-    valid_mask: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.token_embeddings = np.asarray(self.token_embeddings, dtype=np.float64)
-        self.valid_mask = np.asarray(self.valid_mask, dtype=bool)
-        if self.token_embeddings.ndim != 2:
-            raise ValueError("token embeddings must be (tokens, dim)")
-        if self.valid_mask.shape != (self.token_embeddings.shape[0],):
-            raise ValueError("valid mask must have one flag per token")
-        if not self.valid_mask.any():
-            raise EmptyTextError("expression has no valid tokens")
 
 
 @dataclass
@@ -264,19 +246,20 @@ class HrsParams:
         return params
 
 
-def stack_texts(texts: Sequence[TextFeatures]) -> tuple[np.ndarray, np.ndarray]:
-    """Pack the valid tokens of K texts, in order and to the left, into
-    one (K, T, d_t) token block and its (K, T) validity mask, T being
-    the largest content count. Padding positions are zero and invalid.
-    Invalid tokens add exact zeros to every score, so leaving them out
-    changes only the order of the sums."""
+def stack_texts(texts: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Pack K texts, each the (V, d_t) rows of its content words, in
+    order and to the left, into one (K, T, d_t) token block and its
+    (K, T) validity mask, T being the longest text. Padding positions
+    are zero and invalid. A text with no row raises ``EmptyTextError``;
+    both forward passes run this check, before they split."""
     if not texts:
         raise ValueError("need at least one text to score")
-    content = [text.token_embeddings[text.valid_mask] for text in texts]
-    counts = np.array([len(tokens) for tokens in content])
-    embeddings = np.zeros((len(texts), counts.max(), texts[0].token_embeddings.shape[1]))
-    for k, tokens in enumerate(content):
-        embeddings[k, :len(tokens)] = tokens
+    counts = np.array([len(text) for text in texts])
+    if not counts.all():
+        raise EmptyTextError("a text has no content word")
+    embeddings = np.zeros((len(texts), counts.max(), texts[0].shape[1]))
+    for k, text in enumerate(texts):
+        embeddings[k, :len(text)] = text
     return embeddings, np.arange(counts.max()) < counts[:, None]
 
 
@@ -289,12 +272,9 @@ def fuse(features: np.ndarray, tokens: Tensor, valid_mask: np.ndarray,
     ``tokens`` are the projected tokens (K, T, d) and ``valid_mask``
     (K, T) marks the real ones. The proposals are projected once for all
     K texts, and each attention product covers every text and head in
-    one node. Invalid tokens (fillers and padding) receive a large
-    negative attention bias, so their values cannot reach the fused
-    features.
+    one node. Padding positions receive a large negative attention
+    bias, so their values cannot reach the fused features.
     """
-    if not valid_mask.any(axis=1).all():
-        raise EmptyTextError("expression has no valid tokens")
     n_texts, width = valid_mask.shape
     d, heads = params.d, params.heads
     dh = d // heads
@@ -363,11 +343,12 @@ def referring_score(fused: Tensor, tokens: Tensor, valid_mask: np.ndarray,
                            sentence_weight=weight, referring_scores=referring)
 
 
-def score_expression(features: np.ndarray, texts: Sequence[TextFeatures],
+def score_expression(features: np.ndarray, texts: Sequence[np.ndarray],
                      params: HrsParams) -> RelevanceOutput:
     """The full forward pass of one scene: every text in ``texts``
     against all its proposals, the rows of ``features`` (N, d_v), in one
-    batch, as the variant that ``params.ablation`` names. The text
+    batch, as the variant that ``params.ablation`` names. Each text is
+    the (V, d_t) array of its content words' rows. The text
     projection is computed once and shared by the attention and the
     scores.
 
@@ -393,12 +374,10 @@ def _plain_pass(features: np.ndarray, embeddings: np.ndarray, valid_mask: np.nda
     the same order; a step whose input is not needed again runs in
     place (bias adds, relu, the softmax steps, the residual), and the
     short-axis reductions go through gradkit's ``_reduce``. The checks
-    are the graph's: ``EmptyTextError`` for a text with no valid token,
-    ``gk.exp``'s ``OverflowError`` for the temperature and ``gk.div``'s
-    ``DomainError`` for a zero-norm row or a zero temperature.
+    are the graph's: ``gk.exp``'s ``OverflowError`` for the temperature
+    and ``gk.div``'s ``DomainError`` for a zero-norm row or a zero
+    temperature.
     """
-    if not valid_mask.any(axis=1).all():
-        raise EmptyTextError("expression has no valid tokens")
     w = {name: t.value for name, t in params.leaves()}
     n_texts, width = valid_mask.shape
     d, heads = params.d, params.heads

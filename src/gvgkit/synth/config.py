@@ -157,12 +157,15 @@ def _from_dict(cls, payload, section: str):
 def load_config(path: str | Path | None) -> tuple[SynthConfig, TrainConfig]:
     """Read a run configuration: {"synth": {...}, "train": {...}}. A file
     that is not a JSON object, or a value of the wrong type for its field,
-    raises a one-line ValueError."""
+    raises a one-line ValueError that names the file."""
     if path is None:
         return SynthConfig(), TrainConfig()
     payload = read_json_object(path)
-    unknown = set(payload) - {"synth", "train"}
-    if unknown:
-        raise ValueError(f"unknown top-level config sections: {sorted(unknown)}")
-    return (_from_dict(SynthConfig, payload.get("synth", {}), "synth"),
-            _from_dict(TrainConfig, payload.get("train", {}), "train"))
+    try:
+        unknown = set(payload) - {"synth", "train"}
+        if unknown:
+            raise ValueError(f"unknown top-level config sections: {sorted(unknown)}")
+        return (_from_dict(SynthConfig, payload.get("synth", {}), "synth"),
+                _from_dict(TrainConfig, payload.get("train", {}), "train"))
+    except ValueError as err:
+        raise ValueError(f"{err}, in {path}") from None

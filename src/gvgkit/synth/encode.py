@@ -5,8 +5,8 @@ Content words (categories, size bins, grid cells, plus "no" and the
 under a seeded random permutation, so the embedding table is orthogonal
 and max-pooling over a sentence yields the union of its attribute axes.
 The umbrella words "crop" and "vegetation" are unit-norm blends of the
-category axes they cover. Filler words share the null (zero) embedding
-and are masked out as non-content.
+category axes they cover. Filler words have no embedding: a text
+encodes as the table rows of its content words alone.
 
 Proposal features live in the same space: a real instance's feature is
 the max-pooled embedding of its own attribute words, plus a reserved
@@ -41,7 +41,6 @@ from gvgkit.datagen import (
     SceneAnnotation,
 )
 from gvgkit.geometry import corners
-from gvgkit.hrs import TextFeatures
 from gvgkit.synth.config import CONTEXT_DIMS, FEATURE_DIMS, WORD_SPACE_DIMS, SynthConfig
 
 EXTRA_WORDS = ("no", "crop", "vegetation", "[EMPTY]")
@@ -99,12 +98,6 @@ class EmbeddingTable:
             vec[self.axis[word]] = 1.0
         return vec / np.linalg.norm(vec)
 
-    def embed(self, word: str) -> np.ndarray:
-        return self.matrix[self.row[word]].copy()
-
-    def is_content(self, word: str) -> bool:
-        return word in self.row
-
 
 def tokenize(text: str) -> list[str]:
     """Whitespace split with greedy lookup of two-word attribute names."""
@@ -123,22 +116,18 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-def encode_text(text: str, table: EmbeddingTable, max_tokens: int = 64) -> TextFeatures:
-    """Token embeddings for one expression; filler tokens get the shared
-    null embedding and are masked as non-content."""
+def encode_text(text: str, table: EmbeddingTable, max_tokens: int = 64) -> np.ndarray:
+    """One expression as the (V, d_t) table rows of its content words, in
+    token order; filler words get no row. The token cap counts fillers
+    too."""
     tokens = tokenize(text)
     if len(tokens) > max_tokens:
         warnings.warn(f"expression truncated to {max_tokens} tokens: {text!r}")
         tokens = tokens[:max_tokens]
-    embeddings = np.zeros((len(tokens), FEATURE_DIMS))
-    mask = np.zeros(len(tokens), dtype=bool)
-    for k, token in enumerate(tokens):
-        if table.is_content(token):
-            embeddings[k] = table.embed(token)
-            mask[k] = True
-    if not mask.any():
+    rows = [table.row[token] for token in tokens if token in table.row]
+    if not rows:
         raise ValueError(f"expression has no content words: {text!r}")
-    return TextFeatures(token_embeddings=embeddings, valid_mask=mask)
+    return table.matrix[rows]
 
 
 def _context_block(scene: SceneAnnotation, cfg: SynthConfig) -> np.ndarray:

@@ -92,7 +92,7 @@ def predict_split(split: SplitData, cfg: SynthConfig, params: HrsParams,
 
     records: list[PredictionRecord] = []
     tables: dict[str, np.ndarray] = {}
-    encoded: dict[str, hrs.TextFeatures] = {}   # expressions are templated
+    encoded: dict[str, np.ndarray] = {}   # expressions are templated
     for scene in split.scenes:
         features, boxes, _ = encode_proposals(scene, cfg, table)
         exprs = split.expressions_for(scene.image_id)

@@ -88,12 +88,12 @@ def encode_split(split: SplitData, cfg: SynthConfig,
 
 
 def vocabulary_texts(vocab: Level0Vocabulary, table: EmbeddingTable,
-                     max_tokens: int) -> list[hrs.TextFeatures]:
+                     max_tokens: int) -> list[np.ndarray]:
     return [encode_text(sentence, table, max_tokens) for sentence in vocab.sentences]
 
 
 def encode_texts(texts: list[str], table: EmbeddingTable, max_tokens: int,
-                 cache: dict[str, hrs.TextFeatures]) -> list[hrs.TextFeatures]:
+                 cache: dict[str, np.ndarray]) -> list[np.ndarray]:
     """Each text's encoding; a text is encoded once per ``cache``."""
     for text in texts:
         if text not in cache:
@@ -246,7 +246,7 @@ def _pick_expressions(item: EncodedScene, count: int,
 def _scene_losses(item: EncodedScene, params: HrsParams, vocab: Level0Vocabulary,
                   vocab_texts, table: EmbeddingTable, tcfg: TrainConfig,
                   rng: np.random.Generator, max_tokens: int,
-                  encoded_texts: dict[str, hrs.TextFeatures]):
+                  encoded_texts: dict[str, np.ndarray]):
     """Per-scene objective: existence cross-entropy plus the constrained
     instance loss averaged over the sampled expressions. The existence
     floor applies per expression, then the type weights combine the two
@@ -287,7 +287,7 @@ def train_stage2(encoded: list[EncodedScene], params: HrsParams,
     at ``max_tokens`` tokens, the cap prediction applies too. Each
     sampled text is encoded once per run."""
     vocab_texts = vocabulary_texts(vocab, table, max_tokens)
-    encoded_texts: dict[str, hrs.TextFeatures] = {}
+    encoded_texts: dict[str, np.ndarray] = {}
 
     def batch_loss(batch, rng, terms):
         pieces = []

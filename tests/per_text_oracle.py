@@ -49,11 +49,10 @@ def stack(scalars):
 
 
 def fuse(features, text, params):
-    """Proposal queries, the rows of ``features``, attend to one text's
-    tokens; residual plus feed-forward on top. Invalid tokens get a large
-    negative bias."""
+    """Proposal queries, the rows of ``features``, attend to the rows of
+    one text (V, d_t); residual plus feed-forward on top."""
     p = gk.matmul(gk.constant(features), params.visual_proj)                # (N, d)
-    t = gk.matmul(gk.constant(text.token_embeddings), params.text_proj)     # (T, d)
+    t = gk.matmul(gk.constant(text), params.text_proj)                      # (V, d)
 
     d, heads = params.d, params.heads
     dh = d // heads
@@ -61,14 +60,13 @@ def fuse(features, text, params):
     q_all = gk.matmul(p, params.attn_q)
     k_all = gk.matmul(t, params.attn_k)
     v_all = gk.matmul(t, params.attn_v)
-    bias = np.where(text.valid_mask, 0.0, -1e9)[None, :]                    # (1, T)
 
     head_outputs = []
     for h in range(heads):
         q = gk.narrow(q_all, 1, h * dh, dh)
         k = gk.narrow(k_all, 1, h * dh, dh)
         v = gk.narrow(v_all, 1, h * dh, dh)
-        scores = gk.add(gk.mul(gk.matmul(q, gk.permute(k, (1, 0))), scale), gk.constant(bias))
+        scores = gk.mul(gk.matmul(q, gk.permute(k, (1, 0))), scale)
         attn = gk.softmax(scores, axis=-1)
         head_outputs.append(gk.matmul(attn, v))
     message = gk.matmul(gk.concat(head_outputs, axis=1), params.attn_out)
@@ -80,19 +78,14 @@ def fuse(features, text, params):
 
 def referring_score(fused, text, params, ablation="full"):
     """Sentence and word cosines over temperature for one text, fused by
-    its learned sentence weight; word scores are zero at invalid tokens."""
-    t = gk.matmul(gk.constant(text.token_embeddings), params.text_proj)     # (T, d)
-    sentence = gk.masked_max_pool(t, text.valid_mask, axis=0)               # (d,)
+    its learned sentence weight; word scores are (N, V)."""
+    t = gk.matmul(gk.constant(text), params.text_proj)                      # (V, d)
+    sentence = gk.max_over_axis(t, axis=0)                                  # (d,)
     tau = gk.exp(params.log_temperature)
 
     sentence_scores = gk.div(cosine_similarity(fused, sentence), tau)       # (N,)
-    valid_idx = np.flatnonzero(text.valid_mask)
-    select = np.zeros((len(valid_idx), len(text.valid_mask)))
-    select[np.arange(len(valid_idx)), valid_idx] = 1.0
-    t_valid = gk.matmul(gk.constant(select), t)                             # (V, d)
-    word_valid = gk.div(cosine_matrix(fused, t_valid), tau)                 # (N, V)
-    word_max = gk.max_over_axis(word_valid, axis=1)                         # (N,)
-    word_scores = gk.matmul(word_valid, gk.constant(select))                # (N, T)
+    word_scores = gk.div(cosine_matrix(fused, t), tau)                      # (N, V)
+    word_max = gk.max_over_axis(word_scores, axis=1)                        # (N,)
 
     hidden = gk.relu(gk.add(gk.matmul(sentence, params.fusion_w1), params.fusion_b1))
     logit = gk.add(gk.matmul(hidden, params.fusion_w2), params.fusion_b2)

@@ -1,5 +1,4 @@
 import base64
-import dataclasses
 import json
 import math
 import os
@@ -313,6 +312,10 @@ class TestErrors:
         "unknown instance grid cell": ("scene", "unknown grid_cell 'under'"),
         "unknown attribute size bin": ("positive", "unknown attributes: size_bin 'huge', "),
         "unknown attribute grid cell": ("positive", ", grid_cell 'under'"),
+        "unknown expression category": ("positive", "unknown category 'kudzu' for an "
+                                                    "expression of level 'instance'"),
+        "instance category in an image expression": ("image", "unknown category 'maize' "
+                                                     "for an expression of level 'image'"),
         "instance id not an int": ("scene", "instance id must be an int, not '0'"),
         "repeated instance id": ("scene", "a second instance with id "),
         "unknown target id": ("positive", "target ids [99] name no instance of image 'scene-"),
@@ -339,11 +342,13 @@ class TestErrors:
         records = [json.loads(line) for line in lines]
         unedited = [json.loads(line) for line in lines]
         header = records[0]
-        # the first scene with a plant, and the first expression
+        # the first scene with a plant, the first expression, the first
+        # positive and the first image-level expression
         at = next(k for k, r in enumerate(records) if r["record"] == "scene" and r["instances"])
         first = next(k for k, r in enumerate(records) if r["record"] == "expression")
         positive = next(k for k, r in enumerate(records) if r["record"] == "expression"
                         and r["target_ids"])
+        image = next(k for k, r in enumerate(records) if r.get("level") == "image")
         scene, expression, targeted = records[at], records[first], records[positive]
         if fault == "non-object line":
             lines[at] = "[]"
@@ -395,6 +400,10 @@ class TestErrors:
             targeted["attributes"]["size_bin"] = "huge"
         elif fault == "unknown attribute grid cell":
             targeted["attributes"]["grid_cell"] = "under"
+        elif fault == "unknown expression category":
+            targeted["attributes"]["category"] = "kudzu"
+        elif fault == "instance category in an image expression":
+            records[image]["attributes"]["category"] = "maize"
         elif fault == "instance id not an int":
             scene["instances"][0]["instance_id"] = "0"
         elif fault == "repeated instance id":
@@ -419,7 +428,7 @@ class TestErrors:
             header["version"] = 2
         else:
             lines = []
-        for k in {0, at, first, positive}:      # write back the records edited above
+        for k in {0, at, first, positive, image}:   # write back the records edited above
             if records[k] != unedited[k]:
                 lines[k] = json.dumps(records[k])
         path = tmp_path / "test.jsonl"
@@ -429,7 +438,8 @@ class TestErrors:
         err = capsys.readouterr().err
         line, message = self.SPLIT_FAULTS[fault]
         line = {"scene": at + 1, "scene copy": at + 2, "expression": first + 1,
-                "expression copy": first + 2, "positive": positive + 1}.get(line, line)
+                "expression copy": first + 2, "positive": positive + 1,
+                "image": image + 1}.get(line, line)
         where = f"{path}: " if line is None else f"{path}, line {line}: "
         assert err.startswith(f"error: {where}") and err.count("\n") == 1, err
         assert message in err, err
@@ -754,8 +764,8 @@ def test_a_variant_that_is_not_a_name_is_a_one_line_error(run_dir, tmp_path, cap
 
 @pytest.mark.parametrize("argv", [
     pytest.param(["train", "--config", "b.json"], id="train with another config"),
-    pytest.param(["predict", "--seed", "4"], id="predict with another seed"),
-    pytest.param(["eval", "--seed", "4"], id="eval with another seed")])
+    pytest.param(["predict"], id="predict after config.json was edited"),
+    pytest.param(["eval"], id="eval after config.json was edited")])
 def test_split_of_another_config_is_a_one_line_error(tmp_path, capsys, argv):
     config = {"synth": {"seed": 3, "n_scenes": 12},
               "train": {"stage1_epochs": 1, "stage2_epochs": 1}}
@@ -766,6 +776,9 @@ def test_split_of_another_config_is_a_one_line_error(tmp_path, capsys, argv):
         warnings.simplefilter("ignore")
         assert main(["build", "--config", str(tmp_path / "a.json"),
                      "--out", str(tmp_path)]) == 0
+    if "--config" not in argv:
+        # the stored config's synth section edited after the build
+        (tmp_path / "config.json").write_text(json.dumps(config))
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     capsys.readouterr()
@@ -773,13 +786,39 @@ def test_split_of_another_config_is_a_one_line_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     built = json.loads((tmp_path / "train.jsonl").read_text().splitlines()[0])["config_hash"]
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    synth_cfg, _ = load_config(tmp_path / ("b.json" if "train" in argv else "a.json"))
-    if "--seed" in argv:
-        synth_cfg = dataclasses.replace(synth_cfg, seed=4)
+    synth_cfg, _ = load_config(tmp_path / "b.json")
     assert (f"built from config {built}, but this run's config hashes "
             f"{synth_cfg.config_hash()};") in err, err
     assert "run `gvgkit build`" in err, err
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("command", ["build", "train", "predict", "eval"])
+def test_a_config_error_names_its_file(run_dir, tmp_path, capsys, command):
+    for name in ("train.jsonl", "test.jsonl", "config.json", "refiner.json",
+                 "params.json", "predictions-test.jsonl"):
+        (tmp_path / name).write_bytes((run_dir / name).read_bytes())
+    stored = tmp_path / "config.json"
+    config = json.loads(stored.read_text())
+    config["synth"]["d_t"] = 40
+    stored.write_text(json.dumps(config))
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    for argv, hint in (([], f"; `gvgkit build --config FILE --out {tmp_path}` replaces it"),
+                       (["--config", str(tmp_path / "cfg.json")], "")):
+        capsys.readouterr()
+        assert main([command, "--out", str(tmp_path)] + argv) == 1
+        err = capsys.readouterr().err
+        path = stored if not argv else tmp_path / "cfg.json"
+        assert err == f"error: unknown SynthConfig keys: ['d_t'], in {path}{hint}\n", err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("command", ["train", "predict", "eval"])
+def test_seed_is_an_option_of_build_only(tmp_path, capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--out", str(tmp_path), "--seed", "3"])
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 def test_predict_reads_the_ablation_from_the_checkpoint(run_dir, tmp_path, capsys):

@@ -11,7 +11,6 @@ from gvgkit.hrs import (
     EmptyTextError,
     HrsParams,
     Level0Vocabulary,
-    TextFeatures,
     coarse_image_type,
     fuse,
     level0_logits,
@@ -36,10 +35,9 @@ def make_params(seed=0, d=16, heads=2, d_ff=24, d_hidden=8, ablation="full"):
                      d_hidden=d_hidden, seed=seed, ablation=ablation)
 
 
-def make_text(rng, tokens=5, valid=None, dim=D_T):
-    emb = rng.normal(size=(tokens, dim))
-    mask = np.ones(tokens, dtype=bool) if valid is None else np.asarray(valid, dtype=bool)
-    return TextFeatures(token_embeddings=emb, valid_mask=mask)
+def make_text(rng, rows=5, dim=D_T):
+    """A text: the (rows, dim) embeddings of its content words."""
+    return rng.normal(size=(rows, dim))
 
 
 def project_tokens(texts, params):
@@ -54,19 +52,21 @@ def make_proposals(rng, n=4):
 
 class TestTypes:
     def test_sentence_feature_is_masked_maxpool(self):
-        # the pooling ``referring_score`` applies to a stacked token block
+        # the pooling ``referring_score`` applies to a stacked token block,
+        # which holds each text's rows to the left and zeros after them
         rng = np.random.default_rng(0)
-        texts = [make_text(rng, tokens=6, valid=[1, 1, 0, 1, 0, 1]),
-                 make_text(rng, tokens=3, valid=[0, 1, 0])]
+        texts = [make_text(rng, rows=4), make_text(rng, rows=1)]
         emb, mask = stack_texts(texts)
+        assert mask.tolist() == [[True] * 4, [True] + [False] * 3]
         pooled = gk.masked_max_pool(gk.constant(emb), mask[:, :, None], axis=1).value
-        for text, row in zip(texts, pooled):
-            assert np.array_equal(row, text.token_embeddings[text.valid_mask].max(axis=0))
+        for text, block, row in zip(texts, emb, pooled):
+            assert np.array_equal(block, np.vstack([text, np.zeros((4 - len(text), D_T))]))
+            assert np.array_equal(row, text.max(axis=0))
 
     def test_all_invalid_rejected(self):
         rng = np.random.default_rng(1)
         with pytest.raises(EmptyTextError):
-            make_text(rng, tokens=3, valid=[0, 0, 0])
+            stack_texts([make_text(rng), np.zeros((0, D_T))])
 
     def test_vocabulary_invariants(self):
         vocab = Level0Vocabulary()
@@ -83,24 +83,12 @@ class TestFuse:
         rng = np.random.default_rng(2)
         params = HrsParams(d_v=D_V, d_t=D_T, d=64, heads=4, d_ff=128, d_hidden=32, seed=3)
         props = rng.normal(size=(5, D_V))
-        text = make_text(rng, tokens=7)
+        text = make_text(rng, rows=7)
         tokens, mask = project_tokens([text], params)
         out1 = fuse(props, tokens, mask, params)
         out2 = fuse(props, tokens, mask, params)
         assert out1.value.shape == (1, 5, 64)
         assert np.array_equal(out1.value, out2.value)
-
-    def test_masked_token_cannot_influence_output(self):
-        rng = np.random.default_rng(3)
-        params = make_params(seed=4)
-        props = make_proposals(rng)
-        emb = rng.normal(size=(5, D_T))
-        mask = np.array([1, 1, 1, 1, 0], dtype=bool)
-        base = score_expression(props, [TextFeatures(emb, mask)], params)
-        perturbed = emb.copy()
-        perturbed[4] += rng.normal(size=D_T) * 10
-        changed = score_expression(props, [TextFeatures(perturbed, mask)], params)
-        assert np.array_equal(base.referring_scores.value, changed.referring_scores.value)
 
 
 class TestReferringScore:
@@ -108,11 +96,10 @@ class TestReferringScore:
         rng = np.random.default_rng(4)
         params = make_params(seed=5)
         props = make_proposals(rng, n=6)
-        text = make_text(rng, tokens=5, valid=[1, 1, 1, 0, 1])
+        text = make_text(rng, rows=4)
         out = score_expression(props, [text], params)
         w = out.sentence_weight.value[0, 0]
-        packed_mask = stack_texts([text])[1][0]
-        word_max = np.where(packed_mask, out.word_scores.value[0], -np.inf).max(axis=1)
+        word_max = out.word_scores.value[0].max(axis=1)
         recomputed = w * out.sentence_scores.value[0] + (1 - w) * word_max
         assert np.max(np.abs(out.referring_scores.value[0] - recomputed)) <= 1e-12
         assert 0.0 < w < 1.0
@@ -140,7 +127,7 @@ class TestReferringScore:
         # the same weights as the full model: only the variant the params
         # carry fixes the sentence weight, in a live pass and a frozen one
         rng = np.random.default_rng(9)
-        props, texts = make_proposals(rng), [make_text(rng), make_text(rng, tokens=3)]
+        props, texts = make_proposals(rng), [make_text(rng), make_text(rng, rows=3)]
         full = score_expression(props, texts, make_params(seed=10))
         ablated = make_params(seed=10, ablation=variant)
         for params in (ablated, ablated.frozen()):
@@ -152,8 +139,8 @@ class TestReferringScore:
     def test_parallel_feature_hits_inverse_temperature(self):
         rng = np.random.default_rng(7)
         params = make_params(seed=8)
-        text = make_text(rng, tokens=4)
-        t_proj = text.token_embeddings @ params.text_proj.value
+        text = make_text(rng, rows=4)
+        t_proj = text @ params.text_proj.value
         f_s = t_proj.max(axis=0)
         fused = gk.constant(np.stack([f_s, rng.normal(size=params.d)])[None])
         tokens, mask = project_tokens([text], params)
@@ -164,7 +151,7 @@ class TestReferringScore:
     def test_zero_norm_feature_rejected(self):
         rng = np.random.default_rng(8)
         params = make_params(seed=9)
-        text = make_text(rng, tokens=3)
+        text = make_text(rng, rows=3)
         fused = gk.constant(np.zeros((1, 2, params.d)))
         tokens, mask = project_tokens([text], params)
         with pytest.raises(gk.DomainError):
@@ -186,7 +173,7 @@ class TestLevel0:
         rng = np.random.default_rng(9)
         params = make_params(seed=10)
         props = make_proposals(rng, n=3)
-        vocab_texts = [make_text(rng, tokens=3) for _ in range(4)]
+        vocab_texts = [make_text(rng, rows=3) for _ in range(4)]
         scores = score_expression(props, vocab_texts, params).referring_scores
         logits = level0_logits(scores, 4)
         assert logits.value.shape == (4,)
@@ -316,8 +303,8 @@ class TestEndToEndGradients:
         rng = np.random.default_rng(13)
         params = make_params(seed=14)
         props = make_proposals(rng, n=3)
-        text = make_text(rng, tokens=5, valid=[1, 1, 1, 1, 0])
-        vocab_texts = [make_text(rng, tokens=3) for _ in range(4)]
+        text = make_text(rng, rows=4)
+        vocab_texts = [make_text(rng, rows=3) for _ in range(4)]
         targets = np.array([1, 0, 0], dtype=float)
 
         def f():
@@ -363,19 +350,17 @@ class TestEndToEndGradients:
     def test_frozen_scores_alike_and_records_no_graph(self):
         # the frozen model runs the plain-array pass; every field must
         # match the graph's bit for bit, for every variant, for equal and
-        # unequal input dims, for one text and for several whose content
+        # unequal input dims, for one text and for several whose row
         # counts 4, 1 and 9 put the token axis under and over the
         # short-axis limit
-        text_sets = {"one text": [[1] * 5],
-                     "several texts": [[1, 1, 0, 1, 1], [0, 1, 0], [1] * 9]}
-        for ablation, d_t, masks in itertools.product(VARIANTS, (D_T, D_T + 5), text_sets):
-            case = f"{ablation}, d_t={d_t}, {masks}"
+        text_sets = {"one text": [5], "several texts": [4, 1, 9]}
+        for ablation, d_t, counts in itertools.product(VARIANTS, (D_T, D_T + 5), text_sets):
+            case = f"{ablation}, d_t={d_t}, {counts}"
             rng = np.random.default_rng(19)
             params = HrsParams(d_v=D_V, d_t=d_t, d=16, heads=2, d_ff=24, d_hidden=8,
                                seed=19, ablation=ablation)
             props = make_proposals(rng, n=6)
-            texts = [make_text(rng, tokens=len(m), valid=m, dim=d_t)
-                     for m in text_sets[masks]]
+            texts = [make_text(rng, rows=n, dim=d_t) for n in text_sets[counts]]
             frozen = params.frozen()
             assert all(a.value is b.value for (_, a), (_, b) in zip(params.leaves(),
                                                                       frozen.leaves()))
@@ -398,7 +383,7 @@ class TestEndToEndGradients:
         # under predict's errstate, a fault still raises on either pass
         rng = np.random.default_rng(20)
         params = make_params(seed=20)
-        props, texts = make_proposals(rng), [make_text(rng), make_text(rng, tokens=3)]
+        props, texts = make_proposals(rng), [make_text(rng), make_text(rng, rows=3)]
         if fault == "zero proposal row":
             # with no attention message and no feed-forward output, a
             # proposal's fused row is its projection: zero for a zero row
@@ -410,7 +395,7 @@ class TestEndToEndGradients:
         elif fault == "hot temperature":
             params.log_temperature.value = np.array(1000.0)
         else:
-            texts[1].valid_mask[:] = False
+            texts[1] = np.zeros((0, D_T))
         if frozen:
             params = params.frozen()
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \

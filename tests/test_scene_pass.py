@@ -16,7 +16,7 @@ from gvgkit import hrs
 from gvgkit.hrs import HrsParams, Level0Vocabulary
 from gvgkit.synth import SynthConfig, TrainConfig, gen_scenes, predict_split, train_two_stage
 from gvgkit.synth.config import FEATURE_DIMS
-from gvgkit.synth.encode import EmbeddingTable
+from gvgkit.synth.encode import EmbeddingTable, encode_text
 from gvgkit.synth.train import _scene_losses, encode_split, vocabulary_texts
 
 # the variants that change the stage-2 loss
@@ -66,8 +66,8 @@ def test_scene_loss_and_gradients_match_the_oracle(setup, ablation):
     vocab_texts = vocabulary_texts(vocab, table, cfg.max_tokens)
     params = fresh_params(seed=21, ablation=ablation)
     items = pick_scenes(encoded)
-    # masked filler tokens ("there is ... in the image") sit inside the texts
-    assert any(not t.valid_mask.all() for t in vocab_texts)
+    # texts of unequal lengths, so the batched pass pads some of them
+    assert len({len(t) for t in vocab_texts}) > 1
     for k, item in enumerate(items):
         batched, batched_grads = loss_and_grads(
             lambda: _scene_losses(item, params, vocab, vocab_texts, table, tcfg,
@@ -188,17 +188,13 @@ def test_predictions_match_the_oracle(setup, trained, word_only, checkpoint, gat
 
 
 def test_fillers_leave_the_scores_unchanged(setup):
-    # fillers with non-zero embeddings, so a filler that reached the pass
-    # would show; scored alone and next to texts of other lengths
+    # an expression scores as its content words alone, scored by itself
+    # and next to texts of other lengths
     cfg, _, table, encoded = setup
     params = fresh_params(seed=25)
     item = next(e for e in encoded if e.scene.image_type == "mixed")
-    rng = np.random.default_rng(5)
-    embeddings = rng.normal(size=(7, FEATURE_DIMS))
-    mask = np.array([0, 1, 1, 0, 0, 1, 0], dtype=bool)
-    with_fillers = hrs.TextFeatures(token_embeddings=embeddings, valid_mask=mask)
-    content_only = hrs.TextFeatures(token_embeddings=embeddings[mask],
-                                    valid_mask=np.ones(3, dtype=bool))
+    with_fillers = encode_text("the small maize at the top left of the image", table)
+    content_only = encode_text("small maize top left", table)
     others = vocabulary_texts(Level0Vocabulary(), table, cfg.max_tokens)[:2]
     for texts, row in (([with_fillers], 0), ([with_fillers] + others, 0),
                        (others + [with_fillers], 2)):
@@ -211,7 +207,7 @@ def test_fillers_leave_the_scores_unchanged(setup):
         word_diff = got.word_scores.value[row][:, :3] - want.word_scores.value[0]
         assert np.max(np.abs(word_diff)) <= 1e-12
     _, packed = hrs.stack_texts([with_fillers] + others)
-    assert packed.shape[1] == max(int(t.valid_mask.sum()) for t in [with_fillers] + others)
+    assert packed.shape[1] == max(len(t) for t in [with_fillers] + others)
     assert packed[0].tolist() == [True] * 3 + [False] * (packed.shape[1] - 3)
 
 

@@ -63,24 +63,20 @@ class TestTokenizer:
 
 
 class TestTextEncoding:
-    def test_fillers_are_null_and_masked(self):
+    def test_rows_are_the_content_words_table_rows_in_order(self):
         table = EmbeddingTable(seed=0)
         text = encode_text("the small maize at the top left of the image", table)
-        tokens = tokenize("the small maize at the top left of the image")
-        for k, token in enumerate(tokens):
-            if token in ("small", "maize", "top left"):
-                assert text.valid_mask[k]
-                assert np.linalg.norm(text.token_embeddings[k]) == 1.0
-            else:
-                assert not text.valid_mask[k]
-                assert np.all(text.token_embeddings[k] == 0.0)
+        rows = [table.row[word] for word in ("small", "maize", "top left")]
+        want = np.stack([table.matrix[k] for k in rows])
+        assert text.dtype == np.float64
+        assert np.array_equal(text, want)
 
     def test_umbrella_words_are_compositional(self):
         table = EmbeddingTable(seed=0)
-        crop = table.embed("crop")
-        veg = table.embed("vegetation")
-        maize = table.embed("maize")
-        weed = table.embed("weed")
+        crop = table.matrix[table.row["crop"]]
+        veg = table.matrix[table.row["vegetation"]]
+        maize = table.matrix[table.row["maize"]]
+        weed = table.matrix[table.row["weed"]]
         assert crop @ maize > 0 and crop @ weed == 0
         assert veg @ maize > 0 and veg @ weed > 0
         assert np.isclose(np.linalg.norm(crop), 1.0)
@@ -90,7 +86,11 @@ class TestTextEncoding:
         long_text = "maize " * 80
         with pytest.warns(UserWarning, match="truncated"):
             text = encode_text(long_text, table, max_tokens=64)
-        assert text.token_embeddings.shape[0] == 64
+        assert text.shape == (64, FEATURE_DIMS)
+        # the cap counts filler tokens too
+        with pytest.warns(UserWarning, match="truncated"):
+            text = encode_text("the maize " * 40, table, max_tokens=64)
+        assert len(text) == 32
 
 
 class TestProposalEncoding:
@@ -108,7 +108,7 @@ class TestProposalEncoding:
             inst = next(i for i in scene.instances if i.instance_id == sid)
             expr_text = f"the {inst.size_bin} {inst.category} at the {inst.grid_cell} of the image"
             text = encode_text(expr_text, table)
-            assert np.array_equal(row, text.token_embeddings[text.valid_mask].max(axis=0))
+            assert np.array_equal(row, text.max(axis=0))
 
     def test_identical_attributes_identical_noiseless_features(self):
         cfg = SynthConfig(**SMALL, feature_noise=0.0)

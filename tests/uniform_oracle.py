@@ -70,7 +70,7 @@ def encode_proposals(scene: SceneAnnotation, cfg: SynthConfig, table: EmbeddingT
     for inst, gt_box in zip(scene.instances, gt_boxes):
         vec = np.zeros(FEATURE_DIMS)
         for word in inst.triple:
-            vec = np.maximum(vec, table.embed(word))
+            vec = np.maximum(vec, table.matrix[table.row[word]])
         vec[WORD_SPACE_DIMS:] = ctx
         features.append(vec)
         boxes.append(jitter_box(gt_box, cfg, rng))
