@@ -160,7 +160,7 @@ def cmd_eval(args) -> int:
     if args.format == "table":
         print(format_table(report))
     else:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
     return 0
 
 

@@ -146,10 +146,10 @@ class SceneAnnotation:
     width: int
     height: int
     instances: list[InstanceAnnotation] = field(default_factory=list)
-    image_type: str = "empty"
 
-    def refresh_type(self) -> None:
-        self.image_type = classify_image_type(self.instances)
+    @property
+    def image_type(self) -> str:
+        return classify_image_type(self.instances)
 
     def normalized_rows(self) -> np.ndarray:
         """(n, 4) centre-form rows of the instance boxes as fractions of
@@ -195,13 +195,11 @@ def instance_template(size: str, category: str, cell: str) -> str:
 def filter_instances(raw: SceneAnnotation,
                      thresholds=DEFAULT_SIZE_THRESHOLDS) -> SceneAnnotation:
     """Drop instances below the identifiability area and re-derive
-    attributes and the image type."""
+    attributes."""
     kept = [inst.with_attributes(raw.width, raw.height, thresholds)
             for inst in raw.instances if inst.pixel_area >= MIN_INSTANCE_AREA_PX]
-    scene = SceneAnnotation(image_id=raw.image_id, width=raw.width,
-                            height=raw.height, instances=kept)
-    scene.refresh_type()
-    return scene
+    return SceneAnnotation(image_id=raw.image_id, width=raw.width,
+                           height=raw.height, instances=kept)
 
 
 def gen_instance_expression(inst: InstanceAnnotation, scene: SceneAnnotation,
@@ -237,18 +235,18 @@ def gen_positive_expressions(scene: SceneAnnotation) -> list[Expression]:
 def gen_image_negatives(scene: SceneAnnotation) -> list[Expression]:
     """Image-level absence sentence for single-type and empty scenes;
     mixed scenes have nothing truthfully absent to state."""
-    if scene.image_type == "mixed":
+    image_type = scene.image_type
+    if image_type == "mixed":
         return []
-    text = IMAGE_NEGATIVE_TEXT[scene.image_type]
     subject = {"crop_only": "weed", "weed_only": "crop", "empty": "vegetation"}
     return [Expression(
         expression_id=f"{scene.image_id}-imgneg-0",
         image_id=scene.image_id,
-        text=text,
+        text=IMAGE_NEGATIVE_TEXT[image_type],
         level="image",
         polarity="negative",
         negative_kind="none",
-        attributes=Attributes(category=subject[scene.image_type]),
+        attributes=Attributes(category=subject[image_type]),
         target_ids=[],
     )]
 
@@ -329,8 +327,10 @@ def stratified_split(scenes: list[SceneAnnotation],
         raise ValueError(f"split ratios must sum to 1, got {ratios}")
     rng = np.random.default_rng(seed)
     splits: tuple[list[SceneAnnotation], ...] = ([], [], [])
-    for image_type in IMAGE_TYPES:
-        group = [s for s in scenes if s.image_type == image_type]
+    by_type: dict[str, list[SceneAnnotation]] = {t: [] for t in IMAGE_TYPES}
+    for scene in scenes:
+        by_type[scene.image_type].append(scene)
+    for group in by_type.values():
         if not group:
             continue
         order = rng.permutation(len(group))
@@ -449,8 +449,7 @@ def read_dataset(path: str | Path
         check_unique(scene_lines, record["image_id"], lineno, "scene")
         instance_ids[record["image_id"]] = ids
         scenes[record["image_id"]] = SceneAnnotation(
-            image_id=record["image_id"], width=width, height=height, instances=instances,
-            image_type=record["image_type"])
+            image_id=record["image_id"], width=width, height=height, instances=instances)
 
     def expression(record: dict, lineno: int) -> None:
         check_unique(expression_lines, record["expression_id"], lineno, "expression")

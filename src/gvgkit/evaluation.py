@@ -23,7 +23,7 @@ re-joins predictions or recomputes a box.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -64,19 +64,6 @@ class EvalReport:
     by_density: dict[str, MetricRow]
     neg_acc_by_kind: dict[str, MetricRow]
     strict_negatives: bool = False
-
-    def to_dict(self) -> dict:
-        def row(r: MetricRow) -> dict:
-            return {k: getattr(r, k) for k in
-                    ("top1", "top5", "r_at_05", "miou", "neg_acc",
-                     "support", "target_support", "neg_support")}
-        return {
-            "overall": row(self.overall),
-            "by_scale": {k: row(v) for k, v in self.by_scale.items()},
-            "by_density": {k: row(v) for k, v in self.by_density.items()},
-            "neg_acc_by_kind": {k: row(v) for k, v in self.neg_acc_by_kind.items()},
-            "strict_negatives": self.strict_negatives,
-        }
 
 
 @dataclass
@@ -322,7 +309,7 @@ def write_report(report: EvalReport, path: str | Path, seed: int,
     path = Path(path)
     if fmt == "json":
         payload = {"format": "gvgkit-report", "version": 1, "seed": seed}
-        payload.update(report.to_dict())
+        payload.update(asdict(report))
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     elif fmt == "table":
         path.write_text(f"# seed={seed}\n" + format_table(report))

@@ -30,7 +30,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -43,10 +43,23 @@ from gvgkit.gradkit.tensor import _reduce
 PARAMS_FORMAT = "gvgkit-params"
 PARAMS_VERSION = 4
 
-# (lambda_level0, lambda_level1) per coarse image type
+# the level-0 vocabulary: one image-level sentence per global image state
+LEVEL0_SENTENCES = (
+    "there is no crop in the image",
+    "there is no weed in the image",
+    "there is no vegetation in the image",
+    "[EMPTY]",
+)
+# by image type (``datagen.IMAGE_TYPES``), the row of ``LEVEL0_SENTENCES``
+# that is its level-0 class; a mixed scene has no true absence sentence,
+# so it maps to [EMPTY]
+LEVEL0_CLASS = {"crop_only": 1, "weed_only": 0, "mixed": 3, "empty": 2}
+
+# (lambda_level0, lambda_level1) by image type
 HMCE_WEIGHTS = {
+    "crop_only": (1.0, 2.0),
+    "weed_only": (1.0, 2.0),
     "mixed": (1.0, 2.5),
-    "single": (1.0, 2.0),
     "empty": (1.0, 0.0),
 }
 
@@ -66,42 +79,6 @@ class RelevanceOutput:
                                  #           padding are not scores
     sentence_weight: Tensor      # (K, 1)    balance in (0, 1)
     referring_scores: Tensor     # (K, N)    fused ranking scores
-
-
-@dataclass(frozen=True)
-class Level0Vocabulary:
-    """Fixed image-level sentences, one per global image state.
-
-    Mixed scenes carry no true negation sentence, so they map to the
-    dedicated [EMPTY] entry.
-    """
-
-    sentences: tuple[str, ...] = (
-        "there is no crop in the image",
-        "there is no weed in the image",
-        "there is no vegetation in the image",
-        "[EMPTY]",
-    )
-    class_by_image_type: dict = field(default_factory=lambda: {
-        "crop_only": 1,   # crops present, weeds absent
-        "weed_only": 0,
-        "empty": 2,
-        "mixed": 3,
-    })
-
-    def __post_init__(self) -> None:
-        if len(self.sentences) < 2:
-            raise ValueError("vocabulary needs at least two sentences")
-        if sum(1 for s in self.sentences if s == "[EMPTY]") != 1:
-            raise ValueError("vocabulary must contain exactly one [EMPTY] entry")
-        for image_type, idx in self.class_by_image_type.items():
-            if not 0 <= idx < len(self.sentences):
-                raise ValueError(f"class index {idx} for {image_type} out of range")
-
-    def true_class(self, image_type: str) -> int:
-        if image_type not in self.class_by_image_type:
-            raise ValueError(f"unknown image type {image_type!r}")
-        return self.class_by_image_type[image_type]
 
 
 # the model's variants: the full model and its five ablations
@@ -134,11 +111,9 @@ class HrsParams:
 
     def __init__(self, d_v: int, d_t: int, d: int = 64, heads: int = 4,
                  d_ff: int = 128, d_hidden: int = 32, seed: int = 0,
-                 temperature_init: float = 0.07, ablation: str = "full"):
+                 ablation: str = "full"):
         if d % heads != 0:
             raise ValueError(f"model dim {d} not divisible by {heads} heads")
-        if temperature_init <= 0:
-            raise ValueError("temperature must be positive")
         self.ablation = ablation
         self.d_v, self.d_t, self.d = d_v, d_t, d
         self.heads, self.d_ff, self.d_hidden = heads, d_ff, d_hidden
@@ -165,8 +140,8 @@ class HrsParams:
         self.fusion_b1 = linear(d, d_hidden)
         self.fusion_w2 = linear(d_hidden, d_hidden, 1)
         self.fusion_b2 = linear(d_hidden, 1)
-        # stored on log scale so the temperature stays positive
-        self.log_temperature = gk.tensor(np.log(temperature_init), requires_grad=True)
+        # the temperature starts at 0.07, stored on log scale so it stays positive
+        self.log_temperature = gk.tensor(np.log(0.07), requires_grad=True)
 
     _TENSOR_NAMES = (
         "visual_proj", "text_proj", "attn_q", "attn_k", "attn_v", "attn_out",
@@ -481,11 +456,8 @@ def loss_constrained(l1: Tensor, l0: Tensor) -> Tensor:
 
 
 def loss_hmce(l0: Tensor, l1c: Tensor, image_type: str) -> Tensor:
-    """Type-weighted sum of the two levels; empty images train existence
-    only."""
-    if image_type not in HMCE_WEIGHTS:
-        raise ValueError(f"unknown image type {image_type!r}; "
-                         f"expected one of {sorted(HMCE_WEIGHTS)}")
+    """Sum of the two levels weighted by the scene's image type; empty
+    images train existence only."""
     lam0, lam1 = HMCE_WEIGHTS[image_type]
     weighted = gk.mul(l0, lam0)
     if lam1 == 0.0:
@@ -499,11 +471,3 @@ def loss_total(hmce: Tensor, interp_iou: Tensor | float) -> Tensor:
         return hmce
     return gk.add(hmce, interp_iou)
 
-
-def coarse_image_type(image_type: str) -> str:
-    """Collapse scene types to the loss-weight classes."""
-    if image_type in ("crop_only", "weed_only"):
-        return "single"
-    if image_type in ("mixed", "empty"):
-        return image_type
-    raise ValueError(f"unknown image type {image_type!r}")

@@ -22,6 +22,7 @@ from gvgkit.hrs import check_variant
 
 REFINER_FORMAT = "gvgkit-box-refiner"
 REFINER_VERSION = 3
+REFINER_HIDDEN = 16     # the width of the refiner's hidden layer
 
 
 def _area(sides: Tensor) -> Tensor:
@@ -92,14 +93,15 @@ class BoxRefiner:
     only ``no-interp-iou`` changes the refiner, and the checkpoint
     records it."""
 
-    def __init__(self, hidden: int = 16, seed: int = 0, ablation: str = "full"):
+    def __init__(self, seed: int = 0, ablation: str = "full"):
         self.ablation = ablation
         rng = np.random.default_rng(seed)
         bound = 1.0 / np.sqrt(4)
-        self.w1 = gk.tensor(rng.uniform(-bound, bound, size=(4, hidden)), requires_grad=True)
-        self.b1 = gk.tensor(np.zeros(hidden), requires_grad=True)
+        self.w1 = gk.tensor(rng.uniform(-bound, bound, size=(4, REFINER_HIDDEN)),
+                            requires_grad=True)
+        self.b1 = gk.tensor(np.zeros(REFINER_HIDDEN), requires_grad=True)
         # zero-initialised output layer keeps the initial map an identity
-        self.w2 = gk.tensor(np.zeros((hidden, 4)), requires_grad=True)
+        self.w2 = gk.tensor(np.zeros((REFINER_HIDDEN, 4)), requires_grad=True)
         self.b2 = gk.tensor(np.zeros(4), requires_grad=True)
 
     def leaves(self) -> list[tuple[str, Tensor]]:
@@ -135,16 +137,7 @@ class BoxRefiner:
     def load(cls, path: str | Path) -> "BoxRefiner":
         payload = gk.read_checkpoint(path, REFINER_FORMAT, REFINER_VERSION, "refiner")
         source = f"box-refiner checkpoint {path}"
-        try:
-            spec = payload["tensors"]["box.b1"]
-            (hidden,) = spec["shape"]
-            # the width sizes the arrays built before load_leaves checks
-            # the bytes, so it may not exceed what the payload could hold
-            if not isinstance(hidden, int) or not 0 < hidden <= len(spec["float64_le"]):
-                raise ValueError
-        except (KeyError, TypeError, ValueError):
-            raise ValueError(f"tensor 'box.b1' in {source} is malformed") from None
-        refiner = cls(hidden=hidden, ablation=check_variant(payload.get("ablation"),
-                                                            f"the ablation of {source}"))
+        refiner = cls(ablation=check_variant(payload.get("ablation"),
+                                             f"the ablation of {source}"))
         gk.load_leaves(refiner.leaves(), payload["tensors"], source)
         return refiner

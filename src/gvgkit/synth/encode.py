@@ -131,13 +131,12 @@ def encode_text(text: str, table: EmbeddingTable, max_tokens: int = 64) -> np.nd
 
 
 def _context_block(scene: SceneAnnotation, cfg: SynthConfig) -> np.ndarray:
-    has_crop = any(i.category != "weed" for i in scene.instances)
-    has_weed = any(i.category == "weed" for i in scene.instances)
+    image_type = scene.image_type
     ctx = np.zeros(CONTEXT_DIMS)
-    ctx[CTX_HAS_CROP] = 1.0 if has_crop else 0.0
-    ctx[CTX_HAS_WEED] = 1.0 if has_weed else 0.0
-    ctx[CTX_HAS_BOTH] = 1.0 if (has_crop and has_weed) else 0.0
-    ctx[CTX_HAS_NONE] = 1.0 if not scene.instances else 0.0
+    ctx[CTX_HAS_CROP] = 1.0 if image_type in ("crop_only", "mixed") else 0.0
+    ctx[CTX_HAS_WEED] = 1.0 if image_type in ("weed_only", "mixed") else 0.0
+    ctx[CTX_HAS_BOTH] = 1.0 if image_type == "mixed" else 0.0
+    ctx[CTX_HAS_NONE] = 1.0 if image_type == "empty" else 0.0
     ctx[CTX_DENSITY] = min(len(scene.instances), 40) / 40.0
     return ctx * cfg.context_strength
 

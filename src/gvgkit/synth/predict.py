@@ -27,7 +27,7 @@ from gvgkit import gradkit as gk
 from gvgkit import hrs
 from gvgkit.geometry import corners
 from gvgkit.gradkit.io import check_unique, read_records, write_records
-from gvgkit.hrs import HrsParams, Level0Vocabulary
+from gvgkit.hrs import LEVEL0_CLASS, LEVEL0_SENTENCES, HrsParams
 from gvgkit.synth.boxhead import BoxRefiner
 from gvgkit.synth.config import SynthConfig
 from gvgkit.synth.encode import EmbeddingTable, encode_proposals
@@ -84,10 +84,9 @@ def predict_split(split: SplitData, cfg: SynthConfig, params: HrsParams,
     images), so the prediction points at soil instead of at some other
     instance. ``gate_level0=False`` ranks by the raw referring score.
     """
-    vocab = Level0Vocabulary()
     table = EmbeddingTable(cfg.seed)
-    vocab_texts = vocabulary_texts(vocab, table, cfg.max_tokens)
-    background_class = vocab.class_by_image_type["empty"]
+    vocab_texts = vocabulary_texts(table, cfg.max_tokens)
+    background_class = LEVEL0_CLASS["empty"]
     frozen = params.frozen()
 
     records: list[PredictionRecord] = []
@@ -125,7 +124,7 @@ def predict_split(split: SplitData, cfg: SynthConfig, params: HrsParams,
                 scores=ranked[row],
             ))
     return Predictions(records=records, tables=tables,
-                       meta={"split": split.name, "vocab": list(vocab.sentences),
+                       meta={"split": split.name, "vocab": list(LEVEL0_SENTENCES),
                              "gate_level0": gate_level0})
 
 
@@ -147,9 +146,10 @@ def write_predictions(preds: Predictions, path: str | Path, seed: int) -> None:
 
 
 def read_predictions(path: str | Path) -> Predictions:
-    """Read a predictions file. A malformed line, or a second record for
-    one expression, raises a one-line ``ValueError`` naming the file and
-    the line number. The tables and scores read back are read-only."""
+    """Read a predictions file. A malformed line, a level-0 class that is
+    not a row of ``LEVEL0_SENTENCES``, or a second record for one
+    expression, raises a one-line ``ValueError`` naming the file and the
+    line number. The tables and scores read back are read-only."""
     records: list[PredictionRecord] = []
     tables: dict[str, np.ndarray] = {}
     first_line: dict[str, int] = {}     # expression id -> its record's line
@@ -176,11 +176,15 @@ def read_predictions(path: str | Path) -> Predictions:
         if ranking.size and (ranking.min() < 0 or ranking.max() >= len(table)):
             raise ValueError(f"ranking index out of range "
                              f"(image {image_id!r} has {len(table)} boxes)")
+        level0_class = record["level0_class"]
+        if type(level0_class) is not int or not 0 <= level0_class < len(LEVEL0_SENTENCES):
+            raise ValueError(f"level0_class must be an int in [0, {len(LEVEL0_SENTENCES)}), "
+                             f"not {level0_class!r}")
         check_unique(first_line, record["expression_id"], lineno, "expression")
         records.append(PredictionRecord(
             expression_id=record["expression_id"],
             image_id=image_id,
-            level0_class=record["level0_class"],
+            level0_class=level0_class,
             ranking=ranking.astype(np.intp),
             scores=scores))
 

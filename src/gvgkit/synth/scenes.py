@@ -119,7 +119,6 @@ def _generate_raw_scene(image_id: str, image_type: str, cfg: SynthConfig,
     scene = SceneAnnotation(image_id=image_id, width=cfg.image_size,
                             height=cfg.image_size)
     if image_type == "empty":
-        scene.refresh_type()
         return scene
 
     _, lo, hi = DENSITY_BUCKETS[int(rng.choice(len(DENSITY_BUCKETS), p=cfg.density_probs))]
@@ -167,7 +166,6 @@ def _generate_raw_scene(image_id: str, image_type: str, cfg: SynthConfig,
                 x1=box[0], y1=box[1], x2=box[2], y2=box[3]))
 
     scene.instances = instances
-    scene.refresh_type()
     return scene
 
 
@@ -196,7 +194,6 @@ def _copy_paste(train_scenes: list[SceneAnnotation], cfg: SynthConfig, rng) -> i
             category=src.category, x1=box[0], y1=box[1], x2=box[2], y2=box[3],
         ).with_attributes(scene.width, scene.height, cfg.size_thresholds)
         scene.instances.append(clone)
-        scene.refresh_type()
         clones += 1
     return clones
 
@@ -225,17 +222,15 @@ def gen_scenes(cfg: SynthConfig) -> SyntheticDataset:
     splits = {name: SplitData(name=name, scenes=group, expressions=expressions[name])
               for name, group in (("train", train), ("val", val), ("test", test))}
 
+    split_types = {name: [scene.image_type for scene in s.scenes] for name, s in splits.items()}
     meta = {
         "seed": cfg.seed,
         "config_hash": cfg.config_hash(),
         "copy_paste_clones": clones,
         "negatives": neg_meta,
         "scene_counts": {name: len(s.scenes) for name, s in splits.items()},
-        "type_counts": {
-            name: {t: sum(1 for sc in s.scenes if sc.image_type == t)
-                   for t in IMAGE_TYPES}
-            for name, s in splits.items()
-        },
+        "type_counts": {name: {t: types.count(t) for t in IMAGE_TYPES}
+                        for name, types in split_types.items()},
     }
     return SyntheticDataset(splits=splits, meta=meta)
 

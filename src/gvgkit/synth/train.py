@@ -25,8 +25,8 @@ import numpy as np
 
 from gvgkit import gradkit as gk
 from gvgkit import hrs
-from gvgkit.datagen import Expression, SceneAnnotation
-from gvgkit.hrs import HrsParams, Level0Vocabulary
+from gvgkit.datagen import IMAGE_TYPES, Expression, SceneAnnotation
+from gvgkit.hrs import LEVEL0_CLASS, LEVEL0_SENTENCES, HrsParams
 from gvgkit.matching import assign_optimal, build_cost_matrix
 from gvgkit.synth.boxhead import BoxRefiner, giou_loss_diff, interp_iou_loss_diff
 from gvgkit.synth.config import FEATURE_DIMS, SynthConfig, TrainConfig
@@ -87,9 +87,8 @@ def encode_split(split: SplitData, cfg: SynthConfig,
     return out
 
 
-def vocabulary_texts(vocab: Level0Vocabulary, table: EmbeddingTable,
-                     max_tokens: int) -> list[np.ndarray]:
-    return [encode_text(sentence, table, max_tokens) for sentence in vocab.sentences]
+def vocabulary_texts(table: EmbeddingTable, max_tokens: int) -> list[np.ndarray]:
+    return [encode_text(sentence, table, max_tokens) for sentence in LEVEL0_SENTENCES]
 
 
 def encode_texts(texts: list[str], table: EmbeddingTable, max_tokens: int,
@@ -243,8 +242,8 @@ def _pick_expressions(item: EncodedScene, count: int,
     return picked
 
 
-def _scene_losses(item: EncodedScene, params: HrsParams, vocab: Level0Vocabulary,
-                  vocab_texts, table: EmbeddingTable, tcfg: TrainConfig,
+def _scene_losses(item: EncodedScene, params: HrsParams, vocab_texts,
+                  table: EmbeddingTable, tcfg: TrainConfig,
                   rng: np.random.Generator, max_tokens: int,
                   encoded_texts: dict[str, np.ndarray]):
     """Per-scene objective: existence cross-entropy plus the constrained
@@ -255,12 +254,12 @@ def _scene_losses(item: EncodedScene, params: HrsParams, vocab: Level0Vocabulary
     expressions together, and the k expression rows of its scores give
     k instance losses in one (k, N) pass. ``encoded_texts`` caches each
     text's encoding across calls."""
+    image_type = item.scene.image_type
     exprs = _pick_expressions(item, tcfg.expressions_per_scene, rng)
     texts = vocab_texts + encode_texts([e.text for e in exprs], table, max_tokens,
                                        encoded_texts)
     scores = hrs.score_expression(item.features, texts, params).referring_scores
-    l0 = hrs.loss_lvl0(hrs.level0_logits(scores, len(vocab_texts)),
-                       vocab.true_class(item.scene.image_type))
+    l0 = hrs.loss_lvl0(hrs.level0_logits(scores, len(vocab_texts)), LEVEL0_CLASS[image_type])
     if not exprs:
         l1c = gk.constant(0.0)
     else:
@@ -276,24 +275,23 @@ def _scene_losses(item: EncodedScene, params: HrsParams, vocab: Level0Vocabulary
         if params.ablation != "no-constraint":
             l1 = hrs.loss_constrained(l1, l0)
         l1c = gk.mean(l1)
-    hmce = hrs.loss_hmce(l0, l1c, hrs.coarse_image_type(item.scene.image_type))
+    hmce = hrs.loss_hmce(l0, l1c, image_type)
     return hmce, float(l0.value), float(l1c.value)
 
 
-def train_stage2(encoded: list[EncodedScene], params: HrsParams,
-                 vocab: Level0Vocabulary, table: EmbeddingTable,
+def train_stage2(encoded: list[EncodedScene], params: HrsParams, table: EmbeddingTable,
                  tcfg: TrainConfig, max_tokens: int) -> list[LogRow]:
     """Train the scoring head with the refiner frozen. Texts are capped
     at ``max_tokens`` tokens, the cap prediction applies too. Each
     sampled text is encoded once per run."""
-    vocab_texts = vocabulary_texts(vocab, table, max_tokens)
+    vocab_texts = vocabulary_texts(table, max_tokens)
     encoded_texts: dict[str, np.ndarray] = {}
 
     def batch_loss(batch, rng, terms):
         pieces = []
         for item in batch:
             hmce, l0_val, l1c_val = _scene_losses(
-                item, params, vocab, vocab_texts, table, tcfg, rng, max_tokens,
+                item, params, vocab_texts, table, tcfg, rng, max_tokens,
                 encoded_texts)
             pieces.append(hmce)
             terms["loss_lvl0"].append(l0_val)
@@ -315,11 +313,10 @@ def train_two_stage(train_split: SplitData, cfg: SynthConfig, tcfg: TrainConfig,
     cover fewer types); a split without scenes is an error."""
     if not train_split.scenes:
         raise ValueError("training split has no scenes")
-    vocab = Level0Vocabulary()
     table = EmbeddingTable(cfg.seed)
     encoded = encode_split(train_split, cfg, table)
     present = {item.scene.image_type for item in encoded}
-    missing = set(vocab.class_by_image_type) - present
+    missing = set(IMAGE_TYPES) - present
     if missing:
         warnings.warn(f"training split lacks image types: {sorted(missing)}")
 
@@ -331,8 +328,7 @@ def train_two_stage(train_split: SplitData, cfg: SynthConfig, tcfg: TrainConfig,
         result.params = HrsParams(d_v=FEATURE_DIMS, d_t=FEATURE_DIMS, d=tcfg.d,
                                   heads=tcfg.heads, d_ff=tcfg.d_ff, d_hidden=tcfg.d_hidden,
                                   seed=tcfg.seed, ablation=tcfg.ablation)
-        result.log.extend(train_stage2(encoded, result.params, vocab, table, tcfg,
-                                       cfg.max_tokens))
+        result.log.extend(train_stage2(encoded, result.params, table, tcfg, cfg.max_tokens))
     return result
 
 

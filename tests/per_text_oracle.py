@@ -12,7 +12,7 @@ import numpy as np
 
 from gvgkit import gradkit as gk
 from gvgkit import hrs
-from gvgkit.hrs import RelevanceOutput
+from gvgkit.hrs import LEVEL0_CLASS, RelevanceOutput
 from gvgkit.synth.encode import encode_text
 from gvgkit.synth.train import _pick_expressions
 
@@ -114,12 +114,12 @@ def level0_logits(features, vocab_texts, params, ablation="full"):
     return stack(pooled)
 
 
-def scene_loss(item, params, vocab, vocab_texts, table, tcfg, rng, max_tokens):
+def scene_loss(item, params, vocab_texts, table, tcfg, rng, max_tokens):
     """Stage-2 objective of one scene, every text scored on its own, as
     the variant ``params`` carries."""
     ablation = params.ablation
     l0 = hrs.loss_lvl0(level0_logits(item.features, vocab_texts, params, ablation),
-                       vocab.true_class(item.scene.image_type))
+                       LEVEL0_CLASS[item.scene.image_type])
     exprs = _pick_expressions(item, tcfg.expressions_per_scene, rng)
     if not exprs:
         l1c = gk.constant(0.0)
@@ -136,16 +136,16 @@ def scene_loss(item, params, vocab, vocab_texts, table, tcfg, rng, max_tokens):
         l1c = gk.mul(pieces[0], 1.0 / len(pieces))
         for extra in pieces[1:]:
             l1c = gk.add(l1c, gk.mul(extra, 1.0 / len(pieces)))
-    return hrs.loss_hmce(l0, l1c, hrs.coarse_image_type(item.scene.image_type))
+    return hrs.loss_hmce(l0, l1c, item.scene.image_type)
 
 
-def predict_scene(features, expressions, vocab, vocab_texts, table, params,
+def predict_scene(features, expressions, vocab_texts, table, params,
                   ablation, max_tokens, gate_level0=True):
     """Level-0 class and, per expression, the proposal order, the scores
     and whether the existence gate fell back to a separate background
     pass."""
     logits = level0_logits(features, vocab_texts, params, ablation)
-    background = vocab.class_by_image_type["empty"]
+    background = LEVEL0_CLASS["empty"]
     background_scores = score_expression(features, vocab_texts[background], params,
                                          ablation).referring_scores.value
     ranked = []

@@ -200,6 +200,8 @@ class TestErrors:
         "invalid base64": (3, "scores_float64_le is not base64"),
         "duplicate expression_id": (3, "a second record for expression "),
         "image without box table": (3, "no box table"),
+        "level0_class not an int": (3, "level0_class must be an int in [0, 4), not True"),
+        "level0_class out of range": (3, "level0_class must be an int in [0, 4), not 4"),
         "3-coordinate box": (1, "needs 4 coordinates"),
         "partial box table entry": (1, "not a whole number of 8-byte entries"),
         "version 1": (1, "unsupported predictions version 1; re-run `gvgkit predict`"),
@@ -246,6 +248,10 @@ class TestErrors:
             lines.insert(2, lines[1])
         elif fault == "image without box table":
             del tables[image]
+        elif fault == "level0_class not an int":
+            record["level0_class"] = True
+        elif fault == "level0_class out of range":
+            record["level0_class"] = 4
         elif fault == "3-coordinate box":
             tables[image] = encode_le(np.delete(table.ravel(), 3), "<f8")
         elif fault == "partial box table entry":   # half of the last coordinate
@@ -888,7 +894,8 @@ class TestCheckpointErrors:
 
     @pytest.mark.parametrize("shape", [[10**12], [16, 1], ["16"]])
     def test_bad_refiner_width_is_a_one_line_error(self, copied, capsys, shape):
-        # the refiner's width comes from the stored shape of box.b1
+        # the refiner's width is fixed; a stored box.b1 of any other shape
+        # is the tensor check's error
         path = copied / "refiner.json"
         payload = json.loads(path.read_text())
         payload["tensors"]["box.b1"]["shape"] = shape
@@ -896,7 +903,8 @@ class TestCheckpointErrors:
         capsys.readouterr()
         assert main(["predict", "--out", str(copied), "--split", "test"]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: tensor 'box.b1' in box-refiner checkpoint {path} is malformed\n"
+        assert err == (f"error: tensor 'box.b1' in box-refiner checkpoint {path} has shape "
+                       f"{shape} and 128 bytes, expected [16] and 128\n")
 
     @pytest.mark.parametrize("dims,ffn_w1_shape,message", [
         pytest.param({"d": 2**40, "heads": 1}, None, "tensor 'visual_proj'", id="huge"),

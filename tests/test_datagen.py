@@ -58,6 +58,16 @@ class TestFiltering:
         assert weed.image_type == "weed_only"
         assert mixed.image_type == "mixed"
 
+    def test_the_type_follows_the_instances(self):
+        # the type is read from the instances, so an appended weed makes
+        # a crop scene mixed
+        scene = SceneAnnotation(image_id="s", width=100, height=100,
+                                instances=[InstanceAnnotation(0, "maize", 0, 0, 10, 10)])
+        assert scene.image_type == "crop_only"
+        scene.instances.append(InstanceAnnotation(1, "weed", 20, 20, 30, 30))
+        assert scene.image_type == "mixed"
+        assert SceneAnnotation(image_id="e", width=100, height=100).image_type == "empty"
+
 
 class TestAttributes:
     def test_grid_cells(self):

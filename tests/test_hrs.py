@@ -6,12 +6,14 @@ import pytest
 
 from gvgkit import gradkit as gk
 from gvgkit import hrs
+from gvgkit.datagen import IMAGE_NEGATIVE_TEXT, IMAGE_TYPES
 from gvgkit.hrs import (
+    HMCE_WEIGHTS,
+    LEVEL0_CLASS,
+    LEVEL0_SENTENCES,
     VARIANTS,
     EmptyTextError,
     HrsParams,
-    Level0Vocabulary,
-    coarse_image_type,
     fuse,
     level0_logits,
     loss_constrained,
@@ -69,13 +71,22 @@ class TestTypes:
             stack_texts([make_text(rng), np.zeros((0, D_T))])
 
     def test_vocabulary_invariants(self):
-        vocab = Level0Vocabulary()
-        assert vocab.sentences.count("[EMPTY]") == 1
-        assert vocab.true_class("crop_only") == 1
-        with pytest.raises(ValueError):
-            Level0Vocabulary(sentences=("a", "b"))  # no [EMPTY]
-        with pytest.raises(ValueError):
-            vocab.true_class("underwater")
+        assert LEVEL0_SENTENCES.count("[EMPTY]") == 1
+        assert len(set(LEVEL0_SENTENCES)) == len(LEVEL0_SENTENCES)
+        assert sorted(LEVEL0_CLASS.values()) == list(range(len(LEVEL0_SENTENCES)))
+        assert LEVEL0_CLASS["crop_only"] == 1
+
+    def test_the_type_tables_are_keyed_by_the_image_types(self):
+        # hrs imports nothing from datagen; this pins their agreement
+        assert list(LEVEL0_CLASS) == list(IMAGE_TYPES)
+        assert list(HMCE_WEIGHTS) == list(IMAGE_TYPES)
+
+    @pytest.mark.parametrize("image_type", IMAGE_TYPES)
+    def test_each_type_is_the_row_of_its_absence_sentence(self, image_type):
+        # a scene's level-0 class is the sentence it is trained to deny;
+        # a mixed scene denies nothing and reads [EMPTY]
+        want = IMAGE_NEGATIVE_TEXT.get(image_type, "[EMPTY]")
+        assert LEVEL0_SENTENCES[LEVEL0_CLASS[image_type]] == want
 
 
 class TestFuse:
@@ -277,25 +288,17 @@ class TestLosses:
     def test_hmce_weights(self):
         l0, l1c = gk.tensor(1.0), gk.tensor(2.0)
         assert loss_hmce(l0, l1c, "mixed").item() == pytest.approx(6.0)
-        assert loss_hmce(gk.tensor(0.0), gk.tensor(1.0), "single").item() == pytest.approx(2.0)
+        for single in ("crop_only", "weed_only"):
+            assert loss_hmce(gk.tensor(0.0), gk.tensor(1.0), single).item() == \
+                pytest.approx(2.0)
         out = loss_hmce(gk.tensor(0.7), gk.tensor(123.0), "empty")
         assert out.item() == pytest.approx(0.7, abs=0.0)
-        with pytest.raises(ValueError):
-            loss_hmce(l0, l1c, "nocturnal")
 
     def test_total_is_sum(self):
         assert loss_total(gk.tensor(0.0), gk.tensor(0.0)).item() == 0.0
         assert loss_total(gk.tensor(1.5), gk.tensor(0.5)).item() == 2.0
         hmce = gk.tensor(1.25)
         assert loss_total(hmce, 0.0) is hmce
-
-    def test_coarse_image_type(self):
-        assert coarse_image_type("crop_only") == "single"
-        assert coarse_image_type("weed_only") == "single"
-        assert coarse_image_type("mixed") == "mixed"
-        assert coarse_image_type("empty") == "empty"
-        with pytest.raises(ValueError):
-            coarse_image_type("dense")
 
 
 class TestEndToEndGradients:

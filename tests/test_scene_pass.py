@@ -13,7 +13,7 @@ from tape_walk_oracle import tape_walk_gradients
 
 from gvgkit import gradkit as gk
 from gvgkit import hrs
-from gvgkit.hrs import HrsParams, Level0Vocabulary
+from gvgkit.hrs import HrsParams
 from gvgkit.synth import SynthConfig, TrainConfig, gen_scenes, predict_split, train_two_stage
 from gvgkit.synth.config import FEATURE_DIMS
 from gvgkit.synth.encode import EmbeddingTable, encode_text
@@ -62,18 +62,17 @@ def test_scene_loss_and_gradients_match_the_oracle(setup, ablation):
     # the variant lives in the model; the config names the full model
     cfg, _, table, encoded = setup
     tcfg = TrainConfig(seed=11)
-    vocab = Level0Vocabulary()
-    vocab_texts = vocabulary_texts(vocab, table, cfg.max_tokens)
+    vocab_texts = vocabulary_texts(table, cfg.max_tokens)
     params = fresh_params(seed=21, ablation=ablation)
     items = pick_scenes(encoded)
     # texts of unequal lengths, so the batched pass pads some of them
     assert len({len(t) for t in vocab_texts}) > 1
     for k, item in enumerate(items):
         batched, batched_grads = loss_and_grads(
-            lambda: _scene_losses(item, params, vocab, vocab_texts, table, tcfg,
+            lambda: _scene_losses(item, params, vocab_texts, table, tcfg,
                                   np.random.default_rng(k), cfg.max_tokens, {})[0], params)
         reference, reference_grads = loss_and_grads(
-            lambda: oracle.scene_loss(item, params, vocab, vocab_texts, table, tcfg,
+            lambda: oracle.scene_loss(item, params, vocab_texts, table, tcfg,
                                       np.random.default_rng(k), cfg.max_tokens), params)
         assert batched == pytest.approx(reference, abs=1e-10), item.scene.image_type
         for name, grad in reference_grads.items():
@@ -86,11 +85,10 @@ def test_scene_loss_and_gradients_match_the_oracle(setup, ablation):
 def test_one_scene_records_at_most_125_tape_nodes(setup):
     cfg, _, table, encoded = setup
     tcfg = TrainConfig(seed=11)
-    vocab = Level0Vocabulary()
-    vocab_texts = vocabulary_texts(vocab, table, cfg.max_tokens)
+    vocab_texts = vocabulary_texts(table, cfg.max_tokens)
     item = next(e for e in encoded if e.scene.image_type == "mixed")
-    hmce, _, _ = _scene_losses(item, fresh_params(seed=22), vocab, vocab_texts, table,
-                               tcfg, np.random.default_rng(0), cfg.max_tokens, {})
+    hmce, _, _ = _scene_losses(item, fresh_params(seed=22), vocab_texts, table, tcfg,
+                               np.random.default_rng(0), cfg.max_tokens, {})
     assert len(gk.Tape(hmce).nodes) <= 125
 
 
@@ -100,23 +98,21 @@ def test_content_token_blocks_keep_the_graph(setup, kind, nodes):
     # its full token count, fillers included
     cfg, _, table, encoded = setup
     tcfg = TrainConfig(seed=11)
-    vocab = Level0Vocabulary()
-    vocab_texts = vocabulary_texts(vocab, table, cfg.max_tokens)
+    vocab_texts = vocabulary_texts(table, cfg.max_tokens)
     item = next(e for e in encoded if e.scene.image_type == kind)
-    hmce, _, _ = _scene_losses(item, fresh_params(seed=22), vocab, vocab_texts, table,
-                               tcfg, np.random.default_rng(0), cfg.max_tokens, {})
+    hmce, _, _ = _scene_losses(item, fresh_params(seed=22), vocab_texts, table, tcfg,
+                               np.random.default_rng(0), cfg.max_tokens, {})
     assert len(gk.Tape(hmce).nodes) == nodes
 
 
 def test_stage2_batch_backward_matches_the_tape_walk(setup):
     cfg, _, table, encoded = setup
     tcfg = TrainConfig(seed=11)
-    vocab = Level0Vocabulary()
-    vocab_texts = vocabulary_texts(vocab, table, cfg.max_tokens)
+    vocab_texts = vocabulary_texts(table, cfg.max_tokens)
     params = fresh_params(seed=24)
     rng = np.random.default_rng(3)
     batch = pick_scenes(encoded) + [encoded[-1]]
-    pieces = [_scene_losses(item, params, vocab, vocab_texts, table, tcfg, rng,
+    pieces = [_scene_losses(item, params, vocab_texts, table, tcfg, rng,
                             cfg.max_tokens, {})[0] for item in batch]
     total = gk.mul(pieces[0], 1.0 / len(pieces))
     for extra in pieces[1:]:
@@ -162,12 +158,11 @@ def test_predictions_match_the_oracle(setup, trained, word_only, checkpoint, gat
     split = dataset.test
     preds = predict_split(split, cfg, params, trained.refiner, gate_level0=gate)
     records = preds.by_expression()
-    vocab = Level0Vocabulary()
-    vocab_texts = vocabulary_texts(vocab, table, cfg.max_tokens)
+    vocab_texts = vocabulary_texts(table, cfg.max_tokens)
     checked = fell_back = 0
     for scene, item in zip(split.scenes, encode_split(split, cfg, table)):
         level0_class, ranked = oracle.predict_scene(
-            item.features, item.expressions, vocab, vocab_texts, table, params,
+            item.features, item.expressions, vocab_texts, table, params,
             params.ablation, cfg.max_tokens, gate_level0=gate)
         refined = trained.refiner.refine(item.boxes).value
         corners = np.concatenate([refined[:, :2] - refined[:, 2:] / 2,
@@ -195,7 +190,7 @@ def test_fillers_leave_the_scores_unchanged(setup):
     item = next(e for e in encoded if e.scene.image_type == "mixed")
     with_fillers = encode_text("the small maize at the top left of the image", table)
     content_only = encode_text("small maize top left", table)
-    others = vocabulary_texts(Level0Vocabulary(), table, cfg.max_tokens)[:2]
+    others = vocabulary_texts(table, cfg.max_tokens)[:2]
     for texts, row in (([with_fillers], 0), ([with_fillers] + others, 0),
                        (others + [with_fillers], 2)):
         got = hrs.score_expression(item.features, texts, params)
@@ -213,7 +208,7 @@ def test_fillers_leave_the_scores_unchanged(setup):
 
 def test_scoring_a_text_alone_or_in_a_padded_batch_agrees(setup):
     cfg, _, table, encoded = setup
-    vocab_texts = vocabulary_texts(Level0Vocabulary(), table, cfg.max_tokens)
+    vocab_texts = vocabulary_texts(table, cfg.max_tokens)
     params = fresh_params(seed=23)
     item = next(e for e in encoded if e.scene.image_type == "mixed")
     together = hrs.score_expression(item.features, vocab_texts, params).referring_scores

@@ -7,7 +7,7 @@ import pytest
 
 from gvgkit.datagen import InstanceAnnotation, SceneAnnotation, read_dataset
 from gvgkit.geometry import corners, iou
-from gvgkit.hrs import HrsParams, Level0Vocabulary
+from gvgkit.hrs import LEVEL0_SENTENCES, HrsParams
 from gvgkit.synth import (
     EmbeddingTable,
     SynthConfig,
@@ -24,7 +24,7 @@ from gvgkit.synth import (
     write_split,
 )
 from gvgkit.synth.config import FEATURE_DIMS, WORD_SPACE_DIMS
-from gvgkit.synth.encode import _scene_rng
+from gvgkit.synth.encode import _context_block, _scene_rng
 from gvgkit.synth.scenes import SplitData
 from gvgkit.synth.train import encode_split, train_stage2
 
@@ -94,6 +94,18 @@ class TestTextEncoding:
 
 
 class TestProposalEncoding:
+    # the image-type dims of the context block: crop, weed, both, none
+    @pytest.mark.parametrize("categories, flags", [
+        (("maize",), [1, 0, 0, 0]), (("weed",), [0, 1, 0, 0]),
+        (("maize", "weed"), [1, 1, 1, 0]), ((), [0, 0, 0, 1])],
+        ids=["crop_only", "weed_only", "mixed", "empty"])
+    def test_the_context_block_flags_the_image_type(self, categories, flags):
+        scene = SceneAnnotation(image_id="s", width=100, height=100, instances=[
+            InstanceAnnotation(k, category, 10 * k, 0, 10 * k + 5, 5)
+            for k, category in enumerate(categories)])
+        ctx = _context_block(scene, SynthConfig(context_strength=1.0))
+        assert ctx[:4].tolist() == flags
+
     def test_noiseless_feature_equals_token_maxpool(self):
         # with zero noise and no context, an instance's feature is exactly
         # the max-pooled embedding of its own expression's attribute words
@@ -284,11 +296,9 @@ def _centre_box(cx, cy, w, h, size=1280):
 
 def _scene(image_id, boxes, size=1280):
     """A scene of maize plants at the given pixel corners, attributes derived."""
-    scene = SceneAnnotation(image_id=image_id, width=size, height=size, instances=[
+    return SceneAnnotation(image_id=image_id, width=size, height=size, instances=[
         InstanceAnnotation(k, "maize", *box).with_attributes(size, size)
         for k, box in enumerate(boxes)])
-    scene.refresh_type()
-    return scene
 
 
 def assert_arrays_equal(got, want):
@@ -417,15 +427,14 @@ class TestTraining:
         cfg, ds, tcfg, result = tiny_setup
         from gvgkit.synth.encode import EmbeddingTable
         from gvgkit.synth.train import _scene_losses, encode_split, vocabulary_texts
-        vocab = Level0Vocabulary()
         table = EmbeddingTable(cfg.seed)
         encoded = encode_split(ds.train, cfg, table)
         empty_items = [e for e in encoded if e.scene.image_type == "empty"]
         assert empty_items, "training split should carry empty scenes"
         rng = np.random.default_rng(0)
-        vt = vocabulary_texts(vocab, table, cfg.max_tokens)
+        vt = vocabulary_texts(table, cfg.max_tokens)
         for item in empty_items[:2]:
-            hmce, l0_val, _ = _scene_losses(item, result.params, vocab, vt,
+            hmce, l0_val, _ = _scene_losses(item, result.params, vt,
                                             table, tcfg, rng, cfg.max_tokens, {})
             assert hmce.item() == l0_val
 
@@ -441,7 +450,6 @@ class TestTraining:
         table = EmbeddingTable(cfg.seed)
         encoded = encode_split(ds.train, cfg, table)[:scenes]
         tcfg = TrainConfig(seed=5, stage2_epochs=3, lr_init=1e150)
-        vocab = Level0Vocabulary()
 
         def fresh():
             return HrsParams(d_v=FEATURE_DIMS, d_t=FEATURE_DIMS, d=tcfg.d, heads=tcfg.heads,
@@ -449,14 +457,14 @@ class TestTraining:
 
         last_good = fresh()
         if epoch:
-            train_stage2(encoded, last_good, vocab, table,
+            train_stage2(encoded, last_good, table,
                          dataclasses.replace(tcfg, stage2_epochs=epoch), cfg.max_tokens)
         params = fresh()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(TrainingDiverged,
                                match=f"stage 2 diverged in epoch {epoch}:") as info:
-                train_stage2(encoded, params, vocab, table, tcfg, cfg.max_tokens)
+                train_stage2(encoded, params, table, tcfg, cfg.max_tokens)
         for (name, t), (_, good) in zip(params.leaves(), last_good.leaves()):
             assert np.array_equal(t.value, good.value), name
             assert np.array_equal(info.value.checkpoint[name], good.value), name
@@ -478,7 +486,7 @@ class TestTraining:
         _, in_prediction = truncations(lambda: predict_split(
             ds.train, cfg, result.params, result.refiner))
         vocab = {f"expression truncated to 4 tokens: {s!r}"
-                 for s in Level0Vocabulary().sentences if len(tokenize(s)) > 4}
+                 for s in LEVEL0_SENTENCES if len(tokenize(s)) > 4}
         assert vocab and vocab <= in_training       # the vocabulary sentences
         assert in_training - vocab                  # and the sampled expressions
         # every text training saw was cut where prediction cuts it
