@@ -1,8 +1,9 @@
 """Command-line pipeline: build, train, predict, eval.
 
 Every command is deterministic given the same inputs and seed; the seed
-and configuration hash travel in every artifact header. A run directory
-holds the dataset splits, checkpoints, predictions and reports:
+travels in every artifact header, the configuration hash in the
+splits'. A run directory holds the dataset splits, checkpoints,
+predictions and reports:
 
     gvgkit build   --out runs/demo
     gvgkit train   --out runs/demo
@@ -17,6 +18,7 @@ import dataclasses
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from gvgkit import datagen
@@ -208,6 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # a warning prints as one line, with no file path or source line
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         code = args.fn(args)
         sys.stdout.flush()
@@ -220,6 +225,8 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError, RuntimeError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -418,15 +418,13 @@ def _plain_unit_rows(x: np.ndarray, null_ok: np.ndarray | None = None) -> np.nda
     return gk.div(x, np.sqrt(squared)).value
 
 
-def level0_logits(referring_scores: Tensor, vocab_size: int) -> Tensor:
+def level0_logits(referring_scores: Tensor) -> Tensor:
     """Image-level class logits from a scene's (K, N) referring scores
-    whose first ``vocab_size`` rows score the vocabulary sentences: each
-    row is max-pooled over proposals. Their softmax is the class
-    distribution; ``loss_lvl0`` takes its cross-entropy, and predict
-    needs only the argmax."""
-    if vocab_size < 2:
-        raise ValueError("level-0 needs at least two vocabulary sentences")
-    return gk.max_over_axis(gk.narrow(referring_scores, 0, 0, vocab_size), axis=1)
+    whose first rows score ``LEVEL0_SENTENCES``: each row is max-pooled
+    over proposals. Their softmax is the class distribution;
+    ``loss_lvl0`` takes its cross-entropy, and predict needs only the
+    argmax. Fewer rows than sentences raise ``gk.ShapeError``."""
+    return gk.max_over_axis(gk.narrow(referring_scores, 0, 0, len(LEVEL0_SENTENCES)), axis=1)
 
 
 # the name under which perfbench/spans.py times level 0; the tracer

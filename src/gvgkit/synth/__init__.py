@@ -30,7 +30,6 @@ from gvgkit.synth.train import (
     TrainResult,
     encode_split,
     train_two_stage,
-    vocabulary_texts,
     write_log,
 )
 
@@ -41,5 +40,5 @@ __all__ = [
     "dataset_stats", "encode_proposals", "encode_split", "encode_text",
     "gen_scenes", "giou_loss_diff", "interp_iou_loss_diff", "load_config",
     "predict_split", "read_predictions", "tokenize", "train_two_stage",
-    "vocabulary_texts", "write_log", "write_predictions", "write_split",
+    "write_log", "write_predictions", "write_split",
 ]

@@ -32,7 +32,7 @@ from gvgkit.synth.boxhead import BoxRefiner
 from gvgkit.synth.config import SynthConfig
 from gvgkit.synth.encode import EmbeddingTable, encode_proposals
 from gvgkit.synth.scenes import SplitData
-from gvgkit.synth.train import encode_texts, vocabulary_texts
+from gvgkit.synth.train import text_encoder
 
 PREDICTIONS_FORMAT = "gvgkit-predictions"
 PREDICTIONS_VERSION = 3
@@ -67,12 +67,12 @@ def predict_split(split: SplitData, cfg: SynthConfig, params: HrsParams,
     frozen refinement head into the image's box table, and each record
     ranks that table's rows. The scoring head runs as the variant that
     ``params.ablation`` records. One batched pass per image scores the
-    fixed vocabulary and every expression of the image; the level-0
-    argmax comes from the vocabulary rows. The image's expression rows
-    are gated and ranked as one block: one rowwise max, one stable
-    rowwise argsort and one gather, so a record's ranking and scores are
-    rows of the block's arrays. An image with no expressions gets its
-    table and no record.
+    level-0 sentences and every expression of the image, each text read
+    through one cached encoder; the level-0 argmax comes from the
+    sentence rows. The image's expression rows are gated and ranked as
+    one block: one rowwise max, one stable rowwise argsort and one
+    gather, so a record's ranking and scores are rows of the block's
+    arrays. An image with no expressions gets its table and no record.
 
     With ``gate_level0`` the final score enforces the hierarchy at
     inference: the referent counts as present only when some proposal
@@ -85,18 +85,16 @@ def predict_split(split: SplitData, cfg: SynthConfig, params: HrsParams,
     instance. ``gate_level0=False`` ranks by the raw referring score.
     """
     table = EmbeddingTable(cfg.seed)
-    vocab_texts = vocabulary_texts(table, cfg.max_tokens)
+    encode = text_encoder(table, cfg.max_tokens)   # expressions are templated
     background_class = LEVEL0_CLASS["empty"]
     frozen = params.frozen()
 
     records: list[PredictionRecord] = []
     tables: dict[str, np.ndarray] = {}
-    encoded: dict[str, np.ndarray] = {}   # expressions are templated
     for scene in split.scenes:
         features, boxes, _ = encode_proposals(scene, cfg, table)
         exprs = split.expressions_for(scene.image_id)
-        texts = vocab_texts + encode_texts([e.text for e in exprs], table,
-                                           cfg.max_tokens, encoded)
+        texts = [encode(text) for text in LEVEL0_SENTENCES + tuple(e.text for e in exprs)]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # a non-finite score or box is reported by the checks below
             scores = hrs.score_expression(features, texts, frozen).referring_scores
@@ -105,10 +103,10 @@ def predict_split(split: SplitData, cfg: SynthConfig, params: HrsParams,
             raise OverflowError(f"non-finite referring scores for image {scene.image_id}")
         if not np.all(np.isfinite(refined)):
             raise OverflowError(f"non-finite refined boxes for image {scene.image_id}")
-        level0_class = int(np.argmax(hrs.level0_logits(scores, len(vocab_texts)).value))
+        level0_class = int(np.argmax(hrs.level0_logits(scores).value))
         tables[scene.image_id] = corners(refined) * np.array([scene.width, scene.height,
                                                               scene.width, scene.height])
-        block = scores.value[len(vocab_texts):]                            # (E, N)
+        block = scores.value[len(LEVEL0_SENTENCES):]                       # (E, N)
         if gate_level0:
             instance = np.array([expr.level == "instance" for expr in exprs], dtype=bool)
             absent = instance & (block.max(axis=1) < 0.0)

@@ -16,6 +16,7 @@ collapsed model.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -57,15 +58,17 @@ class EncodedScene:
     expressions: list[Expression]
 
 
+# the loss terms a run records, in their log.csv column order
+LOG_TERMS = ("loss_lvl0", "loss_lvl1c", "loss_interp_iou")
+
+
 @dataclass
 class LogRow:
     epoch: int
     stage: int
     loss_total: float
     lr: float
-    loss_lvl0: float = 0.0
-    loss_lvl1c: float = 0.0
-    loss_interp_iou: float = 0.0
+    terms: dict[str, float] = field(default_factory=dict)   # by LOG_TERMS name
 
 
 @dataclass
@@ -87,17 +90,11 @@ def encode_split(split: SplitData, cfg: SynthConfig,
     return out
 
 
-def vocabulary_texts(table: EmbeddingTable, max_tokens: int) -> list[np.ndarray]:
-    return [encode_text(sentence, table, max_tokens) for sentence in LEVEL0_SENTENCES]
-
-
-def encode_texts(texts: list[str], table: EmbeddingTable, max_tokens: int,
-                 cache: dict[str, np.ndarray]) -> list[np.ndarray]:
-    """Each text's encoding; a text is encoded once per ``cache``."""
-    for text in texts:
-        if text not in cache:
-            cache[text] = encode_text(text, table, max_tokens)
-    return [cache[text] for text in texts]
+def text_encoder(table: EmbeddingTable, max_tokens: int) -> Callable[[str], np.ndarray]:
+    """``encode(text)``: ``encode_text``'s rows for ``text``, each text
+    encoded once per encoder. ``encode_text`` is looked up by its module
+    name at each call, so a wrapper bound to that name sees every one."""
+    return functools.cache(lambda text: encode_text(text, table, max_tokens))
 
 
 def _epoch_rng(seed: int, stage: int, epoch: int) -> np.random.Generator:
@@ -134,8 +131,8 @@ def _run_stage(stage: int, model, trainable: list[gk.Tensor],
 
     ``batch_loss(batch, rng, terms)`` returns the batch's loss, or None
     to skip the batch. It draws from the epoch's rng after ``_batches``
-    and may append floats to ``terms`` under ``LogRow`` field names;
-    the epoch's row holds their means next to the mean batch loss."""
+    and may append floats to ``terms`` under ``LOG_TERMS`` names; the
+    epoch's row holds their means next to the mean batch loss."""
     opt = gk.Adam(trainable, lr=tcfg.lr_init)
     log: list[LogRow] = []
     last_good = {name: t.value.copy() for name, t in model.leaves()}
@@ -161,8 +158,7 @@ def _run_stage(stage: int, model, trainable: list[gk.Tensor],
                                    checkpoint=last_good) from err
         means = {name: float(np.mean(values)) for name, values in terms.items()}
         log.append(LogRow(epoch=epoch, stage=stage, lr=lr,
-                          loss_total=float(np.mean(totals)) if totals else 0.0,
-                          **means))
+                          loss_total=float(np.mean(totals)) if totals else 0.0, terms=means))
         last_good = {name: t.value.copy() for name, t in model.leaves()}
     return log
 
@@ -242,24 +238,21 @@ def _pick_expressions(item: EncodedScene, count: int,
     return picked
 
 
-def _scene_losses(item: EncodedScene, params: HrsParams, vocab_texts,
-                  table: EmbeddingTable, tcfg: TrainConfig,
-                  rng: np.random.Generator, max_tokens: int,
-                  encoded_texts: dict[str, np.ndarray]):
-    """Per-scene objective: existence cross-entropy plus the constrained
-    instance loss averaged over the sampled expressions. The existence
-    floor applies per expression, then the type weights combine the two
-    levels; the no-constraint variant of ``params`` drops the floor. One
-    batched pass scores the vocabulary sentences and the sampled
-    expressions together, and the k expression rows of its scores give
-    k instance losses in one (k, N) pass. ``encoded_texts`` caches each
-    text's encoding across calls."""
+def _scene_losses(item: EncodedScene, params: HrsParams, tcfg: TrainConfig,
+                  rng: np.random.Generator, encode: Callable[[str], np.ndarray]):
+    """Per-scene objective and its terms by ``LOG_TERMS`` name: existence
+    cross-entropy plus the constrained instance loss averaged over the
+    sampled expressions. The existence floor applies per expression,
+    then the type weights combine the two levels; the no-constraint
+    variant of ``params`` drops the floor. One batched pass scores the
+    level-0 sentences and the sampled expressions together, each text
+    read through ``encode``, and the k expression rows of its scores
+    give k instance losses in one (k, N) pass."""
     image_type = item.scene.image_type
     exprs = _pick_expressions(item, tcfg.expressions_per_scene, rng)
-    texts = vocab_texts + encode_texts([e.text for e in exprs], table, max_tokens,
-                                       encoded_texts)
+    texts = [encode(text) for text in LEVEL0_SENTENCES + tuple(e.text for e in exprs)]
     scores = hrs.score_expression(item.features, texts, params).referring_scores
-    l0 = hrs.loss_lvl0(hrs.level0_logits(scores, len(vocab_texts)), LEVEL0_CLASS[image_type])
+    l0 = hrs.loss_lvl0(hrs.level0_logits(scores), LEVEL0_CLASS[image_type])
     if not exprs:
         l1c = gk.constant(0.0)
     else:
@@ -270,32 +263,26 @@ def _scene_losses(item: EncodedScene, params: HrsParams, vocab_texts,
         pair, proposal = (np.array(ids, dtype=np.int64)[:, None] == item.source_ids).nonzero()
         targets = np.zeros((len(exprs), len(item.source_ids)))
         targets[np.array(rows, dtype=np.intp)[pair], proposal] = 1.0
-        l1 = hrs.loss_lvl1(gk.narrow(scores, 0, len(vocab_texts), len(exprs)),
+        l1 = hrs.loss_lvl1(gk.narrow(scores, 0, len(LEVEL0_SENTENCES), len(exprs)),
                            targets)                                         # (k,)
         if params.ablation != "no-constraint":
             l1 = hrs.loss_constrained(l1, l0)
         l1c = gk.mean(l1)
-    hmce = hrs.loss_hmce(l0, l1c, image_type)
-    return hmce, float(l0.value), float(l1c.value)
+    return hrs.loss_hmce(l0, l1c, image_type), {"loss_lvl0": l0, "loss_lvl1c": l1c}
 
 
-def train_stage2(encoded: list[EncodedScene], params: HrsParams, table: EmbeddingTable,
-                 tcfg: TrainConfig, max_tokens: int) -> list[LogRow]:
-    """Train the scoring head with the refiner frozen. Texts are capped
-    at ``max_tokens`` tokens, the cap prediction applies too. Each
-    sampled text is encoded once per run."""
-    vocab_texts = vocabulary_texts(table, max_tokens)
-    encoded_texts: dict[str, np.ndarray] = {}
+def train_stage2(encoded: list[EncodedScene], params: HrsParams, tcfg: TrainConfig,
+                 encode: Callable[[str], np.ndarray]) -> list[LogRow]:
+    """Train the scoring head with the refiner frozen, reading every
+    text through ``encode``, whose token cap prediction applies too."""
 
     def batch_loss(batch, rng, terms):
         pieces = []
         for item in batch:
-            hmce, l0_val, l1c_val = _scene_losses(
-                item, params, vocab_texts, table, tcfg, rng, max_tokens,
-                encoded_texts)
-            pieces.append(hmce)
-            terms["loss_lvl0"].append(l0_val)
-            terms["loss_lvl1c"].append(l1c_val)
+            objective, scene_terms = _scene_losses(item, params, tcfg, rng, encode)
+            pieces.append(objective)
+            for name, term in scene_terms.items():
+                terms[name].append(float(term.value))
         total = gk.mul(pieces[0], 1.0 / len(pieces))
         for extra in pieces[1:]:
             total = gk.add(total, gk.mul(extra, 1.0 / len(pieces)))
@@ -328,16 +315,16 @@ def train_two_stage(train_split: SplitData, cfg: SynthConfig, tcfg: TrainConfig,
         result.params = HrsParams(d_v=FEATURE_DIMS, d_t=FEATURE_DIMS, d=tcfg.d,
                                   heads=tcfg.heads, d_ff=tcfg.d_ff, d_hidden=tcfg.d_hidden,
                                   seed=tcfg.seed, ablation=tcfg.ablation)
-        result.log.extend(train_stage2(encoded, result.params, table, tcfg, cfg.max_tokens))
+        result.log.extend(train_stage2(encoded, result.params, tcfg,
+                                       text_encoder(table, cfg.max_tokens)))
     return result
 
 
 def write_log(log: list[LogRow], path, seed: int) -> None:
-    lines = [f"# seed={seed}",
-             "epoch,stage,loss_total,loss_lvl0,loss_lvl1c,loss_interp_iou,lr"]
+    """One row per epoch; a term the row's stage does not record is 0."""
+    lines = [f"# seed={seed}", ",".join(("epoch", "stage", "loss_total", *LOG_TERMS, "lr"))]
     for row in log:
-        lines.append(f"{row.epoch},{row.stage},{row.loss_total:.8f},"
-                     f"{row.loss_lvl0:.8f},{row.loss_lvl1c:.8f},"
-                     f"{row.loss_interp_iou:.8f},{row.lr:.8e}")
+        terms = "".join(f"{row.terms.get(name, 0.0):.8f}," for name in LOG_TERMS)
+        lines.append(f"{row.epoch},{row.stage},{row.loss_total:.8f},{terms}{row.lr:.8e}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -12,7 +12,7 @@ import numpy as np
 
 from gvgkit import gradkit as gk
 from gvgkit import hrs
-from gvgkit.hrs import LEVEL0_CLASS, RelevanceOutput
+from gvgkit.hrs import LEVEL0_CLASS, LEVEL0_SENTENCES, RelevanceOutput
 from gvgkit.synth.encode import encode_text
 from gvgkit.synth.train import _pick_expressions
 
@@ -105,6 +105,11 @@ def score_expression(features, text, params, ablation="full"):
     return referring_score(fuse(features, text, params), text, params, ablation)
 
 
+def level0_texts(table, max_tokens):
+    """The level-0 sentences, each encoded on its own."""
+    return [encode_text(sentence, table, max_tokens) for sentence in LEVEL0_SENTENCES]
+
+
 def level0_logits(features, vocab_texts, params, ablation="full"):
     """One fused pass per vocabulary sentence, max-pooled over proposals."""
     pooled = []
@@ -114,10 +119,11 @@ def level0_logits(features, vocab_texts, params, ablation="full"):
     return stack(pooled)
 
 
-def scene_loss(item, params, vocab_texts, table, tcfg, rng, max_tokens):
-    """Stage-2 objective of one scene, every text scored on its own, as
-    the variant ``params`` carries."""
+def scene_loss(item, params, table, tcfg, rng, max_tokens):
+    """Stage-2 objective of one scene and its terms by name, every text
+    scored on its own, as the variant ``params`` carries."""
     ablation = params.ablation
+    vocab_texts = level0_texts(table, max_tokens)
     l0 = hrs.loss_lvl0(level0_logits(item.features, vocab_texts, params, ablation),
                        LEVEL0_CLASS[item.scene.image_type])
     exprs = _pick_expressions(item, tcfg.expressions_per_scene, rng)
@@ -136,14 +142,15 @@ def scene_loss(item, params, vocab_texts, table, tcfg, rng, max_tokens):
         l1c = gk.mul(pieces[0], 1.0 / len(pieces))
         for extra in pieces[1:]:
             l1c = gk.add(l1c, gk.mul(extra, 1.0 / len(pieces)))
-    return hrs.loss_hmce(l0, l1c, item.scene.image_type)
+    return hrs.loss_hmce(l0, l1c, item.scene.image_type), {"loss_lvl0": l0, "loss_lvl1c": l1c}
 
 
-def predict_scene(features, expressions, vocab_texts, table, params,
-                  ablation, max_tokens, gate_level0=True):
+def predict_scene(features, expressions, table, params, ablation, max_tokens,
+                  gate_level0=True):
     """Level-0 class and, per expression, the proposal order, the scores
     and whether the existence gate fell back to a separate background
     pass."""
+    vocab_texts = level0_texts(table, max_tokens)
     logits = level0_logits(features, vocab_texts, params, ablation)
     background = LEVEL0_CLASS["empty"]
     background_scores = score_expression(features, vocab_texts[background], params,

@@ -642,13 +642,20 @@ def short_run(run_dir, out: Path) -> None:
     (out / "config.json").write_text(json.dumps(config))
 
 
-def test_train_warns_about_missing_image_types(run_dir, tmp_path):
-    short_run(run_dir, tmp_path)
-    scenes, expressions, meta = datagen.read_dataset(tmp_path / "train.jsonl")
+def short_run_without_empty_scenes(run_dir, out: Path) -> SplitData:
+    """``short_run`` with the empty scenes dropped from the training split,
+    which is returned."""
+    short_run(run_dir, out)
+    scenes, expressions, meta = datagen.read_dataset(out / "train.jsonl")
     kept = [s for s in scenes if s.image_type != "empty"]
     ids = {s.image_id for s in kept}
     expressions = [e for e in expressions if e.image_id in ids]
-    datagen.write_dataset(kept, expressions, tmp_path / "train.jsonl", meta)
+    datagen.write_dataset(kept, expressions, out / "train.jsonl", meta)
+    return SplitData(name="train", scenes=kept, expressions=expressions)
+
+
+def test_train_warns_about_missing_image_types(run_dir, tmp_path):
+    split = short_run_without_empty_scenes(run_dir, tmp_path)
 
     def lacking(run):
         with warnings.catch_warnings(record=True) as caught:
@@ -656,10 +663,17 @@ def test_train_warns_about_missing_image_types(run_dir, tmp_path):
             run()
         return [str(w.message) for w in caught if "lacks image types" in str(w.message)]
 
-    split = SplitData(name="train", scenes=kept, expressions=expressions)
     library = lacking(lambda: train_two_stage(split, *load_config(tmp_path / "config.json")))
     assert library == ["training split lacks image types: ['empty']"]
     assert lacking(lambda: main(["train", "--out", str(tmp_path)])) == library
+
+
+def test_a_warning_prints_as_one_line(run_dir, tmp_path):
+    # no file path and no source line, as Python's own format gives
+    short_run_without_empty_scenes(run_dir, tmp_path)
+    proc = run_subprocess(["train", "--out", str(tmp_path)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "warning: training split lacks image types: ['empty']\n"
 
 
 def test_train_stores_its_config(tmp_path):

@@ -186,7 +186,7 @@ class TestLevel0:
         props = make_proposals(rng, n=3)
         vocab_texts = [make_text(rng, rows=3) for _ in range(4)]
         scores = score_expression(props, vocab_texts, params).referring_scores
-        logits = level0_logits(scores, 4)
+        logits = level0_logits(scores)
         assert logits.value.shape == (4,)
         # the class distribution is the softmax of the pooled logits, as
         # loss_lvl0's cross-entropy takes it
@@ -206,15 +206,15 @@ class TestLevel0:
             scaled = np.array([(c * s).max() for s in scores])
             assert np.argmax(scaled) == np.argmax(pooled)
 
-    def test_needs_two_sentences(self):
+    def test_needs_a_row_per_sentence(self):
         rng = np.random.default_rng(11)
         params = make_params(seed=12)
-        scores = score_expression(make_proposals(rng), [make_text(rng)] * 2,
+        scores = score_expression(make_proposals(rng), [make_text(rng)] * 5,
                                   params).referring_scores
-        with pytest.raises(ValueError):
-            level0_logits(scores, 1)
-        with pytest.raises(ValueError):
-            level0_logits(scores, 3)
+        assert level0_logits(scores).value.shape == (len(LEVEL0_SENTENCES),)
+        for rows in (1, len(LEVEL0_SENTENCES) - 1):
+            with pytest.raises(gk.ShapeError):
+                level0_logits(gk.narrow(scores, 0, 0, rows))
 
 
 class TestLosses:
@@ -312,7 +312,7 @@ class TestEndToEndGradients:
 
         def f():
             scores = score_expression(props, vocab_texts + [text], params).referring_scores
-            l0 = loss_lvl0(level0_logits(scores, 4), 1)
+            l0 = loss_lvl0(level0_logits(scores), 1)
             l1 = loss_lvl1(gk.reshape(gk.narrow(scores, 0, 4, 1), (-1,)), targets)
             return loss_total(loss_hmce(l0, loss_constrained(l1, l0), "mixed"), 0.0)
 

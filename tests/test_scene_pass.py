@@ -17,7 +17,7 @@ from gvgkit.hrs import HrsParams
 from gvgkit.synth import SynthConfig, TrainConfig, gen_scenes, predict_split, train_two_stage
 from gvgkit.synth.config import FEATURE_DIMS
 from gvgkit.synth.encode import EmbeddingTable, encode_text
-from gvgkit.synth.train import _scene_losses, encode_split, vocabulary_texts
+from gvgkit.synth.train import _scene_losses, encode_split, text_encoder
 
 # the variants that change the stage-2 loss
 ABLATIONS = ("full", "sentence-only", "word-only", "no-constraint")
@@ -48,13 +48,15 @@ def fresh_params(seed, ablation="full"):
 
 
 def loss_and_grads(loss_fn, params):
+    """The objective ``loss_fn()`` returns, its terms as floats, and the
+    objective's gradients."""
     for _, t in params.leaves():
         t.grad = None
-    loss = loss_fn()
+    loss, terms = loss_fn()
     gk.backward(loss)
     grads = {name: np.zeros_like(t.value) if t.grad is None else t.grad.copy()
              for name, t in params.leaves()}
-    return float(loss.value), grads
+    return float(loss.value), {name: float(t.value) for name, t in terms.items()}, grads
 
 
 @pytest.mark.parametrize("ablation", ABLATIONS, ids=lambda name: name.replace("-", "_"))
@@ -62,19 +64,23 @@ def test_scene_loss_and_gradients_match_the_oracle(setup, ablation):
     # the variant lives in the model; the config names the full model
     cfg, _, table, encoded = setup
     tcfg = TrainConfig(seed=11)
-    vocab_texts = vocabulary_texts(table, cfg.max_tokens)
     params = fresh_params(seed=21, ablation=ablation)
     items = pick_scenes(encoded)
     # texts of unequal lengths, so the batched pass pads some of them
-    assert len({len(t) for t in vocab_texts}) > 1
+    assert len({len(t) for t in oracle.level0_texts(table, cfg.max_tokens)}) > 1
+    encode = text_encoder(table, cfg.max_tokens)
     for k, item in enumerate(items):
-        batched, batched_grads = loss_and_grads(
-            lambda: _scene_losses(item, params, vocab_texts, table, tcfg,
-                                  np.random.default_rng(k), cfg.max_tokens, {})[0], params)
-        reference, reference_grads = loss_and_grads(
-            lambda: oracle.scene_loss(item, params, vocab_texts, table, tcfg,
+        batched, batched_terms, batched_grads = loss_and_grads(
+            lambda: _scene_losses(item, params, tcfg, np.random.default_rng(k), encode),
+            params)
+        reference, reference_terms, reference_grads = loss_and_grads(
+            lambda: oracle.scene_loss(item, params, table, tcfg,
                                       np.random.default_rng(k), cfg.max_tokens), params)
         assert batched == pytest.approx(reference, abs=1e-10), item.scene.image_type
+        assert batched_terms.keys() == reference_terms.keys()
+        for name, value in reference_terms.items():
+            assert batched_terms[name] == pytest.approx(value, abs=1e-10), \
+                (item.scene.image_type, name)
         for name, grad in reference_grads.items():
             assert np.max(np.abs(batched_grads[name] - grad)) <= 1e-10, \
                 (item.scene.image_type, name)
@@ -85,11 +91,10 @@ def test_scene_loss_and_gradients_match_the_oracle(setup, ablation):
 def test_one_scene_records_at_most_125_tape_nodes(setup):
     cfg, _, table, encoded = setup
     tcfg = TrainConfig(seed=11)
-    vocab_texts = vocabulary_texts(table, cfg.max_tokens)
     item = next(e for e in encoded if e.scene.image_type == "mixed")
-    hmce, _, _ = _scene_losses(item, fresh_params(seed=22), vocab_texts, table, tcfg,
-                               np.random.default_rng(0), cfg.max_tokens, {})
-    assert len(gk.Tape(hmce).nodes) <= 125
+    objective, _ = _scene_losses(item, fresh_params(seed=22), tcfg, np.random.default_rng(0),
+                                 text_encoder(table, cfg.max_tokens))
+    assert len(gk.Tape(objective).nodes) <= 125
 
 
 @pytest.mark.parametrize("kind, nodes", [("mixed", 119), ("empty", 94)])
@@ -98,22 +103,20 @@ def test_content_token_blocks_keep_the_graph(setup, kind, nodes):
     # its full token count, fillers included
     cfg, _, table, encoded = setup
     tcfg = TrainConfig(seed=11)
-    vocab_texts = vocabulary_texts(table, cfg.max_tokens)
     item = next(e for e in encoded if e.scene.image_type == kind)
-    hmce, _, _ = _scene_losses(item, fresh_params(seed=22), vocab_texts, table, tcfg,
-                               np.random.default_rng(0), cfg.max_tokens, {})
-    assert len(gk.Tape(hmce).nodes) == nodes
+    objective, _ = _scene_losses(item, fresh_params(seed=22), tcfg, np.random.default_rng(0),
+                                 text_encoder(table, cfg.max_tokens))
+    assert len(gk.Tape(objective).nodes) == nodes
 
 
 def test_stage2_batch_backward_matches_the_tape_walk(setup):
     cfg, _, table, encoded = setup
     tcfg = TrainConfig(seed=11)
-    vocab_texts = vocabulary_texts(table, cfg.max_tokens)
     params = fresh_params(seed=24)
     rng = np.random.default_rng(3)
+    encode = text_encoder(table, cfg.max_tokens)
     batch = pick_scenes(encoded) + [encoded[-1]]
-    pieces = [_scene_losses(item, params, vocab_texts, table, tcfg, rng,
-                            cfg.max_tokens, {})[0] for item in batch]
+    pieces = [_scene_losses(item, params, tcfg, rng, encode)[0] for item in batch]
     total = gk.mul(pieces[0], 1.0 / len(pieces))
     for extra in pieces[1:]:
         total = gk.add(total, gk.mul(extra, 1.0 / len(pieces)))
@@ -158,12 +161,11 @@ def test_predictions_match_the_oracle(setup, trained, word_only, checkpoint, gat
     split = dataset.test
     preds = predict_split(split, cfg, params, trained.refiner, gate_level0=gate)
     records = preds.by_expression()
-    vocab_texts = vocabulary_texts(table, cfg.max_tokens)
     checked = fell_back = 0
     for scene, item in zip(split.scenes, encode_split(split, cfg, table)):
         level0_class, ranked = oracle.predict_scene(
-            item.features, item.expressions, vocab_texts, table, params,
-            params.ablation, cfg.max_tokens, gate_level0=gate)
+            item.features, item.expressions, table, params, params.ablation,
+            cfg.max_tokens, gate_level0=gate)
         refined = trained.refiner.refine(item.boxes).value
         corners = np.concatenate([refined[:, :2] - refined[:, 2:] / 2,
                                   refined[:, :2] + refined[:, 2:] / 2], axis=1)
@@ -190,7 +192,7 @@ def test_fillers_leave_the_scores_unchanged(setup):
     item = next(e for e in encoded if e.scene.image_type == "mixed")
     with_fillers = encode_text("the small maize at the top left of the image", table)
     content_only = encode_text("small maize top left", table)
-    others = vocabulary_texts(table, cfg.max_tokens)[:2]
+    others = oracle.level0_texts(table, cfg.max_tokens)[:2]
     for texts, row in (([with_fillers], 0), ([with_fillers] + others, 0),
                        (others + [with_fillers], 2)):
         got = hrs.score_expression(item.features, texts, params)
@@ -208,7 +210,7 @@ def test_fillers_leave_the_scores_unchanged(setup):
 
 def test_scoring_a_text_alone_or_in_a_padded_batch_agrees(setup):
     cfg, _, table, encoded = setup
-    vocab_texts = vocabulary_texts(table, cfg.max_tokens)
+    vocab_texts = oracle.level0_texts(table, cfg.max_tokens)
     params = fresh_params(seed=23)
     item = next(e for e in encoded if e.scene.image_type == "mixed")
     together = hrs.score_expression(item.features, vocab_texts, params).referring_scores

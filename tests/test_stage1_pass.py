@@ -162,7 +162,7 @@ def test_batches_without_pairs_are_skipped(encoded):
     refiner, log = train_stage1(empty, TrainConfig(seed=11, stage1_epochs=2))
     for (name, t), (_, fresh) in zip(refiner.leaves(), BoxRefiner(seed=11).leaves()):
         assert np.array_equal(t.value, fresh.value), name
-    assert [(row.loss_total, row.loss_interp_iou) for row in log] == [(0.0, 0.0)] * 2
+    assert [(row.loss_total, row.terms) for row in log] == [(0.0, {})] * 2
 
 
 @pytest.mark.parametrize("scenes,epoch", [(4, 1), (8, 0)])

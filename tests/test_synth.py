@@ -26,7 +26,7 @@ from gvgkit.synth import (
 from gvgkit.synth.config import FEATURE_DIMS, WORD_SPACE_DIMS
 from gvgkit.synth.encode import _context_block, _scene_rng
 from gvgkit.synth.scenes import SplitData
-from gvgkit.synth.train import encode_split, train_stage2
+from gvgkit.synth.train import LOG_TERMS, encode_split, text_encoder, train_stage2, write_log
 
 import uniform_oracle
 
@@ -388,11 +388,26 @@ class TestTraining:
             [(1, e) for e in range(tcfg.stage1_epochs)] + [(2, e) for e in range(tcfg.stage2_epochs)]
         for row in result.log:
             if row.stage == 1:
-                assert row.loss_interp_iou == row.loss_total > 0.0
-                assert row.loss_lvl0 == row.loss_lvl1c == 0.0
+                assert row.terms == {"loss_interp_iou": row.loss_total}
+                assert row.loss_total > 0.0
             else:
-                assert row.loss_lvl0 > 0.0 and row.loss_lvl1c > 0.0
-                assert row.loss_interp_iou == 0.0
+                assert row.terms.keys() == {"loss_lvl0", "loss_lvl1c"}
+                assert row.terms["loss_lvl0"] > 0.0 and row.terms["loss_lvl1c"] > 0.0
+
+    def test_log_csv_has_a_column_for_every_recorded_term(self, tiny_setup, tmp_path):
+        # a term a stage records but LOG_TERMS leaves out would never
+        # reach log.csv
+        _, _, _, result = tiny_setup
+        assert set().union(*(row.terms for row in result.log)) == set(LOG_TERMS)
+        write_log(result.log, tmp_path / "log.csv", seed=5)
+        lines = (tmp_path / "log.csv").read_text().splitlines()
+        assert lines[:2] == ["# seed=5", ",".join(("epoch", "stage", "loss_total",
+                                                   *LOG_TERMS, "lr"))]
+        for row, line in zip(result.log, lines[2:], strict=True):
+            written = dict(zip(LOG_TERMS, map(float, line.split(",")[3:-1]), strict=True))
+            # a term the row's stage does not record is written as 0
+            assert written == pytest.approx({name: row.terms.get(name, 0.0)
+                                             for name in LOG_TERMS}, abs=5e-9)
 
     def test_stage2_preserves_refiner(self, tiny_setup):
         cfg, ds, tcfg, result = tiny_setup
@@ -426,17 +441,16 @@ class TestTraining:
     def test_empty_scene_hmce_equals_lvl0(self, tiny_setup):
         cfg, ds, tcfg, result = tiny_setup
         from gvgkit.synth.encode import EmbeddingTable
-        from gvgkit.synth.train import _scene_losses, encode_split, vocabulary_texts
+        from gvgkit.synth.train import _scene_losses
         table = EmbeddingTable(cfg.seed)
         encoded = encode_split(ds.train, cfg, table)
         empty_items = [e for e in encoded if e.scene.image_type == "empty"]
         assert empty_items, "training split should carry empty scenes"
         rng = np.random.default_rng(0)
-        vt = vocabulary_texts(table, cfg.max_tokens)
+        encode = text_encoder(table, cfg.max_tokens)
         for item in empty_items[:2]:
-            hmce, l0_val, _ = _scene_losses(item, result.params, vt,
-                                            table, tcfg, rng, cfg.max_tokens, {})
-            assert hmce.item() == l0_val
+            objective, terms = _scene_losses(item, result.params, tcfg, rng, encode)
+            assert objective.item() == terms["loss_lvl0"].item()
 
 
     @pytest.mark.parametrize("scenes,epoch", [(4, 1), (8, 0)])
@@ -457,14 +471,14 @@ class TestTraining:
 
         last_good = fresh()
         if epoch:
-            train_stage2(encoded, last_good, table,
-                         dataclasses.replace(tcfg, stage2_epochs=epoch), cfg.max_tokens)
+            train_stage2(encoded, last_good, dataclasses.replace(tcfg, stage2_epochs=epoch),
+                         text_encoder(table, cfg.max_tokens))
         params = fresh()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(TrainingDiverged,
                                match=f"stage 2 diverged in epoch {epoch}:") as info:
-                train_stage2(encoded, params, table, tcfg, cfg.max_tokens)
+                train_stage2(encoded, params, tcfg, text_encoder(table, cfg.max_tokens))
         for (name, t), (_, good) in zip(params.leaves(), last_good.leaves()):
             assert np.array_equal(t.value, good.value), name
             assert np.array_equal(info.value.checkpoint[name], good.value), name
@@ -479,8 +493,11 @@ class TestTraining:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 result = run()
-            return result, {str(w.message) for w in caught
-                            if "truncated" in str(w.message)}
+            warned = [str(w.message) for w in caught if "truncated" in str(w.message)]
+            # each text is encoded, and warned about, once per command,
+            # also when an absence sentence is a level-0 sentence too
+            assert len(warned) == len(set(warned))
+            return result, set(warned)
 
         result, in_training = truncations(lambda: train_two_stage(ds.train, cfg, tcfg))
         _, in_prediction = truncations(lambda: predict_split(
