@@ -1,10 +1,12 @@
 """Annotation pipeline for the synthetic crop/weed grounding benchmark.
 
-Scenes hold pixel-space instance boxes; the pipeline filters instances
-too small to identify, derives discrete attributes (size bin, 3x3 grid
-cell), renders template referring expressions with multi-positive
-targets, adds image-level absence sentences, manufactures verified
-negative expressions for the test split, and writes everything to a
+Scenes hold pixel-space instance boxes. The pipeline filters instances
+too small to identify, derives each instance's words (size bin, 3x3
+grid cell) from its box (``attribute_words``), renders one template
+referring expression per group of instances with the same words
+(``SceneAnnotation.referents``) and the whole group as its targets,
+adds image-level absence sentences, manufactures verified negative
+expressions whose words name no instance, and writes everything to a
 JSON-lines file that round-trips exactly.
 """
 
@@ -12,12 +14,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from gvgkit.geometry import BBox, centres
+from gvgkit.geometry import centres
 from gvgkit.gradkit.io import check_unique, read_records, write_records
 
 FORMAT_NAME = "gref-cw-like"
@@ -30,7 +32,7 @@ WEED_CATEGORY = "weed"
 
 SIZE_BINS = ("tiny", "small", "medium", "large")
 # boundaries on sqrt(box area / image area); value on a boundary bins upward
-DEFAULT_SIZE_THRESHOLDS = (0.05, 0.12, 0.30)
+SIZE_THRESHOLDS = (0.05, 0.12, 0.30)
 
 GRID_ROWS = ("top", "middle", "bottom")
 GRID_COLS = ("left", "centre", "right")
@@ -55,20 +57,19 @@ IMAGE_NEGATIVE_TEXT = {
 }
 
 
-def grid_cell(box: BBox) -> str:
-    """3x3 position name from the normalized box centre; boundary values
-    at 1/3 and 2/3 fall into the lower cell."""
-    def index(v: float) -> int:
-        if v <= 1 / 3:
-            return 0
-        if v <= 2 / 3:
-            return 1
-        return 2
-
-    row, col = index(box.cy), index(box.cx)
-    if (row, col) == (1, 1):
-        return "centre"
-    return f"{GRID_ROWS[row]} {GRID_COLS[col]}"
+def attribute_words(rows: np.ndarray, width, height) -> list[tuple[str, str]]:
+    """The (size bin, grid cell) of each of the (n, 4) centre-form rows of
+    boxes given as fractions of an image of ``width`` x ``height`` pixels
+    (numbers, or one per row). The size bin compares sqrt(box area / image area) with
+    ``SIZE_THRESHOLDS``, and a value on a boundary bins upward. The grid
+    cell compares the centre with 1/3 and 2/3, and a value on a boundary
+    falls into the lower cell."""
+    cx, cy, w, h = rows.T
+    r = np.sqrt(np.maximum((w * width) * (h * height), 0.0) / (width * height))
+    sizes = np.searchsorted(SIZE_THRESHOLDS, r, side="right")
+    row, col = np.searchsorted((1 / 3, 2 / 3), (cy, cx), side="left")
+    return [(SIZE_BINS[size], GRID_CELLS[cell])
+            for size, cell in zip(sizes.tolist(), (3 * row + col).tolist())]
 
 
 def density_label(n_instances: int) -> str:
@@ -76,20 +77,6 @@ def density_label(n_instances: int) -> str:
     first whose highest count it does not exceed."""
     return next(label for label, _, hi in DENSITY_BUCKETS
                 if hi is None or n_instances <= hi)
-
-
-def size_bin(box: BBox, image_w: float, image_h: float,
-             thresholds: tuple[float, float, float] = DEFAULT_SIZE_THRESHOLDS) -> str:
-    """Scale class from sqrt of the box's share of the image area."""
-    pixel_area = (box.w * image_w) * (box.h * image_h)
-    r = math.sqrt(max(pixel_area, 0.0) / (image_w * image_h))
-    if r < thresholds[0]:
-        return "tiny"
-    if r < thresholds[1]:
-        return "small"
-    if r < thresholds[2]:
-        return "medium"
-    return "large"
 
 
 @dataclass
@@ -108,20 +95,6 @@ class InstanceAnnotation:
     @property
     def pixel_area(self) -> float:
         return (self.x2 - self.x1) * (self.y2 - self.y1)
-
-    def normalized_box(self, image_w: float, image_h: float) -> BBox:
-        return BBox.from_corners(self.x1 / image_w, self.y1 / image_h,
-                                 self.x2 / image_w, self.y2 / image_h)
-
-    def with_attributes(self, image_w: float, image_h: float,
-                        thresholds=DEFAULT_SIZE_THRESHOLDS) -> "InstanceAnnotation":
-        box = self.normalized_box(image_w, image_h)
-        return InstanceAnnotation(
-            instance_id=self.instance_id, category=self.category,
-            x1=self.x1, y1=self.y1, x2=self.x2, y2=self.y2,
-            size_bin=size_bin(box, image_w, image_h, thresholds),
-            grid_cell=grid_cell(box),
-        )
 
     @property
     def triple(self) -> tuple[str, str, str]:
@@ -151,16 +124,28 @@ class SceneAnnotation:
     def image_type(self) -> str:
         return classify_image_type(self.instances)
 
-    def normalized_rows(self) -> np.ndarray:
-        """(n, 4) centre-form rows of the instance boxes as fractions of
-        the image size: each instance's ``normalized_box``, bit for bit."""
-        px = np.array([(i.x1, i.y1, i.x2, i.y2) for i in self.instances],
-                      dtype=np.float64).reshape(-1, 4)
-        return centres(px / (self.width, self.height, self.width, self.height))
+    def fractions(self, px: np.ndarray) -> np.ndarray:
+        """Pixel rows of (x1, y1, x2, y2) as fractions of the image size."""
+        return px / (self.width, self.height, self.width, self.height)
 
-    def instances_matching(self, category: str, size: str, cell: str) -> list[int]:
-        return [i.instance_id for i in self.instances
-                if i.triple == (category, size, cell)]
+    def corner_rows(self) -> np.ndarray:
+        """(n, 4) corner rows of the instance boxes as fractions of the
+        image size."""
+        return self.fractions(np.array([(i.x1, i.y1, i.x2, i.y2) for i in self.instances],
+                                       dtype=np.float64).reshape(-1, 4))
+
+    def normalized_rows(self) -> np.ndarray:
+        """(n, 4) centre-form rows of ``corner_rows``: the rows the words,
+        matching and proposal encoding read."""
+        return centres(self.corner_rows())
+
+    def referents(self) -> dict[tuple[str, str, str], list[int]]:
+        """The ids of the instances with each (category, size bin, grid
+        cell) triple of words, the triples in order of first instance."""
+        groups: dict[tuple[str, str, str], list[int]] = {}
+        for inst in self.instances:
+            groups.setdefault(inst.triple, []).append(inst.instance_id)
+        return groups
 
 
 @dataclass
@@ -192,44 +177,31 @@ def instance_template(size: str, category: str, cell: str) -> str:
     return f"the {size} {category} at the {cell} of the image"
 
 
-def filter_instances(raw: SceneAnnotation,
-                     thresholds=DEFAULT_SIZE_THRESHOLDS) -> SceneAnnotation:
-    """Drop instances below the identifiability area and re-derive
-    attributes."""
-    kept = [inst.with_attributes(raw.width, raw.height, thresholds)
-            for inst in raw.instances if inst.pixel_area >= MIN_INSTANCE_AREA_PX]
-    return SceneAnnotation(image_id=raw.image_id, width=raw.width,
-                           height=raw.height, instances=kept)
+def filter_instances(raw: SceneAnnotation) -> SceneAnnotation:
+    """Drop instances below the identifiability area and derive the words
+    of the rest from their boxes."""
+    scene = SceneAnnotation(image_id=raw.image_id, width=raw.width, height=raw.height,
+                            instances=[inst for inst in raw.instances
+                                       if inst.pixel_area >= MIN_INSTANCE_AREA_PX])
+    words = attribute_words(scene.normalized_rows(), scene.width, scene.height)
+    scene.instances = [replace(inst, size_bin=size, grid_cell=cell)
+                       for inst, (size, cell) in zip(scene.instances, words)]
+    return scene
 
 
-def gen_instance_expression(inst: InstanceAnnotation, scene: SceneAnnotation,
-                            expression_id: str = "") -> Expression:
-    """Positive expression for one instance's attribute triple; targets
-    are all scene instances sharing the triple (multi-positive)."""
-    category, size, cell = inst.triple
-    return Expression(
-        expression_id=expression_id or f"{scene.image_id}-pos-{inst.instance_id}",
+def gen_positive_expressions(scene: SceneAnnotation) -> list[Expression]:
+    """One expression per distinct attribute triple in the scene; its
+    targets are every instance with the triple (multi-positive)."""
+    return [Expression(
+        expression_id=f"{scene.image_id}-pos-{k}",
         image_id=scene.image_id,
         text=instance_template(size, category, cell),
         level="instance",
         polarity="positive",
         negative_kind="none",
         attributes=Attributes(category=category, size_bin=size, grid_cell=cell),
-        target_ids=scene.instances_matching(category, size, cell),
-    )
-
-
-def gen_positive_expressions(scene: SceneAnnotation) -> list[Expression]:
-    """One expression per distinct attribute triple in the scene."""
-    seen: set[tuple[str, str, str]] = set()
-    out = []
-    for inst in scene.instances:
-        if inst.triple in seen:
-            continue
-        seen.add(inst.triple)
-        out.append(gen_instance_expression(
-            inst, scene, expression_id=f"{scene.image_id}-pos-{len(out)}"))
-    return out
+        target_ids=ids,
+    ) for k, ((category, size, cell), ids) in enumerate(scene.referents().items())]
 
 
 def gen_image_negatives(scene: SceneAnnotation) -> list[Expression]:
@@ -251,7 +223,7 @@ def gen_image_negatives(scene: SceneAnnotation) -> list[Expression]:
     )]
 
 
-def _valid_alternatives(scene: SceneAnnotation, triple: tuple[str, str, str],
+def _valid_alternatives(referents: dict, triple: tuple[str, str, str],
                         kind: str) -> list[tuple[str, str, str]]:
     category, size, cell = triple
     if kind == "replace_category":
@@ -262,27 +234,29 @@ def _valid_alternatives(scene: SceneAnnotation, triple: tuple[str, str, str],
         pool = [(category, size, g) for g in GRID_CELLS if g != cell]
     else:
         raise ValueError(f"unknown negative kind {kind!r}")
-    return [t for t in pool if not scene.instances_matching(*t)]
+    return [t for t in pool if t not in referents]
 
 
-def gen_test_negatives(scenes: list[SceneAnnotation], seed: int,
-                       fraction_per_kind: float = 1 / 3
-                       ) -> tuple[list[Expression], dict]:
-    """Manufacture instance-level negatives for the test split.
+def gen_instance_negatives(scenes: list[SceneAnnotation], seed,
+                           fraction_per_kind: float = 1 / 3
+                           ) -> tuple[list[Expression], dict]:
+    """Manufacture instance-level negatives for the given scenes, drawn
+    from the random stream of ``seed`` (anything ``np.random.default_rng``
+    takes).
 
-    Candidates are the positive instance expressions of the given
-    scenes. For each manipulation kind, a random third of the candidates
-    is sampled; each sampled candidate gets one attribute changed to a
-    value that matches no instance in its scene (verified by scan).
-    Candidates admitting no valid change are skipped and replaced by the
-    next sampled one; if the pool runs dry the shortfall is reported in
-    the metadata rather than raised.
+    Candidates are the attribute triples of the scenes' positive
+    instance expressions. For each manipulation kind, a random third of
+    the candidates is sampled; each sampled candidate gets one attribute
+    changed to a value that names no group of the scene's
+    ``referents``. Candidates admitting no valid change are skipped and
+    replaced by the next sampled one; if the pool runs dry the shortfall
+    is reported in the metadata rather than raised.
     """
     rng = np.random.default_rng(seed)
-    candidates: list[tuple[SceneAnnotation, Expression]] = []
+    candidates: list[tuple[SceneAnnotation, dict, tuple[str, str, str]]] = []
     for scene in scenes:
-        for expr in gen_positive_expressions(scene):
-            candidates.append((scene, expr))
+        referents = scene.referents()
+        candidates.extend((scene, referents, triple) for triple in referents)
 
     per_kind_target = int(round(len(candidates) * fraction_per_kind))
     negatives: list[Expression] = []
@@ -294,10 +268,8 @@ def gen_test_negatives(scenes: list[SceneAnnotation], seed: int,
         for idx in order:
             if produced >= per_kind_target:
                 break
-            scene, expr = candidates[idx]
-            triple = (expr.attributes.category, expr.attributes.size_bin,
-                      expr.attributes.grid_cell)
-            options = _valid_alternatives(scene, triple, kind)
+            scene, referents, triple = candidates[idx]
+            options = _valid_alternatives(referents, triple, kind)
             if not options:
                 continue
             category, size, cell = options[rng.integers(len(options))]
@@ -408,7 +380,12 @@ def read_dataset(path: str | Path
     its image; an image type its scene's instances do not make; a second
     scene or expression with one id, or a second instance with one id in
     a scene; an expression whose image no earlier scene record holds, or
-    with a target id that names no instance of that image."""
+    with a target id that names no instance of that image. After the
+    whole file has passed these, two more raise in the same form: an
+    instance whose stored size bin or grid cell its box does not make
+    (``attribute_words``, once for the file), and an instance expression
+    whose target ids are not, as a set, the instances its attributes
+    name (``SceneAnnotation.referents``), none for a negative."""
     scenes: dict[str, SceneAnnotation] = {}
     instance_ids: dict[str, set[int]] = {}  # image id -> its instances' ids
     expressions: list[Expression] = []
@@ -489,6 +466,31 @@ def read_dataset(path: str | Path
 
     meta = read_records(path, FORMAT_NAME, FORMAT_VERSION, "dataset", "build",
                         {"scene": scene, "expression": expression})
+    placed = [(s, inst) for s in scenes.values() for inst in s.instances]
+    if placed:
+        size = np.array([(s.width, s.height) for s, _ in placed], dtype=np.float64)
+        # an image area past the float range overflows to inf or NaN here:
+        # no numpy warning, the words compare as they come out
+        with np.errstate(over="ignore", invalid="ignore"):
+            words = attribute_words(centres(np.concatenate([s.corner_rows()
+                                                            for s in scenes.values()])),
+                                    size[:, 0], size[:, 1])
+        for (owner, inst), made in zip(placed, words):
+            if (inst.size_bin, inst.grid_cell) != made:
+                raise ValueError(f"{path}, line {scene_lines[owner.image_id]}: instance "
+                                 f"{inst.instance_id} is {inst.size_bin!r} at "
+                                 f"{inst.grid_cell!r}, but its box makes it {made[0]!r} at "
+                                 f"{made[1]!r}")
+    referents = {image_id: s.referents() for image_id, s in scenes.items()}
+    for expr in expressions:
+        if expr.level != "instance":
+            continue
+        attrs = expr.attributes
+        named = referents[expr.image_id].get((attrs.category, attrs.size_bin, attrs.grid_cell), [])
+        if set(expr.target_ids) != set(named):
+            raise ValueError(f"{path}, line {expression_lines[expr.expression_id]}: target ids "
+                             f"{sorted(set(expr.target_ids))} are not {named}, the instances "
+                             f"of image {expr.image_id!r} that its attributes name")
     return list(scenes.values()), expressions, meta
 
 

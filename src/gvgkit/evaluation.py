@@ -120,16 +120,12 @@ def _outcomes(predictions: Predictions, scenes: list[SceneAnnotation],
               expressions: list[Expression]) -> _Outcomes:
     """Join predictions to scenes and expressions once, then read each
     instance expression's outcome off its image's IoU matrix or GIoU
-    flags, each computed at most once per image. Boxes are compared in
-    normalized coordinates."""
+    flags, each computed at most once per image. Boxes are compared as
+    fractions of the image size."""
     records = predictions.by_expression()
-    scene_boxes: dict[str, tuple[np.ndarray, np.ndarray, list[int]]] = {}
-    for scene in scenes:
-        scale = np.array([scene.width, scene.height, scene.width, scene.height],
-                         dtype=np.float64)
-        boxes = np.array([(i.x1, i.y1, i.x2, i.y2) for i in scene.instances],
-                         dtype=np.float64).reshape(-1, 4) / scale
-        scene_boxes[scene.image_id] = (scale, boxes, [i.instance_id for i in scene.instances])
+    scene_boxes: dict[str, tuple[SceneAnnotation, np.ndarray, list[int]]] = {
+        scene.image_id: (scene, scene.corner_rows(), [i.instance_id for i in scene.instances])
+        for scene in scenes}
     overlaps: dict[str, np.ndarray] = {}   # image id -> (M, G) IoU of its table
     clean: dict[str, np.ndarray] = {}      # image id -> (M,) GIoU <= 0 with all G
 
@@ -142,7 +138,7 @@ def _outcomes(predictions: Predictions, scenes: list[SceneAnnotation],
         if expr.level != "instance":
             continue
         image_id = expr.image_id
-        scale, gt, ids = scene_boxes[image_id]
+        scene, gt, ids = scene_boxes[image_id]
         ranking = record.ranking if record is not None else ()
         if expr.polarity == "positive":
             positives.append(expr)
@@ -152,7 +148,7 @@ def _outcomes(predictions: Predictions, scenes: list[SceneAnnotation],
                 pos.append((np.inf, 0, len(columns), 0.0))
                 continue
             if image_id not in overlaps:
-                overlaps[image_id] = iou(predictions.tables[image_id] / scale, gt)
+                overlaps[image_id] = iou(scene.fractions(predictions.tables[image_id]), gt)
             overlap = overlaps[image_id][ranking][:, columns]
             hit = overlap >= 0.5
             hit_rows = np.flatnonzero(hit.any(axis=1))
@@ -167,7 +163,7 @@ def _outcomes(predictions: Predictions, scenes: list[SceneAnnotation],
                 neg.append((False, False))
             else:
                 if image_id not in clean:
-                    clean[image_id] = np.all(giou(predictions.tables[image_id] / scale, gt)
+                    clean[image_id] = np.all(giou(scene.fractions(predictions.tables[image_id]), gt)
                                              <= GIOU_BOUNDARY_TOL, axis=1)
                 rows = clean[image_id][ranking]
                 neg.append((rows[0], rows.all()))

@@ -40,10 +40,6 @@ class BBox:
         hw, hh = self.w / 2.0, self.h / 2.0
         return (self.cx - hw, self.cy - hh, self.cx + hw, self.cy + hh)
 
-    def scaled(self, sx: float, sy: float) -> "BBox":
-        """Rescale both position and size (e.g. normalized -> pixels)."""
-        return BBox(self.cx * sx, self.cy * sy, self.w * sx, self.h * sy)
-
 
 def corners(centre: np.ndarray) -> np.ndarray:
     """Centre-form rows to corner rows, with the arithmetic of

@@ -40,7 +40,6 @@ class SynthConfig:
     # field imagery, where most instances are tiny or small)
     size_probs: tuple[float, float, float, float] = (0.45, 0.40, 0.12, 0.03)
     sub_min_rate: float = 0.2      # chance of one extra unidentifiable instance
-    size_thresholds: tuple[float, float, float] = (0.05, 0.12, 0.30)
     split_ratios: tuple[float, float, float] = (0.70, 0.15, 0.15)
     copy_paste_rate: float = 0.25  # train-split instance duplication rate
 

@@ -4,8 +4,9 @@ Produces scenes with non-overlapping pixel boxes under configurable
 image-type, density and size distributions, pipes them through instance
 filtering and attribute derivation, splits them per type, duplicates a
 few instances across training scenes for extra diversity, and attaches
-expressions (positives, image-level absence sentences and, in the test
-split, verified negative expressions).
+expressions (positives, image-level absence sentences and verified
+instance-level negative expressions, each split's from its own random
+stream).
 """
 
 from __future__ import annotations
@@ -26,17 +27,18 @@ from gvgkit.datagen import (
     Expression,
     InstanceAnnotation,
     SceneAnnotation,
+    attribute_words,
     density_label,
     filter_instances,
     gen_image_negatives,
+    gen_instance_negatives,
     gen_positive_expressions,
-    gen_test_negatives,
     stratified_split,
 )
 from gvgkit.synth.config import SynthConfig
 
 # sqrt-area fractions per size bin used when drawing boxes; kept inside
-# the bin thresholds so derived attributes match the draw
+# datagen.SIZE_THRESHOLDS' bins so derived attributes match the draw
 _SIZE_RANGES = {
     "tiny": (0.016, 0.048),
     "small": (0.052, 0.115),
@@ -191,34 +193,38 @@ def _copy_paste(train_scenes: list[SceneAnnotation], cfg: SynthConfig, rng) -> i
             continue
         clone = InstanceAnnotation(
             instance_id=max(i.instance_id for i in scene.instances) + 1,
-            category=src.category, x1=box[0], y1=box[1], x2=box[2], y2=box[3],
-        ).with_attributes(scene.width, scene.height, cfg.size_thresholds)
+            category=src.category, x1=box[0], y1=box[1], x2=box[2], y2=box[3])
         scene.instances.append(clone)
+        clone.size_bin, clone.grid_cell = attribute_words(
+            scene.normalized_rows()[-1:], scene.width, scene.height)[0]
         clones += 1
     return clones
 
 
 def gen_scenes(cfg: SynthConfig) -> SyntheticDataset:
     """Full dataset build: raw scenes, filtering, split, copy-paste on
-    the training split, expressions, and test-split negatives."""
+    the training split, and expressions. Each split draws its instance
+    negatives from a stream of its own, test's from ``cfg.seed``, so the
+    test split is the same with or without the others'."""
     rng = np.random.default_rng(cfg.seed)
     scenes = []
     for k in range(cfg.n_scenes):
         image_type = IMAGE_TYPES[int(rng.choice(len(IMAGE_TYPES), p=cfg.type_mix))]
         raw = _generate_raw_scene(f"scene-{k:04d}", image_type, cfg, rng)
-        scenes.append(filter_instances(raw, cfg.size_thresholds))
+        scenes.append(filter_instances(raw))
 
     train, val, test = stratified_split(scenes, cfg.split_ratios, seed=cfg.seed)
     clones = _copy_paste(train, cfg, np.random.default_rng([cfg.seed, 0xC0]))
 
-    expressions = {}
-    for name, group in (("train", train), ("val", val), ("test", test)):
+    expressions, negative_meta = {}, {}
+    for name, group, seed in (("train", train, [cfg.seed, 1]), ("val", val, [cfg.seed, 2]),
+                              ("test", test, cfg.seed)):
         expressions[name] = []
         for scene in group:
             expressions[name].extend(gen_positive_expressions(scene))
             expressions[name].extend(gen_image_negatives(scene))
-    negatives, neg_meta = gen_test_negatives(test, seed=cfg.seed)
-    expressions["test"].extend(negatives)
+        negatives, negative_meta[name] = gen_instance_negatives(group, seed)
+        expressions[name].extend(negatives)
     splits = {name: SplitData(name=name, scenes=group, expressions=expressions[name])
               for name, group in (("train", train), ("val", val), ("test", test))}
 
@@ -227,7 +233,7 @@ def gen_scenes(cfg: SynthConfig) -> SyntheticDataset:
         "seed": cfg.seed,
         "config_hash": cfg.config_hash(),
         "copy_paste_clones": clones,
-        "negatives": neg_meta,
+        "negatives": negative_meta["test"],
         "scene_counts": {name: len(s.scenes) for name, s in splits.items()},
         "type_counts": {name: {t: types.count(t) for t in IMAGE_TYPES}
                         for name, types in split_types.items()},

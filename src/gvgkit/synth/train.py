@@ -221,7 +221,7 @@ def _pick_expressions(item: EncodedScene, count: int,
     image-level absence sentence, with the absence sentence drawn at a
     fixed rate so dense scenes still rehearse non-existence."""
     pool = [e for e in item.expressions
-            if e.negative_kind == "none"]  # test-split manipulations never train
+            if e.negative_kind == "none"]  # instance negatives never train
     if not pool:
         return []
     absence = [e for e in pool if e.level == "image"]

@@ -14,6 +14,7 @@ from gvgkit import datagen
 from gvgkit.cli import main
 from gvgkit.hrs import VARIANTS
 from gvgkit.synth import SplitData, load_config, train_two_stage
+from gvgkit.synth import scenes as scenes_module
 from gvgkit.synth.predict import read_predictions
 
 
@@ -92,15 +93,33 @@ class TestPipeline:
             assert stats["splits"][name]["scenes"] == n_scenes
             assert stats["splits"][name]["expressions"] == n_exprs
 
-    def test_negatives_only_in_test_split(self, run_dir):
-        for name in ("train", "val", "test"):
-            lines = (run_dir / f"{name}.jsonl").read_text().splitlines()
-            kinds = {json.loads(l)["negative_kind"] for l in lines[1:]
-                     if json.loads(l)["record"] == "expression"}
-            if name == "test":
-                assert kinds - {"none"}, "test split should carry manipulations"
-            else:
-                assert kinds <= {"none"}
+    def test_each_split_draws_its_negatives_from_its_own_stream(self, run_dir, tmp_path,
+                                                                monkeypatch):
+        synth_cfg, _ = load_config(run_dir / "config.json")
+        streams = {"train": [synth_cfg.seed, 1], "val": [synth_cfg.seed, 2],
+                   "test": synth_cfg.seed}
+        for name, seed in streams.items():
+            scenes, expressions, _ = datagen.read_dataset(run_dir / f"{name}.jsonl")
+            stored = [e for e in expressions if e.negative_kind != "none"]
+            assert stored, f"the {name} split should carry instance negatives"
+            assert stored == datagen.gen_instance_negatives(scenes, seed)[0]
+
+        # a build whose train and val splits draw no negatives writes the
+        # same test split, and train and val less their negatives
+        def test_stream_only(scenes, seed):
+            negatives, meta = datagen.gen_instance_negatives(scenes, seed)
+            return (negatives if seed == synth_cfg.seed else []), meta
+
+        monkeypatch.setattr(scenes_module, "gen_instance_negatives", test_stream_only)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["build", "--config", str(run_dir / "config.json"),
+                         "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "test.jsonl").read_bytes() == (run_dir / "test.jsonl").read_bytes()
+        for name in ("train", "val"):
+            lines = [line for line in (run_dir / f"{name}.jsonl").read_text().splitlines()
+                     if json.loads(line).get("negative_kind", "none") == "none"]
+            assert (tmp_path / f"{name}.jsonl").read_text().splitlines() == lines
 
     def test_predictions_sorted_and_readable(self, run_dir):
         preds = read_predictions(run_dir / "predictions-test.jsonl")
@@ -288,9 +307,9 @@ class TestErrors:
         assert where in err and message in err, err
 
     # fault in test.jsonl -> (line of the error: 1, None for the whole file,
-    # or the line of the edited scene record, first expression or first
-    # expression with targets ("positive"), or of a copy; part of the
-    # message)
+    # or the line of the edited scene record, first expression, first
+    # expression with targets ("positive"), first instance negative, or of
+    # a copy; part of the message)
     SPLIT_FAULTS = {
         "non-object line": ("scene", "not a JSON object"),
         "not json": ("scene", "not JSON"),
@@ -330,6 +349,11 @@ class TestErrors:
         "box outside the image": ("scene", " must have 0 <= x1 < x2 <= "),
         "image type its instances do not make": ("scene", "image_type 'empty' does not match "
                                                           "the instances, which make the scene "),
+        "size bin its box does not make": ("scene", ", but its box makes it '"),
+        "grid cell its box does not make": ("scene", ", but its box makes it '"),
+        "image area past the float range": ("scene", ", but its box makes it '"),
+        "target its attributes do not name": ("positive", "the instances of image 'scene-"),
+        "negative whose attributes name an instance": ("negative", "] are not [0"),
         "another format": (1, "not a gref-cw-like file"),
         "version 2": (1, "unsupported dataset version 2; re-run `gvgkit build`"),
         "empty file": (None, "empty, no header line; re-run `gvgkit build`"),
@@ -355,7 +379,10 @@ class TestErrors:
         positive = next(k for k, r in enumerate(records) if r["record"] == "expression"
                         and r["target_ids"])
         image = next(k for k, r in enumerate(records) if r.get("level") == "image")
+        negative = next(k for k, r in enumerate(records)
+                        if r.get("negative_kind", "none") != "none")
         scene, expression, targeted = records[at], records[first], records[positive]
+        scene_of = {r["image_id"]: r for r in records if r["record"] == "scene"}
         if fault == "non-object line":
             lines[at] = "[]"
         elif fault == "not json":
@@ -428,13 +455,36 @@ class TestErrors:
             box[2] += 5000
         elif fault == "image type its instances do not make":
             scene["image_type"] = "empty"
+        elif fault == "size bin its box does not make":
+            words = datagen.SIZE_BINS
+            inst = scene["instances"][0]
+            inst["size_bin"] = words[(words.index(inst["size_bin"]) + 1) % len(words)]
+        elif fault == "grid cell its box does not make":
+            words = datagen.GRID_CELLS
+            inst = scene["instances"][0]
+            inst["grid_cell"] = words[(words.index(inst["grid_cell"]) + 1) % len(words)]
+        elif fault == "image area past the float range":
+            # each side and box fits a float, their product does not
+            scale = 1e200 / scene["width"]
+            scene["width"] = scene["height"] = 1e200
+            for inst in scene["instances"]:
+                inst["bbox_xyxy_px"] = [v * scale for v in inst["bbox_xyxy_px"]]
+        elif fault == "target its attributes do not name":
+            targeted["target_ids"] = [next(
+                i["instance_id"] for i in scene_of[targeted["image_id"]]["instances"]
+                if i["instance_id"] not in targeted["target_ids"])]
+        elif fault == "negative whose attributes name an instance":
+            inst = next(i for i in scene_of[records[negative]["image_id"]]["instances"]
+                        if i["instance_id"] == 0)
+            records[negative]["attributes"] = {key: inst[key] for key in
+                                               ("category", "size_bin", "grid_cell")}
         elif fault == "another format":
             header["format"] = "gvgkit-predictions"
         elif fault == "version 2":
             header["version"] = 2
         else:
             lines = []
-        for k in {0, at, first, positive, image}:   # write back the records edited above
+        for k in {0, at, first, positive, image, negative}:   # write back the records edited
             if records[k] != unedited[k]:
                 lines[k] = json.dumps(records[k])
         path = tmp_path / "test.jsonl"
@@ -445,7 +495,7 @@ class TestErrors:
         line, message = self.SPLIT_FAULTS[fault]
         line = {"scene": at + 1, "scene copy": at + 2, "expression": first + 1,
                 "expression copy": first + 2, "positive": positive + 1,
-                "image": image + 1}.get(line, line)
+                "image": image + 1, "negative": negative + 1}.get(line, line)
         where = f"{path}: " if line is None else f"{path}, line {line}: "
         assert err.startswith(f"error: {where}") and err.count("\n") == 1, err
         assert message in err, err

@@ -1,30 +1,76 @@
 import json
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gvgkit.datagen import (
     CATEGORIES,
     GRID_CELLS,
     SIZE_BINS,
+    SIZE_THRESHOLDS,
     Attributes,
     Expression,
     InstanceAnnotation,
     SceneAnnotation,
+    attribute_words,
     filter_instances,
     gen_image_negatives,
-    gen_instance_expression,
+    gen_instance_negatives,
     gen_positive_expressions,
-    gen_test_negatives,
-    grid_cell,
     instance_template,
     read_dataset,
-    size_bin,
     stratified_split,
     write_dataset,
 )
 from gvgkit.geometry import BBox
+from gvgkit.synth.scenes import _SIZE_RANGES
+
+from uniform_oracle import normalized_boxes
+
+
+def oracle_grid_cell(box: BBox) -> str:
+    """3x3 position name from the normalized box centre, one box at a
+    time; boundary values at 1/3 and 2/3 fall into the lower cell."""
+    def index(v: float) -> int:
+        if v <= 1 / 3:
+            return 0
+        if v <= 2 / 3:
+            return 1
+        return 2
+
+    row, col = index(box.cy), index(box.cx)
+    if (row, col) == (1, 1):
+        return "centre"
+    return f"{('top', 'middle', 'bottom')[row]} {('left', 'centre', 'right')[col]}"
+
+
+def oracle_size_bin(box: BBox, image_w: float, image_h: float) -> str:
+    """Scale class from sqrt of the box's share of the image area, one box
+    at a time, with the thresholds written out: 0.05, 0.12 and 0.30, a
+    value on a boundary binning upward."""
+    pixel_area = (box.w * image_w) * (box.h * image_h)
+    r = math.sqrt(max(pixel_area, 0.0) / (image_w * image_h))
+    if r < 0.05:
+        return "tiny"
+    if r < 0.12:
+        return "small"
+    if r < 0.30:
+        return "medium"
+    return "large"
+
+
+def words(box: BBox, image_w: float, image_h: float) -> tuple[str, str]:
+    """``attribute_words`` on the one normalized box ``box``."""
+    return attribute_words(np.array([[box.cx, box.cy, box.w, box.h]]), image_w, image_h)[0]
+
+
+def scan_matching(scene: SceneAnnotation, triple) -> list[int]:
+    """The ids of the scene's instances with ``triple``, by scan."""
+    return [i.instance_id for i in scene.instances if i.triple == tuple(triple)]
 
 
 def make_scene(image_id="img0", w=1000, h=1000, specs=()):
@@ -71,22 +117,69 @@ class TestFiltering:
 
 class TestAttributes:
     def test_grid_cells(self):
-        assert grid_cell(BBox(0.1, 0.2, 0.05, 0.05)) == "top left"
-        assert grid_cell(BBox(0.5, 0.5, 0.05, 0.05)) == "centre"
-        # boundary value stays in the lower cell
-        assert grid_cell(BBox(1 / 3, 0.5, 0.05, 0.05)) == "middle left"
-        assert grid_cell(BBox(0.9, 0.9, 0.05, 0.05)) == "bottom right"
+        for box, cell in [(BBox(0.1, 0.2, 0.05, 0.05), "top left"),
+                          (BBox(0.5, 0.5, 0.05, 0.05), "centre"),
+                          # boundary value stays in the lower cell
+                          (BBox(1 / 3, 0.5, 0.05, 0.05), "middle left"),
+                          (BBox(0.9, 0.9, 0.05, 0.05), "bottom right")]:
+            assert oracle_grid_cell(box) == cell
+            assert words(box, 1000, 1000)[1] == cell
         assert len(GRID_CELLS) == 9 and "centre" in GRID_CELLS
 
     def test_size_bins(self):
         w = h = 1445
         tiny = BBox.from_corners(0, 0, 16 / w, 16 / h)
-        assert size_bin(tiny, w, h) == "tiny"
         large = BBox.from_corners(0, 0, 1402 / w, 1402 / h)
-        assert size_bin(large, w, h) == "large"
         # r exactly on a boundary bins upward
         boundary = BBox(0.5, 0.5, 0.12, 0.12)
-        assert size_bin(boundary, 1000, 1000) == "medium"
+        for box, size, image in [(tiny, "tiny", w), (large, "large", w),
+                                 (boundary, "medium", 1000)]:
+            assert oracle_size_bin(box, image, image) == size
+            assert words(box, image, image)[0] == size
+
+    @pytest.mark.parametrize("image", [(1000, 1000), (1280, 1280), (1445, 960)])
+    def test_boundaries_match_the_scalar_formulas(self, image):
+        # a centre at 1/3 or 2/3, and r at each threshold, in the exact
+        # fractions and in the ones that pixel corners make
+        w, h = image
+        boxes = [BBox(c, d, r, r) for c in (1 / 3, 2 / 3) for d in (1 / 3, 2 / 3)
+                 for r in SIZE_THRESHOLDS]
+        for r in SIZE_THRESHOLDS:
+            for x1 in range(0, 40):
+                boxes.append(BBox.from_corners(x1 / w, x1 / h, (x1 + r * w) / w,
+                                               (x1 + r * h) / h))
+            side = round(r * w)
+            boxes.append(BBox.from_corners(w / 3 - side / 2, 0, w / 3 + side / 2, side))
+        rows = np.array([[b.cx, b.cy, b.w, b.h] for b in boxes])
+        assert attribute_words(rows, w, h) == [
+            (oracle_size_bin(b, w, h), oracle_grid_cell(b)) for b in boxes]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4000), st.integers(1, 4000), st.data())
+    def test_words_match_the_scalar_formulas(self, w, h, data):
+        # pixel corners of any box inside the image, integer or not, as
+        # the scene holds them; a row per box, one call for all of them
+        corner = st.floats(0, 1, allow_nan=False)
+        specs = data.draw(st.lists(st.tuples(corner, corner, corner, corner),
+                                   min_size=1, max_size=8))
+        instances = []
+        for k, (a, b, c, d) in enumerate(specs):
+            x1, x2 = sorted((a * w, c * w))
+            y1, y2 = sorted((b * h, d * h))
+            instances.append(InstanceAnnotation(k, "maize", x1, y1, x2, y2))
+        scene = SceneAnnotation("s", w, h, instances)
+        expected = [(oracle_size_bin(box, w, h), oracle_grid_cell(box))
+                    for box in normalized_boxes(scene)]
+        assert attribute_words(scene.normalized_rows(), w, h) == expected
+        # one call for many images at once, as a split's reader makes it
+        size = np.array([(w, h)] * len(instances), dtype=np.float64)
+        assert attribute_words(scene.normalized_rows(), size[:, 0], size[:, 1]) == expected
+
+    def test_drawn_size_ranges_lie_inside_their_bins(self):
+        bounds = (0.0, *SIZE_THRESHOLDS, math.inf)
+        assert tuple(_SIZE_RANGES) == SIZE_BINS
+        for k, (lo, hi) in enumerate(_SIZE_RANGES.values()):
+            assert bounds[k] <= lo < hi < bounds[k + 1]
 
     def test_derived_attributes_on_instances(self):
         scene = make_scene(specs=[("pea", 0, 0, 40, 40)])
@@ -98,7 +191,7 @@ class TestAttributes:
 class TestExpressions:
     def test_template_text(self):
         scene = make_scene(specs=[("maize", 100, 100, 180, 180)])
-        expr = gen_instance_expression(scene.instances[0], scene)
+        expr, = gen_positive_expressions(scene)
         assert expr.text == "the small maize at the top left of the image"
         assert expr.target_ids == [0]
 
@@ -129,9 +222,11 @@ class TestExpressions:
         exprs = gen_positive_expressions(scene)
         assert len(exprs) <= len(scene.instances)
         for e in exprs:
-            matching = scene.instances_matching(
-                e.attributes.category, e.attributes.size_bin, e.attributes.grid_cell)
+            matching = scan_matching(scene, (e.attributes.category, e.attributes.size_bin,
+                                             e.attributes.grid_cell))
             assert sorted(e.target_ids) == sorted(matching)
+        assert {e.text for e in exprs} == {instance_template(i.size_bin, i.category, i.grid_cell)
+                                           for i in scene.instances}
 
     def test_targets_invariant_on_positive(self):
         with pytest.raises(ValueError):
@@ -177,32 +272,32 @@ class TestNegatives:
     def test_negatives_never_match_instances(self):
         scenes = self._scenes()
         by_id = {s.image_id: s for s in scenes}
-        negatives, meta = gen_test_negatives(scenes, seed=1)
+        negatives, meta = gen_instance_negatives(scenes, seed=1)
         assert negatives, "expected some negatives"
         for neg in negatives:
             scene = by_id[neg.image_id]
-            matching = scene.instances_matching(
-                neg.attributes.category, neg.attributes.size_bin, neg.attributes.grid_cell)
+            matching = scan_matching(scene, (neg.attributes.category, neg.attributes.size_bin,
+                                             neg.attributes.grid_cell))
             assert matching == []
             assert neg.target_ids == []
             assert neg.negative_kind in ("replace_category", "swap_size", "swap_position")
 
     def test_replacement_on_single_category_scene(self):
         scene = make_scene(specs=[("maize", 100, 100, 180, 180)])
-        negatives, _ = gen_test_negatives([scene], seed=2, fraction_per_kind=1.0)
+        negatives, _ = gen_instance_negatives([scene], seed=2, fraction_per_kind=1.0)
         replace = [n for n in negatives if n.negative_kind == "replace_category"]
         assert replace and all(n.attributes.category != "maize" for n in replace)
 
     def test_counts_near_one_third(self):
         scenes = self._scenes(n=30, seed=3)
-        negatives, meta = gen_test_negatives(scenes, seed=4)
+        negatives, meta = gen_instance_negatives(scenes, seed=4)
         for kind, actual in meta["per_kind_actual"].items():
             assert actual + meta["shortfall"][kind] == meta["per_kind_target"]
 
     def test_deterministic(self):
         scenes = self._scenes(n=10, seed=5)
-        a, _ = gen_test_negatives(scenes, seed=6)
-        b, _ = gen_test_negatives(scenes, seed=6)
+        a, _ = gen_instance_negatives(scenes, seed=6)
+        b, _ = gen_instance_negatives(scenes, seed=6)
         assert [(x.expression_id, x.text) for x in a] == [(x.expression_id, x.text) for x in b]
 
 

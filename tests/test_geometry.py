@@ -136,7 +136,8 @@ class TestIoU:
         a, b = random_box(rng), random_box(rng)
         assert iou1(a, b) == pytest.approx(iou1(b, a), abs=1e-12)
         assert giou1(a, b) == pytest.approx(giou1(b, a), abs=1e-12)
-        a2, b2 = a.scaled(scale, scale), b.scaled(scale, scale)
+        a2, b2 = (BBox(box.cx * scale, box.cy * scale, box.w * scale, box.h * scale)
+                  for box in (a, b))
         assert iou1(a2, b2) == pytest.approx(iou1(a, b), abs=1e-10)
         assert giou1(a2, b2) == pytest.approx(giou1(a, b), abs=1e-10)
 

@@ -16,7 +16,7 @@ from gvgkit.synth.encode import EmbeddingTable, encode_proposals
 
 from matching_oracle import assign_bruteforce, match_cost, total_cost, unmatched
 from reference_metrics import ref_iou
-from uniform_oracle import centre_rows
+from uniform_oracle import centre_rows, normalized_boxes
 
 # the weights training matches with
 WEIGHTS = (TrainConfig().lambda_centre, TrainConfig().lambda_size)
@@ -281,8 +281,7 @@ class TestAgainstScipy:
         matrices = 0
         for split in dataset.splits.values():
             for scene in split.scenes:
-                gts = [inst.normalized_box(scene.width, scene.height)
-                       for inst in scene.instances]
+                gts = normalized_boxes(scene)
                 if not gts:
                     continue
                 _, boxes, _ = encode_proposals(scene, cfg, table)

@@ -16,13 +16,12 @@ from gvgkit.synth.boxhead import BoxRefiner, giou_loss_diff, interp_iou_loss_dif
 from gvgkit.synth.encode import EmbeddingTable
 from gvgkit.synth.train import encode_split, match_scene, stage1_loss, train_stage1
 
-from uniform_oracle import centre_rows
+from uniform_oracle import centre_rows, normalized_boxes
 
 
 def stage1_scene_loss(item, refiner, tcfg):
     """Oracle: one scene's mean box loss, matched and refined on its own."""
-    gts = [inst.normalized_box(item.scene.width, item.scene.height)
-           for inst in item.scene.instances]
+    gts = normalized_boxes(item.scene)
     if not gts:
         return None
     cost = build_cost_matrix(item.boxes, centre_rows(gts), tcfg.lambda_centre,
@@ -145,8 +144,7 @@ def test_match_scene_slices_the_paired_rows(encoded):
     tcfg = TrainConfig(seed=11)
     item = max(encoded, key=lambda e: len(e.scene.instances))
     item = dataclasses.replace(item, boxes=item.boxes[::-1].copy())
-    gts = centre_rows([inst.normalized_box(item.scene.width, item.scene.height)
-                       for inst in item.scene.instances])
+    gts = centre_rows(normalized_boxes(item.scene))
     pairs = assign_optimal(build_cost_matrix(item.boxes, gts, tcfg.lambda_centre,
                                              tcfg.lambda_size))
     assert any(i != j for i, j in pairs)

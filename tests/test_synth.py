@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gvgkit.datagen import InstanceAnnotation, SceneAnnotation, read_dataset
+from gvgkit.datagen import InstanceAnnotation, SceneAnnotation, attribute_words, read_dataset
 from gvgkit.geometry import corners, iou
 from gvgkit.hrs import LEVEL0_SENTENCES, HrsParams
 from gvgkit.synth import (
@@ -145,7 +145,7 @@ class TestProposalEncoding:
         scene = next(s for s in ds.train.scenes if 0 < len(s.instances) <= 8)
         _, boxes, source_ids = encode_proposals(scene, cfg, table)
         assert (source_ids == -1).sum() >= cfg.distractor_min
-        gt = [i.normalized_box(scene.width, scene.height) for i in scene.instances]
+        gt = uniform_oracle.normalized_boxes(scene)
         background = boxes[source_ids == -1]
         assert np.all(iou(corners(background), corners(uniform_oracle.centre_rows(gt))) == 0.0)
 
@@ -208,7 +208,7 @@ class TestProposalEncoding:
             scene = _scene(f"scene-{k}", boxes)
             assert_same_as_oracle(scene, cfg, table)
             # did the first soil box need more than one try?
-            gts = [i.normalized_box(scene.width, scene.height) for i in scene.instances]
+            gts = uniform_oracle.normalized_boxes(scene)
             rng = _scene_rng(cfg.seed, scene.image_id, "proposals")
             one_try = _scene_rng(cfg.seed, scene.image_id, "proposals")
             rng.random(4 * len(gts))
@@ -296,9 +296,12 @@ def _centre_box(cx, cy, w, h, size=1280):
 
 def _scene(image_id, boxes, size=1280):
     """A scene of maize plants at the given pixel corners, attributes derived."""
-    return SceneAnnotation(image_id=image_id, width=size, height=size, instances=[
-        InstanceAnnotation(k, "maize", *box).with_attributes(size, size)
-        for k, box in enumerate(boxes)])
+    scene = SceneAnnotation(image_id=image_id, width=size, height=size, instances=[
+        InstanceAnnotation(k, "maize", *box) for k, box in enumerate(boxes)])
+    for inst, (size_bin, cell) in zip(scene.instances,
+                                      attribute_words(scene.normalized_rows(), size, size)):
+        inst.size_bin, inst.grid_cell = size_bin, cell
+    return scene
 
 
 def assert_arrays_equal(got, want):

@@ -16,6 +16,14 @@ from gvgkit.synth.config import CONTEXT_DIMS, FEATURE_DIMS, WORD_SPACE_DIMS, Syn
 from gvgkit.synth.encode import CTX_BARE_PATCH, EmbeddingTable, _context_block, _scene_rng
 
 
+def normalized_boxes(scene: SceneAnnotation) -> list[BBox]:
+    """The scene's instance boxes as fractions of the image size, one
+    ``BBox`` per instance, each divided on its own."""
+    return [BBox.from_corners(i.x1 / scene.width, i.y1 / scene.height,
+                              i.x2 / scene.width, i.y2 / scene.height)
+            for i in scene.instances]
+
+
 def centre_rows(boxes: Sequence[BBox]) -> np.ndarray:
     """(N, 4) centre-form rows (cx, cy, w, h) of a box list."""
     return np.array([(b.cx, b.cy, b.w, b.h) for b in boxes],
@@ -61,8 +69,7 @@ def encode_proposals(scene: SceneAnnotation, cfg: SynthConfig, table: EmbeddingT
     word noise, then the scene noise."""
     rng = _scene_rng(cfg.seed, scene.image_id, "proposals")
     ctx = _context_block(scene, cfg)
-    gt_boxes = [inst.normalized_box(scene.width, scene.height)
-                for inst in scene.instances]
+    gt_boxes = normalized_boxes(scene)
 
     features = []
     boxes = []
