@@ -57,16 +57,18 @@ IMAGE_NEGATIVE_TEXT = {
 }
 
 
-def attribute_words(rows: np.ndarray, width, height) -> list[tuple[str, str]]:
-    """The (size bin, grid cell) of each of the (n, 4) centre-form rows of
-    boxes given as fractions of an image of ``width`` x ``height`` pixels
-    (numbers, or one per row). The size bin compares sqrt(box area / image area) with
+def attribute_words(corners: np.ndarray, width, height) -> list[tuple[str, str]]:
+    """The (size bin, grid cell) of each of the (n, 4) pixel corner rows
+    (x1, y1, x2, y2) of boxes in an image of ``width`` x ``height``
+    pixels (numbers, or one per row). The size bin compares
+    sqrt(box area / image area), from the pixel sides, with
     ``SIZE_THRESHOLDS``, and a value on a boundary bins upward. The grid
-    cell compares the centre with 1/3 and 2/3, and a value on a boundary
-    falls into the lower cell."""
-    cx, cy, w, h = rows.T
-    r = np.sqrt(np.maximum((w * width) * (h * height), 0.0) / (width * height))
+    cell compares the centre of the box's fractions of the image with
+    1/3 and 2/3, and a value on a boundary falls into the lower cell."""
+    x1, y1, x2, y2 = corners.T
+    r = np.sqrt((x2 - x1) * (y2 - y1) / (width * height))
     sizes = np.searchsorted(SIZE_THRESHOLDS, r, side="right")
+    cx, cy = centres(corners / np.stack([width, height, width, height], axis=-1))[:, :2].T
     row, col = np.searchsorted((1 / 3, 2 / 3), (cy, cx), side="left")
     return [(SIZE_BINS[size], GRID_CELLS[cell])
             for size, cell in zip(sizes.tolist(), (3 * row + col).tolist())]
@@ -128,14 +130,18 @@ class SceneAnnotation:
         """Pixel rows of (x1, y1, x2, y2) as fractions of the image size."""
         return px / (self.width, self.height, self.width, self.height)
 
+    def pixel_rows(self) -> np.ndarray:
+        """(n, 4) pixel corner rows of the instance boxes."""
+        return np.array([(i.x1, i.y1, i.x2, i.y2) for i in self.instances],
+                        dtype=np.float64).reshape(-1, 4)
+
     def corner_rows(self) -> np.ndarray:
         """(n, 4) corner rows of the instance boxes as fractions of the
         image size."""
-        return self.fractions(np.array([(i.x1, i.y1, i.x2, i.y2) for i in self.instances],
-                                       dtype=np.float64).reshape(-1, 4))
+        return self.fractions(self.pixel_rows())
 
     def normalized_rows(self) -> np.ndarray:
-        """(n, 4) centre-form rows of ``corner_rows``: the rows the words,
+        """(n, 4) centre-form rows of ``corner_rows``: the rows
         matching and proposal encoding read."""
         return centres(self.corner_rows())
 
@@ -183,7 +189,7 @@ def filter_instances(raw: SceneAnnotation) -> SceneAnnotation:
     scene = SceneAnnotation(image_id=raw.image_id, width=raw.width, height=raw.height,
                             instances=[inst for inst in raw.instances
                                        if inst.pixel_area >= MIN_INSTANCE_AREA_PX])
-    words = attribute_words(scene.normalized_rows(), scene.width, scene.height)
+    words = attribute_words(scene.pixel_rows(), scene.width, scene.height)
     scene.instances = [replace(inst, size_bin=size, grid_cell=cell)
                        for inst, (size, cell) in zip(scene.instances, words)]
     return scene
@@ -472,8 +478,7 @@ def read_dataset(path: str | Path
         # an image area past the float range overflows to inf or NaN here:
         # no numpy warning, the words compare as they come out
         with np.errstate(over="ignore", invalid="ignore"):
-            words = attribute_words(centres(np.concatenate([s.corner_rows()
-                                                            for s in scenes.values()])),
+            words = attribute_words(np.concatenate([s.pixel_rows() for s in scenes.values()]),
                                     size[:, 0], size[:, 1])
         for (owner, inst), made in zip(placed, words):
             if (inst.size_bin, inst.grid_cell) != made:

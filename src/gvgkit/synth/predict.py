@@ -76,8 +76,8 @@ def predict_split(split: SplitData, cfg: SynthConfig, params: HrsParams,
 
     With ``gate_level0`` the final score enforces the hierarchy at
     inference: the referent counts as present only when some proposal
-    clears the calibrated existence bar (best referring score above
-    zero, i.e. more likely target than not under the trained
+    clears the calibrated existence bar (best referring score at or
+    above zero, i.e. at least as likely target as not under the trained
     calibration). When none does, the referent is judged absent and
     proposals are re-ranked by the scene's backgroundness scores (their
     relevance to the no-vegetation sentence, the vocabulary row of empty

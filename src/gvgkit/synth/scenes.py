@@ -196,7 +196,7 @@ def _copy_paste(train_scenes: list[SceneAnnotation], cfg: SynthConfig, rng) -> i
             category=src.category, x1=box[0], y1=box[1], x2=box[2], y2=box[3])
         scene.instances.append(clone)
         clone.size_bin, clone.grid_cell = attribute_words(
-            scene.normalized_rows()[-1:], scene.width, scene.height)[0]
+            np.array([box], dtype=np.float64), scene.width, scene.height)[0]
         clones += 1
     return clones
 

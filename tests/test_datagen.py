@@ -29,7 +29,6 @@ from gvgkit.datagen import (
 from gvgkit.geometry import BBox
 from gvgkit.synth.scenes import _SIZE_RANGES
 
-from uniform_oracle import normalized_boxes
 
 
 def oracle_grid_cell(box: BBox) -> str:
@@ -48,12 +47,13 @@ def oracle_grid_cell(box: BBox) -> str:
     return f"{('top', 'middle', 'bottom')[row]} {('left', 'centre', 'right')[col]}"
 
 
-def oracle_size_bin(box: BBox, image_w: float, image_h: float) -> str:
-    """Scale class from sqrt of the box's share of the image area, one box
-    at a time, with the thresholds written out: 0.05, 0.12 and 0.30, a
-    value on a boundary binning upward."""
-    pixel_area = (box.w * image_w) * (box.h * image_h)
-    r = math.sqrt(max(pixel_area, 0.0) / (image_w * image_h))
+def oracle_size_bin(corners, image_w: float, image_h: float) -> str:
+    """Scale class from sqrt of the box's share of the image area, taken
+    from the pixel sides of its (x1, y1, x2, y2) corners, one box at a
+    time, with the thresholds written out: 0.05, 0.12 and 0.30, a value
+    on a boundary binning upward."""
+    x1, y1, x2, y2 = corners
+    r = math.sqrt((x2 - x1) * (y2 - y1) / (image_w * image_h))
     if r < 0.05:
         return "tiny"
     if r < 0.12:
@@ -63,9 +63,16 @@ def oracle_size_bin(box: BBox, image_w: float, image_h: float) -> str:
     return "large"
 
 
-def words(box: BBox, image_w: float, image_h: float) -> tuple[str, str]:
-    """``attribute_words`` on the one normalized box ``box``."""
-    return attribute_words(np.array([[box.cx, box.cy, box.w, box.h]]), image_w, image_h)[0]
+def oracle_words(corners, image_w: float, image_h: float) -> tuple[str, str]:
+    """The scalar oracles' words for one box of pixel corners."""
+    x1, y1, x2, y2 = corners
+    box = BBox.from_corners(x1 / image_w, y1 / image_h, x2 / image_w, y2 / image_h)
+    return oracle_size_bin(corners, image_w, image_h), oracle_grid_cell(box)
+
+
+def words(corners, image_w: float, image_h: float) -> tuple[str, str]:
+    """``attribute_words`` on the one box of pixel corners ``corners``."""
+    return attribute_words(np.array([corners], dtype=np.float64), image_w, image_h)[0]
 
 
 def scan_matching(scene: SceneAnnotation, triple) -> list[int]:
@@ -117,42 +124,45 @@ class TestFiltering:
 
 class TestAttributes:
     def test_grid_cells(self):
-        for box, cell in [(BBox(0.1, 0.2, 0.05, 0.05), "top left"),
-                          (BBox(0.5, 0.5, 0.05, 0.05), "centre"),
-                          # boundary value stays in the lower cell
-                          (BBox(1 / 3, 0.5, 0.05, 0.05), "middle left"),
-                          (BBox(0.9, 0.9, 0.05, 0.05), "bottom right")]:
-            assert oracle_grid_cell(box) == cell
-            assert words(box, 1000, 1000)[1] == cell
+        for corners, cell in [((75, 175, 125, 225), "top left"),
+                              ((475, 475, 525, 525), "centre"),
+                              # boundary value stays in the lower cell
+                              ((1000 / 3 - 25, 475, 1000 / 3 + 25, 525), "middle left"),
+                              ((875, 875, 925, 925), "bottom right")]:
+            assert oracle_words(corners, 1000, 1000)[1] == cell
+            assert words(corners, 1000, 1000)[1] == cell
         assert len(GRID_CELLS) == 9 and "centre" in GRID_CELLS
 
     def test_size_bins(self):
-        w = h = 1445
-        tiny = BBox.from_corners(0, 0, 16 / w, 16 / h)
-        large = BBox.from_corners(0, 0, 1402 / w, 1402 / h)
         # r exactly on a boundary bins upward
-        boundary = BBox(0.5, 0.5, 0.12, 0.12)
-        for box, size, image in [(tiny, "tiny", w), (large, "large", w),
-                                 (boundary, "medium", 1000)]:
-            assert oracle_size_bin(box, image, image) == size
-            assert words(box, image, image)[0] == size
+        for corners, size, image in [((0, 0, 16, 16), "tiny", 1445),
+                                     ((0, 0, 1402, 1402), "large", 1445),
+                                     ((440, 440, 560, 560), "medium", 1000)]:
+            assert oracle_size_bin(corners, image, image) == size
+            assert words(corners, image, image)[0] == size
+
+    @pytest.mark.parametrize("side, size", [(64, "small"), (384, "large")])
+    def test_a_square_on_a_boundary_has_one_size_wherever_it_stands(self, side, size):
+        # r is exactly 0.05 or 0.30 in a 1280 px image, at every x position
+        raw = SceneAnnotation("s", 1280, 1280, [
+            InstanceAnnotation(x, "maize", x, 0, x + side, side) for x in range(1280 - side + 1)])
+        assert {inst.size_bin for inst in filter_instances(raw).instances} == {size}
+        assert oracle_size_bin((0, 0, side, side), 1280, 1280) == size
 
     @pytest.mark.parametrize("image", [(1000, 1000), (1280, 1280), (1445, 960)])
     def test_boundaries_match_the_scalar_formulas(self, image):
-        # a centre at 1/3 or 2/3, and r at each threshold, in the exact
-        # fractions and in the ones that pixel corners make
+        # a centre at 1/3 or 2/3, and r at each threshold, at many pixel
+        # positions
         w, h = image
-        boxes = [BBox(c, d, r, r) for c in (1 / 3, 2 / 3) for d in (1 / 3, 2 / 3)
-                 for r in SIZE_THRESHOLDS]
+        boxes = []
         for r in SIZE_THRESHOLDS:
-            for x1 in range(0, 40):
-                boxes.append(BBox.from_corners(x1 / w, x1 / h, (x1 + r * w) / w,
-                                               (x1 + r * h) / h))
+            side_w, side_h = r * w, r * h
+            boxes += [(c * w - side_w / 2, d * h - side_h / 2, c * w + side_w / 2,
+                       d * h + side_h / 2) for c in (1 / 3, 2 / 3) for d in (1 / 3, 2 / 3)]
+            boxes += [(x1, x1, x1 + side_w, x1 + side_h) for x1 in range(0, 40)]
             side = round(r * w)
-            boxes.append(BBox.from_corners(w / 3 - side / 2, 0, w / 3 + side / 2, side))
-        rows = np.array([[b.cx, b.cy, b.w, b.h] for b in boxes])
-        assert attribute_words(rows, w, h) == [
-            (oracle_size_bin(b, w, h), oracle_grid_cell(b)) for b in boxes]
+            boxes.append((w / 3 - side / 2, 0, w / 3 + side / 2, side))
+        assert attribute_words(np.array(boxes), w, h) == [oracle_words(b, w, h) for b in boxes]
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 4000), st.integers(1, 4000), st.data())
@@ -168,12 +178,11 @@ class TestAttributes:
             y1, y2 = sorted((b * h, d * h))
             instances.append(InstanceAnnotation(k, "maize", x1, y1, x2, y2))
         scene = SceneAnnotation("s", w, h, instances)
-        expected = [(oracle_size_bin(box, w, h), oracle_grid_cell(box))
-                    for box in normalized_boxes(scene)]
-        assert attribute_words(scene.normalized_rows(), w, h) == expected
+        expected = [oracle_words((i.x1, i.y1, i.x2, i.y2), w, h) for i in instances]
+        assert attribute_words(scene.pixel_rows(), w, h) == expected
         # one call for many images at once, as a split's reader makes it
         size = np.array([(w, h)] * len(instances), dtype=np.float64)
-        assert attribute_words(scene.normalized_rows(), size[:, 0], size[:, 1]) == expected
+        assert attribute_words(scene.pixel_rows(), size[:, 0], size[:, 1]) == expected
 
     def test_drawn_size_ranges_lie_inside_their_bins(self):
         bounds = (0.0, *SIZE_THRESHOLDS, math.inf)

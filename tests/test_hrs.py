@@ -377,6 +377,25 @@ class TestEndToEndGradients:
                 assert got.value.tobytes() == want.value.tobytes(), (case, name)
                 assert not got.requires_grad and got._parents == (), (case, name)
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_both_passes_score_through_one_function(self, monkeypatch, variant):
+        # a frozen model and a trainable one reach their scores through
+        # the same ``referring_score``, once per pass
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return referring_score(*args)
+
+        monkeypatch.setattr(hrs, "referring_score", counted)
+        rng = np.random.default_rng(21)
+        props, texts = make_proposals(rng), [make_text(rng), make_text(rng, rows=2)]
+        params = make_params(seed=21, ablation=variant)
+        for model in (params, params.frozen()):
+            calls.clear()
+            score_expression(props, texts, model)
+            assert len(calls) == 1, (variant, model is params)
+
     @pytest.mark.parametrize("frozen", [False, True], ids=["graph", "plain"])
     @pytest.mark.parametrize("fault, error", [("zero proposal row", gk.DomainError),
                                               ("zero temperature", gk.DomainError),

@@ -299,7 +299,7 @@ def _scene(image_id, boxes, size=1280):
     scene = SceneAnnotation(image_id=image_id, width=size, height=size, instances=[
         InstanceAnnotation(k, "maize", *box) for k, box in enumerate(boxes)])
     for inst, (size_bin, cell) in zip(scene.instances,
-                                      attribute_words(scene.normalized_rows(), size, size)):
+                                      attribute_words(scene.pixel_rows(), size, size)):
         inst.size_bin, inst.grid_cell = size_bin, cell
     return scene
 
