@@ -6,25 +6,17 @@ sentences (each scored by max-pooling per-proposal scores). Level 1
 ranks candidate regions for a given expression by fusing sentence-level
 and word-level similarities with a learned balance weight.
 
-Both levels come from one batched pass per scene: ``score_expression``
-packs the vocabulary sentences and the scene's expressions into one
-(K, T) token batch and scores all K texts against the N proposals at
-once. A text is the (V, d_t) array of its content words' rows, in
-token order; the block puts each text's rows to the left and pads them
-with zeros to T, the longest text. The proposals are projected once;
-the K texts share one token projection, one masked multi-head
-cross-attention, one feed-forward block and one cosine step, which
-yield a (K, N) referring-score matrix.
-``level0_logits`` pools the vocabulary rows of that matrix into the
-level-0 class logits, and each expression reads its own row. The pass
-runs as the variant its ``HrsParams`` carries. For training it runs on
-gradkit tensors, so the losses get exact reverse-mode gradients. A
-frozen model (``HrsParams.frozen``, which prediction uses) runs ``fuse``,
-the attention and feed-forward block, on plain numpy arrays instead,
-with its intermediates updated in place; it gives the same bits and
-raises the same errors. Everything after the fused features is
-``referring_score`` for both, on constant tensors for a frozen model,
-so no graph is recorded.
+Both levels come from one pass per scene, ``score_scene``, which
+training and prediction share: ``score_expression`` scores the scene's
+K texts against its N proposals at once, through one token projection,
+one masked multi-head cross-attention, one feed-forward block and one
+cosine step, into a (K, N) referring-score matrix, as the variant its
+``HrsParams`` carries. Training runs it on gradkit tensors, so the
+losses get exact reverse-mode gradients. A frozen model
+(``HrsParams.frozen``, which prediction uses) runs ``fuse``, the
+attention and feed-forward block, on plain numpy arrays and the rest,
+``referring_score``, on constant tensors: it gives the same bits and
+raises the same errors, and records no graph.
 """
 
 from __future__ import annotations
@@ -34,7 +26,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -400,6 +392,28 @@ def level0_logits(referring_scores: Tensor) -> Tensor:
 # the name under which perfbench/spans.py times level 0; the tracer
 # patches every binding of the function, so both names are traced
 level0_distribution = level0_logits
+
+
+class SceneScores(NamedTuple):
+    """The readouts of one scene's pass; all but ``batch`` are cut from it."""
+
+    batch: Tensor           # (K, N)  every text's referring scores
+    level0: Tensor          # (C,)    level-0 class logits, one per LEVEL0_SENTENCES row
+    expressions: Tensor     # (E, N)  the expressions' rows, in their order
+    background: Tensor      # (1, N)  the no-vegetation row, each proposal's backgroundness
+
+
+def score_scene(features: np.ndarray, expression_texts: Sequence[str], params: HrsParams,
+                encode: Callable[[str], np.ndarray]) -> SceneScores:
+    """One ``score_expression`` pass over a scene's batch of texts, each
+    read through ``encode``: ``LEVEL0_SENTENCES``, then ``expression_texts``
+    in order. Only here are readouts cut from the batch; ``background``,
+    the empty image's class row, ranks the proposals of an absent referent."""
+    texts = [encode(text) for text in (*LEVEL0_SENTENCES, *expression_texts)]
+    batch = score_expression(features, texts, params).referring_scores
+    return SceneScores(batch, level0_logits(batch),
+                       gk.narrow(batch, 0, len(LEVEL0_SENTENCES), len(expression_texts)),
+                       gk.narrow(batch, 0, LEVEL0_CLASS["empty"], 1))
 
 
 def loss_lvl0(level0_logits: Tensor, true_class: int) -> Tensor:

@@ -27,12 +27,12 @@ from gvgkit import gradkit as gk
 from gvgkit import hrs
 from gvgkit.geometry import corners
 from gvgkit.gradkit.io import check_unique, read_records, write_records
-from gvgkit.hrs import LEVEL0_CLASS, LEVEL0_SENTENCES, HrsParams
+from gvgkit.hrs import LEVEL0_SENTENCES, HrsParams
 from gvgkit.synth.boxhead import BoxRefiner
 from gvgkit.synth.config import SynthConfig
-from gvgkit.synth.encode import EmbeddingTable, encode_proposals
+from gvgkit.synth.encode import EmbeddingTable
 from gvgkit.synth.scenes import SplitData
-from gvgkit.synth.train import text_encoder
+from gvgkit.synth.train import encode_split, text_encoder
 
 PREDICTIONS_FORMAT = "gvgkit-predictions"
 PREDICTIONS_VERSION = 3
@@ -66,51 +66,47 @@ def predict_split(split: SplitData, cfg: SynthConfig, params: HrsParams,
     """Rank all proposals for every expression; boxes pass through the
     frozen refinement head into the image's box table, and each record
     ranks that table's rows. The scoring head runs as the variant that
-    ``params.ablation`` records. One batched pass per image scores the
-    level-0 sentences and every expression of the image, each text read
-    through one cached encoder; the level-0 argmax comes from the
-    sentence rows. The image's expression rows are gated and ranked as
-    one block: one rowwise max, one stable rowwise argsort and one
-    gather, so a record's ranking and scores are rows of the block's
-    arrays. An image with no expressions gets its table and no record.
+    ``params.ablation`` records. Each scene of ``encode_split`` is
+    scored in one ``hrs.score_scene`` pass, and its expression block is
+    gated and ranked as one: one rowwise max, one stable rowwise argsort
+    and one gather, so a record's ranking and scores are rows of the
+    block's arrays. An image with no expressions gets its table and no
+    record.
 
     With ``gate_level0`` the final score enforces the hierarchy at
     inference: the referent counts as present only when some proposal
     clears the calibrated existence bar (best referring score at or
     above zero, i.e. at least as likely target as not under the trained
     calibration). When none does, the referent is judged absent and
-    proposals are re-ranked by the scene's backgroundness scores (their
-    relevance to the no-vegetation sentence, the vocabulary row of empty
-    images), so the prediction points at soil instead of at some other
-    instance. ``gate_level0=False`` ranks by the raw referring score.
+    proposals are re-ranked by the scene's backgroundness scores (its
+    ``background`` row, the no-vegetation sentence's), so the prediction
+    points at soil instead of at some other instance.
+    ``gate_level0=False`` ranks by the raw referring score.
     """
     table = EmbeddingTable(cfg.seed)
     encode = text_encoder(table, cfg.max_tokens)   # expressions are templated
-    background_class = LEVEL0_CLASS["empty"]
     frozen = params.frozen()
 
     records: list[PredictionRecord] = []
     tables: dict[str, np.ndarray] = {}
-    for scene in split.scenes:
-        features, boxes, _ = encode_proposals(scene, cfg, table)
-        exprs = split.expressions_for(scene.image_id)
-        texts = [encode(text) for text in LEVEL0_SENTENCES + tuple(e.text for e in exprs)]
+    for item in encode_split(split, cfg, table):
+        scene, exprs = item.scene, item.expressions
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # a non-finite score or box is reported by the checks below
-            scores = hrs.score_expression(features, texts, frozen).referring_scores
-            refined = refiner.refine(boxes).value
-        if not np.all(np.isfinite(scores.value)):
+            scores = hrs.score_scene(item.features, [e.text for e in exprs], frozen, encode)
+            refined = refiner.refine(item.boxes).value
+        if not np.all(np.isfinite(scores.batch.value)):
             raise OverflowError(f"non-finite referring scores for image {scene.image_id}")
         if not np.all(np.isfinite(refined)):
             raise OverflowError(f"non-finite refined boxes for image {scene.image_id}")
-        level0_class = int(np.argmax(hrs.level0_logits(scores).value))
+        level0_class = int(np.argmax(scores.level0.value))
         tables[scene.image_id] = corners(refined) * np.array([scene.width, scene.height,
                                                               scene.width, scene.height])
-        block = scores.value[len(LEVEL0_SENTENCES):]                       # (E, N)
+        block = scores.expressions.value                                   # (E, N)
         if gate_level0:
             instance = np.array([expr.level == "instance" for expr in exprs], dtype=bool)
             absent = instance & (block.max(axis=1) < 0.0)
-            block = np.where(absent[:, None], scores.value[background_class], block)
+            block = np.where(absent[:, None], scores.background.value, block)
         order = np.argsort(-block, axis=1, kind="stable")
         ranked = np.take_along_axis(block, order, axis=1)
         for row, expr in enumerate(exprs):

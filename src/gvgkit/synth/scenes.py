@@ -53,18 +53,6 @@ class SplitData:
     scenes: list[SceneAnnotation]
     expressions: list[Expression] = field(default_factory=list)
 
-    _by_image: dict[str, list[Expression]] | None = field(
-        default=None, init=False, repr=False, compare=False)
-
-    def expressions_for(self, image_id: str) -> list[Expression]:
-        """The expressions of one image, in split order. The index behind
-        it is built on the first call, so fill ``expressions`` before."""
-        if self._by_image is None:
-            self._by_image = {}
-            for expr in self.expressions:
-                self._by_image.setdefault(expr.image_id, []).append(expr)
-        return list(self._by_image.get(image_id, ()))
-
 
 @dataclass
 class SyntheticDataset:

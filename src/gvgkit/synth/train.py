@@ -27,7 +27,7 @@ import numpy as np
 from gvgkit import gradkit as gk
 from gvgkit import hrs
 from gvgkit.datagen import IMAGE_TYPES, Expression, SceneAnnotation
-from gvgkit.hrs import LEVEL0_CLASS, LEVEL0_SENTENCES, HrsParams
+from gvgkit.hrs import LEVEL0_CLASS, HrsParams
 from gvgkit.matching import assign_optimal, build_cost_matrix
 from gvgkit.synth.boxhead import BoxRefiner, giou_loss_diff, interp_iou_loss_diff
 from gvgkit.synth.config import FEATURE_DIMS, SynthConfig, TrainConfig
@@ -83,11 +83,15 @@ class TrainResult:
 
 def encode_split(split: SplitData, cfg: SynthConfig,
                  table: EmbeddingTable) -> list[EncodedScene]:
-    out = []
-    for scene in split.scenes:
-        out.append(EncodedScene(scene, *encode_proposals(scene, cfg, table),
-                                expressions=split.expressions_for(scene.image_id)))
-    return out
+    """One ``EncodedScene`` per scene of ``split``, in split order. One
+    pass over ``split.expressions`` groups them by image, so each scene
+    holds its expressions in split order, and a scene with none ``[]``."""
+    grouped = defaultdict(list)
+    for expr in split.expressions:
+        grouped[expr.image_id].append(expr)
+    return [EncodedScene(scene, *encode_proposals(scene, cfg, table),
+                         expressions=grouped[scene.image_id])
+            for scene in split.scenes]
 
 
 def text_encoder(table: EmbeddingTable, max_tokens: int) -> Callable[[str], np.ndarray]:
@@ -244,15 +248,13 @@ def _scene_losses(item: EncodedScene, params: HrsParams, tcfg: TrainConfig,
     cross-entropy plus the constrained instance loss averaged over the
     sampled expressions. The existence floor applies per expression,
     then the type weights combine the two levels; the no-constraint
-    variant of ``params`` drops the floor. One batched pass scores the
-    level-0 sentences and the sampled expressions together, each text
-    read through ``encode``, and the k expression rows of its scores
-    give k instance losses in one (k, N) pass."""
+    variant of ``params`` drops the floor. One ``hrs.score_scene`` pass
+    reads every text through ``encode``, and its (k, N) expression block
+    gives k instance losses at once."""
     image_type = item.scene.image_type
     exprs = _pick_expressions(item, tcfg.expressions_per_scene, rng)
-    texts = [encode(text) for text in LEVEL0_SENTENCES + tuple(e.text for e in exprs)]
-    scores = hrs.score_expression(item.features, texts, params).referring_scores
-    l0 = hrs.loss_lvl0(hrs.level0_logits(scores), LEVEL0_CLASS[image_type])
+    scores = hrs.score_scene(item.features, [e.text for e in exprs], params, encode)
+    l0 = hrs.loss_lvl0(scores.level0, LEVEL0_CLASS[image_type])
     if not exprs:
         l1c = gk.constant(0.0)
     else:
@@ -263,8 +265,7 @@ def _scene_losses(item: EncodedScene, params: HrsParams, tcfg: TrainConfig,
         pair, proposal = (np.array(ids, dtype=np.int64)[:, None] == item.source_ids).nonzero()
         targets = np.zeros((len(exprs), len(item.source_ids)))
         targets[np.array(rows, dtype=np.intp)[pair], proposal] = 1.0
-        l1 = hrs.loss_lvl1(gk.narrow(scores, 0, len(LEVEL0_SENTENCES), len(exprs)),
-                           targets)                                         # (k,)
+        l1 = hrs.loss_lvl1(scores.expressions, targets)                     # (k,)
         if params.ablation != "no-constraint":
             l1 = hrs.loss_constrained(l1, l0)
         l1c = gk.mean(l1)

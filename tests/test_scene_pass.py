@@ -184,6 +184,39 @@ def test_predictions_match_the_oracle(setup, trained, word_only, checkpoint, gat
         assert 0 < fell_back < instances
 
 
+@pytest.mark.parametrize("variant", hrs.VARIANTS)
+def test_both_commands_score_a_scene_in_one_pass(setup, trained, monkeypatch, variant):
+    # training and prediction each reach a scene's scores through one
+    # ``score_scene`` call, which makes one ``score_expression`` call
+    cfg, dataset, table, encoded = setup
+    score_scene, score_expression = hrs.score_scene, hrs.score_expression
+    inner_calls, outer_calls = [], []
+
+    def expression_pass(*args):
+        inner_calls.append(args)
+        return score_expression(*args)
+
+    def scene_pass(*args):
+        before = len(inner_calls)
+        out = score_scene(*args)
+        outer_calls.append(len(inner_calls) - before)
+        return out
+
+    monkeypatch.setattr(hrs, "score_expression", expression_pass)
+    monkeypatch.setattr(hrs, "score_scene", scene_pass)
+    params = fresh_params(seed=26, ablation=variant)
+    items = pick_scenes(encoded)
+    encode = text_encoder(table, cfg.max_tokens)
+    for k, item in enumerate(items):
+        _scene_losses(item, params, TrainConfig(seed=11), np.random.default_rng(k), encode)
+    assert outer_calls == [1] * len(items) and len(inner_calls) == len(items)
+    outer_calls.clear()
+    inner_calls.clear()
+    predict_split(dataset.test, cfg, params, trained.refiner)
+    scenes = len(dataset.test.scenes)
+    assert outer_calls == [1] * scenes and len(inner_calls) == scenes
+
+
 def test_fillers_leave_the_scores_unchanged(setup):
     # an expression scores as its content words alone, scored by itself
     # and next to texts of other lengths

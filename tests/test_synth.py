@@ -349,14 +349,21 @@ class TestSceneGeneration:
                 for inst in scene.instances:
                     assert inst.pixel_area >= 256
 
-    def test_expressions_for_matches_a_scan(self):
-        ds = quiet_gen(SynthConfig(**SMALL))
+    def test_encode_split_groups_expressions_like_a_scan(self):
+        cfg = SynthConfig(**SMALL)
+        ds = quiet_gen(cfg)
+        table = EmbeddingTable(cfg.seed)
         for split in ds.splits.values():
-            image_ids = [s.image_id for s in split.scenes] + ["no-such-image"]
-            for image_id in image_ids:
-                scan = [e for e in split.expressions if e.image_id == image_id]
-                assert split.expressions_for(image_id) == scan
-            assert split.expressions_for("no-such-image") == []
+            # the first scene loses its expressions, so one scene has none
+            bare = split.scenes[0].image_id
+            split = SplitData(split.name, split.scenes,
+                              [e for e in split.expressions if e.image_id != bare])
+            encoded = encode_split(split, cfg, table)
+            assert [item.scene for item in encoded] == split.scenes
+            for item in encoded:
+                scan = [e for e in split.expressions if e.image_id == item.scene.image_id]
+                assert item.expressions == scan, item.scene.image_id
+            assert encoded[0].expressions == []
 
     def test_roundtrip_through_files(self, tmp_path):
         cfg = SynthConfig(**SMALL)
@@ -562,7 +569,8 @@ class TestPrediction:
         full = predict_split(ds.test, cfg, result.params, result.refiner,
                              gate_level0=gate)
         victim = next(s.image_id for s in ds.test.scenes
-                      if any(e.level == "instance" for e in ds.test.expressions_for(s.image_id)))
+                      if any(e.level == "instance" and e.image_id == s.image_id
+                             for e in ds.test.expressions))
         split = SplitData(ds.test.name, ds.test.scenes,
                           [e for e in ds.test.expressions if e.image_id != victim])
         preds = predict_split(split, cfg, result.params, result.refiner,
