@@ -151,8 +151,7 @@ def cmd_eval(args) -> int:
     path = out / f"predictions-{args.split}.jsonl"
     preds = read_predictions(path)
     try:
-        report = stratify(preds, split.scenes, split.expressions,
-                          strict_negatives=args.strict_negatives)
+        report = stratify(preds, split.scenes, split.expressions)
     except ValueError as err:   # a record that does not fit the split
         raise ValueError(f"{path}: {err}") from None
     write_report(report, out / f"report-{args.split}.json", seed=train_cfg.seed,
@@ -201,8 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="compute the metric report")
     common(p_eval)
     p_eval.add_argument("--split", choices=SPLITS, default="test")
-    p_eval.add_argument("--strict-negatives", action="store_true",
-                        help="judge every proposal, not just the top-ranked one")
     p_eval.add_argument("--format", choices=("json", "table"), default="table")
     p_eval.set_defaults(fn=cmd_eval)
     return parser

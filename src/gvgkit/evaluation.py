@@ -15,9 +15,9 @@ kind from ``gvgkit.geometry``, of its box table against its instances:
 IoU for positives, and GIoU for negatives, kept as a per-row flag (GIoU
 <= 0 with every instance). An instance expression's outcome (rank of the
 first hit, targets covered, best IoU of the top box, correct rejection by
-the top box and by every box) indexes them by its ranking. Every metric
-and every stratum row reads a subset of that outcome table, so no row
-re-joins predictions or recomputes a box.
+the top box) indexes them by its ranking. Every metric and every stratum
+row reads a subset of that outcome table, so no row re-joins predictions
+or recomputes a box.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ class EvalReport:
     by_scale: dict[str, MetricRow]      # "tiny/crop", ..., "large/weed"
     by_density: dict[str, MetricRow]
     neg_acc_by_kind: dict[str, MetricRow]
-    strict_negatives: bool = False
 
 
 @dataclass
@@ -75,9 +74,9 @@ class _Outcomes:
     0.5 with some target (inf if none), ``covered`` and ``targets`` count
     the targets some box covers at IoU >= 0.5 and all targets, and
     ``top_iou`` is the best IoU of the top-ranked box (0 without boxes).
-    Negatives: ``rejects_top1`` and ``rejects_all`` say whether the
-    top-ranked box, or every box, keeps GIoU <= 0 against every scene
-    instance; both hold in an empty scene, neither without boxes.
+    Negatives: ``rejects_top1`` says whether the top-ranked box keeps
+    GIoU <= 0 against every scene instance; it holds in an empty scene,
+    not without boxes.
     """
 
     positives: list[Expression]
@@ -87,7 +86,6 @@ class _Outcomes:
     top_iou: np.ndarray
     negatives: list[Expression]
     rejects_top1: np.ndarray
-    rejects_all: np.ndarray
 
     def select(self, pos: np.ndarray, neg: np.ndarray) -> "_Outcomes":
         """The outcomes under boolean masks over positives and negatives."""
@@ -95,7 +93,7 @@ class _Outcomes:
             [e for e, keep in zip(self.positives, pos) if keep], self.first_hit[pos],
             self.covered[pos], self.targets[pos], self.top_iou[pos],
             [e for e, keep in zip(self.negatives, neg) if keep],
-            self.rejects_top1[neg], self.rejects_all[neg])
+            self.rejects_top1[neg])
 
     def topk(self, k: int) -> float:
         if not self.positives:
@@ -109,11 +107,10 @@ class _Outcomes:
     def mean_iou(self) -> float:
         return 100.0 * float(np.mean(self.top_iou)) if self.positives else 0.0
 
-    def neg_acc(self, strict: bool) -> float:
+    def neg_acc(self) -> float:
         if not self.negatives:
             return 0.0
-        correct = self.rejects_all if strict else self.rejects_top1
-        return 100.0 * int(np.count_nonzero(correct)) / len(self.negatives)
+        return 100.0 * int(np.count_nonzero(self.rejects_top1)) / len(self.negatives)
 
 
 def _outcomes(predictions: Predictions, scenes: list[SceneAnnotation],
@@ -158,18 +155,16 @@ def _outcomes(predictions: Predictions, scenes: list[SceneAnnotation],
         elif expr.polarity == "negative":
             negatives.append(expr)
             if len(gt) == 0:
-                neg.append((True, True))
+                neg.append(True)
             elif len(ranking) == 0:
-                neg.append((False, False))
+                neg.append(False)
             else:
                 if image_id not in clean:
                     clean[image_id] = np.all(giou(scene.fractions(predictions.tables[image_id]), gt)
                                              <= GIOU_BOUNDARY_TOL, axis=1)
-                rows = clean[image_id][ranking]
-                neg.append((rows[0], rows.all()))
+                neg.append(clean[image_id][ranking[0]])
     pos = np.array(pos, dtype=np.float64).reshape(-1, 4)
-    neg = np.array(neg, dtype=bool).reshape(-1, 2)
-    return _Outcomes(positives, *pos.T, negatives, *neg.T)
+    return _Outcomes(positives, *pos.T, negatives, np.array(neg, dtype=bool))
 
 
 def topk(predictions: Predictions, expressions: list[Expression],
@@ -195,15 +190,14 @@ def mean_iou(predictions: Predictions, expressions: list[Expression],
 
 
 def neg_acc(predictions: Predictions, expressions: list[Expression],
-            scenes: list[SceneAnnotation], strict: bool = False) -> float:
-    """Share of negative expressions whose prediction stays on
+            scenes: list[SceneAnnotation]) -> float:
+    """Share of negative expressions whose top-ranked box stays on
     background: maximum GIoU against every scene instance <= 0, in
-    percent. Judged on the top-ranked box by default; ``strict`` demands
-    it of every emitted proposal. Empty scenes count as correct."""
-    return _outcomes(predictions, scenes, expressions).neg_acc(strict)
+    percent. Empty scenes count as correct."""
+    return _outcomes(predictions, scenes, expressions).neg_acc()
 
 
-def _metric_row(out: _Outcomes, strict: bool) -> MetricRow:
+def _metric_row(out: _Outcomes) -> MetricRow:
     row = MetricRow(support=len(out.positives), target_support=int(out.targets.sum()),
                     neg_support=len(out.negatives))
     if out.positives:
@@ -212,24 +206,24 @@ def _metric_row(out: _Outcomes, strict: bool) -> MetricRow:
         row.r_at_05 = out.recall_at_05()
         row.miou = out.mean_iou()
     if out.negatives:
-        row.neg_acc = out.neg_acc(strict)
+        row.neg_acc = out.neg_acc()
     return row
 
 
 def stratify(predictions: Predictions, scenes: list[SceneAnnotation],
-             expressions: list[Expression], strict_negatives: bool = False) -> EvalReport:
+             expressions: list[Expression]) -> EvalReport:
     """Full report: overall row, scale x crop/weed and density strata
     over positive expressions, and negative accuracy per manipulation
     kind with its support-weighted average. One outcome table serves
     every row."""
     out = _outcomes(predictions, scenes, expressions)
-    overall = _metric_row(out, strict_negatives)
+    overall = _metric_row(out)
     no_pos = [False] * len(out.positives)
     no_neg = [False] * len(out.negatives)
 
     def row(pos_mask: list[bool], neg_mask: list[bool]) -> MetricRow:
         subset = out.select(np.array(pos_mask, dtype=bool), np.array(neg_mask, dtype=bool))
-        return _metric_row(subset, strict_negatives)
+        return _metric_row(subset)
 
     by_scale = {}
     for size in SIZE_BINS:
@@ -258,7 +252,7 @@ def stratify(predictions: Predictions, scenes: list[SceneAnnotation],
     neg_by_kind["weighted_average"] = average
 
     return EvalReport(overall=overall, by_scale=by_scale, by_density=by_density,
-                      neg_acc_by_kind=neg_by_kind, strict_negatives=strict_negatives)
+                      neg_acc_by_kind=neg_by_kind)
 
 
 def _fmt(value: float | None) -> str:
@@ -290,8 +284,7 @@ def format_table(report: EvalReport) -> str:
         lines.append(f"  {label + ' Instances':<16} {_fmt(row.r_at_05)} |{_fmt(row.miou)}"
                      f"   (n={row.support})")
     lines.append("")
-    mode = "strict (all proposals)" if report.strict_negatives else "top-1"
-    lines.append(f"Negative accuracy by manipulation ({mode})")
+    lines.append("Negative accuracy by manipulation (top-1)")
     pretty = {"replace_category": "Replace Category", "swap_size": "Swap Size",
               "swap_position": "Swap Position", "weighted_average": "Weighted Average"}
     for kind in (*NEGATIVE_KINDS, "weighted_average"):
@@ -304,7 +297,7 @@ def write_report(report: EvalReport, path: str | Path, seed: int,
                  fmt: str = "json") -> None:
     path = Path(path)
     if fmt == "json":
-        payload = {"format": "gvgkit-report", "version": 1, "seed": seed}
+        payload = {"format": "gvgkit-report", "version": 2, "seed": seed}
         payload.update(asdict(report))
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     elif fmt == "table":

@@ -165,10 +165,6 @@ class HrsParams:
             setattr(frozen, name, gk.constant(t.value))
         return frozen
 
-    @property
-    def temperature(self) -> float:
-        return float(np.exp(self.log_temperature.value))
-
     def save(self, path: str | Path, seed: int | None = None) -> None:
         payload = {
             "format": PARAMS_FORMAT,

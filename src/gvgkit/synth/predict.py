@@ -3,9 +3,9 @@ refined proposals plus the per-image existence class.
 
 Every expression of an image ranks the same boxes, so ``Predictions``
 holds one box table per image: its refined proposals as pixel corners,
-in proposal order. Each record carries ``ranking``, indices into its
-image's table, best first, and ``scores`` in the same order; no record
-holds boxes of its own.
+in proposal order. Each record carries ``ranking``, every row of its
+image's table once, best first, and ``scores`` in the same order; no
+record holds boxes of its own.
 
 A predictions file (version 3) is JSON lines: a header, then one line
 per expression. Every numeric array in it is the base64 of its
@@ -140,8 +140,9 @@ def write_predictions(preds: Predictions, path: str | Path, seed: int) -> None:
 
 
 def read_predictions(path: str | Path) -> Predictions:
-    """Read a predictions file. A malformed line, a level-0 class that is
-    not a row of ``LEVEL0_SENTENCES``, or a second record for one
+    """Read a predictions file. A malformed line, a ranking that does not
+    hold each box of its image's table exactly once, a level-0 class that
+    is not a row of ``LEVEL0_SENTENCES``, or a second record for one
     expression, raises a one-line ``ValueError`` naming the file and the
     line number. The tables and scores read back are read-only."""
     records: list[PredictionRecord] = []
@@ -170,6 +171,10 @@ def read_predictions(path: str | Path) -> Predictions:
         if ranking.size and (ranking.min() < 0 or ranking.max() >= len(table)):
             raise ValueError(f"ranking index out of range "
                              f"(image {image_id!r} has {len(table)} boxes)")
+        if (ranking.size != len(table)
+                or np.count_nonzero(np.bincount(ranking, minlength=len(table))) != len(table)):
+            raise ValueError(f"the ranking must hold each of the {len(table)} boxes "
+                             f"of image {image_id!r} exactly once")
         level0_class = record["level0_class"]
         if type(level0_class) is not int or not 0 <= level0_class < len(LEVEL0_SENTENCES):
             raise ValueError(f"level0_class must be an int in [0, {len(LEVEL0_SENTENCES)}), "

@@ -41,9 +41,7 @@ _DIVERGENCE = (OverflowError, FloatingPointError, ValueError)
 
 
 class TrainingDiverged(RuntimeError):
-    def __init__(self, message: str, checkpoint: dict | None = None):
-        super().__init__(message)
-        self.checkpoint = checkpoint
+    pass
 
 
 @dataclass
@@ -158,8 +156,7 @@ def _run_stage(stage: int, model, trainable: list[gk.Tensor],
         except _DIVERGENCE as err:
             for name, t in model.leaves():
                 t.value = last_good[name]
-            raise TrainingDiverged(f"stage {stage} diverged in epoch {epoch}: {err}",
-                                   checkpoint=last_good) from err
+            raise TrainingDiverged(f"stage {stage} diverged in epoch {epoch}: {err}") from err
         means = {name: float(np.mean(values)) for name, values in terms.items()}
         log.append(LogRow(epoch=epoch, stage=stage, lr=lr,
                           loss_total=float(np.mean(totals)) if totals else 0.0, terms=means))

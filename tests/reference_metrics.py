@@ -89,10 +89,11 @@ def ref_mean_iou(cases):
     return 100.0 * acc / len(cases)
 
 
-def ref_neg_acc(cases, strict=False, boundary_tol=1e-12):
+def ref_neg_acc(cases, boundary_tol=1e-12):
     """cases: negative expressions as dicts with unsorted 'proposals',
-    'scores' and 'scene_boxes' (all annotated instances). The GIoU <= 0
-    boundary is inclusive up to float noise."""
+    'scores' and 'scene_boxes' (all annotated instances). The top-ranked
+    box is judged; the GIoU <= 0 boundary is inclusive up to float
+    noise."""
     if not cases:
         return 0.0
     correct = 0
@@ -101,14 +102,12 @@ def ref_neg_acc(cases, strict=False, boundary_tol=1e-12):
             correct += 1
             continue
         ranked = _ranked(case)
-        judged = ranked if strict else ranked[:1]
-        if not judged:
+        if not ranked:
             continue
         ok = True
-        for box in judged:
-            for gt in case["scene_boxes"]:
-                if ref_giou(box, gt) > boundary_tol:
-                    ok = False
+        for gt in case["scene_boxes"]:
+            if ref_giou(ranked[0], gt) > boundary_tol:
+                ok = False
         if ok:
             correct += 1
     return 100.0 * correct / len(cases)

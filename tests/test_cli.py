@@ -17,6 +17,8 @@ from gvgkit.synth import SplitData, load_config, train_two_stage
 from gvgkit.synth import scenes as scenes_module
 from gvgkit.synth.predict import read_predictions
 
+import reference_metrics as ref
+
 
 def decode_le(text: str, dtype: str) -> np.ndarray:
     """The flat array stored as ``text``, base64 of little-endian bytes."""
@@ -170,13 +172,53 @@ class TestPipeline:
             assert main(["train", "--out", str(out2), "--ablate", "no-constraint"]) == 0
         assert (out2 / "params.json").read_bytes() != (run_dir / "params.json").read_bytes()
 
-    def test_strict_negatives_flag(self, run_dir):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert main(["eval", "--out", str(run_dir), "--split", "test",
-                         "--strict-negatives", "--format", "json"]) == 0
-        payload = json.loads((run_dir / "report-test.json").read_text())
-        assert payload["strict_negatives"] is True
+    @pytest.mark.parametrize("reverse", [False, True], ids=["as written", "rankings reversed"])
+    def test_report_neg_acc_matches_the_oracle(self, run_dir, tmp_path, reverse):
+        """Eval's Neg-Acc rows equal the oracle's over the records and
+        boxes of a real predictions file. This small run's top boxes may
+        reject no negative, so a second file reverses every ranking,
+        scores kept best-first: other boxes come on top, and some reject."""
+        for name in ("test.jsonl", "config.json"):
+            (tmp_path / name).write_bytes((run_dir / name).read_bytes())
+        lines = (run_dir / "predictions-test.jsonl").read_text().splitlines()
+        if reverse:
+            for k, line in enumerate(lines[1:], start=1):
+                record = json.loads(line)
+                ranking = decode_le(record["ranking_int32_le"], "<i4")
+                record["ranking_int32_le"] = encode_le(ranking[::-1], "<i4")
+                lines[k] = json.dumps(record)
+        (tmp_path / "predictions-test.jsonl").write_text("\n".join(lines) + "\n")
+        assert main(["eval", "--out", str(tmp_path), "--split", "test"]) == 0
+
+        scenes, expressions, _ = datagen.read_dataset(tmp_path / "test.jsonl")
+        preds = read_predictions(tmp_path / "predictions-test.jsonl")
+        records = preds.by_expression()
+        by_image = {s.image_id: s for s in scenes}
+        cases = {kind: [] for kind in datagen.NEGATIVE_KINDS}
+        for expr in expressions:
+            if expr.level != "instance" or expr.polarity != "negative":
+                continue
+            scene, rec = by_image[expr.image_id], records[expr.expression_id]
+            scale = np.array([scene.width, scene.height] * 2, dtype=np.float64)
+            cases[expr.negative_kind].append({
+                "proposals": [tuple(b) for b in preds.tables[rec.image_id][rec.ranking] / scale],
+                "scores": list(rec.scores),
+                "scene_boxes": [tuple(np.array([i.x1, i.y1, i.x2, i.y2]) / scale)
+                                for i in scene.instances]})
+        every = [case for kind in cases.values() for case in kind]
+        assert every, "the test split should carry instance negatives"
+        report = json.loads((tmp_path / "report-test.json").read_text())
+        assert report["version"] == 2 and "strict_negatives" not in report
+        assert report["overall"]["neg_support"] == len(every)
+        assert report["overall"]["neg_acc"] == ref.ref_neg_acc(every)
+        assert report["overall"]["neg_acc"] > 0 or not reverse
+        rows = report["neg_acc_by_kind"]
+        for kind, kind_cases in cases.items():
+            assert rows[kind]["neg_support"] == len(kind_cases), kind
+            assert rows[kind]["neg_acc"] == (ref.ref_neg_acc(kind_cases) if kind_cases
+                                             else None), kind
+        assert rows["weighted_average"]["neg_acc"] == pytest.approx(ref.ref_neg_acc(every),
+                                                                    abs=1e-9)
 
 
 class TestErrors:
@@ -215,6 +257,9 @@ class TestErrors:
         "ranking out of range": (3, "ranking index out of range"),
         "ranking longer than scores": (3, "one entry per box"),
         "negative ranking index": (3, "ranking index out of range"),
+        "repeated ranking index": (3, "must hold each of the "),
+        "ranking shorter than its table": (3, "must hold each of the "),
+        "ranking longer than its table": (3, "must hold each of the "),
         "partial ranking entry": (3, "not a whole number of 4-byte entries"),
         "invalid base64": (3, "scores_float64_le is not base64"),
         "duplicate expression_id": (3, "a second record for expression "),
@@ -238,7 +283,7 @@ class TestErrors:
         image = record["image_id"]
         table = decode_le(tables[image], "<f8").reshape(-1, 4)
         ranking = decode_le(record["ranking_int32_le"], "<i4")
-        assert ranking.size and len(table), "the faults below need a ranked box"
+        assert ranking.size > 1, "the faults below need two ranked boxes"
         if fault == "not json":
             lines[2] = lines[2][:-1]
         elif fault == "not a JSON object":
@@ -255,6 +300,16 @@ class TestErrors:
             record["ranking_int32_le"] = encode_le(np.r_[ranking, 0], "<i4")
         elif fault == "negative ranking index":
             record["ranking_int32_le"] = encode_le(np.r_[-1, ranking[1:]], "<i4")
+        elif fault == "repeated ranking index":
+            record["ranking_int32_le"] = encode_le(np.r_[ranking[0], ranking[:-1]], "<i4")
+        elif fault == "ranking shorter than its table":
+            record["ranking_int32_le"] = encode_le(ranking[:-1], "<i4")
+            record["scores_float64_le"] = encode_le(
+                decode_le(record["scores_float64_le"], "<f8")[:-1], "<f8")
+        elif fault == "ranking longer than its table":   # every box, then one again
+            record["ranking_int32_le"] = encode_le(np.r_[ranking, ranking[-1]], "<i4")
+            scores = decode_le(record["scores_float64_le"], "<f8")
+            record["scores_float64_le"] = encode_le(np.r_[scores, scores[-1]], "<f8")
         elif fault == "partial ranking entry":   # the last int32 cut to two bytes
             record["ranking_int32_le"] = base64.b64encode(ranking.tobytes()[:-2]).decode()
         elif fault == "invalid base64":
@@ -570,23 +625,21 @@ class TestErrors:
         assert err.count("\n") == 1, err
 
     def test_record_of_another_image_is_a_one_line_error(self, run_dir, tmp_path, capsys):
-        """A record moved to another image of the file, with a ranking
-        valid there, is not scored against its expression's scene."""
+        """A record moved to another image of the file, with the ranking
+        and scores of a record of that image, is not scored against its
+        expression's scene."""
         for name in ("test.jsonl", "config.json"):
             (tmp_path / name).write_bytes((run_dir / name).read_bytes())
         lines = (run_dir / "predictions-test.jsonl").read_text().splitlines()
-        header = json.loads(lines[0])
-        sizes = {i: decode_le(t, "<f8").size // 4
-                 for i, t in header["boxes_xyxy_px_float64_le"].items()}
         _, expressions, _ = datagen.read_dataset(run_dir / "test.jsonl")
         instance = {e.expression_id for e in expressions if e.level == "instance"}
         index = next(k for k, line in enumerate(lines[1:], start=1)
                      if json.loads(line)["expression_id"] in instance)
         record = json.loads(lines[index])
-        other = max((i for i in sizes if i != record["image_id"]), key=sizes.get)
-        record["image_id"] = other
-        ranking = decode_le(record["ranking_int32_le"], "<i4") % sizes[other]
-        record["ranking_int32_le"] = encode_le(ranking, "<i4")
+        donor = next(r for r in map(json.loads, lines[1:]) if r["image_id"] != record["image_id"])
+        other = donor["image_id"]
+        for key in ("image_id", "ranking_int32_le", "scores_float64_le"):
+            record[key] = donor[key]
         lines[index] = json.dumps(record)
         path = tmp_path / "predictions-test.jsonl"
         path.write_text("\n".join(lines) + "\n")

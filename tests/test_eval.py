@@ -139,13 +139,12 @@ class TestNegAcc:
         preds = predictions([record("n0", "a", [(1, 1, 20, 20)], [1.0])])
         assert neg_acc(preds, [neg], [scene]) == 100.0
 
-    def test_strict_mode_judges_all_proposals(self):
+    def test_only_the_top_box_is_judged(self):
         scene = scene_with("a", [(40, 40, 60, 60)])
         neg = negative_expr("n0", "a")
         boxes = [(70, 70, 90, 90), (45, 45, 65, 65)]  # top-1 clean, rank-2 overlaps
         preds = predictions([record("n0", "a", boxes, [2.0, 1.0])])
         assert neg_acc(preds, [neg], [scene]) == 100.0
-        assert neg_acc(preds, [neg], [scene], strict=True) == 0.0
 
     def test_monotone_score_transform_invariance(self):
         rng = np.random.default_rng(0)
@@ -227,9 +226,8 @@ class TestAgainstReference:
                 ref.ref_recall_at_05(pos_cases), abs=1e-9)
             assert mean_iou(preds, expressions, scenes) == pytest.approx(
                 ref.ref_mean_iou(pos_cases), abs=1e-9)
-            for strict in (False, True):
-                assert neg_acc(preds, expressions, scenes, strict) == pytest.approx(
-                    ref.ref_neg_acc(neg_cases, strict), abs=1e-9)
+            assert neg_acc(preds, expressions, scenes) == pytest.approx(
+                ref.ref_neg_acc(neg_cases), abs=1e-9)
 
 
 class TestStratify:
@@ -441,7 +439,7 @@ class TestStratifyAgainstReference:
         return pos, neg
 
     @staticmethod
-    def _assert_row(row, pos, neg, strict):
+    def _assert_row(row, pos, neg):
         assert row.support == len(pos) and row.neg_support == len(neg)
         assert row.target_support == sum(len(c["targets"]) for c in pos)
         if pos:
@@ -452,36 +450,35 @@ class TestStratifyAgainstReference:
         else:
             assert row.top1 is row.top5 is row.r_at_05 is row.miou is None
         if neg:
-            assert row.neg_acc == ref.ref_neg_acc(neg, strict)
+            assert row.neg_acc == ref.ref_neg_acc(neg)
         else:
             assert row.neg_acc is None
 
-    @pytest.mark.parametrize("strict", [False, True], ids=["top-1", "strict"])
-    def test_every_row_matches_the_oracle(self, strict):
-        rng = np.random.default_rng(7 + strict)
+    def test_every_row_matches_the_oracle(self):
+        rng = np.random.default_rng(7)
         seen = dict.fromkeys(("missing", "no boxes", "iou 0.5", "touching",
                               "shared row", "row ranked twice", "box twice in a table"), 0)
         for _ in range(12):
             scenes, expressions, preds = self._dataset(rng)
             pos, neg = self._cases(scenes, expressions, preds)
-            report = stratify(preds, scenes, expressions, strict_negatives=strict)
+            report = stratify(preds, scenes, expressions)
 
-            self._assert_row(report.overall, pos, neg, strict)
+            self._assert_row(report.overall, pos, neg)
             for size in ("tiny", "small", "medium", "large"):
                 for group, is_weed in (("crop", False), ("weed", True)):
                     cases = [c for c in pos if c["expr"].attributes.size_bin == size
                              and (c["expr"].attributes.category == "weed") == is_weed]
-                    self._assert_row(report.by_scale[f"{size}/{group}"], cases, [], strict)
+                    self._assert_row(report.by_scale[f"{size}/{group}"], cases, [])
             for label, lo, hi in (("1-10", 0, 10), ("11-20", 11, 20),
                                   ("21-30", 21, 30), (">30", 31, 10**6)):
                 cases = [c for c in pos if lo <= c["density"] <= hi]
-                self._assert_row(report.by_density[label], cases, [], strict)
+                self._assert_row(report.by_density[label], cases, [])
             for kind in NEGATIVE_KINDS:
                 cases = [c for c in neg if c["expr"].negative_kind == kind]
-                self._assert_row(report.neg_acc_by_kind[kind], [], cases, strict)
+                self._assert_row(report.neg_acc_by_kind[kind], [], cases)
             average = report.neg_acc_by_kind["weighted_average"]
             assert average.neg_support == len(neg)
-            assert average.neg_acc == pytest.approx(ref.ref_neg_acc(neg, strict), abs=1e-9)
+            assert average.neg_acc == pytest.approx(ref.ref_neg_acc(neg), abs=1e-9)
 
             for case in pos + neg:
                 seen["missing"] += case["expr"].expression_id not in preds.by_expression()

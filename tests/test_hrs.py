@@ -326,7 +326,6 @@ class TestEndToEndGradients:
         loaded = HrsParams.load(path)
         for (name, a), (_, b) in zip(params.leaves(), loaded.leaves()):
             assert np.array_equal(a.value, b.value), name
-        assert loaded.temperature == pytest.approx(0.07)
 
     def test_load_rejects_bad_format(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -53,11 +53,10 @@ def test_roundtrip_is_bit_identical(tmp_path):
     records = [
         record("e0", "img-a", [2, 0, 5, 1, 3, 4],
                [2.5, 1.0 / 3.0, 0.0, -0.0, -1e-300, -7.0]),
-        record("e1", "img-a", [4, 3], [0.25, -0.0]),       # another subset
-        record("e2", "img-a", [1, 1, 0], [3.0, 2.0, 1.0]),  # a row ranked twice
-        record("e3", "img-a", [], []),                      # no proposals
-        record("e4", "img-b", [2, 0, 1], [1e300, 0.1, -0.1]),
-        record("e5", "img-c", [], []),
+        record("e1", "img-a", [4, 3, 5, 0, 2, 1],           # another order
+               [0.25, -0.0, -0.0, -1.0, -2.0, -3.0]),
+        record("e2", "img-b", [2, 0, 1], [1e300, 0.1, -0.1]),
+        record("e3", "img-c", [], []),
     ]
     meta = {"split": "test", "gate_level0": True}
     preds = Predictions(records=records, tables=tables, meta=meta)
@@ -92,15 +91,16 @@ POOL = np.array([[0.0, 0.0, 1.0, 1.0], [-0.0, 0.0, 1.0, 1.0], [0.1, 0.2, 0.3, 0.
 
 
 @given(st.lists(st.lists(st.integers(0, len(POOL) - 1), max_size=6), min_size=3, max_size=3),
-       st.lists(st.tuples(st.integers(0, 2), st.lists(st.integers(0, 5), max_size=6),
+       st.lists(st.tuples(st.integers(0, 2), st.permutations(range(6)),
                           st.floats(-1e300, 1e300)),
                 max_size=8))
 @settings(max_examples=60, deadline=None)
 def test_any_records_round_trip(tmp_path_factory, rows, specs):
     tables = {f"img-{k}": POOL[r].reshape(-1, 4) for k, r in enumerate(rows)}
     records = []
-    for i, (image, ranking, score) in enumerate(specs):
-        ranking = [k % len(rows[image]) for k in ranking] if rows[image] else []
+    for i, (image, order, score) in enumerate(specs):
+        # every row of the image's table once: the rows of a permutation of 0..5
+        ranking = [k for k in order if k < len(rows[image])]
         records.append(record(f"e{i}", f"img-{image}", ranking,
                               np.arange(len(ranking), 0, -1) * score))
     preds = Predictions(records=records, tables=tables)

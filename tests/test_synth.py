@@ -487,11 +487,10 @@ class TestTraining:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(TrainingDiverged,
-                               match=f"stage 2 diverged in epoch {epoch}:") as info:
+                               match=f"stage 2 diverged in epoch {epoch}:"):
                 train_stage2(encoded, params, tcfg, text_encoder(table, cfg.max_tokens))
         for (name, t), (_, good) in zip(params.leaves(), last_good.leaves()):
             assert np.array_equal(t.value, good.value), name
-            assert np.array_equal(info.value.checkpoint[name], good.value), name
 
     def test_training_caps_tokens_like_prediction(self):
         # 4 tokens keep a content word of every text ("the small maize at ...")
