@@ -6,8 +6,6 @@ head, a synthetic referring-expression benchmark generator, training
 loops, and a grounding metric suite with negative-expression accuracy.
 """
 
-from gvgkit.geometry import BBox
-
 __version__ = "0.1.0"
 
-__all__ = ["BBox", "__version__"]
+__all__ = ["__version__"]

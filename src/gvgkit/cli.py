@@ -150,6 +150,9 @@ def cmd_eval(args) -> int:
     split = _load_split(out, args.split, synth_cfg)
     path = out / f"predictions-{args.split}.jsonl"
     preds = read_predictions(path)
+    if preds.meta.get("split") != args.split:
+        raise ValueError(f"{path} holds predictions for split {preds.meta.get('split')!r}, "
+                         f"not {args.split!r}; re-run `gvgkit predict --split {args.split}`")
     try:
         report = stratify(preds, split.scenes, split.expressions)
     except ValueError as err:   # a record that does not fit the split

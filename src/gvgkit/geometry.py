@@ -4,54 +4,30 @@ Boxes are stored in centre form (cx, cy, w, h), normally as fractions of
 the image size; every operation is scale invariant so pixel coordinates
 work as well. Corner form (x1, y1, x2, y2) is available by conversion.
 
-``BBox`` holds one box. The array functions work on (N, 4) rows:
+Every function works on (N, 4) rows; the scalar reference for
+``corners`` and ``centres`` is the one-box oracle in ``tests/box_oracle.py``.
 ``iou`` and ``giou`` compare every corner row of one set with every row
 of another in one vectorised pass and return an (N, M) matrix. Matching
-and evaluation both use them; no scalar IoU exists in the package.
+and evaluation both use them; no scalar box or IoU exists in the package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass(frozen=True)
-class BBox:
-    """Axis-aligned box in centre form."""
-
-    cx: float
-    cy: float
-    w: float
-    h: float
-
-    def __post_init__(self) -> None:
-        if self.w < 0 or self.h < 0:
-            raise ValueError(f"box sides must be non-negative, got w={self.w}, h={self.h}")
-
-    @staticmethod
-    def from_corners(x1: float, y1: float, x2: float, y2: float) -> "BBox":
-        if x2 < x1 or y2 < y1:
-            raise ValueError(f"corners out of order: ({x1}, {y1}, {x2}, {y2})")
-        return BBox((x1 + x2) / 2.0, (y1 + y2) / 2.0, x2 - x1, y2 - y1)
-
-    def to_corners(self) -> tuple[float, float, float, float]:
-        hw, hh = self.w / 2.0, self.h / 2.0
-        return (self.cx - hw, self.cy - hh, self.cx + hw, self.cy + hh)
-
-
 def corners(centre: np.ndarray) -> np.ndarray:
-    """Centre-form rows to corner rows, with the arithmetic of
-    ``BBox.to_corners``."""
+    """Centre-form rows to corner rows, with the arithmetic of the
+    one-box oracle's ``to_corners`` in ``tests/box_oracle.py``."""
     cx, cy, w, h = (centre[..., k] for k in range(4))
     hw, hh = w / 2.0, h / 2.0
     return np.stack([cx - hw, cy - hh, cx + hw, cy + hh], axis=-1)
 
 
 def centres(corner: np.ndarray) -> np.ndarray:
-    """Corner rows to centre-form rows, with the arithmetic of
-    ``BBox.from_corners``. The rows' corner order is not checked."""
+    """Corner rows to centre-form rows, with the arithmetic of the
+    one-box oracle's ``from_corners`` in ``tests/box_oracle.py``, which
+    also checks the corner order; these rows' order is not checked."""
     x1, y1, x2, y2 = (corner[..., k] for k in range(4))
     return np.stack([(x1 + x2) / 2.0, (y1 + y2) / 2.0, x2 - x1, y2 - y1], axis=-1)
 

@@ -92,9 +92,6 @@ class Tensor:
     def shape(self):
         return self.value.shape
 
-    def item(self) -> float:
-        return float(self.value)
-
     def __repr__(self):
         return f"Tensor(shape={self.value.shape}, requires_grad={self.requires_grad})"
 

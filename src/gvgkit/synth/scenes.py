@@ -59,18 +59,6 @@ class SyntheticDataset:
     splits: dict[str, SplitData]
     meta: dict
 
-    @property
-    def train(self) -> SplitData:
-        return self.splits["train"]
-
-    @property
-    def val(self) -> SplitData:
-        return self.splits["val"]
-
-    @property
-    def test(self) -> SplitData:
-        return self.splits["test"]
-
 
 def _draw_side_px(bin_name: str, image_size: int, rng) -> tuple[int, int]:
     lo, hi = _SIZE_RANGES[bin_name]

@@ -1,4 +1,8 @@
-"""Closed-form scalar oracles for the box regression loss.
+"""Closed-form scalar oracles for the box core and the box regression loss.
+
+``BBox`` holds one box in centre form, with the side check and the
+corner-order check; its two conversions are the scalar reference for
+``gvgkit.geometry.corners`` and ``centres``, which work on (N, 4) rows.
 
 The interpolated-IoU loss augments the plain ``1 - IoU`` objective with a
 second IoU term computed against a box linearly interpolated between the
@@ -13,8 +17,31 @@ them. Used only to cross-check the package.
 
 from dataclasses import dataclass
 
-from gvgkit.geometry import BBox
 from reference_metrics import ref_iou
+
+
+@dataclass(frozen=True)
+class BBox:
+    """Axis-aligned box in centre form."""
+
+    cx: float
+    cy: float
+    w: float
+    h: float
+
+    def __post_init__(self) -> None:
+        if self.w < 0 or self.h < 0:
+            raise ValueError(f"box sides must be non-negative, got w={self.w}, h={self.h}")
+
+    @staticmethod
+    def from_corners(x1: float, y1: float, x2: float, y2: float) -> "BBox":
+        if x2 < x1 or y2 < y1:
+            raise ValueError(f"corners out of order: ({x1}, {y1}, {x2}, {y2})")
+        return BBox((x1 + x2) / 2.0, (y1 + y2) / 2.0, x2 - x1, y2 - y1)
+
+    def to_corners(self) -> tuple[float, float, float, float]:
+        hw, hh = self.w / 2.0, self.h / 2.0
+        return (self.cx - hw, self.cy - hh, self.cx + hw, self.cy + hh)
 
 
 def _iou(a: BBox, b: BBox) -> float:

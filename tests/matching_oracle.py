@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from gvgkit.geometry import BBox
+from box_oracle import BBox
 from reference_metrics import ref_iou
 
 _BRUTEFORCE_MIN_SIDE = 8

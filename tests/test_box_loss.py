@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from gvgkit import gradkit as gk
-from gvgkit.geometry import BBox
 from gvgkit.synth.boxhead import BoxRefiner, giou_loss_diff, interp_iou_loss_diff, iou_loss_diff
 
-from box_oracle import InterpConfig, grad_loss_interp_iou, loss_interp_iou
+from box_oracle import BBox, InterpConfig, grad_loss_interp_iou, loss_interp_iou
 from gradient_check import check_gradients
 from reference_metrics import ref_giou
 
@@ -40,7 +39,7 @@ def test_one_pass_interp_loss_matches_the_oracle_row_by_row(weighted):
     cfg = InterpConfig(0.99)
     want = sum(w * loss_interp_iou(BBox(*a), BBox(*b), cfg)
                for w, a, b in zip(weights, pred, gt))
-    assert loss.item() == pytest.approx(want, abs=1e-12)
+    assert float(loss.value) == pytest.approx(want, abs=1e-12)
     assert sum(disjoint(a, b) for a, b in zip(pred, gt)) == 3
     for w, a, b, grad in zip(weights, pred, gt, p.grad):
         expected = w * np.array(grad_loss_interp_iou(BBox(*a), BBox(*b), cfg))
@@ -56,14 +55,14 @@ def test_giou_loss_reads_the_enclosing_box():
     loss = giou_loss_diff(p, gt, weights)
     want = sum(w * (1.0 - ref_giou(BBox(*a).to_corners(), BBox(*b).to_corners()))
                for w, a, b in zip(weights, pred, gt))
-    assert loss.item() == pytest.approx(want, abs=1e-12)
+    assert float(loss.value) == pytest.approx(want, abs=1e-12)
     # on a disjoint row the IoU loss is flat at 1; GIoU's enclosing box
     # still pulls the prediction in
     row = [k for k in range(6) if disjoint(pred[k], gt[k])][0]
     one = gk.tensor(pred[row:row + 1], requires_grad=True)
-    assert iou_loss_diff(one, gt[row:row + 1]).item() == 1.0
+    assert float(iou_loss_diff(one, gt[row:row + 1]).value) == 1.0
     g = giou_loss_diff(one, gt[row:row + 1])
-    assert g.item() > 1.0
+    assert float(g.value) > 1.0
     gk.backward(g)
     assert np.any(one.grad != 0.0)
     report = check_gradients(lambda: giou_loss_diff(p, gt, weights), [("pred", p)])

@@ -650,6 +650,25 @@ class TestErrors:
         assert f"expression {record['expression_id']!r} is for image {other!r}" in err, err
         assert not (tmp_path / "report-test.json").exists()
 
+    @pytest.mark.parametrize("made_for, evaluated", [("val", "test"), ("test", "val")])
+    def test_predictions_of_another_split_are_a_one_line_error(self, run_dir, tmp_path, capsys,
+                                                                made_for, evaluated):
+        """Predictions copied over another split's file name are not
+        scored: no expression of that split has a record, so every one
+        would count as a miss."""
+        for name in ("test.jsonl", "val.jsonl", "config.json", "params.json", "refiner.json"):
+            (tmp_path / name).write_bytes((run_dir / name).read_bytes())
+        assert main(["predict", "--out", str(tmp_path), "--split", made_for]) == 0
+        path = tmp_path / f"predictions-{evaluated}.jsonl"
+        path.write_bytes((tmp_path / f"predictions-{made_for}.jsonl").read_bytes())
+        capsys.readouterr()
+        assert main(["eval", "--out", str(tmp_path), "--split", evaluated]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {path} holds predictions for split {made_for!r}, not "
+                       f"{evaluated!r}; re-run `gvgkit predict --split {evaluated}`\n"), err
+        assert not (tmp_path / f"report-{evaluated}.json").exists()
+        assert not (tmp_path / f"report-{evaluated}.txt").exists()
+
     def test_diverging_stage2_is_a_one_line_error(self, run_dir, tmp_path, capsys):
         for name in ("train.jsonl", "refiner.json"):
             (tmp_path / name).write_bytes((run_dir / name).read_bytes())

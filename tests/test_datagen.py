@@ -26,9 +26,9 @@ from gvgkit.datagen import (
     stratified_split,
     write_dataset,
 )
-from gvgkit.geometry import BBox
 from gvgkit.synth.scenes import _SIZE_RANGES
 
+from box_oracle import BBox
 
 
 def oracle_grid_cell(box: BBox) -> str:

@@ -1,5 +1,9 @@
+from dataclasses import asdict, replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gvgkit import datagen, evaluation
 from gvgkit.datagen import (
@@ -497,6 +501,28 @@ class TestStratifyAgainstReference:
             seen["box twice in a table"] += sum(len(np.unique(t, axis=0)) < len(t)
                                                 for t in preds.tables.values())
         assert all(seen.values()), seen
+
+    @given(st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_report_ignores_record_and_box_order(self, seed, data):
+        """The report reads a record by its expression and a ranked row by
+        its box: shuffling the records, or permuting an image's box table
+        with every ranking of that image remapped to match, leaves every
+        figure as it was, bit for bit."""
+        scenes, expressions, preds = self._dataset(np.random.default_rng(seed))
+        report = asdict(stratify(preds, scenes, expressions))
+        order = data.draw(st.permutations(range(len(preds.records))), label="records")
+        shuffled = Predictions(records=[preds.records[k] for k in order], tables=preds.tables)
+        assert asdict(stratify(shuffled, scenes, expressions)) == report
+        tables, new_row = {}, {}
+        for image_id, table in preds.tables.items():
+            perm = np.array(data.draw(st.permutations(range(len(table))), label=image_id),
+                            dtype=np.intp)
+            tables[image_id] = table[perm]
+            new_row[image_id] = np.argsort(perm)       # old row -> its row in the new table
+        records = [replace(r, ranking=new_row[r.image_id][r.ranking]) for r in preds.records]
+        permuted = Predictions(records=records, tables=tables)
+        assert asdict(stratify(permuted, scenes, expressions)) == report
 
     def test_at_most_one_matrix_of_each_kind_per_image(self, monkeypatch):
         """However many expressions rank an image's boxes, ``stratify``

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gvgkit.datagen import SceneAnnotation
-from gvgkit.geometry import BBox, centres, corners, giou, iou
+from gvgkit.geometry import centres, corners, giou, iou
 
 from box_oracle import (
+    BBox,
     InterpConfig,
     grad_loss_interp_iou,
     grad_loss_iou,

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from gvgkit import gradkit as gk
-from gvgkit.geometry import BBox
 
 import per_text_oracle as oracle
-from box_oracle import InterpConfig, grad_loss_interp_iou, loss_interp_iou
+from box_oracle import BBox, InterpConfig, grad_loss_interp_iou, loss_interp_iou
 from gradient_check import check_gradients, run_pass
 from tape_walk_oracle import tape_walk_gradients
 
@@ -583,7 +582,7 @@ class TestFiniteDifferences:
             p = gk.tensor(np.array([[pred.cx, pred.cy, pred.w, pred.h]]), requires_grad=True)
             g = np.array([[gt.cx, gt.cy, gt.w, gt.h]])
             loss = interp_iou_loss_diff(p, g, alpha=0.99)
-            assert loss.item() == pytest.approx(
+            assert float(loss.value) == pytest.approx(
                 loss_interp_iou(pred, gt, InterpConfig(0.99)), abs=1e-12)
             gk.backward(loss)
             expected = grad_loss_interp_iou(pred, gt, InterpConfig(0.99))

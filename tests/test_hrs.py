@@ -219,20 +219,20 @@ class TestLevel0:
 
 class TestLosses:
     def test_lvl0_values(self):
-        assert loss_lvl0(gk.tensor([1.0, 1.0, 1.0, 1.0]), 0).item() == pytest.approx(math.log(4), abs=1e-12)
-        assert loss_lvl0(gk.tensor([0.0, 50.0, 0.0]), 1).item() == pytest.approx(0.0, abs=1e-12)
-        assert loss_lvl0(gk.tensor([1.0, 2.0, 3.0]), 2).item() == pytest.approx(0.4076, abs=5e-5)
+        assert float(loss_lvl0(gk.tensor([1.0, 1.0, 1.0, 1.0]), 0).value) == pytest.approx(math.log(4), abs=1e-12)
+        assert float(loss_lvl0(gk.tensor([0.0, 50.0, 0.0]), 1).value) == pytest.approx(0.0, abs=1e-12)
+        assert float(loss_lvl0(gk.tensor([1.0, 2.0, 3.0]), 2).value) == pytest.approx(0.4076, abs=5e-5)
         with pytest.raises(IndexError):
             loss_lvl0(gk.tensor([1.0, 2.0]), 2)
 
     def test_lvl1_values(self):
         scores = gk.tensor([0.0, 0.0, 0.0])
         for targets in ([0, 0, 0], [1, 1, 1], [1, 0, 1]):
-            assert loss_lvl1(scores, np.array(targets)).item() == pytest.approx(math.log(2), abs=1e-12)
+            assert float(loss_lvl1(scores, np.array(targets)).value) == pytest.approx(math.log(2), abs=1e-12)
         sep = gk.tensor([50.0, -50.0])
-        assert loss_lvl1(sep, np.array([1, 0])).item() == pytest.approx(0.0, abs=1e-12)
+        assert float(loss_lvl1(sep, np.array([1, 0])).value) == pytest.approx(0.0, abs=1e-12)
         mixed = gk.tensor([1.0, -1.0])
-        assert loss_lvl1(mixed, np.array([1, 0])).item() == pytest.approx(0.3133, abs=5e-5)
+        assert float(loss_lvl1(mixed, np.array([1, 0])).value) == pytest.approx(0.3133, abs=5e-5)
 
     def test_lvl1_block_gives_each_rows_loss(self):
         # a (k, N) block: one loss per row, each equal, with its gradient,
@@ -262,12 +262,12 @@ class TestLosses:
         assert l0.grad == 2.0
 
     def test_constrained_is_max(self):
-        assert loss_constrained(gk.tensor(0.2), gk.tensor(0.5)).item() == 0.5
-        assert loss_constrained(gk.tensor(0.5), gk.tensor(0.2)).item() == 0.5
+        assert float(loss_constrained(gk.tensor(0.2), gk.tensor(0.5)).value) == 0.5
+        assert float(loss_constrained(gk.tensor(0.5), gk.tensor(0.2)).value) == 0.5
         rng = np.random.default_rng(12)
         for _ in range(1000):
             l1, l0 = rng.uniform(0, 3, 2)
-            out = loss_constrained(gk.tensor(l1), gk.tensor(l0)).item()
+            out = float(loss_constrained(gk.tensor(l1), gk.tensor(l0)).value)
             assert out >= l1 and out >= l0
             assert out == max(l1, l0)
 
@@ -287,16 +287,16 @@ class TestLosses:
 
     def test_hmce_weights(self):
         l0, l1c = gk.tensor(1.0), gk.tensor(2.0)
-        assert loss_hmce(l0, l1c, "mixed").item() == pytest.approx(6.0)
+        assert float(loss_hmce(l0, l1c, "mixed").value) == pytest.approx(6.0)
         for single in ("crop_only", "weed_only"):
-            assert loss_hmce(gk.tensor(0.0), gk.tensor(1.0), single).item() == \
+            assert float(loss_hmce(gk.tensor(0.0), gk.tensor(1.0), single).value) == \
                 pytest.approx(2.0)
         out = loss_hmce(gk.tensor(0.7), gk.tensor(123.0), "empty")
-        assert out.item() == pytest.approx(0.7, abs=0.0)
+        assert float(out.value) == pytest.approx(0.7, abs=0.0)
 
     def test_total_is_sum(self):
-        assert loss_total(gk.tensor(0.0), gk.tensor(0.0)).item() == 0.0
-        assert loss_total(gk.tensor(1.5), gk.tensor(0.5)).item() == 2.0
+        assert float(loss_total(gk.tensor(0.0), gk.tensor(0.0)).value) == 0.0
+        assert float(loss_total(gk.tensor(1.5), gk.tensor(0.5)).value) == 2.0
         hmce = gk.tensor(1.25)
         assert loss_total(hmce, 0.0) is hmce
 

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from gvgkit import matching
-from gvgkit.geometry import BBox
 from gvgkit.matching import assign_optimal, build_cost_matrix
 from gvgkit.synth import SynthConfig, TrainConfig, gen_scenes
 from gvgkit.synth.encode import EmbeddingTable, encode_proposals
 
+from box_oracle import BBox
 from matching_oracle import assign_bruteforce, match_cost, total_cost, unmatched
 from reference_metrics import ref_iou
 from uniform_oracle import centre_rows, normalized_boxes

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import per_text_oracle as oracle
 import copy
@@ -30,7 +32,7 @@ def setup():
         warnings.simplefilter("ignore")
         dataset = gen_scenes(cfg)
     table = EmbeddingTable(cfg.seed)
-    encoded = encode_split(dataset.train, cfg, table)
+    encoded = encode_split(dataset.splits["train"], cfg, table)
     return cfg, dataset, table, encoded
 
 
@@ -135,7 +137,7 @@ def trained(setup):
     cfg, dataset, _, _ = setup
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return train_two_stage(dataset.train, cfg, TCFG_SHORT)
+        return train_two_stage(dataset.splits["train"], cfg, TCFG_SHORT)
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +146,7 @@ def word_only(setup):
     tcfg = dataclasses.replace(TCFG_SHORT, ablation="word-only")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return train_two_stage(dataset.train, cfg, tcfg, stages=(2,)).params
+        return train_two_stage(dataset.splits["train"], cfg, tcfg, stages=(2,)).params
 
 
 @pytest.mark.parametrize("gate", [True, False])
@@ -158,7 +160,7 @@ def test_predictions_match_the_oracle(setup, trained, word_only, checkpoint, gat
         # a feed-forward bias offset drives every score of some texts below
         # zero, so the gate falls back to the background row for them
         params.ffn_b2.value += 5.0 * np.random.default_rng(0).normal(size=params.d)
-    split = dataset.test
+    split = dataset.splits["test"]
     preds = predict_split(split, cfg, params, trained.refiner, gate_level0=gate)
     records = preds.by_expression()
     checked = fell_back = 0
@@ -212,8 +214,8 @@ def test_both_commands_score_a_scene_in_one_pass(setup, trained, monkeypatch, va
     assert outer_calls == [1] * len(items) and len(inner_calls) == len(items)
     outer_calls.clear()
     inner_calls.clear()
-    predict_split(dataset.test, cfg, params, trained.refiner)
-    scenes = len(dataset.test.scenes)
+    predict_split(dataset.splits["test"], cfg, params, trained.refiner)
+    scenes = len(dataset.splits["test"].scenes)
     assert outer_calls == [1] * scenes and len(inner_calls) == scenes
 
 
@@ -250,3 +252,50 @@ def test_scoring_a_text_alone_or_in_a_padded_batch_agrees(setup):
     for k, text in enumerate(vocab_texts):
         alone = hrs.score_expression(item.features, [text], params).referring_scores
         assert np.max(np.abs(alone.value[0] - together.value[k])) <= 1e-12
+
+
+def scene_readouts(item, params, encode, rows):
+    """``score_scene``'s level-0 logits, and its expression and
+    background rows over the proposals ``rows`` of ``item``, as arrays."""
+    scores = hrs.score_scene(item.features[rows], [e.text for e in item.expressions],
+                             params, encode)
+    return scores.level0.value, scores.expressions.value, scores.background.value
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["graph", "frozen"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_scores_follow_the_proposals_order(setup, trained, frozen, data):
+    # no proposal reads another's position: a permuted scene permutes
+    # every per-proposal row and leaves the level-0 logits alone, to
+    # rounding (the sums run in another order)
+    cfg, _, table, encoded = setup
+    params = trained.params.frozen() if frozen else trained.params
+    encode = text_encoder(table, cfg.max_tokens)
+    item = encoded[data.draw(st.integers(0, len(encoded) - 1), label="scene")]
+    n = len(item.features)
+    perm = np.array(data.draw(st.permutations(range(n)), label="order"), dtype=np.intp)
+    level0, expressions, background = scene_readouts(item, params, encode, np.arange(n))
+    p_level0, p_expressions, p_background = scene_readouts(item, params, encode, perm)
+    np.testing.assert_allclose(p_level0, level0, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(p_expressions, expressions[:, perm], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(p_background, background[:, perm], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["graph", "frozen"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_dropped_proposals_leave_the_kept_scores(setup, trained, frozen, data):
+    # no proposal attends to another, so the kept proposals score as
+    # they did in the whole scene
+    cfg, _, table, encoded = setup
+    params = trained.params.frozen() if frozen else trained.params
+    encode = text_encoder(table, cfg.max_tokens)
+    item = encoded[data.draw(st.integers(0, len(encoded) - 1), label="scene")]
+    n = len(item.features)
+    keep = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1), label="kept")),
+                    dtype=np.intp)
+    _, expressions, background = scene_readouts(item, params, encode, np.arange(n))
+    _, k_expressions, k_background = scene_readouts(item, params, encode, keep)
+    np.testing.assert_allclose(k_expressions, expressions[:, keep], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(k_background, background[:, keep], rtol=0.0, atol=1e-12)

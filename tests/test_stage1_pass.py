@@ -53,7 +53,7 @@ def encoded():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         dataset = gen_scenes(cfg)
-    return encode_split(dataset.train, cfg, EmbeddingTable(cfg.seed))
+    return encode_split(dataset.splits["train"], cfg, EmbeddingTable(cfg.seed))
 
 
 def mixed_batch(encoded):

@@ -11,9 +11,10 @@ from collections.abc import Sequence
 import numpy as np
 
 from gvgkit.datagen import SceneAnnotation
-from gvgkit.geometry import BBox
 from gvgkit.synth.config import CONTEXT_DIMS, FEATURE_DIMS, WORD_SPACE_DIMS, SynthConfig
 from gvgkit.synth.encode import CTX_BARE_PATCH, EmbeddingTable, _context_block, _scene_rng
+
+from box_oracle import BBox
 
 
 def normalized_boxes(scene: SceneAnnotation) -> list[BBox]:
