@@ -8,7 +8,7 @@ predictions and reports:
     gvgkit build   --out runs/demo
     gvgkit train   --out runs/demo
     gvgkit predict --out runs/demo --split test
-    gvgkit eval    --out runs/demo --split test --format table
+    gvgkit eval    --out runs/demo --split test
 """
 
 from __future__ import annotations
@@ -45,16 +45,23 @@ SPLITS = ("train", "val", "test")
 
 
 def _resolve_configs(args) -> tuple[SynthConfig, TrainConfig]:
-    config_path = args.config
-    if config_path is None and (Path(args.out) / "config.json").exists():
-        config_path = Path(args.out) / "config.json"
-    try:
-        synth_cfg, train_cfg = load_config(config_path)
-    except ValueError as err:
-        if args.config is not None:
-            raise
-        raise ValueError(f"{err}; `gvgkit build --config FILE --out {args.out}` "
-                         "replaces it") from None
+    """The run's configs. ``build`` reads ``--config``, else the stored
+    ``<out>/config.json``, else the defaults, and takes ``--seed``; every
+    other command reads the stored file only, and ``train --ablate``
+    replaces its variant."""
+    stored = Path(args.out) / "config.json"
+    if args.command == "build" and args.config is not None:
+        synth_cfg, train_cfg = load_config(args.config)
+    elif stored.exists():
+        try:
+            synth_cfg, train_cfg = load_config(stored)
+        except ValueError as err:
+            raise ValueError(f"{err}; `gvgkit build --config FILE --out {args.out}` "
+                             "replaces it") from None
+    elif args.command == "build":
+        synth_cfg, train_cfg = load_config(None)
+    else:
+        raise FileNotFoundError(f"missing run config {stored}; run `gvgkit build` first")
     seed = getattr(args, "seed", None)
     if seed is not None:
         synth_cfg = dataclasses.replace(synth_cfg, seed=seed)
@@ -157,14 +164,10 @@ def cmd_eval(args) -> int:
         report = stratify(preds, split.scenes, split.expressions)
     except ValueError as err:   # a record that does not fit the split
         raise ValueError(f"{path}: {err}") from None
-    write_report(report, out / f"report-{args.split}.json", seed=train_cfg.seed,
-                 fmt="json")
-    write_report(report, out / f"report-{args.split}.txt", seed=train_cfg.seed,
-                 fmt="table")
-    if args.format == "table":
-        print(format_table(report))
-    else:
-        print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
+    table = format_table(report)
+    write_report(report, out / f"report-{args.split}.json", seed=train_cfg.seed)
+    (out / f"report-{args.split}.txt").write_text(f"# seed={train_cfg.seed}\n" + table)
+    sys.stdout.write(table)
     return 0
 
 
@@ -175,12 +178,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", type=Path, default=None,
-                       help="JSON config; defaults to <out>/config.json when present")
-        p.add_argument("--out", type=Path, required=True, help="run directory")
+        p.add_argument("--out", type=Path, required=True,
+                       help="run directory; every command after build reads its config.json")
 
     p_build = sub.add_parser("build", help="generate dataset splits")
     common(p_build)
+    p_build.add_argument("--config", type=Path, default=None,
+                         help="JSON config, stored as <out>/config.json; defaults to "
+                              "the stored one when present, else to the built-in defaults")
     p_build.add_argument("--seed", type=int, default=None,
                          help="override the seed for both data and training")
     p_build.set_defaults(fn=cmd_build)
@@ -203,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="compute the metric report")
     common(p_eval)
     p_eval.add_argument("--split", choices=SPLITS, default="test")
-    p_eval.add_argument("--format", choices=("json", "table"), default="table")
     p_eval.set_defaults(fn=cmd_eval)
     return parser
 

@@ -293,14 +293,7 @@ def format_table(report: EvalReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(report: EvalReport, path: str | Path, seed: int,
-                 fmt: str = "json") -> None:
-    path = Path(path)
-    if fmt == "json":
-        payload = {"format": "gvgkit-report", "version": 2, "seed": seed}
-        payload.update(asdict(report))
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    elif fmt == "table":
-        path.write_text(f"# seed={seed}\n" + format_table(report))
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
+def write_report(report: EvalReport, path: str | Path, seed: int) -> None:
+    payload = {"format": "gvgkit-report", "version": 2, "seed": seed}
+    payload.update(asdict(report))
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -101,6 +101,16 @@ def _check_header(header: dict, fmt: str, version: int, kind: str, command: str)
                          f"re-run `gvgkit {command}`")
 
 
+def write_checkpoint(path: str | Path, fmt: str, version: int, seed: int | None,
+                     fields: dict, leaves: Sequence[tuple[str, Tensor]]) -> None:
+    """Write a ``fmt`` checkpoint at ``version``: its header (``format``,
+    ``version``, ``seed``), then the model's own ``fields`` in order, then
+    its leaf tensors under ``tensors``."""
+    payload = {"format": fmt, "version": version, "seed": seed, **fields,
+               "tensors": dump_leaves(leaves)}
+    Path(path).write_text(json.dumps(payload))
+
+
 def read_checkpoint(path: str | Path, fmt: str, version: int, kind: str) -> dict:
     """The JSON payload of a ``fmt`` checkpoint at ``version``; an
     unreadable file, another format or another version raises a

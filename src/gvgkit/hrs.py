@@ -22,7 +22,6 @@ raises the same errors, and records no graph.
 from __future__ import annotations
 
 import copy
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -166,16 +165,10 @@ class HrsParams:
         return frozen
 
     def save(self, path: str | Path, seed: int | None = None) -> None:
-        payload = {
-            "format": PARAMS_FORMAT,
-            "version": PARAMS_VERSION,
-            "seed": seed,
-            "dims": {"d_v": self.d_v, "d_t": self.d_t, "d": self.d,
-                     "heads": self.heads, "d_ff": self.d_ff, "d_hidden": self.d_hidden},
-            "ablation": self.ablation,
-            "tensors": gk.dump_leaves(self.leaves()),
-        }
-        Path(path).write_text(json.dumps(payload))
+        dims = {"d_v": self.d_v, "d_t": self.d_t, "d": self.d,
+                "heads": self.heads, "d_ff": self.d_ff, "d_hidden": self.d_hidden}
+        gk.write_checkpoint(path, PARAMS_FORMAT, PARAMS_VERSION, seed,
+                            {"dims": dims, "ablation": self.ablation}, self.leaves())
 
     # the stored tensor each pair of dims shapes: with each tensor's
     # values bounded by its payload, these bound every array __init__ makes

@@ -10,7 +10,6 @@ weights, so that one graph can carry the rows of several scenes.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -124,14 +123,8 @@ class BoxRefiner:
         return gk.concat([centre, scaled], axis=1)
 
     def save(self, path: str | Path, seed: int | None = None) -> None:
-        payload = {
-            "format": REFINER_FORMAT,
-            "version": REFINER_VERSION,
-            "seed": seed,
-            "ablation": self.ablation,
-            "tensors": gk.dump_leaves(self.leaves()),
-        }
-        Path(path).write_text(json.dumps(payload))
+        gk.write_checkpoint(path, REFINER_FORMAT, REFINER_VERSION, seed,
+                            {"ablation": self.ablation}, self.leaves())
 
     @classmethod
     def load(cls, path: str | Path) -> "BoxRefiner":

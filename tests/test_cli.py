@@ -12,8 +12,9 @@ import pytest
 
 from gvgkit import datagen
 from gvgkit.cli import main
-from gvgkit.hrs import VARIANTS
-from gvgkit.synth import SplitData, load_config, train_two_stage
+from gvgkit.hrs import VARIANTS, HrsParams
+from gvgkit.synth import (BoxRefiner, SplitData, load_config, predict_split, train_two_stage,
+                          write_predictions)
 from gvgkit.synth import scenes as scenes_module
 from gvgkit.synth.predict import read_predictions
 
@@ -904,31 +905,28 @@ def test_a_variant_that_is_not_a_name_is_a_one_line_error(run_dir, tmp_path, cap
     assert not (tmp_path / "params.json").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    pytest.param(["train", "--config", "b.json"], id="train with another config"),
-    pytest.param(["predict"], id="predict after config.json was edited"),
-    pytest.param(["eval"], id="eval after config.json was edited")])
-def test_split_of_another_config_is_a_one_line_error(tmp_path, capsys, argv):
+@pytest.mark.parametrize("command", [
+    pytest.param("train", id="train after config.json was edited"),
+    pytest.param("predict", id="predict after config.json was edited"),
+    pytest.param("eval", id="eval after config.json was edited")])
+def test_split_of_another_config_is_a_one_line_error(tmp_path, capsys, command):
     config = {"synth": {"seed": 3, "n_scenes": 12},
               "train": {"stage1_epochs": 1, "stage2_epochs": 1}}
     (tmp_path / "a.json").write_text(json.dumps(config))
-    config["synth"]["feature_noise"] = 0.5
-    (tmp_path / "b.json").write_text(json.dumps(config))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert main(["build", "--config", str(tmp_path / "a.json"),
                      "--out", str(tmp_path)]) == 0
-    if "--config" not in argv:
-        # the stored config's synth section edited after the build
-        (tmp_path / "config.json").write_text(json.dumps(config))
+    # the stored config's synth section edited after the build
+    config["synth"]["feature_noise"] = 0.5
+    (tmp_path / "config.json").write_text(json.dumps(config))
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     capsys.readouterr()
-    assert main(argv + ["--out", str(tmp_path)]) == 1
+    assert main([command, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     built = json.loads((tmp_path / "train.jsonl").read_text().splitlines()[0])["config_hash"]
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    synth_cfg, _ = load_config(tmp_path / "b.json")
+    synth_cfg, _ = load_config(tmp_path / "config.json")
     assert (f"built from config {built}, but this run's config hashes "
             f"{synth_cfg.config_hash()};") in err, err
     assert "run `gvgkit build`" in err, err
@@ -946,12 +944,15 @@ def test_a_config_error_names_its_file(run_dir, tmp_path, capsys, command):
     stored.write_text(json.dumps(config))
     (tmp_path / "cfg.json").write_text(json.dumps(config))
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    for argv, hint in (([], f"; `gvgkit build --config FILE --out {tmp_path}` replaces it"),
-                       (["--config", str(tmp_path / "cfg.json")], "")):
+    # (extra arguments, the file the error names, its hint): the stored
+    # config for every command, and build's --config file
+    sources = [([], stored, f"; `gvgkit build --config FILE --out {tmp_path}` replaces it")]
+    if command == "build":
+        sources.append((["--config", str(tmp_path / "cfg.json")], tmp_path / "cfg.json", ""))
+    for argv, path, hint in sources:
         capsys.readouterr()
         assert main([command, "--out", str(tmp_path)] + argv) == 1
         err = capsys.readouterr().err
-        path = stored if not argv else tmp_path / "cfg.json"
         assert err == f"error: unknown SynthConfig keys: ['d_t'], in {path}{hint}\n", err
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
@@ -961,6 +962,71 @@ def test_seed_is_an_option_of_build_only(tmp_path, capsys, command):
     with pytest.raises(SystemExit):
         main([command, "--out", str(tmp_path), "--seed", "3"])
     assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["train", "--config", "cfg.json"], id="train --config"),
+    pytest.param(["predict", "--config", "cfg.json"], id="predict --config"),
+    pytest.param(["eval", "--config", "cfg.json"], id="eval --config"),
+    pytest.param(["eval", "--format", "table"], id="eval --format")])
+def test_an_option_the_command_lacks_is_a_usage_error(run_dir, tmp_path, capsys, argv):
+    # only build takes a config file, and eval has one output
+    for name in ("train.jsonl", "test.jsonl", "config.json", "refiner.json", "params.json",
+                 "predictions-test.jsonl", "cfg.json"):
+        (tmp_path / name).write_bytes((run_dir / name).read_bytes())
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        main([argv[0], "--out", str(tmp_path)] + argv[1:])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("argv", [["train"], ["predict", "--split", "test"],
+                                  ["eval", "--split", "test"]], ids=lambda argv: argv[0])
+def test_a_run_without_its_config_is_a_one_line_error(run_dir, tmp_path, capsys, argv):
+    # every command after build reads the config build stored, and no
+    # other: without it, nothing runs on the defaults
+    for name in ("train.jsonl", "test.jsonl", "refiner.json", "params.json",
+                 "predictions-test.jsonl"):
+        (tmp_path / name).write_bytes((run_dir / name).read_bytes())
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: missing run config {tmp_path / 'config.json'}; "
+                   "run `gvgkit build` first\n"), err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_eval_prints_the_table_it_writes(run_dir, tmp_path, capsys):
+    for name in ("test.jsonl", "config.json", "predictions-test.jsonl"):
+        (tmp_path / name).write_bytes((run_dir / name).read_bytes())
+    capsys.readouterr()
+    assert main(["eval", "--out", str(tmp_path), "--split", "test"]) == 0
+    out = capsys.readouterr().out
+    seed_line, table = (tmp_path / "report-test.txt").read_text().split("\n", 1)
+    assert seed_line == "# seed=3"
+    assert out == table
+    assert (tmp_path / "report-test.json").read_bytes() == (
+        run_dir / "report-test.json").read_bytes()
+
+
+def test_predict_without_the_gate_ranks_by_the_referring_score(run_dir, tmp_path):
+    for name in ("test.jsonl", "config.json", "refiner.json", "params.json"):
+        (tmp_path / name).write_bytes((run_dir / name).read_bytes())
+    assert main(["predict", "--out", str(tmp_path), "--split", "test",
+                 "--no-gate-level0"]) == 0
+    path = tmp_path / "predictions-test.jsonl"
+    assert json.loads(path.read_text().splitlines()[0])["gate_level0"] is False
+    synth_cfg, train_cfg = load_config(tmp_path / "config.json")
+    scenes, expressions, _ = datagen.read_dataset(tmp_path / "test.jsonl")
+    preds = predict_split(SplitData(name="test", scenes=scenes, expressions=expressions),
+                          synth_cfg, HrsParams.load(tmp_path / "params.json"),
+                          BoxRefiner.load(tmp_path / "refiner.json"), gate_level0=False)
+    write_predictions(preds, tmp_path / "oracle.jsonl", seed=train_cfg.seed)
+    assert path.read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
 
 
 def test_predict_reads_the_ablation_from_the_checkpoint(run_dir, tmp_path, capsys):
@@ -1198,13 +1264,15 @@ def test_closed_pipe_exits_without_traceback(run_dir):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "gvgkit.cli", "eval", "--out", str(run_dir),
-         "--split", "test", "--format", "table"],
+         "--split", "test"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     proc.stdout.close()    # the reader is gone before the table is written
     err = proc.stderr.read().decode()
     proc.stderr.close()
     proc.wait(timeout=120)
-    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+    # exit 1 is main's closed-pipe return: eval ran and reached its
+    # print, where a usage error would exit 2
+    assert proc.returncode == 1 and err == "", err
 
 
 NO_SCIPY_SCRIPT = """

@@ -243,15 +243,36 @@ def test_fillers_leave_the_scores_unchanged(setup):
     assert packed[0].tolist() == [True] * 3 + [False] * (packed.shape[1] - 3)
 
 
-def test_scoring_a_text_alone_or_in_a_padded_batch_agrees(setup):
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_scoring_a_text_alone_or_in_a_padded_batch_agrees(setup, trained, data):
+    # a text's row reads that text only: it scores the same, to rounding,
+    # whatever texts share its batch, however many and long they are and
+    # wherever the text sits among them, on the graph and frozen
     cfg, _, table, encoded = setup
-    vocab_texts = oracle.level0_texts(table, cfg.max_tokens)
-    params = fresh_params(seed=23)
-    item = next(e for e in encoded if e.scene.image_type == "mixed")
-    together = hrs.score_expression(item.features, vocab_texts, params).referring_scores
-    for k, text in enumerate(vocab_texts):
-        alone = hrs.score_expression(item.features, [text], params).referring_scores
-        assert np.max(np.abs(alone.value[0] - together.value[k])) <= 1e-12
+    item = encoded[data.draw(st.integers(0, len(encoded) - 1), label="scene")]
+    pool = oracle.level0_texts(table, cfg.max_tokens) + [
+        encode_text(e.text, table, cfg.max_tokens) for e in item.expressions]
+
+    def draw_text(label):
+        text = pool[data.draw(st.integers(0, len(pool) - 1), label=label)]
+        return text[:data.draw(st.integers(1, len(text)), label=f"{label} length")]
+
+    text = draw_text("text")
+    others = [draw_text(f"other {k}")
+              for k in range(data.draw(st.integers(0, 8), label="others"))]
+    row = data.draw(st.integers(0, len(others)), label="position")
+    batch = others[:row] + [text] + others[row:]
+    for params in (trained.params, trained.params.frozen()):
+        alone = hrs.score_expression(item.features, [text], params)
+        together = hrs.score_expression(item.features, batch, params)
+        for field in ("sentence_scores", "sentence_weight", "referring_scores"):
+            np.testing.assert_allclose(getattr(together, field).value[row],
+                                       getattr(alone, field).value[0],
+                                       rtol=0.0, atol=1e-12, err_msg=field)
+        # word scores index content-token slots; the batch pads the rest
+        np.testing.assert_allclose(together.word_scores.value[row][:, :len(text)],
+                                   alone.word_scores.value[0], rtol=0.0, atol=1e-12)
 
 
 def scene_readouts(item, params, encode, rows):
