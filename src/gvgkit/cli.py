@@ -79,12 +79,15 @@ def _store_config(out: Path, synth_cfg: SynthConfig, train_cfg: TrainConfig) -> 
 
 
 def _load_split(out: Path, name: str, synth_cfg: SynthConfig) -> SplitData:
-    """A split built from ``synth_cfg``: one built from another config is
-    an error."""
+    """Split ``name``, built from ``synth_cfg``: a file that holds another
+    split, or one built from another config, is an error."""
     path = out / f"{name}.jsonl"
     if not path.exists():
         raise FileNotFoundError(f"missing dataset split {path}; run `gvgkit build` first")
     scenes, expressions, meta = datagen.read_dataset(path)
+    if meta.get("split") != name:
+        raise ValueError(f"{path} holds split {meta.get('split')!r}, not {name!r}; "
+                         "re-run `gvgkit build`")
     if meta.get("config_hash") != synth_cfg.config_hash():
         raise ValueError(f"{path} was built from config {meta.get('config_hash')}, but "
                          f"this run's config hashes {synth_cfg.config_hash()}; run "

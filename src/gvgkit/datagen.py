@@ -43,6 +43,8 @@ GRID_CELLS = tuple(
 
 IMAGE_TYPES = ("crop_only", "weed_only", "mixed", "empty")
 NEGATIVE_KINDS = ("replace_category", "swap_size", "swap_position")
+# the share of a split's candidate triples that each kind manipulates
+NEGATIVE_FRACTION_PER_KIND = 1 / 3
 
 # scene density buckets: label and instance-count range, the last open-ended
 DENSITY_BUCKETS = (("1-10", 1, 10), ("11-20", 11, 20), ("21-30", 21, 30), (">30", 31, None))
@@ -236,16 +238,12 @@ def _valid_alternatives(referents: dict, triple: tuple[str, str, str],
         pool = [(c, size, cell) for c in CATEGORIES if c != category]
     elif kind == "swap_size":
         pool = [(category, s, cell) for s in SIZE_BINS if s != size]
-    elif kind == "swap_position":
+    else:   # swap_position, the last of NEGATIVE_KINDS
         pool = [(category, size, g) for g in GRID_CELLS if g != cell]
-    else:
-        raise ValueError(f"unknown negative kind {kind!r}")
     return [t for t in pool if t not in referents]
 
 
-def gen_instance_negatives(scenes: list[SceneAnnotation], seed,
-                           fraction_per_kind: float = 1 / 3
-                           ) -> tuple[list[Expression], dict]:
+def gen_instance_negatives(scenes: list[SceneAnnotation], seed) -> tuple[list[Expression], dict]:
     """Manufacture instance-level negatives for the given scenes, drawn
     from the random stream of ``seed`` (anything ``np.random.default_rng``
     takes).
@@ -264,7 +262,7 @@ def gen_instance_negatives(scenes: list[SceneAnnotation], seed,
         referents = scene.referents()
         candidates.extend((scene, referents, triple) for triple in referents)
 
-    per_kind_target = int(round(len(candidates) * fraction_per_kind))
+    per_kind_target = int(round(len(candidates) * NEGATIVE_FRACTION_PER_KIND))
     negatives: list[Expression] = []
     meta = {"candidates": len(candidates), "per_kind_target": per_kind_target,
             "per_kind_actual": {}, "shortfall": {}}
@@ -296,13 +294,11 @@ def gen_instance_negatives(scenes: list[SceneAnnotation], seed,
     return negatives, meta
 
 
-def stratified_split(scenes: list[SceneAnnotation],
-                     ratios: tuple[float, float, float] = (0.70, 0.15, 0.15),
-                     seed: int = 0) -> tuple[list[SceneAnnotation], ...]:
+def stratified_split(scenes: list[SceneAnnotation], ratios: tuple[float, float, float],
+                     seed: int) -> tuple[list[SceneAnnotation], ...]:
     """Per-image-type proportional split with largest-remainder rounding,
-    so each type deviates from the ratios by at most one scene."""
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"split ratios must sum to 1, got {ratios}")
+    so each type deviates from the ratios by at most one scene. The
+    ratios sum to 1, as ``SynthConfig`` checks."""
     rng = np.random.default_rng(seed)
     splits: tuple[list[SceneAnnotation], ...] = ([], [], [])
     by_type: dict[str, list[SceneAnnotation]] = {t: [] for t in IMAGE_TYPES}

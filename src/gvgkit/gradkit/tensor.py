@@ -11,8 +11,11 @@ CPU-only. Each node costs a fixed Python overhead, so models batch
 their work into few, larger nodes:
 ``matmul`` multiplies stacks of matrices with numpy broadcasting,
 ``reshape`` and ``permute`` move axes (attention heads, for one), and
-``masked_max_pool`` takes a mask that broadcasts against its input, so
-one node pools a whole padded batch. Each has a hand-written backward.
+``masked_max_pool`` takes a mask with its input's dims that broadcasts
+against it, so one node pools a whole padded batch. Each has a
+hand-written backward. Each primitive takes only the operand forms the
+model passes: ``matmul`` no 1-D operand, ``masked_max_pool`` no mask of
+fewer dims than its input.
 
 Short axes: numpy reduces an axis one output at a time, which is slow
 when the axis is short and the outputs are many (the 3-wide token axis of
@@ -237,14 +240,14 @@ def sigmoid(a) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product with numpy semantics. A 1-D operand pairs with a
-    1-D or 2-D one; operands of two or more dims multiply their last two
-    axes and broadcast the leading ones, so one node multiplies a whole
-    stack of matrices."""
+    """Matrix product of operands of two or more dims: their last two
+    axes multiply and the leading ones broadcast, numpy's semantics, so
+    one node multiplies a whole stack of matrices. A 1-D operand is a
+    ShapeError."""
     a, b = _as_tensor(a), _as_tensor(b)
-    dims = (a.value.ndim, b.value.ndim)
-    if 0 in dims or (1 in dims and max(dims) > 2):
-        raise ShapeError("matmul pairs a 1-D operand with a 1-D or 2-D one only")
+    if a.value.ndim < 2 or b.value.ndim < 2:
+        raise ShapeError(f"matmul takes operands of two or more dims, not shapes "
+                         f"{a.value.shape} and {b.value.shape}")
     try:
         value = a.value @ b.value
     except ValueError as err:
@@ -259,18 +262,12 @@ def matmul(a, b) -> Tensor:
 
 
 def _matmul_grad_a(g: np.ndarray, av: np.ndarray, bv: np.ndarray) -> np.ndarray:
-    if bv.ndim == 1:
-        return g * bv if av.ndim == 1 else np.outer(g, bv)
     if bv.ndim == 2:
         return g @ bv.T
     return _unbroadcast(g @ bv.swapaxes(-1, -2), av.shape)
 
 
 def _matmul_grad_b(g: np.ndarray, av: np.ndarray, bv: np.ndarray) -> np.ndarray:
-    if av.ndim == 1:
-        return g * av if bv.ndim == 1 else np.outer(av, g)
-    if bv.ndim == 1:
-        return av.T @ g
     if bv.ndim == 2:
         # a stack times one matrix: one product over all stacked rows
         return av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1])
@@ -410,17 +407,15 @@ def softmax(a, axis: int = -1) -> Tensor:
 def masked_max_pool(a, mask, axis: int = 0) -> Tensor:
     """Maximum along ``axis`` over positions where ``mask`` is true.
 
-    A 1-D mask flags the positions of ``axis``; a mask with as many dims
-    as ``a`` broadcasts against it, so each output slot can have its own
-    valid positions (a padded batch of texts, say). Every slot needs at
+    ``mask`` has as many dims as ``a`` and broadcasts against it, so each
+    output slot can have its own valid positions (a padded batch of
+    texts, say); any other mask is a ShapeError. Every slot needs at
     least one. Invalid positions are excluded structurally, so their
     values never influence the output or the gradient.
     """
     a = _as_tensor(a)
     mask = np.asarray(mask, dtype=bool)
     shape = a.value.shape
-    if mask.ndim == 1 and len(shape) > 1 and mask.shape[0] == shape[axis]:
-        mask = mask.reshape(_along(axis, len(shape)))
     if mask.ndim != len(shape) or any(m != s and m != 1 for m, s in zip(mask.shape, shape)):
         raise ShapeError(f"mask of shape {mask.shape} does not mask axis {axis} "
                          f"of shape {shape}")
@@ -445,13 +440,9 @@ def _max_reduce(a: Tensor, masked: np.ndarray, axis: int) -> Tensor:
 def _first_max_route(x: np.ndarray, axis: int) -> np.ndarray:
     """True at the entry of each slot along ``axis`` that ``argmax``
     picks: the first maximum, or the first NaN."""
-    positions = np.arange(x.shape[axis]).reshape(_along(axis, x.ndim))
+    along = [-1 if i == axis % x.ndim else 1 for i in range(x.ndim)]
+    positions = np.arange(x.shape[axis]).reshape(along)
     return positions == x.argmax(axis=axis, keepdims=True)
-
-
-def _along(axis: int, ndim: int) -> list[int]:
-    """The shape that lays a 1-D array along ``axis`` of ``ndim`` dims."""
-    return [-1 if i == axis % ndim else 1 for i in range(ndim)]
 
 
 # ---------------------------------------------------------------------------

@@ -57,10 +57,6 @@ HMCE_WEIGHTS = {
 }
 
 
-class EmptyTextError(ValueError):
-    pass
-
-
 @dataclass
 class RelevanceOutput:
     """Per-proposal relevance pieces for K texts; row k belongs to text k."""
@@ -209,13 +205,10 @@ def stack_texts(texts: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Pack K texts, each the (V, d_t) rows of its content words, in
     order and to the left, into one (K, T, d_t) token block and its
     (K, T) validity mask, T being the longest text. Padding positions
-    are zero and invalid. A text with no row raises ``EmptyTextError``;
-    both forward passes run this check, before they split."""
-    if not texts:
-        raise ValueError("need at least one text to score")
+    are zero and invalid. A text with no row has no valid position, and
+    ``referring_score``'s pooling, which both forward passes share,
+    raises DomainError for it."""
     counts = np.array([len(text) for text in texts])
-    if not counts.all():
-        raise EmptyTextError("a text has no content word")
     embeddings = np.zeros((len(texts), counts.max(), texts[0].shape[1]))
     for k, text in enumerate(texts):
         embeddings[k, :len(text)] = text

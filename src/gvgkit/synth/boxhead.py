@@ -4,8 +4,8 @@ The refinement head is the desk-scale stand-in for fine-tuning a
 detector's last decoder layer: a small residual MLP mapping a proposal
 box to a corrected box. Losses are composed from tape primitives so
 training gradients flow through the head; closed-form gradients in the
-test suite cross-check the same math. Each loss takes optional row
-weights, so that one graph can carry the rows of several scenes.
+test suite cross-check the same math. Each loss takes its row weights,
+so that one graph can carry the rows of several scenes.
 """
 
 from __future__ import annotations
@@ -44,23 +44,19 @@ def _iou_terms(pred: Tensor, gt: np.ndarray):
     return inter, union, (lo, hi, g_lo, g_hi)
 
 
-def _weighted_sum(per_row: Tensor, weights: np.ndarray | None) -> Tensor:
-    """Sum of (M, 1) per-row losses times (M,) row weights; no weights
-    means 1/M each, the mean."""
-    if weights is None:
-        weights = np.full(per_row.value.shape[0], 1.0 / per_row.value.shape[0])
+def _weighted_sum(per_row: Tensor, weights: np.ndarray) -> Tensor:
+    """Sum of (M, 1) per-row losses times (M,) row weights."""
     column = np.asarray(weights, dtype=np.float64).reshape(-1, 1)
     return gk.reduce_sum(gk.mul(per_row, gk.constant(column)))
 
 
-def iou_loss_diff(pred: Tensor, gt: np.ndarray, weights: np.ndarray | None = None) -> Tensor:
-    """Weighted (1 - IoU) over row-aligned (M, 4) centre-form boxes; the
-    mean without ``weights``."""
+def iou_loss_diff(pred: Tensor, gt: np.ndarray, weights: np.ndarray) -> Tensor:
+    """Weighted (1 - IoU) over row-aligned (M, 4) centre-form boxes."""
     inter, union, _ = _iou_terms(pred, gt)
     return _weighted_sum(gk.sub(1.0, gk.div(inter, union)), weights)
 
 
-def giou_loss_diff(pred: Tensor, gt: np.ndarray, weights: np.ndarray | None = None) -> Tensor:
+def giou_loss_diff(pred: Tensor, gt: np.ndarray, weights: np.ndarray) -> Tensor:
     """Weighted (1 - GIoU); the original detector regression objective.
     Only this loss builds the enclosing box."""
     inter, union, (lo, hi, g_lo, g_hi) = _iou_terms(pred, gt)
@@ -70,15 +66,13 @@ def giou_loss_diff(pred: Tensor, gt: np.ndarray, weights: np.ndarray | None = No
     return _weighted_sum(gk.sub(1.0, giou), weights)
 
 
-def interp_iou_loss_diff(pred: Tensor, gt: np.ndarray, alpha: float = 0.99,
-                         weights: np.ndarray | None = None) -> Tensor:
+def interp_iou_loss_diff(pred: Tensor, gt: np.ndarray, alpha: float,
+                         weights: np.ndarray) -> Tensor:
     """Weighted interpolated-IoU loss: (1 - IoU(pred, gt)) plus the IoU
-    deficit of the box interpolated toward the ground truth. Both boxes
-    of a row go through one IoU pass: ``[pred, mid]`` against
+    deficit of the box interpolated toward the ground truth by ``alpha``.
+    Both boxes of a row go through one IoU pass: ``[pred, mid]`` against
     ``[gt, gt]`` with the row weights repeated."""
     gt = np.asarray(gt, dtype=np.float64)
-    if weights is None:
-        weights = np.full(len(gt), 1.0 / len(gt))
     # pred + alpha * (gt - pred), in centre form
     mid = gk.add(pred, gk.mul(gk.sub(gk.constant(gt), pred), alpha))
     return iou_loss_diff(gk.concat([pred, mid], axis=0), np.concatenate([gt, gt]),

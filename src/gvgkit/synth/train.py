@@ -135,7 +135,7 @@ def _run_stage(stage: int, model, trainable: list[gk.Tensor],
     to skip the batch. It draws from the epoch's rng after ``_batches``
     and may append floats to ``terms`` under ``LOG_TERMS`` names; the
     epoch's row holds their means next to the mean batch loss."""
-    opt = gk.Adam(trainable, lr=tcfg.lr_init)
+    opt = gk.Adam(trainable)
     log: list[LogRow] = []
     last_good = {name: t.value.copy() for name, t in model.leaves()}
     for epoch in range(epochs):
@@ -151,7 +151,7 @@ def _run_stage(stage: int, model, trainable: list[gk.Tensor],
                         continue
                     opt.zero_grad()
                     gk.backward(total)
-                    opt.step(lr=lr)
+                    opt.step(lr)
                     totals.append(float(total.value))
         except _DIVERGENCE as err:
             for name, t in model.leaves():

@@ -25,7 +25,7 @@ def cosine_similarity(rows, vec):
         raise gk.DomainError("cosine similarity of a zero-norm vector")
     row_norms = gk.sqrt(gk.reduce_sum(gk.mul(rows, rows), axis=1))
     vec_norm = gk.sqrt(gk.reduce_sum(gk.mul(vec, vec)))
-    dots = gk.matmul(rows, vec)
+    dots = gk.reshape(gk.matmul(rows, gk.reshape(vec, (-1, 1))), (-1,))
     return gk.div(dots, gk.mul(row_norms, vec_norm))
 
 
@@ -87,7 +87,8 @@ def referring_score(fused, text, params, ablation="full"):
     word_scores = gk.div(cosine_matrix(fused, t), tau)                      # (N, V)
     word_max = gk.max_over_axis(word_scores, axis=1)                        # (N,)
 
-    hidden = gk.relu(gk.add(gk.matmul(sentence, params.fusion_w1), params.fusion_b1))
+    row = gk.reshape(sentence, (1, -1))                                    # (1, d)
+    hidden = gk.relu(gk.add(gk.matmul(row, params.fusion_w1), params.fusion_b1))
     logit = gk.add(gk.matmul(hidden, params.fusion_w2), params.fusion_b2)
     weight = gk.sigmoid(gk.reduce_sum(logit))
 

@@ -34,7 +34,7 @@ def test_one_pass_interp_loss_matches_the_oracle_row_by_row(weighted):
     pred, gt = box_pairs(rng, 9)
     weights = rng.uniform(0.1, 1.0, 9) if weighted else np.full(9, 1 / 9)
     p = gk.tensor(pred, requires_grad=True)
-    loss = interp_iou_loss_diff(p, gt, alpha=0.99, weights=weights if weighted else None)
+    loss = interp_iou_loss_diff(p, gt, alpha=0.99, weights=weights)
     gk.backward(loss)
     cfg = InterpConfig(0.99)
     want = sum(w * loss_interp_iou(BBox(*a), BBox(*b), cfg)
@@ -60,8 +60,8 @@ def test_giou_loss_reads_the_enclosing_box():
     # still pulls the prediction in
     row = [k for k in range(6) if disjoint(pred[k], gt[k])][0]
     one = gk.tensor(pred[row:row + 1], requires_grad=True)
-    assert float(iou_loss_diff(one, gt[row:row + 1]).value) == 1.0
-    g = giou_loss_diff(one, gt[row:row + 1])
+    assert float(iou_loss_diff(one, gt[row:row + 1], np.ones(1)).value) == 1.0
+    g = giou_loss_diff(one, gt[row:row + 1], np.ones(1))
     assert float(g.value) > 1.0
     gk.backward(g)
     assert np.any(one.grad != 0.0)
@@ -80,7 +80,8 @@ def test_refine_moves_centres_and_scales_sizes():
     refined = refiner.refine(boxes).value
     assert np.array_equal(refined[:, :2], boxes[:, :2] + delta[:, :2] * boxes[:, 2:])
     assert np.array_equal(refined[:, 2:], boxes[:, 2:] * np.exp(delta[:, 2:]))
-    report = check_gradients(lambda: interp_iou_loss_diff(refiner.refine(boxes), gt),
+    report = check_gradients(lambda: interp_iou_loss_diff(refiner.refine(boxes), gt, 0.99,
+                                                          np.full(5, 1 / 5)),
                                 refiner.leaves())
     assert report.passed, str(report)
 

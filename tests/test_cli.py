@@ -83,7 +83,7 @@ class TestPipeline:
             warnings.simplefilter("ignore")
             assert main(["build", "--config", str(run_dir / "config.json"),
                          "--out", str(out2)]) == 0
-        for name in ("train.jsonl", "val.jsonl", "test.jsonl"):
+        for name in ("train.jsonl", "val.jsonl", "test.jsonl", "stats.json"):
             assert (run_dir / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def test_stats_counts_match_records(self, run_dir):
@@ -670,6 +670,30 @@ class TestErrors:
         assert not (tmp_path / f"report-{evaluated}.json").exists()
         assert not (tmp_path / f"report-{evaluated}.txt").exists()
 
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_a_split_file_that_holds_another_split_is_a_one_line_error(self, run_dir, tmp_path,
+                                                                      capsys, command):
+        """val.jsonl copied over test.jsonl is not read as the test split;
+        eval gets the predictions a predict that did not check would have
+        made of the copy, whose header names the test split."""
+        for name in ("config.json", "params.json", "refiner.json"):
+            (tmp_path / name).write_bytes((run_dir / name).read_bytes())
+        path = tmp_path / "test.jsonl"
+        path.write_bytes((run_dir / "val.jsonl").read_bytes())
+        if command == "eval":
+            synth_cfg, train_cfg = load_config(tmp_path / "config.json")
+            scenes, expressions, _ = datagen.read_dataset(path)
+            preds = predict_split(SplitData(name="test", scenes=scenes, expressions=expressions),
+                                  synth_cfg, HrsParams.load(tmp_path / "params.json"),
+                                  BoxRefiner.load(tmp_path / "refiner.json"))
+            write_predictions(preds, tmp_path / "predictions-test.jsonl", seed=train_cfg.seed)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert main([command, "--out", str(tmp_path), "--split", "test"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path} holds split 'val', not 'test'; re-run `gvgkit build`\n", err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_diverging_stage2_is_a_one_line_error(self, run_dir, tmp_path, capsys):
         for name in ("train.jsonl", "refiner.json"):
             (tmp_path / name).write_bytes((run_dir / name).read_bytes())
@@ -797,6 +821,32 @@ def test_a_warning_prints_as_one_line(run_dir, tmp_path):
     proc = run_subprocess(["train", "--out", str(tmp_path)])
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "warning: training split lacks image types: ['empty']\n"
+
+
+@pytest.mark.parametrize("variant,split", [("full", "val"), ("word-only", "test"),
+                                           ("sentence-only", "test")],
+                         ids=["full on val", "word-only on test", "sentence-only on test"])
+def test_predict_writes_the_same_bytes_in_each_process(run_dir, tmp_path, variant, split):
+    # val holds instance negatives and per-scene expression groups that
+    # test lacks; word-only and sentence-only run the two fixed-weight
+    # branches of ``referring_score`` on a frozen model
+    for name in ("val.jsonl", "test.jsonl", "config.json", "refiner.json", "params.json"):
+        (tmp_path / name).write_bytes((run_dir / name).read_bytes())
+    if variant != "full":
+        short_run(run_dir, tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["train", "--out", str(tmp_path), "--ablate", variant]) == 0
+    path = tmp_path / f"predictions-{split}.jsonl"
+    written = []
+    for _ in range(2):
+        proc = run_subprocess(["predict", "--out", str(tmp_path), "--split", split])
+        assert proc.returncode == 0, proc.stderr
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+    assert main(["eval", "--out", str(tmp_path), "--split", split]) == 0
+    report = json.loads((tmp_path / f"report-{split}.json").read_text())
+    assert report["overall"]["neg_support"] > 0
 
 
 def test_train_stores_its_config(tmp_path):

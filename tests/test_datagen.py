@@ -292,8 +292,11 @@ class TestNegatives:
             assert neg.negative_kind in ("replace_category", "swap_size", "swap_position")
 
     def test_replacement_on_single_category_scene(self):
-        scene = make_scene(specs=[("maize", 100, 100, 180, 180)])
-        negatives, _ = gen_instance_negatives([scene], seed=2, fraction_per_kind=1.0)
+        # three triples, so each kind manipulates round(3 / 3) = 1 of them
+        scene = make_scene(specs=[("maize", 100, 100, 180, 180), ("maize", 600, 100, 680, 180),
+                                  ("maize", 100, 600, 180, 680)])
+        negatives, meta = gen_instance_negatives([scene], seed=2)
+        assert meta["per_kind_target"] == 1
         replace = [n for n in negatives if n.negative_kind == "replace_category"]
         assert replace and all(n.attributes.category != "maize" for n in replace)
 
@@ -311,6 +314,8 @@ class TestNegatives:
 
 
 class TestSplit:
+    RATIOS = (0.70, 0.15, 0.15)
+
     def _uniform_scenes(self, n, image_type="crop_only"):
         cat = {"crop_only": "maize", "weed_only": "weed"}.get(image_type, "maize")
         scenes = []
@@ -323,11 +328,11 @@ class TestSplit:
         return scenes
 
     def test_exact_ratio(self):
-        train, val, test = stratified_split(self._uniform_scenes(100), seed=0)
+        train, val, test = stratified_split(self._uniform_scenes(100), self.RATIOS, seed=0)
         assert (len(train), len(val), len(test)) == (70, 15, 15)
 
     def test_largest_remainder(self):
-        train, val, test = stratified_split(self._uniform_scenes(10), seed=0)
+        train, val, test = stratified_split(self._uniform_scenes(10), self.RATIOS, seed=0)
         assert (len(train), len(val), len(test)) == (7, 2, 1)
 
     def test_partition_property(self):
@@ -344,16 +349,12 @@ class TestSplit:
                 scenes.append(make_scene(image_id=f"p{k}", specs=[("weed", 0, 0, 100, 100)]))
             else:
                 scenes.append(make_scene(image_id=f"p{k}", specs=[("maize", 0, 0, 100, 100)]))
-        train, val, test = stratified_split(scenes, seed=2)
+        train, val, test = stratified_split(scenes, self.RATIOS, seed=2)
         ids = sorted(s.image_id for s in train + val + test)
         assert ids == sorted(s.image_id for s in scenes)
         assert not (set(s.image_id for s in train) & set(s.image_id for s in val))
         assert not (set(s.image_id for s in train) & set(s.image_id for s in test))
         assert not (set(s.image_id for s in val) & set(s.image_id for s in test))
-
-    def test_ratio_validation(self):
-        with pytest.raises(ValueError):
-            stratified_split([], ratios=(0.5, 0.2, 0.2))
 
 
 class TestSerialization:

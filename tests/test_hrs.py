@@ -12,7 +12,6 @@ from gvgkit.hrs import (
     LEVEL0_CLASS,
     LEVEL0_SENTENCES,
     VARIANTS,
-    EmptyTextError,
     HrsParams,
     fuse,
     level0_logits,
@@ -64,11 +63,6 @@ class TestTypes:
         for text, block, row in zip(texts, emb, pooled):
             assert np.array_equal(block, np.vstack([text, np.zeros((4 - len(text), D_T))]))
             assert np.array_equal(row, text.max(axis=0))
-
-    def test_all_invalid_rejected(self):
-        rng = np.random.default_rng(1)
-        with pytest.raises(EmptyTextError):
-            stack_texts([make_text(rng), np.zeros((0, D_T))])
 
     def test_vocabulary_invariants(self):
         assert LEVEL0_SENTENCES.count("[EMPTY]") == 1
@@ -345,7 +339,7 @@ class TestEndToEndGradients:
         params.text_proj.value += 1.0  # an in-place edit would leak through a shared array
         assert np.array_equal(params.visual_proj.value, start)
         params.text_proj.grad = np.ones_like(start)
-        gk.Adam(params.trainable()).step()
+        gk.Adam(params.trainable()).step(2e-4)
         assert np.array_equal(params.visual_proj.value, start)
         assert not np.array_equal(params.text_proj.value, start + 1.0)
 
@@ -399,7 +393,7 @@ class TestEndToEndGradients:
     @pytest.mark.parametrize("fault, error", [("zero proposal row", gk.DomainError),
                                               ("zero temperature", gk.DomainError),
                                               ("hot temperature", OverflowError),
-                                              ("no valid token", EmptyTextError)])
+                                              ("no valid token", gk.DomainError)])
     def test_both_passes_raise_alike(self, frozen, fault, error):
         # under predict's errstate, a fault still raises on either pass
         rng = np.random.default_rng(20)

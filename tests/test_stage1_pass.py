@@ -32,9 +32,10 @@ def stage1_scene_loss(item, refiner, tcfg):
     prop = np.array([item.boxes[i] for i, _ in pairs])
     gt = centre_rows([gts[j] for _, j in pairs])
     refined = refiner.refine(prop)
+    weights = np.full(len(prop), 1 / len(prop))
     if refiner.ablation == "no-interp-iou":
-        return giou_loss_diff(refined, gt)
-    return interp_iou_loss_diff(refined, gt, alpha=tcfg.interp_alpha)
+        return giou_loss_diff(refined, gt, weights)
+    return interp_iou_loss_diff(refined, gt, alpha=tcfg.interp_alpha, weights=weights)
 
 
 def oracle_batch_loss(batch, refiner, tcfg):
@@ -106,8 +107,10 @@ def test_a_no_interp_iou_refiner_trains_under_giou(encoded):
     (prop, gt), = pairs
     refiner = BoxRefiner(seed=3, ablation="no-interp-iou")
     got = stage1_loss(pairs, refiner, tcfg).value
-    assert got == giou_loss_diff(refiner.refine(prop), gt).value
-    assert got != interp_iou_loss_diff(refiner.refine(prop), gt, alpha=tcfg.interp_alpha).value
+    weights = np.full(len(prop), 1 / len(prop))
+    assert got == giou_loss_diff(refiner.refine(prop), gt, weights).value
+    assert got != interp_iou_loss_diff(refiner.refine(prop), gt, alpha=tcfg.interp_alpha,
+                                       weights=weights).value
 
 
 def test_one_batch_records_at_most_60_tape_nodes(encoded):
